@@ -10,9 +10,12 @@
     - No bucket spinlocks: the logical read-modify-write on a bucket is
       a straight OCaml section with no backend call inside, so it is
       atomic on both backends — the simulator's engine only switches
-      threads at effect points, and the native backend runs every op for
-      a bucket on its single home domain. Probe/compute costs are
-      charged {e after} the logical section for exactly this reason.
+      threads at effect points, and the native backend runs every write
+      to a bucket on its single home domain, never alongside a read.
+      [get] is read-only ([with_op] without [~write]), so on a bucket
+      never written it runs on the client's own domain. Probe/compute
+      costs are charged {e after} the logical section for exactly this
+      reason.
     - Results are sentinel ints, not options ([get] returns [-1] for
       absent), so native hot paths allocate nothing. *)
 

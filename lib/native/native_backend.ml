@@ -1,14 +1,47 @@
-(* Counter layout: everything hot is a per-domain row written only by
-   its owning worker (ops_by_obj, submits, dstats), so the hot path has
-   no contended atomics at all. Rows are summed by the coordinator only
-   at quiescence; [home] is plain too — written only inside [rebalance]
-   (inflight = 0, no worker executing clients) and published to workers
-   by the next spawn's inbox CAS / drain exchange pair. *)
+(* Homes are earned by writing. An object starts unhomed: [home_.(o)]
+   holds [lnot h], a negative word, for its nominal home h = o mod n. A
+   read-only op on an unhomed object runs on the submitting domain: no
+   ship, no inbox, no wake. The first [~write:true] op ships to h, flips
+   the word to h and waits out the local reads in flight; from then on
+   every op ships to the home, so a written object keeps a single
+   writer. The homed path pays one sign test on the word it already
+   loads.
 
+   First-write handshake, the Dekker pattern of Native_pool's
+   sleepers/epoch pair:
+   - reader on domain d: publish o in [reading.(d)] (an SC store), re-read
+     [home_.(o)]; still negative -> run the body in place, then
+     [reading.(d) <- -1], also on a raise. Non-negative -> clear, ship.
+   - writer on h: [home_.(o) <- h] (plain), then poll every
+     [reading.(d)] with [fetch_and_add 0] until it no longer holds o.
+   All atomic ops on one slot are totally ordered. If the reader's
+   publication comes first, the writer's poll sees o and waits for the
+   clear, which follows the body: the read happens before the write.
+   If the poll comes first, it is a read-modify-write, so it releases
+   the flip into the slot and the reader's publication acquires it: the
+   re-read sees h and the op ships. Either way no local read overlaps
+   the write. Op bodies are effect-free (see Backend_kv), so a reader
+   never waits on the writer's domain and the spin ends.
+
+   Counter layout: everything hot is a per-domain row written only by
+   its owning worker (ops_by_obj, submits, dstats), so the homed path
+   has no contended atomics at all; dstats records and reading slots
+   are padded so that no two domains' hot words share a cache line.
+   Rows are summed by the coordinator only at quiescence. [home_] is
+   plain too: written by [register] and [rebalance] at quiescence
+   (published to workers by the next spawn's inbox CAS / drain exchange
+   pair) and once per object by its first write, which the handshake
+   above orders. *)
+
+(* Padded to 16 words for the reason Native_pool gives for its slots:
+   every domain bumps its own record on every op, and unpadded records
+   made side by side shared a line (native_kv ran ~25% slower). *)
 type dstats = {
   mutable ops : int;
   mutable ships_out : int;
   mutable ships_in : int;
+  p3 : int; p4 : int; p5 : int; p6 : int; p7 : int; p8 : int; p9 : int;
+  p10 : int; p11 : int; p12 : int; p13 : int; p14 : int; p15 : int;
 }
 
 type t = {
@@ -20,7 +53,9 @@ type t = {
   tsinks : O2_runtime.Telemetry.sink array;  (* per-worker, prefetched *)
   tcoord : O2_runtime.Telemetry.sink;
   mutable nobjs : int;
-  mutable home_ : int array;  (* obj -> home domain *)
+  mutable home_ : int array;
+      (* obj -> home domain, or [lnot] the nominal home until first written *)
+  reading : Native_pool.slot array;  (* [domain] -> object in a local read, or -1 *)
   mutable names : string array;
   mutable sizes : int array;
   mutable ops_by_obj : int array array;  (* [domain].(obj), owner-written *)
@@ -30,6 +65,11 @@ type t = {
   mutable migrations_ : int;
   mutable periods : int;  (* completed rebalance steps *)
 }
+
+let new_dstats () =
+  { ops = 0; ships_out = 0; ships_in = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0;
+    p7 = 0; p8 = 0; p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0;
+    p15 = 0 }
 
 let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
   let pool = Native_pool.create ~telemetry ~domains () in
@@ -43,12 +83,13 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     tcoord = O2_runtime.Telemetry.coordinator telemetry;
     nobjs = 0;
     home_ = Array.make 16 0;
+    reading = Array.init domains (fun _ -> Native_pool.make_slot (-1));
     names = Array.make 16 "";
     sizes = Array.make 16 0;
     ops_by_obj = Array.init domains (fun _ -> Array.make 16 0);
     submits = Array.init domains (fun _ -> Array.make 16 0);
     submits_snap = Array.init domains (fun _ -> Array.make 16 0);
-    stats = Array.init domains (fun _ -> { ops = 0; ships_out = 0; ships_in = 0 });
+    stats = Array.init domains (fun _ -> new_dstats ());
     migrations_ = 0;
     periods = 0;
   }
@@ -59,7 +100,9 @@ let name _ = "native"
 let cores t = t.n
 let probe t = t.probe
 let objects t = t.nobjs
-let home t o = t.home_.(o)
+let home t o =
+  let h = t.home_.(o) in
+  if h < 0 then lnot h else h
 
 let grow_int_array a cap =
   let a' = Array.make cap 0 in
@@ -87,7 +130,7 @@ let register t ~size ~name =
   ensure_capacity t;
   let o = t.nobjs in
   t.nobjs <- o + 1;
-  t.home_.(o) <- o mod t.n;
+  t.home_.(o) <- lnot (o mod t.n);
   t.sizes.(o) <- size;
   t.names.(o) <- name;
   o
@@ -100,24 +143,13 @@ let run t =
 
 let telemetry t = t.tel
 
-(* Telemetry timestamps ride in locals: [t0]/[t1] live in the shipped
+(* Runs [f] on domain [h], shipping there first if the caller is
+   elsewhere, and does the op's accounting where it ran. Telemetry
+   timestamps ride in locals: [t0]/[t1] live in the shipped
    continuation's frame, so a span that crosses domains keeps its
    submit-side clock reading with no shared state. Ints when off, so
    the disabled branch costs a cached-bool test and two zero loads. *)
-let with_op t ?write:_ obj f =
-  let me = Native_pool.current_domain t.pool in
-  if me < 0 then
-    invalid_arg "Native_backend.with_op: called outside a pool worker";
-  if obj < 0 || obj >= t.nobjs then
-    invalid_arg "Native_backend.with_op: unknown object";
-  let row = t.submits.(me) in
-  row.(obj) <- row.(obj) + 1;
-  let tel_on = t.tel_on in
-  let t0 = if tel_on then O2_runtime.Telemetry.now_ns () else 0 in
-  let token =
-    if tel_on then O2_runtime.Telemetry.op_submit t.tsinks.(me) ~obj else -1
-  in
-  let h = t.home_.(obj) in
+let exec t me obj f ~tel_on ~t0 ~token h =
   let shipped = h <> me in
   if shipped then begin
     let s = t.stats.(me) in
@@ -159,6 +191,59 @@ let with_op t ?write:_ obj f =
   end;
   r
 
+(* Reader side of the first-write handshake: publish, re-check, run in
+   place. The slot is cleared on every exit, including a raise. *)
+let local_read t me obj f ~tel_on ~t0 ~token =
+  let slot = t.reading.(me) in
+  Native_pool.publish slot obj;
+  let h = t.home_.(obj) in
+  if h >= 0 then begin
+    (* A first write got in between: the object has its home now. *)
+    Native_pool.publish slot (-1);
+    exec t me obj f ~tel_on ~t0 ~token h
+  end
+  else
+    match exec t me obj f ~tel_on ~t0 ~token me with
+    | r ->
+        Native_pool.publish slot (-1);
+        r
+    | exception e ->
+        Native_pool.publish slot (-1);
+        raise e
+
+(* Writer side, run on the nominal home as the first write's prologue:
+   the sign flip publishes the home, then local readers drain out. A
+   second first write queued behind this one finds the object homed. *)
+let claim t obj =
+  let h = t.home_.(obj) in
+  if h < 0 then begin
+    t.home_.(obj) <- lnot h;
+    Native_pool.await_vacant t.reading obj
+  end
+
+let first_write t me obj f ~tel_on ~t0 ~token h =
+  exec t me obj (fun () -> claim t obj; f ()) ~tel_on ~t0 ~token h
+
+let with_op t ?write obj f =
+  let me = Native_pool.current_domain t.pool in
+  if me < 0 then
+    invalid_arg "Native_backend.with_op: called outside a pool worker";
+  if obj < 0 || obj >= t.nobjs then
+    invalid_arg "Native_backend.with_op: unknown object";
+  let row = t.submits.(me) in
+  row.(obj) <- row.(obj) + 1;
+  let tel_on = t.tel_on in
+  let t0 = if tel_on then O2_runtime.Telemetry.now_ns () else 0 in
+  let token =
+    if tel_on then O2_runtime.Telemetry.op_submit t.tsinks.(me) ~obj else -1
+  in
+  let h = t.home_.(obj) in
+  if h >= 0 then exec t me obj f ~tel_on ~t0 ~token h
+  else
+    match write with
+    | Some true -> first_write t me obj f ~tel_on ~t0 ~token (lnot h)
+    | _ -> local_read t me obj f ~tel_on ~t0 ~token
+
 let touch _t ~write:_ ~obj:_ ~off:_ ~len:_ = ()
 
 let compute _t cycles =
@@ -193,20 +278,24 @@ let rebalance t =
   if Native_pool.current_domain t.pool >= 0 then
     invalid_arg "Native_backend.rebalance: must run at a quiesce point";
   let moves = ref 0 in
-  (* Pass 1 — affinity: home := the domain that submitted most ops this
+  (* Objects never written have no home to move (home_ < 0): their ops
+     run wherever their clients do, so both passes skip them.
+     Pass 1 — affinity: home := the domain that submitted most ops this
      period (ties to the lower index; untouched objects stay put). *)
   for o = 0 to t.nobjs - 1 do
-    let best = ref (-1) and best_n = ref 0 in
-    for d = 0 to t.n - 1 do
-      let n = delta t d o in
-      if n > !best_n then begin
-        best := d;
-        best_n := n
+    if t.home_.(o) >= 0 then begin
+      let best = ref (-1) and best_n = ref 0 in
+      for d = 0 to t.n - 1 do
+        let n = delta t d o in
+        if n > !best_n then begin
+          best := d;
+          best_n := n
+        end
+      done;
+      if !best >= 0 && !best <> t.home_.(o) then begin
+        t.home_.(o) <- !best;
+        incr moves
       end
-    done;
-    if !best >= 0 && !best <> t.home_.(o) then begin
-      t.home_.(o) <- !best;
-      incr moves
     end
   done;
   (* Pass 2 — spill: while a home carries more than ~1.5x the average
@@ -216,12 +305,15 @@ let rebalance t =
   let load = Array.make t.n 0 in
   let total = ref 0 in
   for o = 0 to t.nobjs - 1 do
-    let w = ref 0 in
-    for d = 0 to t.n - 1 do
-      w := !w + delta t d o
-    done;
-    load.(t.home_.(o)) <- load.(t.home_.(o)) + !w;
-    total := !total + !w
+    let h = t.home_.(o) in
+    if h >= 0 then begin
+      let w = ref 0 in
+      for d = 0 to t.n - 1 do
+        w := !w + delta t d o
+      done;
+      load.(h) <- load.(h) + !w;
+      total := !total + !w
+    end
   done;
   let cap = (!total * 3 / (2 * t.n)) + 1 in
   let arg_extreme better =

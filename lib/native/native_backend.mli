@@ -1,20 +1,28 @@
 (** The native backend: the O2 object/operation model on real domains.
 
-    Implements {!O2_runtime.Backend_intf.S} over a {!Native_pool}. Every
-    registered object has a {e home domain}; an operation submitted from
-    anywhere else is shipped — [Api.ship_to] captures the client's
-    continuation and posts it to the home's inbox — so object state is
-    only ever touched by its home domain's worker. That single-writer
-    discipline is the backend's whole data-race story: no per-object
-    locks, and ops on one object execute in inbox FIFO order.
+    Implements {!O2_runtime.Backend_intf.S} over a {!Native_pool}. An
+    object earns a {e home domain} with its first write. Until then it
+    is unhomed, and a read-only op on it ([write] absent or [false])
+    runs on the submitting domain, like a read-only object the
+    simulator leaves to hardware replication. The first
+    [~write:true] op ships to the object's nominal home, waits until no
+    other domain is inside a local read of it, and homes it there. From
+    then on an op submitted anywhere else is shipped — [Api.ship_to]
+    captures the client's continuation and posts it to the home's inbox
+    — so a write only ever runs on the home domain, alone. That
+    single-writer discipline is the backend's whole data-race story: no
+    per-object locks, and ops on a homed object execute in inbox FIFO
+    order. Op bodies must be effect-free (no nested [with_op], no
+    yield): a local read must finish on its own domain.
 
     The monitor is a quiesce-point rebalancer: {!rebalance} may only run
     between {!run} batches (inflight = 0), when no client is executing,
     so re-homing never races an op in flight and per-object op order is
-    preserved across the move. It re-homes each object to its dominant
-    submitting domain since the last call and then spills load off
-    overloaded homes — the wall-clock analogue of the simulator's
-    periodic {!Coretime.Rebalancer}. *)
+    preserved across the move. It re-homes each written object to its
+    dominant submitting domain since the last call and then spills load
+    off overloaded homes — the wall-clock analogue of the simulator's
+    periodic {!Coretime.Rebalancer}. Unhomed objects are neither counted
+    nor moved. *)
 
 type t
 
@@ -22,7 +30,9 @@ val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
 (** Spawns the worker pool (see {!Native_pool.create} — the count is
     taken literally; clamp at the CLI with
     {!O2_runtime.Domain_pool.clamped}). Freshly registered objects are
-    homed round-robin across domains until the monitor moves them.
+    unhomed; their nominal homes are assigned round-robin across domains,
+    and the first write to an object homes it on its nominal home until
+    the monitor moves it.
 
     [telemetry] (default {!O2_runtime.Telemetry.off}) additionally
     instruments the op path: every [with_op] stamps submit / ship /
@@ -36,15 +46,17 @@ val shutdown : t -> unit
 (** Join the pool. Required before discarding the backend; idempotent. *)
 
 val rebalance : t -> unit
-(** One monitor step at a quiesce point. Re-homes objects to their
-    dominant submitter, spills overloaded homes to the least loaded
-    domain, snapshots the submit counters for the next period, and emits
-    [Probe.Rebalanced] when the probe is active.
+(** One monitor step at a quiesce point. Re-homes written objects to
+    their dominant submitter, spills overloaded homes to the least
+    loaded domain, snapshots the submit counters for the next period,
+    and emits [Probe.Rebalanced] when the probe is active. Objects never
+    written are skipped, so {!migrations} counts only real re-homes.
     @raise Invalid_argument if called from a pool worker. *)
 
 val pool : t -> Native_pool.t
 val home : t -> int -> int
-(** The object's current home domain. *)
+(** The object's current home domain, or for an object never written
+    the nominal home its first write will take. *)
 
 val telemetry : t -> O2_runtime.Telemetry.t
 (** The telemetry handed to {!create} ([Telemetry.off] if none). *)

@@ -59,6 +59,26 @@ val shutdown : t -> unit
 (** Stop and join every worker. The pool must be quiescent ({!drain}
     returned). Idempotent. *)
 
+(** {1 Reading slots}
+
+    One atomic int per domain, padded to two cache lines so that
+    domains publishing into their own slots never share a line. The
+    slots carry {!Native_backend}'s first-write handshake; they live
+    here because this module is the raw-primitive shim. *)
+
+type slot
+
+val make_slot : int -> slot
+
+val publish : slot -> int -> unit
+(** A sequentially consistent store ([Atomic.set]). *)
+
+val await_vacant : slot array -> int -> unit
+(** [await_vacant slots v] spins ([Domain.cpu_relax]) until no slot
+    holds [v], visiting each slot once in order. Every poll is a
+    read-modify-write, so a domain that publishes into a slot after its
+    poll observes everything the caller wrote before calling. *)
+
 val tasks_executed : t -> int
 (** Tasks run across all workers (client bodies plus resumed shipped /
     yielded continuations) — telemetry; stable only at quiescence. *)

@@ -49,9 +49,15 @@ module type S = sig
 
   val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
   (** Bracket one operation on an object handle, from inside a spawned
-      body. Both backends ship the operation to the object's home lane
-      (simulator: thread migration; native: the continuation is
-      enqueued on the home domain) and count it there. *)
+      body; [write] (default [false]) says whether the op mutates the
+      object. Where the op runs is the backend's policy. The simulator
+      runs it where CoreTime puts it: on the object's assigned core by
+      thread migration or shipping, or in place for unassigned or
+      replicated objects. The native backend runs reads of an object
+      never written in place, on the submitting domain. The first write
+      homes the object, and every op after it ships to the home (the
+      continuation is enqueued on the home domain). Both count the op
+      where it ran. *)
 
   val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
   (** The cost of touching [len] bytes at [off] inside an object:

@@ -7,7 +7,7 @@
    locks, no cross-domain writes on the hot path.
 
    Each sink is a flat int-array ring of fixed-width records stamped with
-   CLOCK_MONOTONIC nanoseconds (bechamel's noalloc stub). The stamp is
+   CLOCK_MONOTONIC nanoseconds (a noalloc C stub). The stamp is
    clamped per-writer to be nondecreasing, so a sink's ring is sorted by
    construction and the k-way merge in O2_obs.Native_tel needs no sort.
    When a ring is full new records are dropped (drop-newest) and counted
@@ -225,7 +225,13 @@ let sink_array t ~n =
 (* ------------------------------------------------------------------ *)
 (* The clock                                                           *)
 
-let now_ns () = Int64.to_int (Monotonic_clock.now ())
+external monotonic_ns : unit -> (int[@untagged])
+  = "o2_runtime_now_ns_byte" "o2_runtime_now_ns"
+[@@noalloc]
+
+(* A binding rather than a re-exported external so the o2staticcheck
+   manifest can name it; small enough to inline at every call site. *)
+let now_ns () = monotonic_ns ()
 
 (* ------------------------------------------------------------------ *)
 (* Writers (owner only)                                                *)

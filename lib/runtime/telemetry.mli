@@ -65,9 +65,8 @@ val sink_array : t -> n:int -> sink array
 (** {1 The clock} *)
 
 val now_ns : unit -> int
-(** [CLOCK_MONOTONIC] in nanoseconds (bechamel's noalloc stub; the
-    int64 result is boxed once per call — only ever paid with telemetry
-    on). *)
+(** [CLOCK_MONOTONIC] in nanoseconds, read through a repo-local noalloc
+    C stub with an untagged result: a read allocates nothing. *)
 
 (** {1 Event kinds} *)
 

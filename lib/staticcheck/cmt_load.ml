@@ -261,6 +261,8 @@ let top_ident_stamps (str : Typedtree.structure) =
         match item.Typedtree.str_desc with
         | Typedtree.Tstr_value (_, vbs) ->
             List.iter (fun vb -> pat_idents vb.Typedtree.vb_pat) vbs
+        | Typedtree.Tstr_primitive vd ->
+            Hashtbl.replace set (Ident.unique_name vd.Typedtree.val_id) ()
         | Typedtree.Tstr_module mb -> mod_expr mb.Typedtree.mb_expr
         | Typedtree.Tstr_recmodule mbs ->
             List.iter (fun mb -> mod_expr mb.Typedtree.mb_expr) mbs

@@ -46,7 +46,8 @@ val top_bindings :
     submodules. *)
 
 val top_ident_stamps : Typedtree.structure -> (string, unit) Hashtbl.t
-(** Idents bound at the structure's top level (including inside nested
-    structures), keyed by [Ident.unique_name] — the set against which
+(** Idents bound at the structure's top level by [let] or [external]
+    (including inside nested structures), keyed by [Ident.unique_name] —
+    the set against which
     closure free variables are judged constant and mutation roots judged
     module-level. *)

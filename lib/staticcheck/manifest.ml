@@ -96,17 +96,18 @@ let default =
     { module_ = "Native_pool";
       functions =
         [ "loop"; "sweep"; "run_task"; "post"; "notify"; "park"; "finish";
-          "current_domain" ] };
+          "current_domain"; "publish"; "await_vacant" ] };
     { module_ = "Native_backend";
-      functions = [ "with_op"; "touch"; "compute"; "delta" ] };
+      functions =
+        [ "with_op"; "exec"; "local_read"; "claim"; "touch"; "compute";
+          "delta" ] };
     (* native telemetry writers: every call site in the pool/backend is
        guarded by a cached bool, and when the recorder IS on the writers
        must still be flat int stores — ring append, counter bumps,
-       bucket increments. now_ns is deliberately absent: its int64
-       result boxes, a cost only ever paid with telemetry attached. *)
+       bucket increments, and a clock read through an untagged C stub. *)
     { module_ = "Telemetry";
       functions =
-        [ "record_at"; "observe"; "bucket_of"; "note_steal"; "note_park";
+        [ "now_ns"; "record_at"; "observe"; "bucket_of"; "note_steal"; "note_park";
           "note_wake"; "note_inbox_batch"; "note_spawned"; "op_submit";
           "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
           "observe_home"; "observe_shipped"; "observe_ship_delay";

@@ -390,29 +390,58 @@ let test_native_steal_path_telemetry_off () =
   in
   check_zero_alloc "deque steal path, telemetry off" words
 
-(* The dispatch path: with_op on the op's home domain (no ship, no
-   effect) with telemetry off must not allocate — the instrumentation
-   is a cached-bool branch and two zero loads. Gc.minor_words is
-   per-domain, so the probe runs inside the worker and hands its
-   reading out through a preallocated slot. *)
+(* The dispatch paths: with_op on the op's home domain (no ship, no
+   effect) and a local read of a never-written object (the handshake's
+   publish / re-check / clear) with telemetry off must not allocate —
+   the instrumentation is a cached-bool branch and two zero loads.
+   Gc.minor_words is per-domain, so the probes run inside the worker and
+   hand their readings out through a preallocated slot. *)
 let test_native_with_op_telemetry_off () =
   let b = O2_native.Native_backend.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> O2_native.Native_backend.shutdown b)
+    (fun () ->
+      let read = O2_native.Native_backend.register b ~size:64 ~name:"read" in
+      let homed = O2_native.Native_backend.register b ~size:64 ~name:"homed" in
+      let out = Array.make 2 0.0 in
+      let probe i o =
+        for _ = 1 to 100 do
+          O2_native.Native_backend.with_op b o (fun () -> ())
+        done;
+        out.(i) <-
+          minor_words_during (fun () ->
+              for _ = 1 to iters do
+                O2_native.Native_backend.with_op b o (fun () -> ())
+              done)
+      in
+      O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
+          O2_native.Native_backend.with_op b ~write:true homed ignore;
+          probe 0 homed;
+          probe 1 read);
+      O2_native.Native_backend.run b;
+      check_zero_alloc "native with_op at home, telemetry off" out.(0);
+      check_zero_alloc "native local read, telemetry off" out.(1))
+
+(* With the clock an untagged C stub, a metrics-only recorder
+   (ring_capacity:0) adds no allocation to with_op either: two clock
+   reads and flat int stores into the worker's own sink. *)
+let test_native_with_op_metrics_only () =
+  let tel = O2_runtime.Telemetry.create ~ring_capacity:0 ~domains:1 () in
+  let b = O2_native.Native_backend.create ~telemetry:tel ~domains:1 () in
   Fun.protect
     ~finally:(fun () -> O2_native.Native_backend.shutdown b)
     (fun () ->
       let o = O2_native.Native_backend.register b ~size:64 ~name:"probe" in
       let out = Array.make 1 0.0 in
       O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
-          for _ = 1 to 100 do
-            O2_native.Native_backend.with_op b o (fun () -> ())
-          done;
+          O2_native.Native_backend.with_op b ~write:true o ignore;
           out.(0) <-
             minor_words_during (fun () ->
                 for _ = 1 to iters do
                   O2_native.Native_backend.with_op b o (fun () -> ())
                 done));
       O2_native.Native_backend.run b;
-      check_zero_alloc "native with_op at home, telemetry off" out.(0))
+      check_zero_alloc "native with_op, metrics-only telemetry" out.(0))
 
 let suite =
   [
@@ -442,4 +471,6 @@ let suite =
       test_native_steal_path_telemetry_off;
     Alcotest.test_case "telemetry-off with_op allocates nothing" `Quick
       test_native_with_op_telemetry_off;
+    Alcotest.test_case "metrics-only with_op allocates nothing" `Quick
+      test_native_with_op_metrics_only;
   ]

@@ -268,6 +268,151 @@ let test_backend_counters () =
       let out, in_ = Native_backend.ships b in
       checki "ship balance after rebalance" out in_)
 
+(* Objects never written have no home: the monitor neither counts nor
+   moves them, and [migrations] counts only real re-homes. Every client
+   reads o0 and o1 equally and never ships, so both objects see the same
+   per-domain submit deltas — a monitor that ranked unhomed objects would
+   move whichever of the two is not nominally homed on the dominant
+   domain, on any schedule. *)
+let test_rebalance_ignores_unhomed () =
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let o0 = Native_backend.register b ~size:64 ~name:"r0" in
+      let o1 = Native_backend.register b ~size:64 ~name:"r1" in
+      let w = Native_backend.register b ~size:64 ~name:"w" in
+      for c = 0 to 3 do
+        Native_backend.spawn b ~core:(c mod 2) ~name:"reader" (fun () ->
+            for _ = 1 to 50 do
+              Native_backend.with_op b o0 (fun () -> ());
+              Native_backend.with_op b o1 (fun () -> ())
+            done)
+      done;
+      Native_backend.run b;
+      checki "reads of never-written objects never ship" 0
+        (fst (Native_backend.ships b));
+      Native_backend.rebalance b;
+      checki "no unhomed object was moved" 0 (Native_backend.migrations b);
+      checki "o0 keeps its nominal home" 0 (Native_backend.home b o0);
+      checki "o1 keeps its nominal home" 1 (Native_backend.home b o1);
+      (* Now write [w] and read the others again: only [w] may move. *)
+      for c = 0 to 3 do
+        Native_backend.spawn b ~core:(c mod 2) ~name:"mixed" (fun () ->
+            for i = 0 to 19 do
+              Native_backend.with_op b o0 (fun () -> ());
+              Native_backend.with_op b o1 (fun () -> ());
+              Native_backend.with_op b ~write:(i = 0) w (fun () -> ())
+            done)
+      done;
+      Native_backend.run b;
+      let before = Native_backend.home b w in
+      Native_backend.rebalance b;
+      let moved = if Native_backend.home b w <> before then 1 else 0 in
+      checki "migrations count only the written object's re-home" moved
+        (Native_backend.migrations b);
+      checki "o0 still on its nominal home" 0 (Native_backend.home b o0);
+      checki "o1 still on its nominal home" 1 (Native_backend.home b o1);
+      let out, in_ = Native_backend.ships b in
+      checki "ship balance" out in_)
+
+(* The first-write handshake under contention. Each round registers a
+   fresh object; readers on both domains hammer it with a body that
+   loads two fields a long gap apart, and one client makes the first
+   write, storing both fields a short gap apart, once the domain that
+   is not the object's home has begun reading. A reader still inside
+   its body when that write ran would see the pair torn. *)
+let test_first_write_never_tears () =
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let rounds = 60 and readers = 6 and per = 50 and lead = 10 in
+      let torn = Atomic.make 0 and reads = Atomic.make 0 in
+      let pool = Native_backend.pool b in
+      for r = 1 to rounds do
+        let o =
+          Native_backend.register b ~size:16 ~name:(Printf.sprintf "pair%d" r)
+        in
+        let home = Native_backend.home b o in
+        let pair = Array.make 2 0 in
+        let seen = Array.init 2 (fun _ -> Atomic.make 0) in
+        let read () =
+          let a, c =
+            Native_backend.with_op b o (fun () ->
+                let a = pair.(0) in
+                Native_backend.compute b 1_000;
+                (a, pair.(1)))
+          in
+          if a <> c then Atomic.incr torn;
+          Atomic.incr reads;
+          Atomic.incr seen.(Native_pool.current_domain pool)
+        in
+        for c = 0 to readers - 1 do
+          Native_backend.spawn b ~core:(c mod 2) ~name:"reader" (fun () ->
+              for _ = 1 to per do
+                read ()
+              done)
+        done;
+        Native_backend.spawn b ~core:home ~name:"writer" (fun () ->
+            for _ = 1 to lead do
+              read ()
+            done;
+            (* Stolen onto the other domain, the write ships home and
+               frees this one for readers; at home, wait for them unless
+               home has already run every read of the round. *)
+            if Native_pool.current_domain pool = home then
+              while
+                Atomic.get seen.(1 - home) = 0
+                && Atomic.get seen.(home) < (readers * per) + lead
+              do
+                Domain.cpu_relax ()
+              done;
+            Native_backend.with_op b ~write:true o (fun () ->
+                pair.(0) <- r;
+                Native_backend.compute b 20;
+                pair.(1) <- r));
+        Native_backend.run b;
+        checkb "the write landed whole" true (pair.(0) = r && pair.(1) = r)
+      done;
+      checki "every read completed"
+        (rounds * ((readers * per) + lead))
+        (Atomic.get reads);
+      checki "no reader saw a torn pair" 0 (Atomic.get torn);
+      let out, in_ = Native_backend.ships b in
+      checki "ship balance" out in_)
+
+(* A raise inside a local read must clear the reader's slot: otherwise
+   the object's first write would spin on it forever. The coordinator
+   waits for the write with a deadline instead of draining, so a leaked
+   slot fails this test rather than hanging the suite (the stuck pool is
+   then abandoned, not joined). *)
+let test_local_read_raise_clears_slot () =
+  let b = Native_backend.create ~domains:2 () in
+  let o = Native_backend.register b ~size:64 ~name:"raiser" in
+  let wrote = Atomic.make false in
+  for c = 0 to 1 do
+    Native_backend.spawn b ~core:c ~name:"raiser" (fun () ->
+        match Native_backend.with_op b o (fun () -> failwith "boom") with
+        | () -> ()
+        | exception Failure _ -> ())
+  done;
+  Native_backend.run b;
+  Native_backend.spawn b ~core:0 ~name:"writer" (fun () ->
+      Native_backend.with_op b ~write:true o (fun () -> ());
+      Atomic.set wrote true);
+  let deadline = O2_runtime.Telemetry.now_ns () + 10_000_000_000 in
+  while
+    (not (Atomic.get wrote)) && O2_runtime.Telemetry.now_ns () < deadline
+  do
+    Domain.cpu_relax ()
+  done;
+  if not (Atomic.get wrote) then
+    Alcotest.fail "first write still waiting: a raising local read left its slot";
+  Native_backend.run b;
+  Native_backend.shutdown b;
+  checki "only the write ran to completion" 1 (Native_backend.ops_completed b)
+
 (* ------------------------------------------------------------------ *)
 (* The oracle: same program, both backends, identical results.         *)
 (* ------------------------------------------------------------------ *)
@@ -282,10 +427,15 @@ let test_oracle_kv domains () =
   let out, in_ = r.Oracle.native_ships in
   checki "native ships balance" out in_;
   if domains = 1 then checki "one domain never ships" 0 out
+  else checkb "written buckets still ship" true (out > 0)
 
+(* Directory lookups are read-only, so no directory is ever homed and
+   every lookup runs on its client's domain. *)
 let test_oracle_dir () =
   let r = Oracle.dir_cross_check ~domains:2 () in
-  oracle_ok r
+  oracle_ok r;
+  check Alcotest.(pair int int) "read-only lookups never ship" (0, 0)
+    r.Oracle.native_ships
 
 let test_oracle_rejects_overflowable_buckets () =
   match
@@ -363,10 +513,11 @@ let prop_merge_nondecreasing_lossless =
         events;
       !ok)
 
-(* The multi-domain stress the ISSUE asks for: an op stream that ships
-   on (nearly) every op, reconstructed into spans whose events came
-   from two different sinks. Ordering across sinks is meaningful
-   because both domains read the same CLOCK_MONOTONIC. *)
+(* Multi-domain stress: an op stream that ships on (nearly) every op,
+   reconstructed into spans whose events came from two different sinks.
+   The ops are writes, so both objects are homed and keep shipping.
+   Ordering across sinks is meaningful because both domains read the
+   same CLOCK_MONOTONIC. *)
 let test_span_reconstruction_across_ship () =
   let domains = 2 in
   let tel = Tel.create ~domains () in
@@ -383,7 +534,8 @@ let test_span_reconstruction_across_ship () =
       Native_backend.spawn b ~core:0 ~name:"client" (fun () ->
           for i = 0 to ops - 1 do
             let o = if i land 1 = 0 then o0 else o1 in
-            Native_backend.with_op b o (fun () -> Native_backend.compute b 5)
+            Native_backend.with_op b ~write:true o (fun () ->
+                Native_backend.compute b 5)
           done);
       Native_backend.run b;
       let spans = Ntel.spans tel in
@@ -421,6 +573,41 @@ let test_span_reconstruction_across_ship () =
       checki "every op observed by the latency accumulators" ops
         (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
 
+(* Reads of a never-written object run where they were submitted: with
+   telemetry attached each span starts and ends on one sink, nothing is
+   shipped, and the latency accumulators still see every op. *)
+let test_spans_of_local_reads () =
+  let domains = 2 in
+  let tel = Tel.create ~domains () in
+  let b = Native_backend.create ~telemetry:tel ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let o0 = Native_backend.register b ~size:64 ~name:"a" in
+      let o1 = Native_backend.register b ~size:64 ~name:"b" in
+      let per = 20 in
+      for c = 0 to 1 do
+        Native_backend.spawn b ~core:c ~name:"reader" (fun () ->
+            for i = 0 to per - 1 do
+              let o = if i land 1 = 0 then o0 else o1 in
+              Native_backend.with_op b o (fun () -> Native_backend.compute b 5)
+            done)
+      done;
+      Native_backend.run b;
+      let spans = Ntel.spans tel in
+      checki "no spans lost to the ring bound" 0 (Ntel.incomplete_spans tel);
+      checki "one span per op" (2 * per) (List.length spans);
+      checki "the backend shipped nothing" 0 (fst (Native_backend.ships b));
+      List.iter
+        (fun (s : Ntel.span) ->
+          checkb "local reads are not shipped" false (Ntel.shipped s);
+          checki "submitted and executed on one domain" s.Ntel.submit_sink
+            s.Ntel.exec_sink)
+        spans;
+      let m = Ntel.metrics tel in
+      checki "every op observed by the latency accumulators" (2 * per)
+        (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
+
 (* The flight recorder must be an observer, not a participant: the
    oracle's bit-identical cross-check still holds with telemetry
    attached (sampled rings, so drop handling is exercised too). *)
@@ -431,6 +618,18 @@ let test_oracle_kv_with_telemetry domains () =
   checkb "the recorder captured events" true (Tel.total_events telemetry > 0);
   let out, _ = r.Oracle.native_ships in
   checki "telemetry's ship count matches the backend's" out
+    (Tel.fold_sinks telemetry ~init:0 ~f:(fun acc s -> acc + Tel.ships_out s))
+
+(* Read-only lookups with the recorder attached: still identical to the
+   simulator, still no ships, and telemetry saw every op as a home op. *)
+let test_oracle_dir_with_telemetry () =
+  let domains = 2 in
+  let telemetry = Tel.create ~ring_capacity:(1 lsl 14) ~sample:7 ~domains () in
+  let r = Oracle.dir_cross_check ~telemetry ~domains () in
+  oracle_ok r;
+  check Alcotest.(pair int int) "read-only lookups never ship" (0, 0)
+    r.Oracle.native_ships;
+  checki "telemetry counted no ships" 0
     (Tel.fold_sinks telemetry ~init:0 ~f:(fun acc s -> acc + Tel.ships_out s))
 
 let suite =
@@ -462,4 +661,14 @@ let suite =
       (test_oracle_kv_with_telemetry 2);
     Alcotest.test_case "oracle: kv with telemetry at 4 domains" `Slow
       (test_oracle_kv_with_telemetry 4);
+    Alcotest.test_case "oracle: dir with telemetry at 2 domains" `Slow
+      test_oracle_dir_with_telemetry;
+    Alcotest.test_case "backend: rebalance ignores unhomed objects" `Quick
+      test_rebalance_ignores_unhomed;
+    Alcotest.test_case "backend: first write never tears a local read" `Quick
+      test_first_write_never_tears;
+    Alcotest.test_case "backend: a raising local read clears its slot" `Quick
+      test_local_read_raise_clears_slot;
+    Alcotest.test_case "telemetry: local reads stay on their domain" `Quick
+      test_spans_of_local_reads;
   ]
