@@ -1,5 +1,12 @@
 let entry_bytes = 32 (* Fat_types.entry_bytes: one 8.3 directory entry *)
 
+(* A top-level loop, so a probe allocates no closure. The annotation
+   keeps the compare and the load specialised to ints. *)
+let rec scan_from (entries : int array) ~(key : int) i =
+  if i >= Array.length entries then -1
+  else if entries.(i) = key then i
+  else scan_from entries ~key (i + 1)
+
 module Make (B : O2_runtime.Backend_intf.S) = struct
   type dir = { obj : int; entries : int array }
 
@@ -24,12 +31,7 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
   let dirs t = Array.length t.dir_arr
   let dir_obj t i = t.dir_arr.(i).obj
 
-  let scan d ~key =
-    let n = Array.length d.entries in
-    let rec go i =
-      if i >= n then -1 else if d.entries.(i) = key then i else go (i + 1)
-    in
-    go 0
+  let scan d ~key = scan_from d.entries ~key 0
 
   let lookup t ~dir ~key =
     let d = t.dir_arr.(dir) in

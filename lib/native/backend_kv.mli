@@ -43,4 +43,8 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
   val delete : t -> key:int -> bool
   val size : t -> int
   (** Total keys stored; meaningful at quiescence only. *)
+
+  val guards_clear : t -> bool
+  (** Every bucket row's guard words are still 0
+      ({!Pad_row.guards_clear}); a test hook, at quiescence only. *)
 end

@@ -23,26 +23,25 @@
    the write. Op bodies are effect-free (see Backend_kv), so a reader
    never waits on the writer's domain and the spin ends.
 
-   Counter layout: everything hot is a per-domain row written only by
-   its owning worker (ops_by_obj, submits, dstats), so the homed path
-   has no contended atomics at all; dstats records and reading slots
-   are padded so that no two domains' hot words share a cache line.
+   Counter layout: each domain's op counters and its per-object submit
+   and op counts share one Pad_row written only by that domain's worker
+   (DESIGN.md, "Home-isolated layout"), so the homed path writes no
+   line another domain touches and has no contended atomics at all.
    Rows are summed by the coordinator only at quiescence. [home_] is
    plain too: written by [register] and [rebalance] at quiescence
    (published to workers by the next spawn's inbox CAS / drain exchange
    pair) and once per object by its first write, which the handshake
    above orders. *)
 
-(* Padded to 16 words for the reason Native_pool gives for its slots:
-   every domain bumps its own record on every op, and unpadded records
-   made side by side shared a line (native_kv ran ~25% slower). *)
-type dstats = {
-  mutable ops : int;
-  mutable ships_out : int;
-  mutable ships_in : int;
-  p3 : int; p4 : int; p5 : int; p6 : int; p7 : int; p8 : int; p9 : int;
-  p10 : int; p11 : int; p12 : int; p13 : int; p14 : int; p15 : int;
-}
+(* Word offsets in a domain's row: three op counters, then one
+   (submits, ops) pair per object, so an op's two per-object bumps land
+   on the same line. *)
+let w_ops = 0
+let w_ships_out = 1
+let w_ships_in = 2
+let w_submits o = 3 + (2 * o)
+let w_obj_ops o = 4 + (2 * o)
+let row_words cap = 3 + (2 * cap)
 
 type t = {
   pool : Native_pool.t;
@@ -58,18 +57,11 @@ type t = {
   reading : Native_pool.slot array;  (* [domain] -> object in a local read, or -1 *)
   mutable names : string array;
   mutable sizes : int array;
-  mutable ops_by_obj : int array array;  (* [domain].(obj), owner-written *)
-  mutable submits : int array array;  (* [domain].(obj), owner-written *)
-  mutable submits_snap : int array array;  (* coordinator-owned snapshot *)
-  stats : dstats array;  (* per-domain, owner-written *)
+  rows : Pad_row.t array;  (* [domain], owner-written; see the offsets *)
+  submits_snap : int array array;  (* [domain].(obj), coordinator-owned *)
   mutable migrations_ : int;
   mutable periods : int;  (* completed rebalance steps *)
 }
-
-let new_dstats () =
-  { ops = 0; ships_out = 0; ships_in = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0;
-    p7 = 0; p8 = 0; p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0;
-    p15 = 0 }
 
 let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
   let pool = Native_pool.create ~telemetry ~domains () in
@@ -86,10 +78,8 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     reading = Array.init domains (fun _ -> Native_pool.make_slot (-1));
     names = Array.make 16 "";
     sizes = Array.make 16 0;
-    ops_by_obj = Array.init domains (fun _ -> Array.make 16 0);
-    submits = Array.init domains (fun _ -> Array.make 16 0);
+    rows = Array.init domains (fun _ -> Pad_row.make (row_words 16));
     submits_snap = Array.init domains (fun _ -> Array.make 16 0);
-    stats = Array.init domains (fun _ -> new_dstats ());
     migrations_ = 0;
     periods = 0;
   }
@@ -100,7 +90,13 @@ let name _ = "native"
 let cores t = t.n
 let probe t = t.probe
 let objects t = t.nobjs
+
+let check_obj t fn o =
+  if o < 0 || o >= t.nobjs then
+    invalid_arg ("Native_backend." ^ fn ^ ": unknown object")
+
 let home t o =
+  check_obj t "home" o;
   let h = t.home_.(o) in
   if h < 0 then lnot h else h
 
@@ -118,9 +114,10 @@ let ensure_capacity t =
     let names = Array.make cap' "" in
     Array.blit t.names 0 names 0 cap;
     t.names <- names;
-    t.ops_by_obj <- Array.map (fun r -> grow_int_array r cap') t.ops_by_obj;
-    t.submits <- Array.map (fun r -> grow_int_array r cap') t.submits;
-    t.submits_snap <- Array.map (fun r -> grow_int_array r cap') t.submits_snap
+    for d = 0 to t.n - 1 do
+      t.rows.(d) <- Pad_row.grow t.rows.(d) (row_words cap');
+      t.submits_snap.(d) <- grow_int_array t.submits_snap.(d) cap'
+    done
   end
 
 let register t ~size ~name =
@@ -152,34 +149,30 @@ let telemetry t = t.tel
 let exec t me obj f ~tel_on ~t0 ~token h =
   let shipped = h <> me in
   if shipped then begin
-    let s = t.stats.(me) in
-    s.ships_out <- s.ships_out + 1;
+    Pad_row.incr t.rows.(me) w_ships_out;
     if tel_on then
       O2_runtime.Telemetry.note_ship_out t.tsinks.(me) ~token ~obj ~dst:h;
     O2_runtime.Api.ship_to h;
     (* The continuation resumed on the home's worker; from here until
        the next ship, everything runs there — including the telemetry
        writes, which now target the home's own sink. *)
-    let s = t.stats.(h) in
-    s.ships_in <- s.ships_in + 1;
+    Pad_row.incr t.rows.(h) w_ships_in;
     if tel_on then
       O2_runtime.Telemetry.note_ship_in t.tsinks.(h) ~token ~obj ~src:me
   end;
-  let here = Native_pool.current_domain t.pool in
-  let orow = t.ops_by_obj.(here) in
-  orow.(obj) <- orow.(obj) + 1;
+  let row = t.rows.(h) in
+  Pad_row.incr row (w_obj_ops obj);
   let t1 =
     if tel_on then begin
-      O2_runtime.Telemetry.note_start t.tsinks.(here) ~token ~obj;
+      O2_runtime.Telemetry.note_start t.tsinks.(h) ~token ~obj;
       O2_runtime.Telemetry.now_ns ()
     end
     else 0
   in
   let r = f () in
-  let s = t.stats.(here) in
-  s.ops <- s.ops + 1;
+  Pad_row.incr row w_ops;
   if tel_on then begin
-    let sk = t.tsinks.(here) in
+    let sk = t.tsinks.(h) in
     let t2 = O2_runtime.Telemetry.now_ns () in
     O2_runtime.Telemetry.note_end sk ~token ~obj;
     O2_runtime.Telemetry.observe_exec sk (t2 - t1);
@@ -230,8 +223,7 @@ let with_op t ?write obj f =
     invalid_arg "Native_backend.with_op: called outside a pool worker";
   if obj < 0 || obj >= t.nobjs then
     invalid_arg "Native_backend.with_op: unknown object";
-  let row = t.submits.(me) in
-  row.(obj) <- row.(obj) + 1;
+  Pad_row.incr t.rows.(me) (w_submits obj);
   let tel_on = t.tel_on in
   let t0 = if tel_on then O2_runtime.Telemetry.now_ns () else 0 in
   let token =
@@ -251,28 +243,24 @@ let compute _t cycles =
     ignore (Sys.opaque_identity 0)
   done
 
-let ops_completed t = Array.fold_left (fun acc s -> acc + s.ops) 0 t.stats
+let sum_rows t w =
+  Array.fold_left (fun acc r -> acc + Pad_row.get r w) 0 t.rows
+
+let ops_completed t = sum_rows t w_ops
 
 let object_ops t o =
-  let acc = ref 0 in
-  for d = 0 to t.n - 1 do
-    acc := !acc + t.ops_by_obj.(d).(o)
-  done;
-  !acc
+  check_obj t "object_ops" o;
+  sum_rows t (w_obj_ops o)
 
-let ships t =
-  let out = ref 0 and in_ = ref 0 in
-  Array.iter
-    (fun s ->
-      out := !out + s.ships_out;
-      in_ := !in_ + s.ships_in)
-    t.stats;
-  (!out, !in_)
+let ships t = (sum_rows t w_ships_out, sum_rows t w_ships_in)
+
+let guards_clear t = Array.for_all Pad_row.guards_clear t.rows
 
 let migrations t = t.migrations_
 
 (* Submit delta for [o] from domain [d] since the last snapshot. *)
-let delta t d o = t.submits.(d).(o) - t.submits_snap.(d).(o)
+let delta t d o =
+  Pad_row.get t.rows.(d) (w_submits o) - t.submits_snap.(d).(o)
 
 let rebalance t =
   if Native_pool.current_domain t.pool >= 0 then
@@ -360,7 +348,10 @@ let rebalance t =
   done;
   (* Close the period: snapshot submits, publish counters. *)
   for d = 0 to t.n - 1 do
-    Array.blit t.submits.(d) 0 t.submits_snap.(d) 0 t.nobjs
+    let row = t.rows.(d) and snap = t.submits_snap.(d) in
+    for o = 0 to t.nobjs - 1 do
+      snap.(o) <- Pad_row.get row (w_submits o)
+    done
   done;
   t.migrations_ <- t.migrations_ + !moves;
   t.periods <- t.periods + 1;

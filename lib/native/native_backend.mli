@@ -56,7 +56,13 @@ val rebalance : t -> unit
 val pool : t -> Native_pool.t
 val home : t -> int -> int
 (** The object's current home domain, or for an object never written
-    the nominal home its first write will take. *)
+    the nominal home its first write will take.
+    @raise Invalid_argument for a handle outside [[0, objects t)]. *)
+
+val guards_clear : t -> bool
+(** Every guard word of every domain's counter row is still 0
+    ({!Pad_row.guards_clear}); a test hook for the row offsets. Read at
+    quiescence only. *)
 
 val telemetry : t -> O2_runtime.Telemetry.t
 (** The telemetry handed to {!create} ([Telemetry.off] if none). *)
@@ -75,5 +81,8 @@ val compute : t -> int -> unit
 val run : t -> unit
 val ops_completed : t -> int
 val object_ops : t -> int -> int
+(** Ops run on the object so far, summed over domains; at quiescence.
+    @raise Invalid_argument for a handle outside [[0, objects t)]. *)
+
 val ships : t -> int * int
 val migrations : t -> int

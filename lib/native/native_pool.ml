@@ -276,14 +276,11 @@ let shutdown t =
     Array.iter Domain.join t.handles
   end
 
-(* Reading slots for Native_backend's first-write handshake. An
-   [Atomic.t] is a one-field block, so slots made one after another sit
-   in one cache line and every publish would bounce it between domains
-   (measured: local reads on two domains ~25% slower at the median). A
-   slot is instead a 16-word record whose first field is the atomic
-   word, driven by the same [%atomic_*] primitives [Atomic] is built
-   on (they act on a block's first field); the other fields are never
-   read and keep the next slot's word two cache lines away. *)
+(* Reading slots for Native_backend's first-write handshake, laid out by
+   the rule in DESIGN.md, "Home-isolated layout". A slot is a 16-word
+   record rather than a Pad_row because the [%atomic_*] primitives
+   [Atomic] is built on act on a block's first field; the other fields
+   are never read and keep the next slot's word two cache lines away. *)
 type slot = {
   mutable v : int;
   p1 : int; p2 : int; p3 : int; p4 : int; p5 : int; p6 : int; p7 : int;

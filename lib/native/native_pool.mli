@@ -62,9 +62,10 @@ val shutdown : t -> unit
 (** {1 Reading slots}
 
     One atomic int per domain, padded to two cache lines so that
-    domains publishing into their own slots never share a line. The
-    slots carry {!Native_backend}'s first-write handshake; they live
-    here because this module is the raw-primitive shim. *)
+    domains publishing into their own slots never share a line (DESIGN.md,
+    "Home-isolated layout"). The slots carry {!Native_backend}'s
+    first-write handshake; they live here because this module is the
+    raw-primitive shim. *)
 
 type slot
 

@@ -97,6 +97,9 @@ let default =
       functions =
         [ "loop"; "sweep"; "run_task"; "post"; "notify"; "park"; "finish";
           "current_domain"; "publish"; "await_vacant" ] };
+    (* padded per-domain counter rows and kv bucket rows: every word the
+       homed op path writes goes through these *)
+    { module_ = "Pad_row"; functions = [ "length"; "get"; "set"; "incr" ] };
     { module_ = "Native_backend";
       functions =
         [ "with_op"; "exec"; "local_read"; "claim"; "touch"; "compute";

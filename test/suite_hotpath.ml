@@ -443,6 +443,41 @@ let test_native_with_op_metrics_only () =
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op, metrics-only telemetry" out.(0))
 
+(* The homed path's counters are padded rows (Pad_row): their
+   accessors, and with_op on an object registered after the rows have
+   grown twice, must stay flat int stores. *)
+let test_native_padded_rows () =
+  let r = O2_native.Pad_row.make 64 in
+  let words =
+    minor_words_during (fun () ->
+        for i = 1 to iters do
+          let j = i land 63 in
+          O2_native.Pad_row.incr r j;
+          O2_native.Pad_row.set r j (O2_native.Pad_row.get r j + 1)
+        done)
+  in
+  check_zero_alloc "Pad_row get/set/incr" words;
+  let b = O2_native.Native_backend.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> O2_native.Native_backend.shutdown b)
+    (fun () ->
+      for i = 0 to 38 do
+        ignore
+          (O2_native.Native_backend.register b ~size:64
+             ~name:(Printf.sprintf "o%d" i))
+      done;
+      let o = O2_native.Native_backend.register b ~size:64 ~name:"probe" in
+      let out = Array.make 1 0.0 in
+      O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
+          O2_native.Native_backend.with_op b ~write:true o ignore;
+          out.(0) <-
+            minor_words_during (fun () ->
+                for _ = 1 to iters do
+                  O2_native.Native_backend.with_op b o (fun () -> ())
+                done));
+      O2_native.Native_backend.run b;
+      check_zero_alloc "native with_op at home on grown rows" out.(0))
+
 let suite =
   [
     Alcotest.test_case "event queue allocates nothing per event" `Quick
@@ -473,4 +508,6 @@ let suite =
       test_native_with_op_telemetry_off;
     Alcotest.test_case "metrics-only with_op allocates nothing" `Quick
       test_native_with_op_metrics_only;
+    Alcotest.test_case "padded counter rows allocate nothing" `Quick
+      test_native_padded_rows;
   ]

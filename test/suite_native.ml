@@ -413,6 +413,127 @@ let test_local_read_raise_clears_slot () =
   Native_backend.shutdown b;
   checki "only the write ran to completion" 1 (Native_backend.ops_completed b)
 
+(* The counters live past the objects registered so far (rows keep
+   spare capacity); reading one for a handle never registered must fail
+   like [with_op] does, not answer 0. *)
+let test_unknown_handle_rejected () =
+  let b = Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let o = Native_backend.register b ~size:64 ~name:"only" in
+      checki "the registered handle answers" 0 (Native_backend.home b o);
+      checki "no ops yet" 0 (Native_backend.object_ops b o);
+      List.iter
+        (fun h ->
+          (match Native_backend.home b h with
+          | _ -> Alcotest.failf "home accepted handle %d" h
+          | exception Invalid_argument _ -> ());
+          match Native_backend.object_ops b h with
+          | _ -> Alcotest.failf "object_ops accepted handle %d" h
+          | exception Invalid_argument _ -> ())
+        [ 5; 1; -1 ])
+
+(* Pad_row's own contract: live words read back, growth keeps them and
+   the guards, and a store one word past either end shows up. *)
+let test_pad_row () =
+  let r = Pad_row.make 5 in
+  checki "live length" 5 (Pad_row.length r);
+  for i = 0 to 4 do
+    Pad_row.set r i (i + 10)
+  done;
+  Pad_row.incr r 4;
+  checki "incr" 15 (Pad_row.get r 4);
+  checkb "fresh guards clear" true (Pad_row.guards_clear r);
+  let g = Pad_row.grow r 40 in
+  checki "grown length" 40 (Pad_row.length g);
+  checki "grown keeps live words" 12 (Pad_row.get g 2);
+  checki "grown tail is zero" 0 (Pad_row.get g 39);
+  checkb "grown guards clear" true (Pad_row.guards_clear g);
+  (match Pad_row.grow r 4 with
+  | _ -> Alcotest.fail "grow must not shrink"
+  | exception Invalid_argument _ -> ());
+  Pad_row.set r 5 1;
+  checkb "a store past the end lands in the back guard" false
+    (Pad_row.guards_clear r);
+  let r = Pad_row.make 5 in
+  Pad_row.set r (-1) 1;
+  checkb "a store before the start lands in the front guard" false
+    (Pad_row.guards_clear r)
+
+module Kv_native = Backend_kv.Make (Native_backend)
+module Dir_native = Backend_dir.Make (Native_backend)
+
+(* Every guard word of every padded row is still 0 after a kv + dir
+   stress with a monitor step between rounds: an off-by-one in a row
+   offset writes the word just past a row's live range. The sizes put
+   each boundary on a written word: 48 buckets + 16 directories make 64
+   objects, exactly the counter rows' capacity after two growths, so the
+   last directory's op count is the last live word; and small buckets
+   fill to the brim, so a full bucket's last value is its row's last
+   live word. *)
+let test_guards_survive_stress domains () =
+  let b = Native_backend.create ~domains () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let slots = 4 in
+      let kv =
+        Kv_native.create b ~name:"kv" ~buckets:48 ~slots_per_bucket:slots ()
+      in
+      let dir =
+        Dir_native.create b ~name:"dir" ~dirs:16 ~entries_per_dir:8 ()
+      in
+      checki "objects fill the rows exactly" 64 (Native_backend.objects b);
+      let clients = 2 * domains and keyspace = 48 * slots * 2 in
+      let full = Atomic.make 0 and bad = Atomic.make 0 in
+      (* Keys are owned by client ([k mod clients = c]), so each client's
+         model of its own keys predicts every result except whether a
+         put of a new key finds its bucket full. *)
+      let model =
+        Array.init clients (fun _ -> Array.make (keyspace / clients) (-1))
+      in
+      for round = 0 to 5 do
+        for c = 0 to clients - 1 do
+          Native_backend.spawn b ~core:(c mod domains) ~name:"stress"
+            (fun () ->
+              let rng = Random.State.make [| round; c |] and m = model.(c) in
+              let expect ok = if not ok then Atomic.incr bad in
+              for i = 1 to 400 do
+                let j = Random.State.int rng (keyspace / clients) in
+                let k = c + (clients * j) in
+                (match Random.State.int rng 4 with
+                | 0 | 1 ->
+                    let v = (round * 1000) + i in
+                    if Kv_native.put kv ~key:k ~value:v then m.(j) <- v
+                    else begin
+                      expect (m.(j) < 0);
+                      Atomic.incr full
+                    end
+                | 2 ->
+                    expect (Kv_native.delete kv ~key:k = (m.(j) >= 0));
+                    m.(j) <- -1
+                | _ -> expect (Kv_native.get kv ~key:k = m.(j)));
+                let d = Random.State.int rng 16 in
+                let e = Random.State.int rng 8 in
+                expect (Dir_native.lookup dir ~dir:d ~key:e = e)
+              done)
+        done;
+        Native_backend.run b;
+        Native_backend.rebalance b
+      done;
+      checki "every result matched the client's model" 0 (Atomic.get bad);
+      let held m =
+        Array.fold_left (fun a v -> if v >= 0 then a + 1 else a) 0 m
+      in
+      let stored = Array.fold_left (fun acc m -> acc + held m) 0 model in
+      checki "store size = keys the models hold" stored (Kv_native.size kv);
+      checkb "some bucket filled to the brim" true (Atomic.get full > 0);
+      checkb "counter row guards clear" true (Native_backend.guards_clear b);
+      checkb "bucket row guards clear" true (Kv_native.guards_clear kv);
+      let out, in_ = Native_backend.ships b in
+      checki "ship balance" out in_)
+
 (* ------------------------------------------------------------------ *)
 (* The oracle: same program, both backends, identical results.         *)
 (* ------------------------------------------------------------------ *)
@@ -431,8 +552,8 @@ let test_oracle_kv domains () =
 
 (* Directory lookups are read-only, so no directory is ever homed and
    every lookup runs on its client's domain. *)
-let test_oracle_dir () =
-  let r = Oracle.dir_cross_check ~domains:2 () in
+let test_oracle_dir domains () =
+  let r = Oracle.dir_cross_check ~domains () in
   oracle_ok r;
   check Alcotest.(pair int int) "read-only lookups never ship" (0, 0)
     r.Oracle.native_ships
@@ -622,8 +743,7 @@ let test_oracle_kv_with_telemetry domains () =
 
 (* Read-only lookups with the recorder attached: still identical to the
    simulator, still no ships, and telemetry saw every op as a home op. *)
-let test_oracle_dir_with_telemetry () =
-  let domains = 2 in
+let test_oracle_dir_with_telemetry domains () =
   let telemetry = Tel.create ~ring_capacity:(1 lsl 14) ~sample:7 ~domains () in
   let r = Oracle.dir_cross_check ~telemetry ~domains () in
   oracle_ok r;
@@ -649,7 +769,9 @@ let suite =
     Alcotest.test_case "oracle: kv at 1 domain" `Slow (test_oracle_kv 1);
     Alcotest.test_case "oracle: kv at 2 domains" `Slow (test_oracle_kv 2);
     Alcotest.test_case "oracle: kv at 4 domains" `Slow (test_oracle_kv 4);
-    Alcotest.test_case "oracle: dir at 2 domains" `Slow test_oracle_dir;
+    Alcotest.test_case "oracle: dir at 1 domain" `Slow (test_oracle_dir 1);
+    Alcotest.test_case "oracle: dir at 2 domains" `Slow (test_oracle_dir 2);
+    Alcotest.test_case "oracle: dir at 4 domains" `Slow (test_oracle_dir 4);
     Alcotest.test_case "oracle: rejects overflowable buckets" `Quick
       test_oracle_rejects_overflowable_buckets;
     QCheck_alcotest.to_alcotest prop_merge_nondecreasing_lossless;
@@ -661,8 +783,12 @@ let suite =
       (test_oracle_kv_with_telemetry 2);
     Alcotest.test_case "oracle: kv with telemetry at 4 domains" `Slow
       (test_oracle_kv_with_telemetry 4);
+    Alcotest.test_case "oracle: dir with telemetry at 1 domain" `Slow
+      (test_oracle_dir_with_telemetry 1);
     Alcotest.test_case "oracle: dir with telemetry at 2 domains" `Slow
-      test_oracle_dir_with_telemetry;
+      (test_oracle_dir_with_telemetry 2);
+    Alcotest.test_case "oracle: dir with telemetry at 4 domains" `Slow
+      (test_oracle_dir_with_telemetry 4);
     Alcotest.test_case "backend: rebalance ignores unhomed objects" `Quick
       test_rebalance_ignores_unhomed;
     Alcotest.test_case "backend: first write never tears a local read" `Quick
@@ -671,4 +797,12 @@ let suite =
       test_local_read_raise_clears_slot;
     Alcotest.test_case "telemetry: local reads stay on their domain" `Quick
       test_spans_of_local_reads;
+    Alcotest.test_case "backend: home and object_ops reject unknown handles"
+      `Quick test_unknown_handle_rejected;
+    Alcotest.test_case "pad_row: live words between clear guards" `Quick
+      test_pad_row;
+    Alcotest.test_case "layout: guards clear after stress at 2 domains" `Quick
+      (test_guards_survive_stress 2);
+    Alcotest.test_case "layout: guards clear after stress at 4 domains" `Quick
+      (test_guards_survive_stress 4);
   ]
