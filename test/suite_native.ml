@@ -769,8 +769,8 @@ let suite =
     Alcotest.test_case "oracle: kv at 1 domain" `Slow (test_oracle_kv 1);
     Alcotest.test_case "oracle: kv at 2 domains" `Slow (test_oracle_kv 2);
     Alcotest.test_case "oracle: kv at 4 domains" `Slow (test_oracle_kv 4);
-    Alcotest.test_case "oracle: dir at 1 domain" `Slow (test_oracle_dir 1);
     Alcotest.test_case "oracle: dir at 2 domains" `Slow (test_oracle_dir 2);
+    Alcotest.test_case "oracle: dir at 1 domain" `Slow (test_oracle_dir 1);
     Alcotest.test_case "oracle: dir at 4 domains" `Slow (test_oracle_dir 4);
     Alcotest.test_case "oracle: rejects overflowable buckets" `Quick
       test_oracle_rejects_overflowable_buckets;
