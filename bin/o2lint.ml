@@ -1,19 +1,16 @@
-(* o2lint: the o2check analysis passes as a CI gate.
+(* o2lint: the o2check dynamic analysis passes as a CI gate.
 
-   Three stages, any diagnostic fails the run (exit 1):
+   Two stages, any diagnostic fails the run (exit 1):
 
-   1. source lint over lib/ and examples/ (surface idiom, missing .mli)
-      plus the o2staticcheck typedtree passes (allocation manifest,
-      listener effect-freedom, lock discipline, raw primitives) over the
-      build's own .cmt files;
-   2. the dynamic checkers (lockset race detector, lock-order graph, O2
+   1. the dynamic checkers (lockset race detector, lock-order graph, O2
       invariants) over a quickstart-shaped workload: annotated operations
       on shared tables plus a lock-protected shared counter;
-   3. the same checkers over a small Figure-4 configuration: the paper's
+   2. the same checkers over a small Figure-4 configuration: the paper's
       directory-lookup benchmark with oscillating popularity, so the
       rebalancer runs and is audited while it works.
 
-   `dune build @lint` runs this over the tree. *)
+   The static side (typedtree passes and the missing-mli check) is
+   o2staticcheck. `dune build @lint` runs both over the tree. *)
 
 open Cmdliner
 open O2_simcore
@@ -21,7 +18,7 @@ open O2_runtime
 
 let banner title = Printf.printf "== %s ==\n%!" title
 
-(* Stage 2: the quickstart workload, bounded so every thread finishes and
+(* Stage 1: the quickstart workload, bounded so every thread finishes and
    the end-of-life checks (open ops, locks held at exit) also run. *)
 let check_quickstart () =
   let machine = Machine.create Config.amd16 in
@@ -72,7 +69,7 @@ let check_quickstart () =
     (Spinlock.contended counter_lock);
   check
 
-(* Stage 3: a small Figure-4 point with oscillating popularity — the
+(* Stage 2: a small Figure-4 point with oscillating popularity — the
    monitor moves objects while the checkers watch the table. *)
 let check_fig4_small () =
   let machine = Machine.create Config.amd16 in
@@ -116,66 +113,24 @@ let print_dynamic name check =
     Report.count (Analysis.report check) + Report.dropped (Analysis.report check)
   end
 
-let run_lint root skip_source skip_dynamic =
-  if not (Sys.file_exists (Filename.concat root "lib")) then begin
-    (* A CI gate must not silently pass because of a typo'd path. *)
-    Printf.eprintf "o2lint: %s/lib does not exist (wrong --root?)\n" root;
-    exit 2
-  end;
-  let issues = ref 0 in
-  if not skip_source then begin
-    banner "source lint (lib/, examples/)";
-    let diags = O2_analysis.Lint.scan_tree ~root in
-    List.iter
-      (fun d -> Format.printf "%a@." O2_analysis.Diagnostic.pp d)
-      diags;
-    if diags = [] then print_endline "source tree: clean";
-    issues := !issues + List.length diags;
-    banner "static passes (typedtree: alloc / effect / lock / raw)";
-    (match O2_staticcheck.Staticcheck.run ~root () with
-    | Error e ->
-        (* Tolerated: a source-only checkout has no cmts. The dedicated
-           @lint-source rule depends on @check, so in CI this branch is
-           never taken silently. *)
-        Printf.printf "static passes: skipped (%s)\n" e
-    | Ok r ->
-        Format.printf "%a" O2_staticcheck.Staticcheck.pp_report r;
-        issues :=
-          !issues + List.length r.O2_staticcheck.Staticcheck.findings)
-  end;
-  if not skip_dynamic then begin
-    banner "dynamic checks: quickstart workload";
-    issues := !issues + print_dynamic "quickstart" (check_quickstart ());
-    banner "dynamic checks: figure-4 small";
-    issues := !issues + print_dynamic "figure-4 small" (check_fig4_small ())
-  end;
-  if !issues = 0 then begin
+let run_lint () =
+  banner "dynamic checks: quickstart workload";
+  let issues = print_dynamic "quickstart" (check_quickstart ()) in
+  banner "dynamic checks: figure-4 small";
+  let issues = issues + print_dynamic "figure-4 small" (check_fig4_small ()) in
+  if issues = 0 then begin
     print_endline "o2lint: no diagnostics";
     0
   end
   else begin
-    Printf.printf "o2lint: %d diagnostic(s)\n" !issues;
+    Printf.printf "o2lint: %d diagnostic(s)\n" issues;
     1
   end
 
-let root_arg =
-  let doc = "Repository root to scan (containing lib/ and examples/)." in
-  Arg.(value & opt string "." & info [ "root" ] ~docv:"DIR" ~doc)
-
-let skip_source_arg =
-  let doc = "Skip the source lint stage." in
-  Arg.(value & flag & info [ "skip-source" ] ~doc)
-
-let skip_dynamic_arg =
-  let doc = "Skip the dynamic (simulation) checker stages." in
-  Arg.(value & flag & info [ "skip-dynamic" ] ~doc)
-
 let cmd =
-  let doc =
-    "o2check: race / invariant analysis over the O2 runtime, plus source lint"
-  in
+  let doc = "o2check: race / invariant analysis over the O2 runtime" in
   Cmd.v
     (Cmd.info "o2lint" ~version:"1.0.0" ~doc)
-    Term.(const run_lint $ root_arg $ skip_source_arg $ skip_dynamic_arg)
+    Term.(const run_lint $ const ())
 
 let () = exit (Cmd.eval' cmd)

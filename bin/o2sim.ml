@@ -45,19 +45,6 @@ let jobs_arg =
     & opt int (O2_runtime.Domain_pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let shards_arg =
-  let doc =
-    "Run each simulation cell on the windowed sharded engine with \
-     min($(docv), chips) worker domains (0 = the classic serial engine). \
-     Results are bit-identical for every positive value — the logical \
-     shard is always one chip — but intentionally differ from serial \
-     runs: cross-chip coherence is windowed instead of instantaneous \
-     (DESIGN.md, 'Sharded time'). Honoured by the figure-4 sweeps and \
-     the harness-based ablations; composes with $(b,--jobs); \
-     incompatible with the observability flags."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
 let out_arg =
   let doc = "Also write the report to this file." in
   Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
@@ -71,7 +58,7 @@ let backend_arg =
      API'). Native mode takes no experiment ids; $(b,--metrics), \
      $(b,--trace) and $(b,--trace-sample) attach the wall-clock flight \
      recorder, while the flags that read simulated state \
-     ($(b,--shards)/$(b,--occupancy)/$(b,--heat)/$(b,--explain)) are \
+     ($(b,--occupancy)/$(b,--heat)/$(b,--explain)) are \
      refused with a pointer at what to use instead."
   in
   Arg.(
@@ -168,14 +155,10 @@ let explain_arg =
 
 let run_cmd =
   let doc = "Run experiments and print paper-shaped tables and figures." in
-  let run quick all jobs shards backend domains bench_json out metrics trace
+  let run quick all jobs backend domains bench_json out metrics trace
       trace_sample occupancy occupancy_interval heat heat_top explain ids =
     if jobs < 1 then begin
       prerr_endline "o2sim: --jobs must be at least 1";
-      exit 1
-    end;
-    if shards < 0 then begin
-      prerr_endline "o2sim: --shards must be at least 0";
       exit 1
     end;
     (match backend with
@@ -198,13 +181,6 @@ let run_cmd =
         (* Per-flag validation: --metrics/--trace/--trace-sample drive
            the native flight recorder; the flags that read simulated
            state get a precise refusal each. *)
-        if shards > 0 then begin
-          prerr_endline
-            "o2sim: --shards shards a simulated cell and only applies to \
-             --backend sim; --backend native already runs on real domains \
-             (size it with --domains)";
-          exit 1
-        end;
         if occupancy then begin
           prerr_endline
             "o2sim: --occupancy reads the simulated memory system's cache \
@@ -232,16 +208,6 @@ let run_cmd =
              keeps 1-in-N; steals/parks/rebalances are always kept)";
           exit 1
         end);
-    if
-      shards > 0
-      && (metrics || trace <> None || occupancy || heat || explain)
-    then begin
-      prerr_endline
-        "o2sim: --shards is incompatible with the observability flags \
-         (--metrics/--trace/--occupancy/--heat/--explain): sharded cells \
-         keep probes inactive";
-      exit 1
-    end;
     let obs =
       {
         O2_experiments.Harness.metrics;
@@ -276,7 +242,7 @@ let run_cmd =
               ~metrics ~trace ~trace_sample ppf
           then Ok ()
           else Error "native backend: oracle cross-check FAILED"
-      | `Sim -> O2_experiments.Registry.run_ids ~obs ~shards ~quick ~jobs ppf ids
+      | `Sim -> O2_experiments.Registry.run_ids ~obs ~quick ~jobs ppf ids
     in
     match out with
     | None -> finish Format.std_formatter (go Format.std_formatter)
@@ -296,7 +262,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc)
     Term.(
-      const run $ quick_arg $ all_arg $ jobs_arg $ shards_arg $ backend_arg
+      const run $ quick_arg $ all_arg $ jobs_arg $ backend_arg
       $ domains_arg $ bench_json_arg $ out_arg $ metrics_arg $ trace_arg
       $ trace_sample_arg $ occupancy_arg $ occupancy_interval_arg $ heat_arg
       $ heat_top_arg $ explain_arg $ ids_arg)

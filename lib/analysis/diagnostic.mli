@@ -1,15 +1,15 @@
 (** Structured diagnostics reported by the o2check analysis passes.
 
-    Every checker — the lockset race detector, the O2 invariant checker,
-    the source lint — reports violations as values of this one type, so
+    Every checker — the lockset race detector, the lock-order graph, the
+    O2 invariant checker — reports violations as values of this one type, so
     the CLI, the test suite and future CI tooling can filter, dedupe and
     render them uniformly. *)
 
 type severity = Error | Warning
 
 type t = {
-  checker : string;  (** Which pass produced it: ["lockset"], ["lock-order"],
-                         ["invariant"] or ["lint"]. *)
+  checker : string;  (** Which pass produced it: ["lockset"], ["lock-order"]
+                         or ["invariant"]. *)
   code : string;  (** Stable short code, e.g. ["race"], ["deadlock-cycle"],
                       ["open-op"], ["capacity"], ["obj-magic"]. *)
   severity : severity;

@@ -54,7 +54,7 @@ let occ_trackers (obs : Harness.obs) n =
   in
   (attach, cell)
 
-let migration_cost ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
+let migration_cost ?(obs = Harness.no_obs) ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E6: migration-cost sensitivity (8 MB working set) ===@.@.";
   let kb = 8192 in
@@ -76,12 +76,12 @@ let migration_cost ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
       }
     in
     Harness.setup ~cfg ~warmup ~measure
-      ~collect_metrics:obs.Harness.metrics ~shards spec
+      ~collect_metrics:obs.Harness.metrics spec
   in
   (* baseline rides along as cell 0 of the same batch *)
   let cells =
     Harness.setup ~policy:Coretime.Policy.baseline ~warmup ~measure
-      ~collect_metrics:obs.Harness.metrics ~shards spec
+      ~collect_metrics:obs.Harness.metrics spec
     :: List.map cost_cell costs
   in
   let attach, occ_cell = occ_trackers obs (List.length cells) in
@@ -117,7 +117,7 @@ let migration_cost ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
     "cheaper migration (hardware active messages) widens the win; costly \
      migration erodes it.@."
 
-let replication ?(shards = 0) ~quick ~jobs ppf =
+let replication ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E7: replicate read-only objects vs schedule them (zipf 1.1, \
      lock-free lookups) ===@.@.";
@@ -130,7 +130,7 @@ let replication ?(shards = 0) ~quick ~jobs ppf =
   in
   let warmup = Harness.scaled ~quick 40_000_000 in
   let measure = Harness.scaled ~quick 40_000_000 in
-  let cell policy = Harness.setup ~policy ~warmup ~measure ~shards spec in
+  let cell policy = Harness.setup ~policy ~warmup ~measure spec in
   let baseline, partition, replicate =
     match
       Harness.run_cells ~jobs
@@ -347,7 +347,7 @@ let clustering ~quick ~jobs ppf =
   Format.pp_print_string ppf (Table.render t);
   Format.fprintf ppf "co-access pairs tracked: %d@." pairs
 
-let rebalance ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
+let rebalance ?(obs = Harness.no_obs) ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E11: packing pathology vs the runtime monitor (oscillating set, \
      8 MB) ===@.@.";
@@ -357,7 +357,7 @@ let rebalance ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
   let oscillation = Figure4.oscillation_default in
   let cell policy =
     Harness.setup ~policy ~warmup ~measure ~oscillation
-      ~collect_metrics:obs.Harness.metrics ~shards spec
+      ~collect_metrics:obs.Harness.metrics spec
   in
   let attach, occ_cell = occ_trackers obs 3 in
   let off, on, baseline =
@@ -403,7 +403,7 @@ let rebalance ?(obs = Harness.no_obs) ?(shards = 0) ~quick ~jobs ppf =
     "first-fit packs the shrunken active set onto few cores; the monitor \
      spreads it back out.@."
 
-let op_shipping ?(shards = 0) ~quick ~jobs ppf =
+let op_shipping ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E13: operation shipping by active message vs thread migration \
      ===@.@.";
@@ -412,7 +412,7 @@ let op_shipping ?(shards = 0) ~quick ~jobs ppf =
   let cell kb policy =
     let spec = Dir_workload.spec_for_data_kb ~kb () in
     let warmup = Harness.scaled ~quick (40_000_000 + (kb * 2500)) in
-    Harness.setup ~policy ~warmup ~measure ~shards spec
+    Harness.setup ~policy ~warmup ~measure spec
   in
   let cells =
     List.concat_map
@@ -458,7 +458,7 @@ let op_shipping ?(shards = 0) ~quick ~jobs ppf =
     "hardware active messages cut the per-operation transport from ~2000 \
      to ~240 cycles (Section 6.1's prediction).@."
 
-let thread_clustering ?(shards = 0) ~quick ~jobs ppf =
+let thread_clustering ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E12: thread clustering vs O2 scheduling (8 MB, uniform) ===@.@.";
   let spec = Dir_workload.spec_for_data_kb ~kb:8192 () in
@@ -476,7 +476,7 @@ let thread_clustering ?(shards = 0) ~quick ~jobs ppf =
       ~cores_per_chip:Config.amd16.Config.cores_per_chip ~similarity
   in
   let cell ?placement policy =
-    Harness.setup ~policy ~warmup ~measure ?placement ~shards spec
+    Harness.setup ~policy ~warmup ~measure ?placement spec
   in
   let base, clustered, o2 =
     match

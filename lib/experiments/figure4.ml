@@ -13,7 +13,7 @@ type row = {
 let oscillation_default = { Harness.period = 10_000_000; divisor = 16 }
 
 let sweep ?(progress = fun _ -> ()) ?(jobs = 1) ?(metrics = false) ?occupancy
-    ?(shards = 0) ~quick ~oscillation () =
+    ~quick ~oscillation () =
   (* oscillating runs measure longer so whole phase cycles average out *)
   let horizon_scale = match oscillation with None -> 2 | Some _ -> 3 in
   let cell policy kb =
@@ -23,7 +23,7 @@ let sweep ?(progress = fun _ -> ()) ?(jobs = 1) ?(metrics = false) ?occupancy
     let warmup = Harness.scaled ~quick (40_000_000 + (kb * 2500)) in
     Harness.setup ~policy ~warmup
       ~measure:(Harness.scaled ~quick (20_000_000 * horizon_scale))
-      ?oscillation ~collect_metrics:metrics ~shards spec
+      ?oscillation ~collect_metrics:metrics spec
   in
   let ladder = Harness.kb_ladder ~quick in
   progress
@@ -231,13 +231,13 @@ let write_trace ~quick ~oscillation ~sample ~occupancy_interval ~path ppf =
         (O2_obs.Recorder.events_dropped r)
 
 let figure ~title ~oscillation ?(quick = false) ?(jobs = 1)
-    ?(obs = Harness.no_obs) ?(shards = 0) ppf =
+    ?(obs = Harness.no_obs) ppf =
   let rows =
     sweep ~progress:progress_to_stderr ~jobs ~quick ~metrics:obs.Harness.metrics
       ?occupancy:
         (if obs.Harness.occupancy then Some obs.Harness.occupancy_interval
          else None)
-      ~shards ~oscillation ()
+      ~oscillation ()
   in
   print_figure ppf ~title rows;
   match obs.Harness.trace with
@@ -246,13 +246,13 @@ let figure ~title ~oscillation ?(quick = false) ?(jobs = 1)
         ~occupancy_interval:obs.Harness.occupancy_interval ~path ppf
   | None -> ()
 
-let fig4a ?quick ?jobs ?obs ?shards ppf =
+let fig4a ?quick ?jobs ?obs ppf =
   figure
     ~title:"Figure 4(a): file system results, uniform directory popularity"
-    ~oscillation:None ?quick ?jobs ?obs ?shards ppf
+    ~oscillation:None ?quick ?jobs ?obs ppf
 
-let fig4b ?quick ?jobs ?obs ?shards ppf =
+let fig4b ?quick ?jobs ?obs ppf =
   figure
     ~title:
       "Figure 4(b): file system results, oscillating directory popularity"
-    ~oscillation:(Some oscillation_default) ?quick ?jobs ?obs ?shards ppf
+    ~oscillation:(Some oscillation_default) ?quick ?jobs ?obs ppf

@@ -2,14 +2,11 @@ open O2_simcore
 open O2_workload
 open O2_stats
 
-let run ?(shards = 0) ~quick ~jobs ppf =
+let run ~quick ~jobs ppf =
   Format.fprintf ppf
     "@.=== E10: a future 64-core multicore (scarcer bandwidth, cheap \
      migration) ===@.@.";
   Format.fprintf ppf "%a@.@." Config.pp Config.future64;
-  if shards > 0 then
-    Format.fprintf ppf
-      "(windowed sharded engine, %d shard domain(s) requested)@.@." shards;
   let sizes = if quick then [ 24576 ] else [ 8192; 24576 ] in
   let measure = Harness.scaled ~quick 30_000_000 in
   let t =
@@ -28,7 +25,7 @@ let run ?(shards = 0) ~quick ~jobs ppf =
        first-fit assignments across 64 cores takes the monitor many
        periods *)
     let warmup = Harness.scaled ~quick (60_000_000 + (kb * 6000)) in
-    Harness.setup ~cfg:Config.future64 ~policy ~warmup ~measure ~shards spec
+    Harness.setup ~cfg:Config.future64 ~policy ~warmup ~measure spec
   in
   let cells =
     List.concat_map

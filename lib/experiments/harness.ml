@@ -67,20 +67,11 @@ type setup = {
   threads_per_core : int;
   placement : int array option;
   collect_metrics : bool;
-  shards : int;
-      (* 0 = the classic serial engine; >= 1 = the windowed sharded
-         engine with min(shards, chips) worker domains. Results under
-         the windowed engine are bit-identical for every shards >= 1
-         (the logical partition is always one shard per chip), but
-         differ from the serial engine, whose cross-chip coherence is
-         instantaneous rather than windowed. *)
 }
 
 let setup ?(cfg = Config.amd16) ?(policy = Coretime.Policy.default)
     ?(warmup = 40_000_000) ?(measure = 40_000_000) ?oscillation
-    ?(threads_per_core = 1) ?placement ?(collect_metrics = false) ?(shards = 0)
-    spec =
-  if shards < 0 then invalid_arg "Harness.setup: shards must be >= 0";
+    ?(threads_per_core = 1) ?placement ?(collect_metrics = false) spec =
   {
     cfg;
     policy;
@@ -91,23 +82,14 @@ let setup ?(cfg = Config.amd16) ?(policy = Coretime.Policy.default)
     threads_per_core;
     placement;
     collect_metrics;
-    shards;
   }
 
 let sum_counters counters field =
   Array.fold_left (fun acc c -> acc + field c) 0 counters
 
 let run ?attach s =
-  if s.shards > 0 && (Option.is_some attach || s.collect_metrics) then
-    invalid_arg
-      "Harness.run: observation (attach/metrics) requires the serial engine; \
-       sharded cells keep probes inactive";
   let machine = Machine.create s.cfg in
-  let engine =
-    if s.shards > 0 then
-      O2_runtime.Engine.create_sharded machine ~shards:s.shards
-    else O2_runtime.Engine.create machine
-  in
+  let engine = O2_runtime.Engine.create machine in
   let ct = Coretime.create ~policy:s.policy engine () in
   (match attach with Some f -> f engine | None -> ());
   let w = Dir_workload.build ct s.spec in

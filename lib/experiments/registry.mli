@@ -7,13 +7,7 @@ type exp = {
   paper_ref : string;  (** Where in the paper this comes from. *)
   default_set : bool;  (** Run when no ids are given (the paper's own
                            figures and tables). *)
-  run :
-    quick:bool ->
-    jobs:int ->
-    obs:Harness.obs ->
-    shards:int ->
-    Format.formatter ->
-    unit;
+  run : quick:bool -> jobs:int -> obs:Harness.obs -> Format.formatter -> unit;
 }
 
 val all : exp list
@@ -22,7 +16,6 @@ val ids : unit -> string list
 
 val run_ids :
   ?obs:Harness.obs ->
-  ?shards:int ->
   quick:bool ->
   jobs:int ->
   Format.formatter ->
@@ -35,9 +28,4 @@ val run_ids :
     bit-identical output. [obs] (default {!Harness.no_obs}) carries the
     [--metrics] / [--trace] / [--trace-sample] flags to the experiments
     that support them (quickstart, the figures, and some ablations);
-    the others ignore it. [shards] (default 0 = serial engine) runs each
-    cell of the figure-4 sweeps and the {!Harness.setup}-based ablations
-    on the windowed sharded engine ({!Harness.setup}'s [shards]); output
-    is bit-identical for any [shards >= 1], intentionally different from
-    serial output, and incompatible with [obs]; the other experiments
-    ignore it. *)
+    the others ignore it. *)

@@ -19,8 +19,7 @@
 
     The pool is the only [lib/native] module touching raw [Domain] /
     [Mutex] / [Condition]; it is allowlisted in o2staticcheck's
-    raw-primitive rule the same way [Domain_pool] and [Shard_sync]
-    are. *)
+    raw-primitive rule the same way [Domain_pool] is. *)
 
 type t
 

@@ -148,25 +148,24 @@ let import_acc m name acc =
 
 let metrics tel =
   let m = Metrics.create () in
-  ignore
-    (Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
-         (* All hist names carry the unit: these are wall-clock
-            nanoseconds, never simulator cycles. *)
-         import_acc m "op_ns/home" (Telemetry.lat_home s);
-         import_acc m "op_ns/shipped" (Telemetry.lat_shipped s);
-         import_acc m "op_ns/ship_delay" (Telemetry.lat_ship_delay s);
-         import_acc m "op_ns/exec" (Telemetry.lat_exec s);
-         Metrics.incr m "steals" ~by:(Telemetry.steals s);
-         Metrics.incr m "ships_out" ~by:(Telemetry.ships_out s);
-         Metrics.incr m "ships_in" ~by:(Telemetry.ships_in s);
-         Metrics.incr m "parks" ~by:(Telemetry.parks s);
-         Metrics.incr m "wakes" ~by:(Telemetry.wakes s);
-         Metrics.incr m "spawns" ~by:(Telemetry.spawns s);
-         Metrics.incr m "inbox_batches" ~by:(Telemetry.inbox_batches s);
-         Metrics.incr m "inbox_tasks" ~by:(Telemetry.inbox_tasks s);
-         Metrics.incr m "ops_submitted" ~by:(Telemetry.ops_submitted s);
-         Metrics.incr m "events_retained" ~by:(Telemetry.length s);
-         Metrics.incr m "events_dropped" ~by:(Telemetry.dropped s)));
+  Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
+      (* All hist names carry the unit: these are wall-clock
+         nanoseconds, never simulator cycles. *)
+      import_acc m "op_ns/home" (Telemetry.lat_home s);
+      import_acc m "op_ns/shipped" (Telemetry.lat_shipped s);
+      import_acc m "op_ns/ship_delay" (Telemetry.lat_ship_delay s);
+      import_acc m "op_ns/exec" (Telemetry.lat_exec s);
+      Metrics.incr m "steals" ~by:(Telemetry.steals s);
+      Metrics.incr m "ships_out" ~by:(Telemetry.ships_out s);
+      Metrics.incr m "ships_in" ~by:(Telemetry.ships_in s);
+      Metrics.incr m "parks" ~by:(Telemetry.parks s);
+      Metrics.incr m "wakes" ~by:(Telemetry.wakes s);
+      Metrics.incr m "spawns" ~by:(Telemetry.spawns s);
+      Metrics.incr m "inbox_batches" ~by:(Telemetry.inbox_batches s);
+      Metrics.incr m "inbox_tasks" ~by:(Telemetry.inbox_tasks s);
+      Metrics.incr m "ops_submitted" ~by:(Telemetry.ops_submitted s);
+      Metrics.incr m "events_retained" ~by:(Telemetry.length s);
+      Metrics.incr m "events_dropped" ~by:(Telemetry.dropped s));
   m
 
 (* ------------------------------------------------------------------ *)
@@ -192,22 +191,21 @@ let domain_table tel =
         ]
   in
   let n = if Telemetry.enabled tel then Telemetry.domains tel else 0 in
-  ignore
-    (Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
-         let id = Telemetry.sink_id s in
-         let label = if id = n then "coordinator" else string_of_int id in
-         Table.add_row t
-           [
-             label;
-             string_of_int (Telemetry.ops_submitted s);
-             string_of_int (Telemetry.steals s);
-             string_of_int (Telemetry.ships_out s);
-             string_of_int (Telemetry.ships_in s);
-             string_of_int (Telemetry.parks s);
-             string_of_int (Telemetry.inbox_batches s);
-             string_of_int (Telemetry.inbox_tasks s);
-             string_of_int (Telemetry.max_batch s);
-             string_of_int (Telemetry.length s);
-             string_of_int (Telemetry.dropped s);
-           ]));
+  Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
+      let id = Telemetry.sink_id s in
+      let label = if id = n then "coordinator" else string_of_int id in
+      Table.add_row t
+        [
+          label;
+          string_of_int (Telemetry.ops_submitted s);
+          string_of_int (Telemetry.steals s);
+          string_of_int (Telemetry.ships_out s);
+          string_of_int (Telemetry.ships_in s);
+          string_of_int (Telemetry.parks s);
+          string_of_int (Telemetry.inbox_batches s);
+          string_of_int (Telemetry.inbox_tasks s);
+          string_of_int (Telemetry.max_batch s);
+          string_of_int (Telemetry.length s);
+          string_of_int (Telemetry.dropped s);
+        ]);
   Table.render t

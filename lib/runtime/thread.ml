@@ -1,9 +1,7 @@
 type state = Runnable | Spinning | Migrating | Finished
 
 (* An open slot for scheduler layers (CoreTime) to hang per-thread state
-   off the thread itself. Thread-local storage is what makes the state
-   safe under the sharded engine: a thread only ever runs on one domain
-   at a time, and cross-chip handoffs pass through a window barrier. *)
+   off the thread itself. *)
 type ctx = ..
 type ctx += No_ctx
 

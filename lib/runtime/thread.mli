@@ -14,9 +14,7 @@ type state =
 type ctx = ..
 (** An open slot for scheduler layers (CoreTime) to hang per-thread
     state off the thread itself — e.g. the stack of open operation
-    frames. Keeping it thread-local makes it safe under the sharded
-    engine: a thread runs on one domain at a time, and cross-chip
-    handoffs pass through a window barrier. *)
+    frames. *)
 
 type ctx += No_ctx  (** Initial value: nothing attached. *)
 

@@ -199,42 +199,24 @@ let attr_reason name attrs =
 (* ------------------------------------------------------------------ *)
 (* Top-level structure bindings                                        *)
 
-(* Map from value name to its binding, for manifest lookup and
+(* Map from top-level value name to its binding, for manifest lookup and
    same-module transitive analysis. Multiple bindings of the same name
-   keep the last one (what the rest of the module sees). Values inside
-   nested structures are included under their dotted path ("Outbox.push",
-   "Barrier.wait_round") so manifests can name functions of modules that
-   group their API into submodules (Shard_sync). *)
+   keep the last one (what the rest of the module sees). *)
 let top_bindings (str : Typedtree.structure) =
   let tbl = Hashtbl.create 64 in
-  let rec items prefix (str : Typedtree.structure) =
-    List.iter
-      (fun item ->
-        match item.Typedtree.str_desc with
-        | Typedtree.Tstr_value (_, vbs) ->
-            List.iter
-              (fun vb ->
-                match vb.Typedtree.vb_pat.Typedtree.pat_desc with
-                | Typedtree.Tpat_var (id, _) ->
-                    Hashtbl.replace tbl (prefix ^ Ident.name id) vb
-                | _ -> ())
-              vbs
-        | Typedtree.Tstr_module mb -> module_binding prefix mb
-        | Typedtree.Tstr_recmodule mbs ->
-            List.iter (module_binding prefix) mbs
-        | _ -> ())
-      str.Typedtree.str_items
-  and module_binding prefix (mb : Typedtree.module_binding) =
-    match mb.Typedtree.mb_id with
-    | None -> ()
-    | Some id -> mod_expr (prefix ^ Ident.name id ^ ".") mb.Typedtree.mb_expr
-  and mod_expr prefix (me : Typedtree.module_expr) =
-    match me.Typedtree.mod_desc with
-    | Typedtree.Tmod_structure s -> items prefix s
-    | Typedtree.Tmod_constraint (me, _, _, _) -> mod_expr prefix me
-    | _ -> ()
-  in
-  items "" str;
+  List.iter
+    (fun item ->
+      match item.Typedtree.str_desc with
+      | Typedtree.Tstr_value (_, vbs) ->
+          List.iter
+            (fun vb ->
+              match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+              | Typedtree.Tpat_var (id, _) ->
+                  Hashtbl.replace tbl (Ident.name id) vb
+              | _ -> ())
+            vbs
+      | _ -> ())
+    str.Typedtree.str_items;
   tbl
 
 (* Idents bound at the structure's top level, keyed by [Ident.unique_name]

@@ -40,10 +40,7 @@ val attr_reason : string -> Parsetree.attributes -> string option
 
 val top_bindings :
   Typedtree.structure -> (string, Typedtree.value_binding) Hashtbl.t
-(** Value bindings of the structure keyed by name; values inside nested
-    structures appear under their dotted path ("Barrier.wait_round"), so
-    manifests can reach into modules that group their API into
-    submodules. *)
+(** Top-level value bindings of the structure, keyed by name. *)
 
 val top_ident_stamps : Typedtree.structure -> (string, unit) Hashtbl.t
 (** Idents bound at the structure's top level by [let] or [external]

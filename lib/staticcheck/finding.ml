@@ -1,5 +1,5 @@
 type t = {
-  pass : string;  (* "alloc" | "effect" | "lock" | "raw" *)
+  pass : string;  (* "alloc" | "effect" | "lock" | "raw" | "ignore" | "file" *)
   code : string;
   file : string;
   line : int;

@@ -1,7 +1,9 @@
 (** One diagnostic from a typedtree pass. *)
 
 type t = {
-  pass : string;  (** which pass: ["alloc"], ["effect"], ["lock"], ["raw"] *)
+  pass : string;
+      (** which pass: ["alloc"], ["effect"], ["lock"], ["raw"], ["ignore"],
+          or ["file"] for the missing-mli check *)
   code : string;  (** stable short code, e.g. ["alloc-tuple"] *)
   file : string;  (** source path as recorded in the cmt, e.g. [lib/simcore/cache.ml] *)
   line : int;

@@ -17,27 +17,11 @@ let default =
       functions =
         [ "before"; "swap"; "sift_up"; "sift_down"; "push"; "min_time";
           "pop_min"; "length"; "is_empty" ] };
-    (* the event loop around min_time/pop_min, serial and windowed *)
-    { module_ = "Engine";
-      functions =
-        [ "serial_run"; "chip_loop"; "run_chip_range"; "pump_facade";
-          "run_hooks"; "barrier_merge"; "sum_nondaemon"; "any_outbox";
-          "min_event_time" ] };
+    (* the event loop around min_time/pop_min *)
+    { module_ = "Engine"; functions = [ "run" ] };
     (* flat extent lookup on every simulated access *)
     { module_ = "Memsys";
       functions = [ "find"; "bsearch"; "index_at"; "object_id_at" ] };
-    (* shard logs: pushed on the presence/invalidation write paths *)
-    { module_ = "Intvec";
-      functions = [ "push"; "length"; "get"; "unsafe_get"; "clear"; "is_empty" ] };
-    (* cross-chip message buffering and the per-window round barrier;
-       Shard_sync groups its API into submodules, hence the dotted names *)
-    { module_ = "Shard_sync";
-      functions =
-        [ "Outbox.push"; "Outbox.drain"; "Outbox.is_empty"; "Outbox.length";
-          "Barrier.post_round"; "Barrier.wait_round"; "Barrier.worker_done";
-          "Barrier.wait_workers"; "Barrier.wait_workers_from";
-          "Barrier.broadcast"; "Barrier.spin_newer"; "Barrier.spin_at_least";
-          "Barrier.shutdown" ] };
     (* cache fill/evict int protocol *)
     { module_ = "Cache";
       functions = [ "probe"; "fill_evict"; "invalidate"; "drop"; "notify_remove" ] };
@@ -52,11 +36,9 @@ let default =
       functions =
         [ "line_of"; "read"; "write"; "read_line"; "read_lines";
           "write_lines"; "dram_batch_loop"; "dram_batch_cost"; "fill_l1";
-          "fill_l2"; "fill_l3"; "fill_private"; "pset_core"; "pclear_core";
-          "pset_chip"; "pclear_chip"; "core_still_holds";
-          "invalidate_core_bits"; "invalidate_chip_bits";
-          "serial_inval_words"; "shard_inval_bits"; "shard_inval_words";
-          "shard_inval_chip_bits"; "invalidate_others"; "notify_fill";
+          "fill_l2"; "fill_l3"; "fill_private"; "core_still_holds";
+          "invalidate_core_bits"; "invalidate_chip_bits"; "inval_words";
+          "invalidate_others"; "notify_fill";
           "notify_remove"; "notify_access"; "fill_list"; "remove_list";
           "access_list" ] };
     (* flat per-line presence masks on the miss path of every simulated

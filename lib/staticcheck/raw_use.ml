@@ -6,15 +6,12 @@
 
 open Typedtree
 
-(* The runtime's three concurrency shims: domain_pool.ml parallelises
-   whole independent cells; shard_sync.ml holds the windowed engine's
-   worker domains and round barrier; native_pool.ml holds the native
-   backend's worker domains and park/wake protocol. Raw primitives live
-   nowhere else. *)
+(* The two concurrency shims: domain_pool.ml parallelises whole
+   independent cells; native_pool.ml holds the native backend's worker
+   domains and park/wake protocol. Raw primitives live nowhere else. *)
 let default_allowlist =
   [
     "lib/runtime/domain_pool.ml";
-    "lib/runtime/shard_sync.ml";
     "lib/native/native_pool.ml";
   ]
 

@@ -3,9 +3,9 @@
     the allowlisted domain-pool shim, and [Obj.magic] anywhere. *)
 
 val default_allowlist : string list
-(** Source paths permitted to touch raw primitives: the runtime's two
-    concurrency shims, [lib/runtime/domain_pool.ml] (cell-level
-    parallelism) and [lib/runtime/shard_sync.ml] (intra-cell sharding). *)
+(** Source paths permitted to touch raw primitives: the two concurrency
+    shims, [lib/runtime/domain_pool.ml] (cell-level parallelism) and
+    [lib/native/native_pool.ml] (the native backend's worker domains). *)
 
 val check_module :
   ?allowlist:string list -> Cmt_load.module_info -> Finding.t list

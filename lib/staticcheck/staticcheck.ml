@@ -1,5 +1,6 @@
-(* Driver: load every library .cmt dune produced, run the four passes,
-   and render the combined report as text or JSON. *)
+(* Driver: load every library .cmt dune produced, run the typedtree
+   passes plus the missing-interface file check, and render the combined
+   report as text or JSON. *)
 
 type report = {
   findings : Finding.t list;
@@ -23,6 +24,7 @@ let run_on_modules ?manifest ?allowlist mods =
     @ Effect_check.check mods
     @ Lock_check.check mods
     @ Raw_use.check ?allowlist mods
+    @ Ignore_check.check mods
   in
   {
     findings = List.sort_uniq Finding.compare findings;
@@ -33,10 +35,48 @@ let run_on_modules ?manifest ?allowlist mods =
     listeners_checked = listener_count mods;
   }
 
+(* Every library module under [root/lib] has an interface file;
+   [*_intf.ml] module-type-only files are exempt. Build and hidden
+   directories are skipped. *)
+let rec ml_files ~root rel acc =
+  match Sys.readdir (Filename.concat root rel) with
+  | exception Sys_error _ -> acc
+  | entries ->
+      Array.sort compare entries;
+      Array.fold_left
+        (fun acc entry ->
+          let rel = Filename.concat rel entry in
+          if entry.[0] = '.' || entry.[0] = '_' then acc
+          else if Sys.is_directory (Filename.concat root rel) then
+            ml_files ~root rel acc
+          else if Filename.check_suffix entry ".ml" then rel :: acc
+          else acc)
+        acc entries
+
+let missing_mli ~root =
+  List.filter_map
+    (fun rel ->
+      if
+        Filename.check_suffix rel "_intf.ml"
+        || Sys.file_exists (Filename.concat root rel ^ "i")
+      then None
+      else
+        Some
+          (Finding.make ~pass:"file" ~code:"missing-mli" ~file:rel ~line:1
+             ~func:"" "library module without an interface file (.mli)"))
+    (List.rev (ml_files ~root "lib" []))
+
 let run ?build_dir ?manifest ?allowlist ~root () =
   match Cmt_load.load_tree ?build_dir ~root () with
   | Error e -> Error e
-  | Ok mods -> Ok (run_on_modules ?manifest ?allowlist mods)
+  | Ok mods ->
+      let r = run_on_modules ?manifest ?allowlist mods in
+      Ok
+        {
+          r with
+          findings =
+            List.sort_uniq Finding.compare (r.findings @ missing_mli ~root);
+        }
 
 let pp_report ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) r.findings;

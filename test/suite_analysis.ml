@@ -227,73 +227,6 @@ let test_report_dedup_and_limit () =
   Alcotest.(check int) "excess counted" 1 (A.Report.dropped r);
   Alcotest.(check bool) "not clean" false (A.Report.is_clean r)
 
-let lint_codes ~path src =
-  List.map (fun d -> d.A.Diagnostic.code) (A.Lint.scan_string ~path src)
-
-(* The banned-pattern rules (obs-effect, obj-magic, raw-mutex/raw-domain)
-   moved to o2staticcheck's typedtree passes; see suite_staticcheck. What
-   remains here is the surface-idiom rule and the stripper it runs on. *)
-let test_lint_rules () =
-  Alcotest.(check (list string))
-    "ignored Api.lock result" [ "ignored-result" ]
-    (lint_codes ~path:"lib/core/x.ml" "let () = ignore (Api.lock l)\n");
-  Alcotest.(check (list string))
-    "ignored Engine.run result" [ "ignored-result" ]
-    (lint_codes ~path:"lib/core/x.ml" "let () = ignore ( Engine.run e )\n");
-  Alcotest.(check (list string))
-    "comments not flagged" []
-    (lint_codes ~path:"lib/core/x.ml"
-       "(* ignore (Api.lock l) would be wrong *)\nlet x = 1\n");
-  Alcotest.(check (list string))
-    "string literals not flagged" []
-    (lint_codes ~path:"lib/core/x.ml" "let s = \"ignore (Api.lock l)\"\n");
-  Alcotest.(check (list string))
-    "ignore of a different callee is fine" []
-    (lint_codes ~path:"lib/core/x.ml" "let () = ignore (Api.read ~addr ~len)\n")
-
-(* Pin the stripper itself: it must blank comments, strings, quoted
-   strings, and char literals without desynchronising on tricky lexemes. *)
-let test_lint_strip () =
-  let strip = A.Lint.strip in
-  Alcotest.(check string)
-    "newlines survive inside comments"
-    "        \n         \nlet x = 1\n"
-    (strip "(* first\nsecond *)\nlet x = 1\n");
-  (* a ['"'] char literal must not open string mode and hide the rest of
-     the line: the violation after it has to stay visible *)
-  let src = "let q = '\"' in ignore (Api.lock l)\n" in
-  Alcotest.(check (list string))
-    "code after a double-quote char literal is still scanned"
-    [ "ignored-result" ]
-    (lint_codes ~path:"lib/core/x.ml" src);
-  Alcotest.(check string)
-    "the char literal itself is blanked"
-    "let q =     in ignore (Api.lock l)\n" (strip src);
-  Alcotest.(check string)
-    "escaped char literals are blanked"
-    "let nl =      and bs =      in x\n"
-    (strip "let nl = '\\n' and bs = '\\\\' in x\n");
-  Alcotest.(check string)
-    "type variables and primed names are untouched"
-    "let f (x' : 'a) = x'\n" (strip "let f (x' : 'a) = x'\n");
-  (* quoted strings: no escapes inside, closed only by the matching
-     delimiter *)
-  Alcotest.(check string)
-    "{|...|} quoted string is blanked"
-    "let s =                             in s\n"
-    (strip "let s = {|ignore (Api.lock l) \" '|} in s\n");
-  Alcotest.(check string)
-    "{id|...|id} ignores a bare |} inside"
-    "let s =                       in s\n"
-    (strip "let s = {foo||} not done|foo} in s\n");
-  Alcotest.(check (list string))
-    "violations inside quoted strings are not flagged" []
-    (lint_codes ~path:"lib/core/x.ml" "let s = {|ignore (Api.lock l)|}\n");
-  Alcotest.(check (list string))
-    "code after a quoted string is still scanned" [ "ignored-result" ]
-    (lint_codes ~path:"lib/core/x.ml"
-       "let s = {|text|} in ignore (Api.lock l)\n")
-
 let suite =
   [
     Alcotest.test_case "unlocked shared writes are flagged as a race" `Quick
@@ -316,7 +249,4 @@ let suite =
       test_affinity_synthetic;
     Alcotest.test_case "report dedups and caps" `Quick
       test_report_dedup_and_limit;
-    Alcotest.test_case "source lint rules" `Quick test_lint_rules;
-    Alcotest.test_case "lint stripper handles tricky lexemes" `Quick
-      test_lint_strip;
   ]

@@ -200,6 +200,22 @@ let test_golden_ablations_observed () =
     (golden_ablation_cells ())
     ~digest:"43cec61125686ca9e489d44ec90266e0" ~total_ops:6196
 
+(* E10's serial golden: the future 64-core config (8 chips of 8 cores;
+   core 63 lives in the second presence-mask word) over short horizons,
+   one baseline and one CoreTime cell. Captured from the serial engine
+   before the sharded engine was deleted. *)
+let golden_future_cells () =
+  let spec = O2_workload.Dir_workload.spec_for_data_kb ~kb:256 () in
+  List.map
+    (fun policy ->
+      Harness.setup ~cfg:O2_simcore.Config.future64 ~policy ~warmup:1_000_000
+        ~measure:1_000_000 spec)
+    [ Coretime.Policy.baseline; Coretime.Policy.default ]
+
+let test_golden_future () =
+  check_golden "future64-small (E10)" (golden_future_cells ())
+    ~digest:"c5e4320e1e11b908f02b491149a2b94d" ~total_ops:535
+
 let test_validate_obs () =
   Alcotest.(check bool) "defaults validate" true
     (Result.is_ok (Harness.validate_obs Harness.no_obs));
@@ -258,4 +274,6 @@ let suite =
     Alcotest.test_case "paper claim: CoreTime wins beyond L3" `Slow test_paper_claim_beyond_l3;
     Alcotest.test_case "paper claim: parity when data fits" `Slow test_paper_claim_fits_in_l3;
     Alcotest.test_case "figure 2: O2 partitions the caches" `Slow test_fig2_partitioning;
+    Alcotest.test_case "golden rows: future64 small (E10)" `Slow
+      test_golden_future;
   ]

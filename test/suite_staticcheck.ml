@@ -166,6 +166,22 @@ let test_clean_tree () =
         "listeners were actually checked" true
         (r.SC.Staticcheck.listeners_checked > 0)
 
+(* The three forms of a discarded unit that a line-at-a-time text match
+   missed — [ignore] and its call on separate lines, [e |> ignore] and
+   [ignore @@ e] — are each flagged once; ignoring a thread handle is
+   not. *)
+let test_ignore_fixture () =
+  let m = load_fixture "Fx_ignore" in
+  let fs = SC.Ignore_check.check_module m in
+  Alcotest.(check (list string))
+    "each unit-typed ignore flagged once"
+    [ "ignored-result"; "ignored-result"; "ignored-result" ]
+    (codes fs);
+  Alcotest.(check (list int))
+    "findings on the three offending lines, not the thread handle"
+    [ 10; 13; 14 ]
+    (List.sort compare (List.map (fun f -> f.SC.Finding.line) fs))
+
 let suite =
   [
     Alcotest.test_case "allocating hot path fixture" `Quick test_alloc_fixture;
@@ -174,4 +190,5 @@ let suite =
     Alcotest.test_case "raw primitive fixture" `Quick test_raw_fixture;
     Alcotest.test_case "native backend fixture" `Quick test_native_fixture;
     Alcotest.test_case "repo tree is clean" `Quick test_clean_tree;
+    Alcotest.test_case "ignored unit result fixture" `Quick test_ignore_fixture;
   ]
