@@ -227,6 +227,81 @@ let test_report_dedup_and_limit () =
   Alcotest.(check int) "excess counted" 1 (A.Report.dropped r);
   Alcotest.(check bool) "not clean" false (A.Report.is_clean r)
 
+(* The source rules of the former textual lint run inside o2staticcheck
+   now: [ignored-result] as a typedtree pass that [run_on_modules]
+   includes, and [missing-mli] as a file check in [Staticcheck.run] over
+   [root/lib]. The missing-mli root is a scratch tree beside the real
+   build: only its interface-less module is flagged, not one with an
+   .mli, an [_intf.ml] or a file in a build or hidden directory. *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_lint_rules () =
+  let module SC = O2_staticcheck in
+  let r =
+    SC.Staticcheck.run_on_modules [ Suite_staticcheck.load_fixture "Fx_ignore" ]
+  in
+  Alcotest.(check (list string))
+    "ignored-result is one of run's passes"
+    [ "ignored-result"; "ignored-result"; "ignored-result" ]
+    (List.filter_map
+       (fun f ->
+         (* the fixture's [ignore @@ Api.lock l] is also a lock leak *)
+         if f.SC.Finding.pass = "ignore" then Some f.SC.Finding.code else None)
+       r.SC.Staticcheck.findings);
+  let root = Filename.temp_dir "o2lint" "" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree root)
+    (fun () ->
+      let write rel =
+        let path = Filename.concat root rel in
+        let rec mkdirs d =
+          if not (Sys.file_exists d) then begin
+            mkdirs (Filename.dirname d);
+            Sys.mkdir d 0o755
+          end
+        in
+        mkdirs (Filename.dirname path);
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc "let x = 1\n")
+      in
+      List.iter write
+        [
+          "lib/core/bare.ml"; "lib/core/paired.ml"; "lib/core/paired.mli";
+          "lib/core/types_intf.ml"; "lib/_build/built.ml";
+          "lib/.hidden/hidden.ml";
+        ];
+      let run build_dir = SC.Staticcheck.run ~build_dir ~root () in
+      match
+        match run ".." with Ok r -> Ok r | Error _ -> run "_build/default"
+      with
+      | Error e -> Alcotest.fail ("no build tree to run against: " ^ e)
+      | Ok r ->
+          Alcotest.(check (list (pair string string)))
+            "only the interface-less module is flagged"
+            [ ("missing-mli", "lib/core/bare.ml") ]
+            (List.map
+               (fun f -> (f.SC.Finding.code, f.SC.Finding.file))
+               r.SC.Staticcheck.findings))
+
+(* The textual lint blanked comments and literals with a stripper before
+   matching, and was pinned on the lexemes that could desynchronise it.
+   The typedtree pass sees no text, so the same lexemes must neither
+   hide a real ignore nor fake one (test/fixtures/staticcheck). *)
+let test_lint_strip () =
+  let module SC = O2_staticcheck in
+  let fs =
+    SC.Ignore_check.check_module (Suite_staticcheck.load_fixture "Fx_lexemes")
+  in
+  Alcotest.(check (list (pair string int)))
+    "only the ignores after a char literal and a quoted string"
+    [ ("ignored-result", 15); ("ignored-result", 16) ]
+    (List.map (fun f -> (f.SC.Finding.code, f.SC.Finding.line)) fs)
+
 let suite =
   [
     Alcotest.test_case "unlocked shared writes are flagged as a race" `Quick
@@ -249,4 +324,7 @@ let suite =
       test_affinity_synthetic;
     Alcotest.test_case "report dedups and caps" `Quick
       test_report_dedup_and_limit;
+    Alcotest.test_case "source lint rules" `Quick test_lint_rules;
+    Alcotest.test_case "lint stripper handles tricky lexemes" `Quick
+      test_lint_strip;
   ]

@@ -10,6 +10,7 @@ let () =
       ("memsys-dram", Suite_memsys_dram.suite);
       ("machine", Suite_machine.suite);
       ("engine", Suite_engine.suite);
+      ("sharded", Suite_sharded.suite);
       ("spinlock", Suite_spinlock.suite);
       ("fat", Suite_fat.suite);
       ("object-table", Suite_object_table.suite);
