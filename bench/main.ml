@@ -5,7 +5,8 @@
    EXPERIMENTS.md for the mapping). `--quick` shrinks windows and ladders;
    positional arguments select experiments by id; `--bechamel` runs the
    microbenchmark suite instead (one Bechamel test per experiment kernel,
-   including the Θ(n log n) cache-packing claim, E5). *)
+   including the Θ(n log n) cache-packing claim, E5), and its positional
+   arguments select rows by name prefix. *)
 
 let experiments ~quick ~jobs ids =
   let ppf = Format.std_formatter in
@@ -77,6 +78,37 @@ let test_read_stream =
   Test.make ~name:"machine/read 4KB stream (capacity misses)"
     (Staged.stage (fun () ->
          off := (!off + 4096) land ((1 lsl 22) - 1);
+         ignore
+           (O2_simcore.Machine.read machine ~core:0 ~now:0 ~addr:(base + !off)
+              ~len:4096)))
+
+(* The 8 MB baseline cell's dominant path: a 4 KB cluster whose lines
+   another chip's core holds. One core on each of chips 1-3 first reads a
+   1.5 MB slice; core 0 then cycles through all 4.5 MB, more than its L2
+   and L3 together, so every line it reads misses locally and is found
+   in a remote cache (the remote copies stay: reads share). *)
+let test_read_remote =
+  let machine = O2_simcore.Machine.create O2_simcore.Config.amd16 in
+  let slice = 3 lsl 19 in
+  let region = 3 * slice in
+  let ext =
+    O2_simcore.Memsys.alloc (O2_simcore.Machine.memory machine) ~name:"r"
+      ~size:region
+  in
+  let base = ext.O2_simcore.Memsys.base in
+  Array.iteri
+    (fun i core ->
+      for c = 0 to (slice / 4096) - 1 do
+        ignore
+          (O2_simcore.Machine.read machine ~core ~now:0
+             ~addr:(base + (i * slice) + (c * 4096))
+             ~len:4096)
+      done)
+    [| 4; 8; 12 |];
+  let off = ref 0 in
+  Test.make ~name:"machine/read 4KB cluster, remote holder"
+    (Staged.stage (fun () ->
+         off := (!off + 4096) mod region;
          ignore
            (O2_simcore.Machine.read machine ~core:0 ~now:0 ~addr:(base + !off)
               ~len:4096)))
@@ -460,6 +492,7 @@ let bechamel_tests =
     (`Fast, test_lru);
     (`Fast, test_read_hit);
     (`Mid, test_read_stream);
+    (`Mid, test_read_remote);
     (`Slow, test_machine_step_serial);
     (`Mid, test_lookup);
     (`Fast, test_event_queue);
@@ -485,7 +518,15 @@ let bechamel_tests =
     (`Slow, test_fig4b_cell);
   ]
 
-let run_bechamel () =
+(* With [only] non-empty, run just the rows whose names start with one
+   of its prefixes. *)
+let run_bechamel ~only =
+  let selected elt =
+    only = []
+    || List.exists
+         (fun p -> String.starts_with ~prefix:p (Test.Elt.name elt))
+         only
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -516,7 +557,7 @@ let run_bechamel () =
           in
           Printf.printf "  %-42s %12.1f ns/run (r2=%.3f)\n%!"
             (Test.Elt.name elt) estimate r2)
-        (Test.elements test))
+        (List.filter selected (Test.elements test)))
     bechamel_tests;
   print_endline "";
   print_endline
@@ -590,7 +631,7 @@ let run_native_json ~quick path =
 let usage () =
   prerr_endline
     "usage: bench [--quick] [--jobs N] [--bechamel | --fig4-json [FILE] | \
-     --native-json [FILE]] [EXPERIMENT-ID...]";
+     --native-json [FILE]] [EXPERIMENT-ID... | ROW-PREFIX...]";
   2
 
 let () =
@@ -642,7 +683,7 @@ let () =
   parse args;
   if !bad then exit (usage ());
   exit
-    (if !bech then run_bechamel ()
+    (if !bech then run_bechamel ~only:!ids
      else
        match (!fig4_json, !native_json) with
        | Some path, _ ->

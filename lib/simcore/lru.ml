@@ -1,17 +1,26 @@
-(* Array-based LRU, struct-of-arrays with packed fields. Slots hold keys
+(* Array-based LRU, struct-of-arrays with packed links. Slots hold keys
    doubly linked through a single packed [links] array (slot [cap] is the
-   list sentinel), and an open-addressing linear-probe table maps
-   key -> slot with the key packed into the table entry itself:
+   list sentinel):
 
-     table.(i) = (key lsl 25) lor (slot + 1)     0 = empty
      links.(s) = (prev lsl 24) lor next
 
-   so a probe is one array load and one compare (no second load into a
-   keys array), and an unlink reads both neighbours in one load. Keys
-   must be non-negative (cache line numbers) and capacity below 2^24.
-   No allocation on any operation, so the cache simulator's hot path
-   stays off the GC. Deletion uses backward-shift (no tombstones), which
-   keeps probes short under the constant churn of fills and evictions. *)
+   so an unlink reads both neighbours in one load. Key -> slot is a
+   line-indexed two-level map. A directory indexed by [key lsr page_bits]
+   holds the offset of a page in [arena]; a page is [page_lines] words of
+   [slot + 1] (0 = absent) for consecutive keys, then one word counting
+   its live entries. Cache lines are walked in runs (a 4 KB cluster is
+   64 consecutive lines), so a run's lookups share one page instead of
+   scattering over the host's caches.
+
+   Page 0 of the arena is never written: directory entries without live
+   keys hold offset 0, so a lookup never branches on the entry. A page
+   whose count drops to 0 is unmapped onto the spare stack, and new pages
+   come from that stack first: steady-state fills and evictions allocate
+   nothing, and live pages never outnumber resident keys. Pages live in
+   one arena rather than one block each, so the directory and the stack
+   hold plain ints (no write barrier) and the GC sees a few large blocks,
+   not one small block per page. Keys must be non-negative and capacity
+   below 2^24. *)
 
 type t = {
   cap : int;
@@ -20,14 +29,20 @@ type t = {
   mutable links : int array;
       (* slot -> (prev lsl 24) lor next; slot cap = sentinel *)
   mutable free : int;  (* head of the free-slot list, threaded via next *)
-  mutable table : int array;  (* probe position -> (key lsl 25) lor (slot + 1) *)
-  mask : int;
+  mutable dir : int array;  (* key lsr page_bits -> page offset, 0 = none *)
+  mutable arena : int array;  (* page 0 (all-zero), then pages 1..pages *)
+  mutable spare : int array;  (* offsets of zeroed unmapped pages *)
+  mutable nspare : int;
+  mutable pages : int;  (* pages allocated in the arena beyond page 0 *)
 }
 
-let slot_shift = 25
-let slot_mask = (1 lsl slot_shift) - 1
 let link_bits = 24
 let link_mask = (1 lsl link_bits) - 1
+
+let page_bits = 6
+let page_lines = 1 lsl page_bits
+let page_mask = page_lines - 1
+let page_words = page_lines + 1  (* entries, then the live count *)
 
 let next_of l = l land link_mask
 let prev_of l = l lsr link_bits
@@ -38,60 +53,54 @@ let set_next t s n = t.links.(s) <- (t.links.(s) land lnot link_mask) lor n
 let set_prev t s p =
   t.links.(s) <- (t.links.(s) land link_mask) lor (p lsl link_bits)
 
-let rec pow2 n k = if k >= n then k else pow2 n (k * 2)
-
 (* Creation defers the arrays until the first insert: a Machine builds
    L1+L2+L3 LRUs for every core and chip up front (megabytes of int
    arrays on amd16), but small cells and short tests touch a handful of
    caches — a victim L3 that never sees an eviction never pays for its
-   table. The empty state is observable only as [size = 0], which every
-   read path already treats as a miss. *)
+   slots or pages. Before then the directory is empty, so every lookup
+   misses. *)
 let create ~cap =
   if cap <= 0 then invalid_arg "Lru.create: capacity must be positive";
   if cap >= 1 lsl link_bits then
     invalid_arg "Lru.create: capacity exceeds the packed 24-bit slot index";
-  let tbl_size = pow2 (2 * cap) 16 in
-  { cap; size = 0; keys = [||]; links = [||]; free = 0; table = [||];
-    mask = tbl_size - 1 }
+  { cap; size = 0; keys = [||]; links = [||]; free = 0; dir = [||];
+    arena = [||]; spare = [||]; nspare = 0; pages = 0 }
+
+let reset_links t =
+  for i = 0 to t.cap - 1 do
+    t.links.(i) <- pack_link ~prev:0 ~next:(i + 1)
+  done;
+  t.links.(t.cap - 1) <- pack_link ~prev:0 ~next:link_mask;
+  t.links.(t.cap) <- pack_link ~prev:t.cap ~next:t.cap;
+  t.free <- 0
 
 (* One-time slot allocation on the first insert. Free list through the
    next field; safe at [cap = 1] because the free-list terminator lives
    at index [cap - 1 = 0] and the sentinel self-links live at index
    [cap = 1] — distinct cells, so the write order cannot clobber
-   anything (pinned by the cap=1 tests in suite_lru). *)
+   anything (pinned by the cap=1 tests in suite_lru). The arena starts
+   with room for [cap] dense keys, which need not start on a page
+   boundary. *)
 let ensure_slots t =
   if Array.length t.links = 0 then begin
-    let links = Array.make (t.cap + 1) 0 in
-    for i = 0 to t.cap - 1 do
-      links.(i) <- pack_link ~prev:0 ~next:(i + 1)
-    done;
-    links.(t.cap - 1) <- pack_link ~prev:0 ~next:link_mask;
-    links.(t.cap) <- pack_link ~prev:t.cap ~next:t.cap;
-    t.links <- links;
+    t.links <- Array.make (t.cap + 1) 0;
     t.keys <- Array.make t.cap 0;
-    t.table <- Array.make (t.mask + 1) 0;
-    t.free <- 0
+    reset_links t;
+    let room = 1 + ((t.cap + page_mask) / page_lines) in
+    t.arena <- Array.make ((room + 1) * page_words) 0;
+    t.spare <- Array.make room 0
   end
   [@@alloc_ok "one-time lazy allocation of the slot arrays"]
 
 let capacity t = t.cap
 let length t = t.size
 
-let hash t key = (key * 0x2545F491) land t.mask
-
-(* Probe position of [key], or of the first empty slot. Recursive rather
-   than a [ref] loop: no flambda, so a local ref would allocate on every
-   cache probe. *)
-let rec probe_from t key i =
-  let e = t.table.(i) in
-  if e <> 0 && e lsr slot_shift <> key then probe_from t key ((i + 1) land t.mask)
-  else i
-
-let probe t key = probe_from t key (hash t key)
-
+(* A negative key shifts to a huge page index, past the directory: it
+   reads as absent. *)
 let find_slot t key =
-  if t.size = 0 then -1
-  else (t.table.(probe t key) land slot_mask) - 1  (* -1 when empty *)
+  let pi = key lsr page_bits in
+  if pi >= Array.length t.dir then -1
+  else t.arena.(t.dir.(pi) + (key land page_mask)) - 1  (* -1 when absent *)
 
 let mem t key = find_slot t key >= 0
 
@@ -109,12 +118,9 @@ let push_front t s =
   set_next t sent s
 
 let touch t key =
-  if t.size = 0 then false
-  else
-  let e = t.table.(probe t key) in
-  if e = 0 then false
+  let s = find_slot t key in
+  if s < 0 then false
   else begin
-    let s = (e land slot_mask) - 1 in
     (* MRU fast path: repeated hits on the hottest line skip the relink. *)
     if prev_of t.links.(s) <> t.cap then begin
       unlink t s;
@@ -123,35 +129,79 @@ let touch t key =
     true
   end
 
-(* Backward-shift deletion: walk forward from the hole at [i], moving each
-   entry at [j] into the hole unless its home position lies cyclically
-   within (i, j]. *)
-let rec backward_shift t i j =
-  let e = t.table.(j) in
-  if e <> 0 then begin
-    let h = hash t (e lsr slot_shift) in
-    if (j - h) land t.mask >= (j - i) land t.mask then begin
-      t.table.(i) <- e;
-      t.table.(j) <- 0;
-      backward_shift t j ((j + 1) land t.mask)
-    end
-    else backward_shift t i ((j + 1) land t.mask)
+(* Directory growth to cover page [pi]: amortized doubling, at most once
+   per doubling of the highest key inserted. *)
+let grow_dir t pi =
+  let rec next n = if n > pi then n else next (2 * n) in
+  let old = Array.length t.dir in
+  let dir = Array.make (next (if old = 0 then 16 else 2 * old)) 0 in
+  Array.blit t.dir 0 dir 0 old;
+  t.dir <- dir
+  [@@alloc_ok "amortized doubling of the page directory"]
+
+(* Arena growth when every allocated page is mapped: doubling, capped at
+   the [cap] pages that [cap] scattered keys could need. The spare stack
+   grows with it, so it always has room for every allocated page and
+   [unmap_key] never allocates. *)
+let grow_arena t =
+  let room = (Array.length t.arena / page_words) - 1 in
+  let room' = if 2 * room < t.cap then 2 * room else t.cap in
+  let arena = Array.make ((room' + 1) * page_words) 0 in
+  Array.blit t.arena 0 arena 0 (Array.length t.arena);
+  t.arena <- arena;
+  let spare = Array.make room' 0 in
+  Array.blit t.spare 0 spare 0 t.nspare;
+  t.spare <- spare
+  [@@alloc_ok "arena growth past the high-water mark of live pages"]
+
+(* A zeroed page's offset: a spare one if any, else the next fresh one. *)
+let take_page t =
+  if t.nspare > 0 then begin
+    t.nspare <- t.nspare - 1;
+    t.spare.(t.nspare)
+  end
+  else begin
+    if (t.pages + 2) * page_words > Array.length t.arena then grow_arena t;
+    t.pages <- t.pages + 1;
+    t.pages * page_words
   end
 
-let table_delete_at t i =
-  t.table.(i) <- 0;
-  backward_shift t i ((i + 1) land t.mask)
+(* Map [key] to slot [s], taking a page when its range has none. *)
+let map_key t key s =
+  let pi = key lsr page_bits in
+  if pi >= Array.length t.dir then grow_dir t pi;
+  let b = t.dir.(pi) in
+  let b =
+    if b <> 0 then b
+    else begin
+      let b = take_page t in
+      t.dir.(pi) <- b;
+      b
+    end
+  in
+  t.arena.(b + (key land page_mask)) <- s + 1;
+  t.arena.(b + page_lines) <- t.arena.(b + page_lines) + 1
 
-let table_remove t key =
-  let i = probe t key in
-  if t.table.(i) <> 0 then table_delete_at t i
+(* Unmap a present [key]; its page goes onto the spare stack, all-zero,
+   when this was its last live entry. *)
+let unmap_key t key =
+  let pi = key lsr page_bits in
+  let b = t.dir.(pi) in
+  t.arena.(b + (key land page_mask)) <- 0;
+  let n = t.arena.(b + page_lines) - 1 in
+  t.arena.(b + page_lines) <- n;
+  if n = 0 then begin
+    t.dir.(pi) <- 0;
+    t.spare.(t.nspare) <- b;
+    t.nspare <- t.nspare + 1
+  end
 
 let remove t key =
   let s = find_slot t key in
   if s < 0 then false
   else begin
     unlink t s;
-    table_remove t key;
+    unmap_key t key;
     set_next t s t.free;
     t.free <- s;
     t.size <- t.size - 1;
@@ -162,16 +212,15 @@ let lru_key t =
   if t.size = 0 then None else Some t.keys.(prev_of t.links.(t.cap))
 
 (* Allocation-free insert: the evicted key comes back as a bare int, with
-   [-1] for "nothing evicted". Fine for cache lines, whose numbers are
-   always non-negative. *)
+   [-1] for "nothing evicted", which no key can be. *)
 let install t key s =
   t.keys.(s) <- key;
   push_front t s;
-  let i = probe t key in
-  t.table.(i) <- (key lsl slot_shift) lor (s + 1);
+  map_key t key s;
   t.size <- t.size + 1
 
 let add_evict t key =
+  if key < 0 then invalid_arg "Lru.add_evict: negative key";
   if touch t key then -1
   else begin
     ensure_slots t;
@@ -180,7 +229,7 @@ let add_evict t key =
       let tail = prev_of t.links.(t.cap) in
       let vkey = t.keys.(tail) in
       unlink t tail;
-      table_remove t vkey;
+      unmap_key t vkey;
       t.size <- t.size - 1;
       install t key tail;
       vkey
@@ -213,17 +262,70 @@ let fold f acc t =
 
 let to_list t = List.rev (fold (fun acc k -> k :: acc) [] t)
 
+(* Zero and unmap every live page, visiting resident keys only, so a
+   clear costs O(size) rather than O(directory). *)
 let clear t =
   if Array.length t.links > 0 then begin
-    Array.fill t.table 0 (Array.length t.table) 0;
+    iter
+      (fun key ->
+        let pi = key lsr page_bits in
+        let b = t.dir.(pi) in
+        if b <> 0 then begin
+          Array.fill t.arena b page_words 0;
+          t.dir.(pi) <- 0;
+          t.spare.(t.nspare) <- b;
+          t.nspare <- t.nspare + 1
+        end)
+      t;
     t.size <- 0;
-    for i = 0 to t.cap - 1 do
-      t.links.(i) <- pack_link ~prev:0 ~next:(i + 1)
-    done;
-    t.links.(t.cap - 1) <- pack_link ~prev:0 ~next:link_mask;
-    t.free <- 0;
-    t.links.(t.cap) <- pack_link ~prev:t.cap ~next:t.cap
+    reset_links t
   end
+
+let page_zeroed t b =
+  let rec go i = i >= page_words || (t.arena.(b + i) = 0 && go (i + 1)) in
+  go 0
+
+(* Structure checks that visit live pages and spare pages only, never
+   the whole directory: a directory covering 25-bit keys is 2^19 words. *)
+let check_pages t l =
+  (* (page index, live keys on it) for every mapped page *)
+  let rec runs acc = function
+    | [] -> acc
+    | pi :: rest -> (
+        match acc with
+        | (pj, n) :: acc' when pj = pi -> runs ((pi, n + 1) :: acc') rest
+        | _ -> runs ((pi, 1) :: acc) rest)
+  in
+  let on_page =
+    runs [] (List.sort compare (List.map (fun k -> k lsr page_bits) l))
+  in
+  let page_ok (pi, live) =
+    let b = t.dir.(pi) in
+    let rec entries i n =
+      if i = page_lines then n
+      else entries (i + 1) (if t.arena.(b + i) <> 0 then n + 1 else n)
+    in
+    b <> 0 && t.arena.(b + page_lines) = live && entries 0 0 = live
+  in
+  let rec spares_zeroed i =
+    i >= t.nspare
+    || (t.spare.(i) <> 0 && page_zeroed t t.spare.(i) && spares_zeroed (i + 1))
+  in
+  if not (page_zeroed t 0) then Error "page 0 was written"
+  else if
+    not
+      (List.for_all
+         (fun k ->
+           let s = find_slot t k in
+           s >= 0 && t.keys.(s) = k)
+         l)
+  then Error "page entry disagrees with slot key"
+  else if not (List.for_all page_ok on_page) then
+    Error "page live count disagrees with its entries"
+  else if not (spares_zeroed 0) then Error "spare page not zeroed"
+  else if List.length on_page + t.nspare <> t.pages then
+    Error "pages leaked: mapped + spare <> allocated"
+  else Ok ()
 
 let check_invariants t =
   if Array.length t.links = 0 then
@@ -245,23 +347,5 @@ let check_invariants t =
       s := prev_of t.links.(!s)
     done;
     if !back <> l then Error "prev-chain disagrees with next-chain"
-    else begin
-      (* every table entry must point at a live slot carrying its key *)
-      let live = Hashtbl.create 64 in
-      List.iter (fun k -> Hashtbl.replace live k ()) l;
-      let table_count = ref 0 in
-      let bad = ref false in
-      Array.iter
-        (fun e ->
-          if e <> 0 then begin
-            incr table_count;
-            let s = (e land slot_mask) - 1 in
-            let key = e lsr slot_shift in
-            if t.keys.(s) <> key || not (Hashtbl.mem live key) then bad := true
-          end)
-        t.table;
-      if !bad then Error "table entry disagrees with slot key"
-      else if !table_count <> n then Error "table population <> size"
-      else Ok ()
-    end
+    else check_pages t l
   end

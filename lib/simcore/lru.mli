@@ -2,9 +2,23 @@
     membership, touch, insert and remove.
 
     This is the replacement machinery shared by every simulated cache
-    level. Keys are arbitrary ints (line numbers); the set never holds more
-    than [capacity] keys — inserting into a full set evicts the least
-    recently used key and returns it. *)
+    level. Keys are non-negative ints (line numbers); the set never holds
+    more than [capacity] keys — inserting into a full set evicts the least
+    recently used key and returns it.
+
+    Keys index a two-level map: a directory with one word per 64
+    consecutive keys, up to the largest key ever inserted, and one
+    65-word page for each 64-key range that holds a resident key. Pages
+    live in one arena per set, with room at first for
+    [capacity / 64 + 1] pages (a full set of dense keys); when every
+    page is in use the arena doubles, up to [capacity] pages. Pages that
+    empty are kept for reuse. Memory is therefore the slot arrays
+    ([2 * capacity + 1] words), plus the arena (its initial room, or at
+    most twice the most pages ever live at once; never more than
+    [capacity + 1] pages),
+    plus one directory word per 64 keys below the largest key. A single
+    huge key costs a huge directory. Once those high-water marks are
+    reached no operation allocates. *)
 
 type t
 
@@ -28,8 +42,11 @@ val add : t -> int -> int option
 
 val add_evict : t -> int -> int
 (** [add_evict t k] is {!add} without the option: returns the evicted key,
-    or [-1] when nothing was evicted. Allocation-free; assumes keys are
-    non-negative (cache line numbers are). *)
+    or [-1] when nothing was evicted. Allocation-free except when the
+    directory or the page pool grows.
+    @raise Invalid_argument ["Lru.add_evict: negative key"] if [k < 0]
+    (also from {!add}). Lookups of a negative key ({!mem}, {!touch},
+    {!remove}) report it absent. *)
 
 val remove : t -> int -> bool
 (** [remove t k] deletes [k]; returns whether it was present. *)
@@ -47,7 +64,11 @@ val to_list : t -> int list
 (** Keys from most to least recently used. *)
 
 val clear : t -> unit
+(** Empties the set in O(resident keys), keeping its pages for reuse. *)
 
 val check_invariants : t -> (unit, string) result
-(** Used by the property tests: list and table agree, no duplicates,
-    length within capacity. *)
+(** Used by the property tests: list and pages agree, no duplicates,
+    length within capacity, each live page's count matches its entries,
+    no mapped page is empty, spare pages are zeroed and every allocated
+    page is either mapped or spare. Visits live and spare pages only,
+    never the whole directory. *)

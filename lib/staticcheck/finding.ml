@@ -1,5 +1,6 @@
 type t = {
-  pass : string;  (* "alloc" | "effect" | "lock" | "raw" | "ignore" | "file" *)
+  pass : string;  (* "alloc" | "compare" | "effect" | "lock" | "raw" | "ignore"
+                    | "file" *)
   code : string;
   file : string;
   line : int;

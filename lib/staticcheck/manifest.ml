@@ -17,20 +17,21 @@ let default =
       functions =
         [ "before"; "swap"; "sift_up"; "sift_down"; "push"; "min_time";
           "pop_min"; "length"; "is_empty" ] };
-    (* the event loop around min_time/pop_min *)
-    { module_ = "Engine"; functions = [ "run" ] };
+    (* the event loop around min_time/pop_min, and one event's dispatch *)
+    { module_ = "Engine"; functions = [ "run"; "step" ] };
     (* flat extent lookup on every simulated access *)
     { module_ = "Memsys";
       functions = [ "find"; "bsearch"; "index_at"; "object_id_at" ] };
+    (* DRAM controller queueing on every simulated miss to memory *)
+    { module_ = "Dram"; functions = [ "fetch" ] };
     (* cache fill/evict int protocol *)
     { module_ = "Cache";
       functions = [ "probe"; "fill_evict"; "invalidate"; "drop"; "notify_remove" ] };
     { module_ = "Lru";
       functions =
-        [ "probe_from"; "probe"; "find_slot"; "mem"; "touch"; "unlink";
-          "push_front"; "install"; "add_evict"; "remove"; "backward_shift";
-          "table_delete_at"; "table_remove"; "next_of"; "prev_of";
-          "pack_link"; "set_next"; "set_prev"; "hash" ] };
+        [ "find_slot"; "mem"; "touch"; "unlink"; "push_front"; "install";
+          "add_evict"; "remove"; "map_key"; "unmap_key"; "take_page";
+          "next_of"; "prev_of"; "pack_link"; "set_next"; "set_prev" ] };
     (* the access walk itself: every simulated load and store *)
     { module_ = "Machine";
       functions =

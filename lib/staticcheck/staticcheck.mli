@@ -1,8 +1,9 @@
 (** Typedtree-based static analysis over the repo's own .cmt files.
 
-    Three semantic passes (allocation on the hot-path manifest,
-    effect-freedom of observability listeners, spinlock discipline), the
-    raw-primitive allowlist and the ignored-result idiom, all running on
+    Four semantic passes (allocation and polymorphic comparison on the
+    hot-path manifest, effect-freedom of observability listeners,
+    spinlock discipline), the raw-primitive allowlist and the
+    ignored-result idiom, all running on
     dune's typed trees instead of source text; plus one file check,
     [missing-mli], over the library sources. *)
 

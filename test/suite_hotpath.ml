@@ -472,6 +472,37 @@ let test_native_padded_rows () =
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op at home on grown rows" out.(0))
 
+(* The LRU's page recycling: a cyclic stream over 4x capacity evicts
+   each 64-key page's lines one by one until the page empties onto the
+   spare stack, and the stream's next page range takes it back. Removes
+   of keys behind the stream empty pages early. After one warm-up lap
+   every page has been allocated, so fills, evictions and removes must
+   allocate nothing. *)
+let test_lru_page_churn () =
+  let cap = 512 in
+  let span = 4 * cap in
+  let t = Lru.create ~cap in
+  let lap () =
+    for i = 0 to span - 1 do
+      ignore (Lru.add_evict t i);
+      if i land 7 = 0 then ignore (Lru.remove t (i - 64))
+    done
+  in
+  lap ();
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to iters / span do
+          lap ()
+        done;
+        for i = 0 to iters - 1 do
+          ignore (Lru.touch t (i mod span))
+        done)
+  in
+  check_zero_alloc "Lru fill/evict/remove over churning pages" words;
+  match Lru.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
 let suite =
   [
     Alcotest.test_case "event queue allocates nothing per event" `Quick
@@ -504,4 +535,6 @@ let suite =
       test_native_with_op_metrics_only;
     Alcotest.test_case "padded counter rows allocate nothing" `Quick
       test_native_padded_rows;
+    Alcotest.test_case "LRU page recycling allocates nothing" `Quick
+      test_lru_page_churn;
   ]

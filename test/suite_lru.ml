@@ -165,10 +165,11 @@ let prop_matches_model =
           && Result.is_ok (Lru.check_invariants t))
         ops)
 
-(* Same model check with keys at the top of the packed 25-bit range:
-   table entries store [(key lsl 25) lor (slot+1)], so maximal keys
-   exercise the high bits of the packed word and the single-load probe
-   compare. A 64-key pool keeps the sequences collision-rich. *)
+(* Same model check with keys at the top of the 25-bit range: the page
+   directory is indexed by [key lsr 6], so these keys grow it to 2^19
+   entries, and [check_invariants] must stay cheap by visiting only live
+   and spare pages. The 64-key pool is exactly one page, so the
+   sequences fill, empty and refill it. *)
 let wide_key_base = (1 lsl 25) - 64
 
 let wide_op_gen =
@@ -200,6 +201,73 @@ let prop_matches_model_wide_keys =
           && Result.is_ok (Lru.check_invariants t))
         ops)
 
+(* Keys on both sides of page boundaries (pages cover 64 keys): offsets
+   0, 1, 62 and 63 of pages 0-3. Small capacities and removes empty
+   pages, so they go to the spare stack and come back for other page
+   ranges; [clear] returns every live page at once. *)
+type paged_op = Op of op | Clear
+
+let paged_key_gen =
+  QCheck2.Gen.(
+    map2
+      (fun page off -> (page * 64) + off)
+      (int_bound 3)
+      (oneofl [ 0; 1; 62; 63 ]))
+
+let paged_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Op (Add k)) paged_key_gen);
+        (2, map (fun k -> Op (Touch k)) paged_key_gen);
+        (3, map (fun k -> Op (Remove k)) paged_key_gen);
+        (1, pure Clear);
+      ])
+
+let prop_matches_model_paged =
+  QCheck2.Test.make
+    ~name:"lru matches reference model (keys straddling pages, clear)"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 1 12) (list_size (int_bound 200) paged_op_gen))
+    (fun (cap, ops) ->
+      let t = Lru.create ~cap in
+      let m = Model.create cap in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Op (Add k) -> Lru.add t k = Model.add m k
+            | Op (Touch k) -> Lru.touch t k = Model.touch m k
+            | Op (Remove k) -> Lru.remove t k = Model.remove m k
+            | Clear ->
+                Lru.clear t;
+                m.Model.l <- [];
+                true
+          in
+          same
+          && Lru.to_list t = m.Model.l
+          && Result.is_ok (Lru.check_invariants t))
+        ops)
+
+(* Keys index the page directory by [key lsr 6], so a negative key would
+   read as a huge page index: inserting one is a named error, and a
+   lookup reports it absent without touching the directory. *)
+let test_negative_keys () =
+  let t = Lru.create ~cap:4 in
+  ignore (Lru.add t 3);
+  Alcotest.check_raises "add_evict"
+    (Invalid_argument "Lru.add_evict: negative key") (fun () ->
+      ignore (Lru.add_evict t (-1)));
+  Alcotest.check_raises "add" (Invalid_argument "Lru.add_evict: negative key")
+    (fun () -> ignore (Lru.add t min_int));
+  check Alcotest.bool "mem" false (Lru.mem t (-1));
+  check Alcotest.bool "touch" false (Lru.touch t (-64));
+  check Alcotest.bool "remove" false (Lru.remove t min_int);
+  check Alcotest.(list int) "set unchanged" [ 3 ] (Lru.to_list t);
+  match Lru.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
 let suite =
   [
     Alcotest.test_case "create rejects bad capacity" `Quick test_create_invalid;
@@ -214,4 +282,6 @@ let suite =
       test_capacity_one_full_cycle;
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_matches_model_wide_keys;
+    QCheck_alcotest.to_alcotest prop_matches_model_paged;
+    Alcotest.test_case "negative keys" `Quick test_negative_keys;
   ]

@@ -182,6 +182,39 @@ let test_ignore_fixture () =
     [ 10; 13; 14 ]
     (List.sort compare (List.map (fun f -> f.SC.Finding.line) fs))
 
+(* Stdlib.min/max/compare inside a manifest function are flagged once per
+   use, qualified or not; int-typed [<]/[>=] and functions outside the
+   manifest are not. *)
+let test_compare_fixture () =
+  let m = load_fixture "Fx_compare" in
+  let manifest =
+    [
+      {
+        SC.Manifest.module_ = "Fx_compare";
+        functions = [ "clock_max"; "clamp_min"; "sort_keys"; "int_typed" ];
+      };
+    ]
+  in
+  let fs = SC.Compare_check.check_module ~manifest m in
+  Alcotest.(check (list string))
+    "one finding per polymorphic comparison"
+    [ "poly-compare"; "poly-compare"; "poly-compare" ]
+    (codes fs);
+  Alcotest.(check (list string))
+    "blamed on the max, min and compare users"
+    [ "clamp_min"; "clock_max"; "sort_keys" ]
+    (funcs_with ~code:"poly-compare" fs);
+  Alcotest.(check (list int))
+    "findings on their lines" [ 6; 8; 10 ]
+    (List.map (fun f -> f.SC.Finding.line) fs);
+  let r = SC.Staticcheck.run_on_modules ~manifest [ m ] in
+  Alcotest.(check int)
+    "the driver runs the pass" 3
+    (List.length
+       (List.filter
+          (fun f -> f.SC.Finding.code = "poly-compare")
+          r.SC.Staticcheck.findings))
+
 let suite =
   [
     Alcotest.test_case "allocating hot path fixture" `Quick test_alloc_fixture;
@@ -191,4 +224,6 @@ let suite =
     Alcotest.test_case "native backend fixture" `Quick test_native_fixture;
     Alcotest.test_case "repo tree is clean" `Quick test_clean_tree;
     Alcotest.test_case "ignored unit result fixture" `Quick test_ignore_fixture;
+    Alcotest.test_case "polymorphic compare fixture" `Quick
+      test_compare_fixture;
   ]
