@@ -5,8 +5,7 @@
    EXPERIMENTS.md for the mapping). `--quick` shrinks windows and ladders;
    positional arguments select experiments by id; `--bechamel` runs the
    microbenchmark suite instead (one Bechamel test per experiment kernel,
-   including the Θ(n log n) cache-packing claim, E5), and its positional
-   arguments select rows by name prefix. *)
+   including the Θ(n log n) cache-packing claim, E5). *)
 
 let experiments ~quick ~jobs ids =
   let ppf = Format.std_formatter in
@@ -518,15 +517,7 @@ let bechamel_tests =
     (`Slow, test_fig4b_cell);
   ]
 
-(* With [only] non-empty, run just the rows whose names start with one
-   of its prefixes. *)
-let run_bechamel ~only =
-  let selected elt =
-    only = []
-    || List.exists
-         (fun p -> String.starts_with ~prefix:p (Test.Elt.name elt))
-         only
-  in
+let run_bechamel () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -557,7 +548,7 @@ let run_bechamel ~only =
           in
           Printf.printf "  %-42s %12.1f ns/run (r2=%.3f)\n%!"
             (Test.Elt.name elt) estimate r2)
-        (List.filter selected (Test.elements test)))
+        (Test.elements test))
     bechamel_tests;
   print_endline "";
   print_endline
@@ -631,7 +622,7 @@ let run_native_json ~quick path =
 let usage () =
   prerr_endline
     "usage: bench [--quick] [--jobs N] [--bechamel | --fig4-json [FILE] | \
-     --native-json [FILE]] [EXPERIMENT-ID... | ROW-PREFIX...]";
+     --native-json [FILE]] [EXPERIMENT-ID...]";
   2
 
 let () =
@@ -683,7 +674,7 @@ let () =
   parse args;
   if !bad then exit (usage ());
   exit
-    (if !bech then run_bechamel ~only:!ids
+    (if !bech then run_bechamel ()
      else
        match (!fig4_json, !native_json) with
        | Some path, _ ->

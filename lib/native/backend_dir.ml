@@ -39,6 +39,6 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
         let i = scan d ~key in
         let probed = if i >= 0 then i + 1 else Array.length d.entries in
         B.touch t.b ~write:false ~obj:d.obj ~off:0 ~len:(probed * entry_bytes);
-        B.compute t.b (t.compare_cycles * (if probed > 1 then probed else 1));
+        B.compute t.b (t.compare_cycles * Int.max probed 1);
         i)
 end

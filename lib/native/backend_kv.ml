@@ -58,7 +58,7 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
   let charge t bk ~probed ~wrote =
     if probed > 0 then
       B.touch t.b ~write:false ~obj:bk.obj ~off:0 ~len:(probed * slot_bytes);
-    B.compute t.b (2 * (if probed > 1 then probed else 1));
+    B.compute t.b (2 * Int.max probed 1);
     if wrote >= 0 then
       B.touch t.b ~write:true ~obj:bk.obj ~off:(wrote * slot_bytes)
         ~len:slot_bytes

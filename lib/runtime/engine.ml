@@ -63,10 +63,6 @@ let runq_length t c = Queue.length t.cores_.(c).runq
 let events_processed t = t.events
 let live_threads t = t.live
 
-(* Int-typed max: [Stdlib.max] is polymorphic and would run the generic
-   compare on every event. *)
-let imax (a : int) b = if a >= b then a else b
-
 let schedule t ~time ev =
   if not (is_daemon ev) then t.nondaemon_pending <- t.nondaemon_pending + 1;
   Event_queue.push t.queue ~time ev
@@ -198,7 +194,7 @@ let handler t th =
         Some
           (fun k ->
             let cs = t.cores_.(th.Thread.core) in
-            let cycles = if cycles > 0 then cycles else 0 in
+            let cycles = Int.max cycles 0 in
             charge_busy t th.Thread.core cycles;
             schedule t ~time:(cs.clock + cycles)
               (Run (th.Thread.core, fun () -> continue k ())))
@@ -347,7 +343,7 @@ let spawn t ~core ~name body =
   t.next_thread_id <- t.next_thread_id + 1;
   t.live <- t.live + 1;
   let cs = t.cores_.(core) in
-  let start = imax t.last_time cs.clock in
+  let start = Int.max t.last_time cs.clock in
   if Probe.active t.probe_ then
     Probe.emit t.probe_
       (Probe.Thread_spawned { time = start; core; tid = th.Thread.id; name });
@@ -379,25 +375,25 @@ let every t ~period ?start f =
   reschedule_every t ~period f ~time
 
 let step t time ev =
-  t.last_time <- imax t.last_time time;
+  t.last_time <- Int.max t.last_time time;
   t.events <- t.events + 1;
   match ev with
   | Run (core, f) ->
       let cs = t.cores_.(core) in
-      cs.clock <- imax cs.clock time;
+      cs.clock <- Int.max cs.clock time;
       f ()
   | Release core ->
       let cs = t.cores_.(core) in
-      cs.clock <- imax cs.clock time;
+      cs.clock <- Int.max cs.clock time;
       cs.busy <- false;
       dispatch t cs
   | Poke core ->
       let cs = t.cores_.(core) in
-      cs.clock <- imax cs.clock time;
+      cs.clock <- Int.max cs.clock time;
       if not cs.busy then dispatch t cs
   | Arrive (core, r) ->
       let cs = t.cores_.(core) in
-      cs.clock <- imax cs.clock time;
+      cs.clock <- Int.max cs.clock time;
       (Queue.add r cs.runq [@alloc_ok "one queue cell per thread arrival"]);
       if not cs.busy then dispatch t cs
   | Control { f; _ } -> f ~now:time
@@ -419,7 +415,7 @@ let run ?until ?stop_when t =
          simulation loop and must not allocate per event. *)
       let time = Event_queue.min_time t.queue in
       if time > horizon then begin
-        t.last_time <- imax t.last_time horizon;
+        t.last_time <- Int.max t.last_time horizon;
         continue_ := false
       end
       else begin
@@ -436,7 +432,7 @@ let finalize_idle t =
   Array.iter
     (fun cs ->
       if cs.idle_since >= 0 then begin
-        let upto = imax cs.clock t.last_time in
+        let upto = Int.max cs.clock t.last_time in
         let c = Machine.counters t.machine cs.cid in
         c.Counters.idle_cycles <-
           c.Counters.idle_cycles + (upto - cs.idle_since);

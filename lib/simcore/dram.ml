@@ -18,7 +18,7 @@ let fetch t ~now ~from_chip ~home_chip ~lines =
   if lines <= 0 then 0
   else begin
     let c = t.controllers.(home_chip) in
-    let start = if now >= c.free_at then now else c.free_at in
+    let start = Int.max now c.free_at in
     let service = lines * t.cfg.Config.dram_service in
     c.free_at <- start + service;
     c.served <- c.served + lines;

@@ -2,7 +2,15 @@
    scanned for allocating constructs in its own body. Raising applications
    (error paths) are excluded, and an [@alloc_ok "reason"] attribute on an
    expression or on the whole binding suppresses the check for that
-   subtree — the reason string is the reviewer's contract. *)
+   subtree — the reason string is the reviewer's contract.
+
+   The same walk flags [poly-compare]: a use of [Stdlib.min], [Stdlib.max]
+   or [Stdlib.compare]. Without flambda these are ordinary polymorphic
+   functions, so even at type [int] each call runs [caml_greaterequal]
+   and [compare_val]; [Int.max]/[Int.min] and the int-typed [<]/[>=]
+   compile to one machine compare and are not flagged. Matching resolved
+   paths catches [max] and [Stdlib.max] alike, applied or passed as an
+   argument. [@alloc_ok] and raising applications do not suppress it. *)
 
 open Typedtree
 
@@ -26,16 +34,41 @@ let is_raising_apply (e : expression) =
       | None -> false)
   | _ -> false
 
+let is_poly_compare p =
+  match List.rev (Cmt_load.path_components p) with
+  | [ fn; "Stdlib" ] -> List.mem fn [ "min"; "max"; "compare" ]
+  | _ -> false
+
+let poly_compare ctx (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) when is_poly_compare p ->
+      add ctx ~code:"poly-compare" ~line:(Expr_scan.loc_line e)
+        (Printf.sprintf
+           "polymorphic %s on a hot path: use Int.max/Int.min or int-typed \
+            < and >="
+           (Cmt_load.path_tail ~k:2 p))
+  | _ -> ()
+
+(* The poly-compare check alone, for subtrees the allocation check skips. *)
+let compares_only ctx =
+  let expr sub e =
+    poly_compare ctx e;
+    Tast_iterator.default_iterator.expr sub e
+  in
+  { Tast_iterator.default_iterator with expr }
+
 (* Walk the body; report each allocating node; skip [@alloc_ok] subtrees
    and raising applications wholesale. A curried chain
    [fun a -> fun b -> body] compiles to one n-ary function, so only the
    head of the chain is judged as a closure — the inner [fun]s would
    otherwise spuriously "capture" the outer parameters. *)
 let scan ctx root =
+  let compares = compares_only ctx in
   let rec expr sub (e : expression) =
-    if Cmt_load.has_attr "alloc_ok" e.exp_attributes then ()
-    else if is_raising_apply e then ()
+    if Cmt_load.has_attr "alloc_ok" e.exp_attributes || is_raising_apply e
+    then compares.expr compares e
     else begin
+      poly_compare ctx e;
       (match Expr_scan.alloc_of_node ~top_idents:ctx.tops e with
       | Some (code, what) -> add ctx ~code ~line:(Expr_scan.loc_line e) what
       | None -> ());
@@ -121,13 +154,16 @@ let check_module ?(manifest = Manifest.default) (m : Cmt_load.module_info) =
                    m.Cmt_load.short fn)
               :: !out
         | Some vb ->
-            if Cmt_load.has_attr "alloc_ok" vb.vb_attributes then ()
+            let file =
+              let f = Expr_scan.loc_file vb.vb_expr in
+              if f = "" then m.Cmt_load.source else f
+            in
+            let ctx = { file; func = fn; tops; out } in
+            if Cmt_load.has_attr "alloc_ok" vb.vb_attributes then begin
+              let compares = compares_only ctx in
+              compares.expr compares vb.vb_expr
+            end
             else begin
-              let file =
-                let f = Expr_scan.loc_file vb.vb_expr in
-                if f = "" then m.Cmt_load.source else f
-              in
-              let ctx = { file; func = fn; tops; out } in
               scan ctx vb.vb_expr;
               check_float_tails ctx vb.vb_expr
             end)

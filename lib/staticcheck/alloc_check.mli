@@ -5,7 +5,13 @@
     cells, known-allocating stdlib calls, and tail-position float boxing
     inside manifest functions. Raising applications are skipped;
     [@alloc_ok "reason"] on an expression or binding suppresses the
-    subtree. *)
+    subtree.
+
+    The same walk reports [poly-compare] for every use of [Stdlib.min],
+    [Stdlib.max] and [Stdlib.compare]: without flambda these run the
+    generic structural comparison even on ints. [Int.max], [Int.min] and
+    int-typed comparison operators are not flagged, and [@alloc_ok] does
+    not suppress the finding. *)
 
 val check_module :
   ?manifest:Manifest.entry list -> Cmt_load.module_info -> Finding.t list

@@ -1,6 +1,5 @@
 type t = {
-  pass : string;  (* "alloc" | "compare" | "effect" | "lock" | "raw" | "ignore"
-                    | "file" *)
+  pass : string;  (* "alloc" | "effect" | "lock" | "raw" | "ignore" | "file" *)
   code : string;
   file : string;
   line : int;

@@ -2,8 +2,8 @@
 
 type t = {
   pass : string;
-      (** which pass: ["alloc"], ["compare"], ["effect"], ["lock"], ["raw"],
-          ["ignore"], or ["file"] for the missing-mli check *)
+      (** which pass: ["alloc"], ["effect"], ["lock"], ["raw"], ["ignore"],
+          or ["file"] for the missing-mli check *)
   code : string;  (** stable short code, e.g. ["alloc-tuple"] *)
   file : string;  (** source path as recorded in the cmt, e.g. [lib/simcore/cache.ml] *)
   line : int;

@@ -21,7 +21,6 @@ let listener_count mods =
 let run_on_modules ?manifest ?allowlist mods =
   let findings =
     Alloc_check.check ?manifest mods
-    @ Compare_check.check ?manifest mods
     @ Effect_check.check mods
     @ Lock_check.check mods
     @ Raw_use.check ?allowlist mods

@@ -1,6 +1,6 @@
 (** Typedtree-based static analysis over the repo's own .cmt files.
 
-    Four semantic passes (allocation and polymorphic comparison on the
+    Three semantic passes (allocation and polymorphic comparison on the
     hot-path manifest, effect-freedom of observability listeners,
     spinlock discipline), the raw-primitive allowlist and the
     ignored-result idiom, all running on

@@ -63,7 +63,7 @@ let scan_sim b ~key =
   let hit = go 0 in
   let probed = match hit with Some i -> i + 1 | None -> b.used in
   if probed > 0 then ignore (Api.read ~addr:b.addr ~len:(probed * slot_bytes));
-  Api.compute (2 * (if probed > 1 then probed else 1));
+  Api.compute (2 * Int.max probed 1);
   hit
 
 let get t ~key =

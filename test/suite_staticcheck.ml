@@ -195,7 +195,7 @@ let test_compare_fixture () =
       };
     ]
   in
-  let fs = SC.Compare_check.check_module ~manifest m in
+  let fs = SC.Alloc_check.check_module ~manifest m in
   Alcotest.(check (list string))
     "one finding per polymorphic comparison"
     [ "poly-compare"; "poly-compare"; "poly-compare" ]
