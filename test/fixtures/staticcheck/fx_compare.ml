@@ -9,8 +9,8 @@ let clamp_min n = Stdlib.min n 0
 
 let sort_keys keys = Array.sort compare keys
 
-(* int-typed operators: one machine compare each, no finding *)
-let int_typed (a : int) b = if a >= b then a else if a < 0 then 0 else b
+(* int-typed operators and Int.max: one machine compare each, no finding *)
+let int_typed (a : int) b = if a >= b then a else if a < 0 then Int.max b 0 else b
 
 (* not in the manifest: no finding *)
 let cold a b = max a b
