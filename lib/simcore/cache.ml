@@ -30,8 +30,8 @@ let owner t = t.owner
 let capacity_lines t = Lru.capacity t.lru
 let resident_lines t = Lru.length t.lru
 
-let probe t line = Lru.touch t.lru line
-let contains t line = Lru.mem t.lru line
+let[@inline] probe t line = Lru.touch t.lru line
+let[@inline] contains t line = Lru.mem t.lru line
 
 let fill_evict t line =
   let victim = Lru.add_evict t.lru line in
@@ -42,11 +42,6 @@ let fill_evict t line =
 
 let notify_remove t line =
   match t.watcher with None -> () | Some w -> w.on_remove t ~line
-
-let invalidate t line =
-  let present = Lru.remove t.lru line in
-  if present then notify_remove t line;
-  present
 
 let drop t line =
   let present = Lru.remove t.lru line in

@@ -14,8 +14,8 @@ type watcher = {
           [-1]. The cache already contains [line] and no longer contains the
           victim when the watcher runs. *)
   on_remove : t -> line:int -> unit;
-      (** Called after a present line leaves by {!invalidate}, {!drop} or
-          {!clear} (evictions are reported as the [victim] of [on_fill]). *)
+      (** Called after a present line leaves by {!drop} or {!clear}
+          (evictions are reported as the [victim] of [on_fill]). *)
 }
 (** Observation hook for the cache observatory. At most one watcher per
     cache; {!Machine.observe} installs a forwarder that fans out. Watchers
@@ -45,11 +45,9 @@ val fill_evict : t -> int -> int
 (** Insert a line after a miss: the evicted victim line, or [-1] when
     nothing was evicted. Allocation-free (the access path uses this). *)
 
-val invalidate : t -> int -> bool
-(** Coherence removal; returns whether the line was present. *)
-
 val drop : t -> int -> bool
-(** Silent removal (inclusion maintenance). *)
+(** Removal (coherence invalidation, the L3's exclusive hand-back, a
+    flush); returns whether the line was present. *)
 
 val iter_lines : (int -> unit) -> t -> unit
 val clear : t -> unit

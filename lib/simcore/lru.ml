@@ -1,130 +1,116 @@
-(* Array-based LRU, struct-of-arrays with packed links. Slots hold keys
-   doubly linked through a single packed [links] array (slot [cap] is the
-   list sentinel):
+(* Array-based LRU whose list nodes live in a line-indexed page arena.
+   A directory indexed by [key lsr page_bits] holds the offset of a
+   64-word page in [arena]; key [k]'s node is the arena word
 
-     links.(s) = (prev lsl 24) lor next
+     dir.(k lsr 6) + (k land 63)
 
-   so an unlink reads both neighbours in one load. Key -> slot is a
-   line-indexed two-level map. A directory indexed by [key lsr page_bits]
-   holds the offset of a page in [arena]; a page is [page_lines] words of
-   [slot + 1] (0 = absent) for consecutive keys, then one word counting
-   its live entries. Cache lines are walked in runs (a 4 KB cluster is
-   64 consecutive lines), so a run's lookups share one page instead of
-   scattering over the host's caches.
+   which is 0 when [k] is absent, and otherwise a present bit beside the
+   arena offsets of its prev and next nodes:
 
-   Page 0 of the arena is never written: directory entries without live
-   keys hold offset 0, so a lookup never branches on the entry. A page
-   whose count drops to 0 is unmapped onto the spare stack, and new pages
-   come from that stack first: steady-state fills and evictions allocate
-   nothing, and live pages never outnumber resident keys. Pages live in
-   one arena rather than one block each, so the directory and the stack
-   hold plain ints (no write barrier) and the GC sees a few large blocks,
-   not one small block per page. Keys must be non-negative and capacity
-   below 2^24. *)
+     present lor (prev lsl 30) lor next
+
+   Offset 0 means "none": page 0 of the arena is never written, so it
+   holds no node, and directory entries without live keys point at it,
+   so a lookup never branches on the entry. The list ends are the record
+   fields [head] (most recent) and [tail]. Each page's live count and
+   directory index sit in the side arrays [live] and [page_key], indexed
+   by [offset lsr 6], so a node's key is a shift and an or.
+
+   Cache lines are walked in runs (a 4 KB cluster is 64 consecutive
+   lines, touched, filled and evicted in order), so a run's nodes share
+   one page, and list neighbours are address neighbours: a relink mostly
+   stays inside one page.
+
+   A page whose count drops to 0 is unmapped onto the spare stack, all
+   zero, and new pages come from that stack first: steady-state fills
+   and evictions allocate nothing, and live pages never outnumber
+   resident keys. Pages live in one arena rather than one block each, so
+   the directory and the stack hold plain ints (no write barrier) and
+   the GC sees a few large blocks, not one small block per page. Keys
+   must be non-negative and capacity below 2^24, which keeps every
+   offset within 30 bits. *)
 
 type t = {
   cap : int;
   mutable size : int;
-  mutable keys : int array;  (* slot -> key (for eviction and iteration) *)
-  mutable links : int array;
-      (* slot -> (prev lsl 24) lor next; slot cap = sentinel *)
-  mutable free : int;  (* head of the free-slot list, threaded via next *)
+  mutable head : int;  (* most recently used node, 0 = empty *)
+  mutable tail : int;  (* least recently used node, 0 = empty *)
   mutable dir : int array;  (* key lsr page_bits -> page offset, 0 = none *)
   mutable arena : int array;  (* page 0 (all-zero), then pages 1..pages *)
+  mutable live : int array;  (* arena page -> its live nodes *)
+  mutable page_key : int array;  (* arena page -> its directory index *)
   mutable spare : int array;  (* offsets of zeroed unmapped pages *)
   mutable nspare : int;
   mutable pages : int;  (* pages allocated in the arena beyond page 0 *)
 }
 
-let link_bits = 24
-let link_mask = (1 lsl link_bits) - 1
-
 let page_bits = 6
 let page_lines = 1 lsl page_bits
 let page_mask = page_lines - 1
-let page_words = page_lines + 1  (* entries, then the live count *)
 
-let next_of l = l land link_mask
-let prev_of l = l lsr link_bits
-let pack_link ~prev ~next = (prev lsl link_bits) lor next
+let off_bits = 30
+let off_mask = (1 lsl off_bits) - 1
+let present = 1 lsl (2 * off_bits)
 
-let set_next t s n = t.links.(s) <- (t.links.(s) land lnot link_mask) lor n
+let[@inline] next_of w = w land off_mask
+let[@inline] prev_of w = (w lsr off_bits) land off_mask
 
-let set_prev t s p =
-  t.links.(s) <- (t.links.(s) land link_mask) lor (p lsl link_bits)
+let[@inline] set_next t o n =
+  t.arena.(o) <- (t.arena.(o) land lnot off_mask) lor n
+
+let[@inline] set_prev t o p =
+  t.arena.(o) <-
+    (t.arena.(o) land lnot (off_mask lsl off_bits)) lor (p lsl off_bits)
+
+let[@inline] key_of t o =
+  (t.page_key.(o lsr page_bits) lsl page_bits) lor (o land page_mask)
 
 (* Creation defers the arrays until the first insert: a Machine builds
    L1+L2+L3 LRUs for every core and chip up front (megabytes of int
    arrays on amd16), but small cells and short tests touch a handful of
    caches — a victim L3 that never sees an eviction never pays for its
-   slots or pages. Before then the directory is empty, so every lookup
-   misses. *)
+   pages. Before then the directory is empty, so every lookup misses. *)
 let create ~cap =
   if cap <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  if cap >= 1 lsl link_bits then
-    invalid_arg "Lru.create: capacity exceeds the packed 24-bit slot index";
-  { cap; size = 0; keys = [||]; links = [||]; free = 0; dir = [||];
-    arena = [||]; spare = [||]; nspare = 0; pages = 0 }
-
-let reset_links t =
-  for i = 0 to t.cap - 1 do
-    t.links.(i) <- pack_link ~prev:0 ~next:(i + 1)
-  done;
-  t.links.(t.cap - 1) <- pack_link ~prev:0 ~next:link_mask;
-  t.links.(t.cap) <- pack_link ~prev:t.cap ~next:t.cap;
-  t.free <- 0
-
-(* One-time slot allocation on the first insert. Free list through the
-   next field; safe at [cap = 1] because the free-list terminator lives
-   at index [cap - 1 = 0] and the sentinel self-links live at index
-   [cap = 1] — distinct cells, so the write order cannot clobber
-   anything (pinned by the cap=1 tests in suite_lru). The arena starts
-   with room for [cap] dense keys, which need not start on a page
-   boundary. *)
-let ensure_slots t =
-  if Array.length t.links = 0 then begin
-    t.links <- Array.make (t.cap + 1) 0;
-    t.keys <- Array.make t.cap 0;
-    reset_links t;
-    let room = 1 + ((t.cap + page_mask) / page_lines) in
-    t.arena <- Array.make ((room + 1) * page_words) 0;
-    t.spare <- Array.make room 0
-  end
-  [@@alloc_ok "one-time lazy allocation of the slot arrays"]
+  if cap >= 1 lsl 24 then
+    invalid_arg "Lru.create: capacity exceeds the packed 30-bit node offsets";
+  { cap; size = 0; head = 0; tail = 0; dir = [||]; arena = [||];
+    live = [||]; page_key = [||]; spare = [||]; nspare = 0; pages = 0 }
 
 let capacity t = t.cap
 let length t = t.size
 
-(* A negative key shifts to a huge page index, past the directory: it
-   reads as absent. *)
-let find_slot t key =
+(* The node of a present [key], else 0. A negative key shifts to a huge
+   page index, past the directory: it reads as absent. *)
+let[@inline] find t key =
   let pi = key lsr page_bits in
-  if pi >= Array.length t.dir then -1
-  else t.arena.(t.dir.(pi) + (key land page_mask)) - 1  (* -1 when absent *)
+  if pi >= Array.length t.dir then 0
+  else
+    let o = t.dir.(pi) + (key land page_mask) in
+    if t.arena.(o) = 0 then 0 else o
 
-let mem t key = find_slot t key >= 0
+let[@inline] mem t key = find t key <> 0
 
-let unlink t s =
-  let l = t.links.(s) in
-  let p = prev_of l and n = next_of l in
-  set_next t p n;
-  set_prev t n p
+let[@inline] unlink t o =
+  let w = t.arena.(o) in
+  let p = prev_of w and n = next_of w in
+  if p = 0 then t.head <- n else set_next t p n;
+  if n = 0 then t.tail <- p else set_prev t n p
 
-let push_front t s =
-  let sent = t.cap in
-  let head = next_of t.links.(sent) in
-  t.links.(s) <- pack_link ~prev:sent ~next:head;
-  set_prev t head s;
-  set_next t sent s
+let[@inline] push_front t o =
+  let h = t.head in
+  t.arena.(o) <- present lor h;
+  if h = 0 then t.tail <- o else set_prev t h o;
+  t.head <- o
 
-let touch t key =
-  let s = find_slot t key in
-  if s < 0 then false
+let[@inline] touch t key =
+  let o = find t key in
+  if o = 0 then false
   else begin
     (* MRU fast path: repeated hits on the hottest line skip the relink. *)
-    if prev_of t.links.(s) <> t.cap then begin
-      unlink t s;
-      push_front t s
+    if o <> t.head then begin
+      unlink t o;
+      push_front t o
     end;
     true
   end
@@ -139,19 +125,28 @@ let grow_dir t pi =
   t.dir <- dir
   [@@alloc_ok "amortized doubling of the page directory"]
 
-(* Arena growth when every allocated page is mapped: doubling, capped at
-   the [cap] pages that [cap] scattered keys could need. The spare stack
-   grows with it, so it always has room for every allocated page and
-   [unmap_key] never allocates. *)
+let extend a n =
+  let b = Array.make n 0 in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Arena growth when every allocated page is mapped. The first call, on
+   the first insert, makes room for [cap] dense keys, which need not
+   start on a page boundary; later calls double, capped at the [cap]
+   pages that [cap] scattered keys could need. The page headers and the
+   spare stack grow with it, so the stack always has room for every
+   allocated page and [unmap_node] never allocates. *)
 let grow_arena t =
-  let room = (Array.length t.arena / page_words) - 1 in
-  let room' = if 2 * room < t.cap then 2 * room else t.cap in
-  let arena = Array.make ((room' + 1) * page_words) 0 in
-  Array.blit t.arena 0 arena 0 (Array.length t.arena);
-  t.arena <- arena;
-  let spare = Array.make room' 0 in
-  Array.blit t.spare 0 spare 0 t.nspare;
-  t.spare <- spare
+  let room = Array.length t.live - 1 in
+  let room =
+    if room < 0 then 1 + ((t.cap + page_mask) / page_lines)
+    else if 2 * room < t.cap then 2 * room
+    else t.cap
+  in
+  t.arena <- extend t.arena ((room + 1) lsl page_bits);
+  t.live <- extend t.live (room + 1);
+  t.page_key <- extend t.page_key (room + 1);
+  t.spare <- extend t.spare room
   [@@alloc_ok "arena growth past the high-water mark of live pages"]
 
 (* A zeroed page's offset: a spare one if any, else the next fresh one. *)
@@ -161,13 +156,14 @@ let take_page t =
     t.spare.(t.nspare)
   end
   else begin
-    if (t.pages + 2) * page_words > Array.length t.arena then grow_arena t;
+    if t.pages + 1 >= Array.length t.live then grow_arena t;
     t.pages <- t.pages + 1;
-    t.pages * page_words
+    t.pages lsl page_bits
   end
 
-(* Map [key] to slot [s], taking a page when its range has none. *)
-let map_key t key s =
+(* The node for an absent [key], counted live on its page; takes a page
+   when the key's range has none. The caller links the node. *)
+let map_key t key =
   let pi = key lsr page_bits in
   if pi >= Array.length t.dir then grow_dir t pi;
   let b = t.dir.(pi) in
@@ -176,70 +172,62 @@ let map_key t key s =
     else begin
       let b = take_page t in
       t.dir.(pi) <- b;
+      t.page_key.(b lsr page_bits) <- pi;
       b
     end
   in
-  t.arena.(b + (key land page_mask)) <- s + 1;
-  t.arena.(b + page_lines) <- t.arena.(b + page_lines) + 1
+  let p = b lsr page_bits in
+  t.live.(p) <- t.live.(p) + 1;
+  b lor (key land page_mask)
 
-(* Unmap a present [key]; its page goes onto the spare stack, all-zero,
-   when this was its last live entry. *)
-let unmap_key t key =
-  let pi = key lsr page_bits in
-  let b = t.dir.(pi) in
-  t.arena.(b + (key land page_mask)) <- 0;
-  let n = t.arena.(b + page_lines) - 1 in
-  t.arena.(b + page_lines) <- n;
+(* Clear an unlinked node; its page goes onto the spare stack, page and
+   headers all-zero, when this was its last live node. *)
+let unmap_node t o =
+  t.arena.(o) <- 0;
+  let p = o lsr page_bits in
+  let n = t.live.(p) - 1 in
+  t.live.(p) <- n;
   if n = 0 then begin
-    t.dir.(pi) <- 0;
-    t.spare.(t.nspare) <- b;
+    t.dir.(t.page_key.(p)) <- 0;
+    t.page_key.(p) <- 0;
+    t.spare.(t.nspare) <- p lsl page_bits;
     t.nspare <- t.nspare + 1
   end
 
 let remove t key =
-  let s = find_slot t key in
-  if s < 0 then false
+  let o = find t key in
+  if o = 0 then false
   else begin
-    unlink t s;
-    unmap_key t key;
-    set_next t s t.free;
-    t.free <- s;
+    unlink t o;
+    unmap_node t o;
     t.size <- t.size - 1;
     true
   end
 
-let lru_key t =
-  if t.size = 0 then None else Some t.keys.(prev_of t.links.(t.cap))
+let lru_key t = if t.size = 0 then None else Some (key_of t t.tail)
 
 (* Allocation-free insert: the evicted key comes back as a bare int, with
-   [-1] for "nothing evicted", which no key can be. *)
-let install t key s =
-  t.keys.(s) <- key;
-  push_front t s;
-  map_key t key s;
-  t.size <- t.size + 1
-
+   [-1] for "nothing evicted", which no key can be. The victim leaves
+   before the new key maps, so a page it empties can come straight back
+   for the new key's range. *)
 let add_evict t key =
   if key < 0 then invalid_arg "Lru.add_evict: negative key";
   if touch t key then -1
   else begin
-    ensure_slots t;
-    if t.size >= t.cap then begin
-      (* evict the tail slot and reuse it *)
-      let tail = prev_of t.links.(t.cap) in
-      let vkey = t.keys.(tail) in
-      unlink t tail;
-      unmap_key t vkey;
-      t.size <- t.size - 1;
-      install t key tail;
-      vkey
-    end
-    else begin
-      let s = t.free in
-      t.free <- next_of t.links.(s);
-      install t key s;
-      -1
-    end
+    let victim =
+      if t.size < t.cap then -1
+      else begin
+        let o = t.tail in
+        let vkey = key_of t o in
+        unlink t o;
+        unmap_node t o;
+        t.size <- t.size - 1;
+        vkey
+      end
+    in
+    push_front t (map_key t key);
+    t.size <- t.size + 1;
+    victim
   end
 
 let add t key =
@@ -247,13 +235,11 @@ let add t key =
   if victim < 0 then None else Some victim
 
 let iter f t =
-  if t.size > 0 then begin
-    let s = ref (next_of t.links.(t.cap)) in
-    while !s <> t.cap do
-      f t.keys.(!s);
-      s := next_of t.links.(!s)
-    done
-  end
+  let o = ref t.head in
+  while !o <> 0 do
+    f (key_of t !o);
+    o := next_of t.arena.(!o)
+  done
 
 let fold f acc t =
   let acc = ref acc in
@@ -262,90 +248,79 @@ let fold f acc t =
 
 let to_list t = List.rev (fold (fun acc k -> k :: acc) [] t)
 
-(* Zero and unmap every live page, visiting resident keys only, so a
-   clear costs O(size) rather than O(directory). *)
+(* Unmap every node, visiting resident keys only, so a clear costs
+   O(size) rather than O(directory). *)
 let clear t =
-  if Array.length t.links > 0 then begin
-    iter
-      (fun key ->
-        let pi = key lsr page_bits in
-        let b = t.dir.(pi) in
-        if b <> 0 then begin
-          Array.fill t.arena b page_words 0;
-          t.dir.(pi) <- 0;
-          t.spare.(t.nspare) <- b;
-          t.nspare <- t.nspare + 1
-        end)
-      t;
-    t.size <- 0;
-    reset_links t
-  end
+  let o = ref t.head in
+  while !o <> 0 do
+    let n = next_of t.arena.(!o) in
+    unmap_node t !o;
+    o := n
+  done;
+  t.head <- 0;
+  t.tail <- 0;
+  t.size <- 0
 
-let page_zeroed t b =
-  let rec go i = i >= page_words || (t.arena.(b + i) = 0 && go (i + 1)) in
-  go 0
+(* Node offsets from [o] along [step], at most [cap + 1] of them, so a
+   cycle cannot hang the check. *)
+let walk t o step =
+  let rec go o n acc =
+    if o = 0 || n > t.cap then List.rev acc
+    else go (step t.arena.(o)) (n + 1) (o :: acc)
+  in
+  go o 0 []
 
-(* Structure checks that visit live pages and spare pages only, never
+(* Structure checks that visit listed, mapped and spare pages only, never
    the whole directory: a directory covering 25-bit keys is 2^19 words. *)
-let check_pages t l =
-  (* (page index, live keys on it) for every mapped page *)
+let check_invariants t =
+  let fwd = walk t t.head next_of in
+  let n = List.length fwd in
+  let page_zeroed p =
+    let rec go i = i = page_lines || (t.arena.((p lsl page_bits) + i) = 0 && go (i + 1)) in
+    go 0 && t.live.(p) = 0 && t.page_key.(p) = 0
+  in
+  (* (arena page, listed nodes on it) for every mapped page *)
   let rec runs acc = function
     | [] -> acc
-    | pi :: rest -> (
+    | p :: rest -> (
         match acc with
-        | (pj, n) :: acc' when pj = pi -> runs ((pi, n + 1) :: acc') rest
-        | _ -> runs ((pi, 1) :: acc) rest)
+        | (q, k) :: acc' when q = p -> runs ((p, k + 1) :: acc') rest
+        | _ -> runs ((p, 1) :: acc) rest)
   in
-  let on_page =
-    runs [] (List.sort compare (List.map (fun k -> k lsr page_bits) l))
+  let mapped =
+    runs [] (List.sort compare (List.map (fun o -> o lsr page_bits) fwd))
   in
-  let page_ok (pi, live) =
-    let b = t.dir.(pi) in
-    let rec entries i n =
-      if i = page_lines then n
-      else entries (i + 1) (if t.arena.(b + i) <> 0 then n + 1 else n)
+  let page_ok (p, listed) =
+    let rec nodes i k =
+      if i = page_lines then k
+      else nodes (i + 1) (if t.arena.((p lsl page_bits) + i) <> 0 then k + 1 else k)
     in
-    b <> 0 && t.arena.(b + page_lines) = live && entries 0 0 = live
+    t.dir.(t.page_key.(p)) = p lsl page_bits
+    && t.live.(p) = listed && nodes 0 0 = listed
   in
   let rec spares_zeroed i =
     i >= t.nspare
-    || (t.spare.(i) <> 0 && page_zeroed t t.spare.(i) && spares_zeroed (i + 1))
+    || (t.spare.(i) <> 0
+       && page_zeroed (t.spare.(i) lsr page_bits)
+       && spares_zeroed (i + 1))
   in
-  if not (page_zeroed t 0) then Error "page 0 was written"
+  if n <> t.size then Error "list length <> size"
+  else if n > t.cap then Error "over capacity"
+  else if List.rev (walk t t.tail prev_of) <> fwd then
+    Error "prev-chain disagrees with next-chain"
+  else if List.length (List.sort_uniq compare (List.map (key_of t) fwd)) <> n
+  then Error "duplicate keys in list"
   else if
     not
       (List.for_all
-         (fun k ->
-           let s = find_slot t k in
-           s >= 0 && t.keys.(s) = k)
-         l)
-  then Error "page entry disagrees with slot key"
-  else if not (List.for_all page_ok on_page) then
-    Error "page live count disagrees with its entries"
-  else if not (spares_zeroed 0) then Error "spare page not zeroed"
-  else if List.length on_page + t.nspare <> t.pages then
+         (fun o -> t.arena.(o) land present <> 0 && find t (key_of t o) = o)
+         fwd)
+  then Error "listed node absent or not at its key"
+  else if Array.length t.live > 0 && not (page_zeroed 0) then
+    Error "page 0 was written"
+  else if not (List.for_all page_ok mapped) then
+    Error "page live count or index disagrees with its nodes"
+  else if not (spares_zeroed 0) then Error "spare page or header not zeroed"
+  else if List.length mapped + t.nspare <> t.pages then
     Error "pages leaked: mapped + spare <> allocated"
   else Ok ()
-
-let check_invariants t =
-  if Array.length t.links = 0 then
-    if t.size <> 0 then Error "unallocated slots but size <> 0" else Ok ()
-  else
-  let l = to_list t in
-  let n = List.length l in
-  if n <> t.size then Error "list length <> size"
-  else if n > t.cap then Error "over capacity"
-  else if List.length (List.sort_uniq compare l) <> n then
-    Error "duplicate keys in list"
-  else if not (List.for_all (mem t) l) then Error "list key missing in table"
-  else begin
-    (* walk backwards too, to catch broken prev pointers *)
-    let back = ref [] in
-    let s = ref (prev_of t.links.(t.cap)) in
-    while !s <> t.cap do
-      back := t.keys.(!s) :: !back;
-      s := prev_of t.links.(!s)
-    done;
-    if !back <> l then Error "prev-chain disagrees with next-chain"
-    else check_pages t l
-  end

@@ -8,17 +8,17 @@
 
     Keys index a two-level map: a directory with one word per 64
     consecutive keys, up to the largest key ever inserted, and one
-    65-word page for each 64-key range that holds a resident key. Pages
-    live in one arena per set, with room at first for
+    64-word page for each 64-key range that holds a resident key. A
+    key's page word is its recency-list node, so there are no per-slot
+    arrays. Pages live in one arena per set, with room at first for
     [capacity / 64 + 1] pages (a full set of dense keys); when every
     page is in use the arena doubles, up to [capacity] pages. Pages that
-    empty are kept for reuse. Memory is therefore the slot arrays
-    ([2 * capacity + 1] words), plus the arena (its initial room, or at
+    empty are kept for reuse. Memory is therefore the arena plus three
+    words of headers and spare stack per page (its initial room, or at
     most twice the most pages ever live at once; never more than
-    [capacity + 1] pages),
-    plus one directory word per 64 keys below the largest key. A single
-    huge key costs a huge directory. Once those high-water marks are
-    reached no operation allocates. *)
+    [capacity + 1] pages), plus one directory word per 64 keys below the
+    largest key. A single huge key costs a huge directory. Once those
+    high-water marks are reached no operation allocates. *)
 
 type t
 
@@ -67,8 +67,10 @@ val clear : t -> unit
 (** Empties the set in O(resident keys), keeping its pages for reuse. *)
 
 val check_invariants : t -> (unit, string) result
-(** Used by the property tests: list and pages agree, no duplicates,
-    length within capacity, each live page's count matches its entries,
-    no mapped page is empty, spare pages are zeroed and every allocated
-    page is either mapped or spare. Visits live and spare pages only,
-    never the whole directory. *)
+(** Used by the property tests: every listed node is present and maps
+    back to its key, the forward and backward chains agree, no
+    duplicates, length within capacity, each mapped page's live count
+    equals its present nodes and its directory index points back at it,
+    spare pages and their headers are all-zero, page 0 is never written,
+    and every allocated page is either mapped or spare. Visits listed
+    and spare pages only, never the whole directory. *)

@@ -310,8 +310,8 @@ let rec invalidate_core_bits t line base m =
   if m <> 0 then begin
     let bit = m land -m in
     let h = base + Presence.bit_index bit 0 in
-    ignore (Cache.invalidate t.l1.(h) line);
-    ignore (Cache.invalidate t.l2.(h) line);
+    ignore (Cache.drop t.l1.(h) line);
+    ignore (Cache.drop t.l2.(h) line);
     Presence.clear_core t.presence ~line ~core:h;
     invalidate_core_bits t line base (m land lnot bit)
   end
@@ -320,7 +320,7 @@ let rec invalidate_chip_bits t line m =
   if m <> 0 then begin
     let bit = m land -m in
     let p = Presence.bit_index bit 0 in
-    ignore (Cache.invalidate t.l3.(p) line);
+    ignore (Cache.drop t.l3.(p) line);
     Presence.clear_chip t.presence ~line ~chip:p;
     invalidate_chip_bits t line (m land lnot bit)
   end
@@ -473,9 +473,8 @@ let flush_line t ~addr =
   let line = line_of t addr in
   Array.iteri
     (fun c cache ->
-      let dropped1 = Cache.drop cache line in
-      let dropped2 = Cache.drop t.l2.(c) line in
-      if dropped1 || dropped2 then ();
+      ignore (Cache.drop cache line);
+      ignore (Cache.drop t.l2.(c) line);
       Presence.clear_core t.presence ~line ~core:c)
     t.l1;
   Array.iteri

@@ -26,12 +26,12 @@ let default =
     { module_ = "Dram"; functions = [ "fetch" ] };
     (* cache fill/evict int protocol *)
     { module_ = "Cache";
-      functions = [ "probe"; "fill_evict"; "invalidate"; "drop"; "notify_remove" ] };
+      functions = [ "probe"; "contains"; "fill_evict"; "drop"; "notify_remove" ] };
     { module_ = "Lru";
       functions =
-        [ "find_slot"; "mem"; "touch"; "unlink"; "push_front"; "install";
-          "add_evict"; "remove"; "map_key"; "unmap_key"; "take_page";
-          "next_of"; "prev_of"; "pack_link"; "set_next"; "set_prev" ] };
+        [ "find"; "mem"; "touch"; "unlink"; "push_front"; "add_evict";
+          "remove"; "map_key"; "unmap_node"; "take_page"; "key_of";
+          "next_of"; "prev_of"; "set_next"; "set_prev" ] };
     (* the access walk itself: every simulated load and store *)
     { module_ = "Machine";
       functions =

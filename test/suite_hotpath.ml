@@ -503,6 +503,40 @@ let test_lru_page_churn () =
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" e
 
+(* Cluster reads: a 4 KB cluster is 64 consecutive lines read in order,
+   so a cache's LRU sees each run touched, filled and evicted in order.
+   Reading each cluster twice over 2x capacity, every first read fills
+   and evicts the oldest cluster's lines one by one; its page empties on
+   the 64th eviction and comes off the spare stack for a later cluster,
+   and the second read is all hits. *)
+let test_lru_cluster_runs () =
+  let cap = 512 in
+  let clusters = 2 * cap / 64 in
+  let t = Lru.create ~cap in
+  let read c =
+    for l = 0 to 63 do
+      let line = (c * 64) + l in
+      if not (Lru.touch t line) then ignore (Lru.add_evict t line)
+    done
+  in
+  let lap () =
+    for c = 0 to clusters - 1 do
+      read c;
+      read c
+    done
+  in
+  lap ();
+  let words =
+    minor_words_during (fun () ->
+        for _ = 1 to 1 + (iters / (2 * 64 * clusters)) do
+          lap ()
+        done)
+  in
+  check_zero_alloc "Lru in-order cluster touch/fill/evict" words;
+  match Lru.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
 let suite =
   [
     Alcotest.test_case "event queue allocates nothing per event" `Quick
@@ -537,4 +571,6 @@ let suite =
       test_native_padded_rows;
     Alcotest.test_case "LRU page recycling allocates nothing" `Quick
       test_lru_page_churn;
+    Alcotest.test_case "LRU cluster runs allocate nothing" `Quick
+      test_lru_cluster_runs;
   ]

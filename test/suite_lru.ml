@@ -7,6 +7,11 @@ open O2_simcore
 let check = Alcotest.check
 let intopt = Alcotest.(option int)
 
+let check_ok t =
+  match Lru.check_invariants t with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "invariants: %s" e
+
 let test_create_invalid () =
   Alcotest.check_raises "zero capacity" (Invalid_argument "Lru.create: capacity must be positive")
     (fun () -> ignore (Lru.create ~cap:0))
@@ -68,33 +73,66 @@ let test_capacity_one () =
   check intopt "evict" (Some 1) (Lru.add t 2);
   check Alcotest.bool "only 2" true (Lru.mem t 2 && not (Lru.mem t 1))
 
-(* cap=1 is the edge where the free-list terminator (index cap-1 = 0) and
-   the list sentinel (index cap = 1) are adjacent; exercise every
-   operation at that size and re-check the structural invariants. *)
+(* cap=1 is the edge where the only node is both list ends: a push onto
+   the empty list sets head and tail, and an unlink clears both.
+   Exercise every operation at that size and re-check the structural
+   invariants. *)
 let test_capacity_one_full_cycle () =
   let t = Lru.create ~cap:1 in
-  let ok () =
-    match Lru.check_invariants t with
-    | Ok () -> ()
-    | Error e -> Alcotest.failf "invariants: %s" e
-  in
   check Alcotest.int "no victim on first fill" (-1) (Lru.add_evict t 5);
-  ok ();
+  check_ok t;
   check Alcotest.bool "touch present" true (Lru.touch t 5);
   check intopt "re-add present just touches" None (Lru.add t 5);
   check Alcotest.int "still one key" 1 (Lru.length t);
   check Alcotest.int "full set evicts its only key" 5 (Lru.add_evict t 6);
-  ok ();
+  check_ok t;
   check intopt "lru is the sole key" (Some 6) (Lru.lru_key t);
   check Alcotest.bool "remove" true (Lru.remove t 6);
-  ok ();
+  check_ok t;
   check Alcotest.int "empty after remove" 0 (Lru.length t);
-  check Alcotest.int "slot reusable after remove" (-1) (Lru.add_evict t 7);
+  check Alcotest.int "room again after remove" (-1) (Lru.add_evict t 7);
   Lru.clear t;
-  ok ();
+  check_ok t;
   check Alcotest.int "re-add after clear" (-1) (Lru.add_evict t 8);
   check Alcotest.bool "holds the new key" true (Lru.mem t 8);
-  ok ()
+  check_ok t
+
+(* One node is head and tail at once: touching it takes the MRU fast
+   path, and each eviction empties the list before the new key links,
+   whether the new key lands on the victim's page range (the page goes
+   spare and straight back) or on another one. *)
+let test_capacity_one_head_is_tail () =
+  let t = Lru.create ~cap:1 in
+  check Alcotest.int "first fill" (-1) (Lru.add_evict t 5);
+  check Alcotest.bool "touch the sole node" true (Lru.touch t 5);
+  check intopt "head = tail" (Some 5) (Lru.lru_key t);
+  check Alcotest.int "same page range" 5 (Lru.add_evict t 6);
+  check_ok t;
+  check Alcotest.(list int) "only the new key" [ 6 ] (Lru.to_list t);
+  check Alcotest.int "another page range" 6 (Lru.add_evict t 200);
+  check_ok t;
+  check intopt "head = tail again" (Some 200) (Lru.lru_key t);
+  check Alcotest.(list int) "one key" [ 200 ] (Lru.to_list t);
+  check Alcotest.bool "old page range empty" false (Lru.mem t 6)
+
+(* An eviction that empties the victim's page releases it before the new
+   key maps, so a new key on the same 64-key range takes the page
+   straight back off the spare stack; one on another range takes it
+   later. The invariants check that no page leaks either way. *)
+let test_page_released_and_retaken () =
+  let t = Lru.create ~cap:2 in
+  ignore (Lru.add t 0);
+  ignore (Lru.add t 64);
+  check intopt "evicts the last node of page range 0" (Some 0) (Lru.add t 1);
+  check_ok t;
+  check Alcotest.(list int) "new key on the same range" [ 1; 64 ]
+    (Lru.to_list t);
+  check intopt "evicts the last node of page range 1" (Some 64) (Lru.add t 2);
+  check_ok t;
+  check intopt "range 1 takes the spare page back" (Some 1) (Lru.add t 65);
+  check_ok t;
+  check Alcotest.(list int) "recency order" [ 65; 2 ] (Lru.to_list t);
+  check intopt "lru key" (Some 2) (Lru.lru_key t)
 
 (* Reference model: MRU-first list. *)
 module Model = struct
@@ -264,9 +302,7 @@ let test_negative_keys () =
   check Alcotest.bool "touch" false (Lru.touch t (-64));
   check Alcotest.bool "remove" false (Lru.remove t min_int);
   check Alcotest.(list int) "set unchanged" [ 3 ] (Lru.to_list t);
-  match Lru.check_invariants t with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "invariants: %s" e
+  check_ok t
 
 let suite =
   [
@@ -280,6 +316,10 @@ let suite =
     Alcotest.test_case "capacity one" `Quick test_capacity_one;
     Alcotest.test_case "capacity one: full operation cycle" `Quick
       test_capacity_one_full_cycle;
+    Alcotest.test_case "capacity one: head is tail" `Quick
+      test_capacity_one_head_is_tail;
+    Alcotest.test_case "emptied page is released and retaken" `Quick
+      test_page_released_and_retaken;
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_matches_model_wide_keys;
     QCheck_alcotest.to_alcotest prop_matches_model_paged;
