@@ -560,9 +560,14 @@ let run_bechamel () =
 (* ------------------------------------------------------------------ *)
 (* Figure 4 wall-clock: the harness-parallelism headline number         *)
 
-(* Times the quick Figure 4(a) sweep at jobs=1 and jobs=N and checks the
-   row lists are bit-identical (the determinism contract of
-   Harness.run_cells). Written as JSON so CI can trend it. *)
+(* Times the quick Figure 4(a) sweep [fig4_trials] times each at jobs=1
+   and jobs=N, alternating, and checks every sweep's rows are
+   bit-identical to the first (the determinism contract of
+   Harness.run_cells). Each wall-clock is written as the median with its
+   min and max, beside the host core count. The JSON is a CI artifact, so
+   the sweep time can be trended across commits. *)
+let fig4_trials = 3
+
 let run_fig4_json ~jobs path =
   let sweep jobs =
     let t0 = Unix.gettimeofday () in
@@ -571,9 +576,22 @@ let run_fig4_json ~jobs path =
     in
     (rows, Unix.gettimeofday () -. t0)
   in
-  let rows_seq, seconds_seq = sweep 1 in
-  let rows_par, seconds_par = sweep jobs in
-  let identical = rows_seq = rows_par in
+  let trials = List.init fig4_trials (fun _ -> (sweep 1, sweep jobs)) in
+  let rows = fst (fst (List.hd trials)) in
+  let identical =
+    List.for_all (fun ((r1, _), (rn, _)) -> r1 = rows && rn = rows) trials
+  in
+  let spread pick =
+    let ts = List.sort Float.compare (List.map pick trials) in
+    (List.nth ts (fig4_trials / 2), List.hd ts, List.nth ts (fig4_trials - 1))
+  in
+  let med_seq, min_seq, max_seq = spread (fun ((_, t), _) -> t) in
+  let med_par, min_par, max_par = spread (fun (_, (_, t)) -> t) in
+  let seconds_json key (med, lo, hi) =
+    Printf.sprintf
+      "  \"%s\": {\"median\": %.3f, \"min\": %.3f, \"max\": %.3f},"
+      key med lo hi
+  in
   let row_json r =
     Printf.sprintf
       "    {\"kb\": %d, \"without_ct_kres\": %.3f, \"with_ct_kres\": %.3f}"
@@ -588,23 +606,27 @@ let run_fig4_json ~jobs path =
          "  \"benchmark\": \"fig4a quick sweep wall-clock\",";
          Printf.sprintf "  \"available_cores\": %d,"
            (O2_runtime.Domain_pool.default_jobs ());
-         Printf.sprintf "  \"seconds_jobs1\": %.3f," seconds_seq;
+         Printf.sprintf "  \"trials\": %d," fig4_trials;
+         seconds_json "seconds_jobs1" (med_seq, min_seq, max_seq);
          Printf.sprintf "  \"jobs\": %d," jobs;
-         Printf.sprintf "  \"seconds_jobsN\": %.3f," seconds_par;
+         seconds_json "seconds_jobsN" (med_par, min_par, max_par);
          Printf.sprintf "  \"speedup\": %.2f,"
-           (if seconds_par > 0.0 then seconds_seq /. seconds_par else nan);
+           (if med_par > 0.0 then med_seq /. med_par else nan);
          Printf.sprintf "  \"rows_bit_identical\": %b," identical;
          "  \"rows\": [";
        ]
-      @ [ String.concat ",\n" (List.map row_json rows_seq) ]
+      @ [ String.concat ",\n" (List.map row_json rows) ]
       @ [ "  ]"; "}"; "" ])
   in
   let oc = open_out path in
   output_string oc json;
   close_out oc;
-  Printf.printf "fig4a quick sweep: %.2fs at jobs=1, %.2fs at jobs=%d (%.2fx)\n"
-    seconds_seq seconds_par jobs (seconds_seq /. seconds_par);
-  Printf.printf "rows bit-identical across jobs: %b\n" identical;
+  Printf.printf
+    "fig4a quick sweep, median of %d [min, max]: %.2fs [%.2f, %.2f] at \
+     jobs=1, %.2fs [%.2f, %.2f] at jobs=%d\n"
+    fig4_trials med_seq min_seq max_seq med_par min_par max_par jobs;
+  Printf.printf "rows bit-identical across all %d sweeps: %b\n"
+    (2 * fig4_trials) identical;
   Printf.printf "wrote %s\n" path;
   if identical then 0 else 1
 

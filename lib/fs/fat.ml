@@ -200,27 +200,31 @@ let add_file t d ~name ~size =
           size;
         }
 
-let populate t d ~prefix ~count =
-  (* Bulk append: names are fresh by construction, so skip per-entry
-     duplicate scans (population of large volumes is O(n), not O(n^2)). *)
-  let rec make i acc =
-    if i < 0 then Ok acc
+let populate t dirs ~names83 =
+  (* Every directory gets the same entries: encode them once into one run
+     and blit it into each chain. Names are fresh by construction, so no
+     per-entry duplicate scans (population is O(n), not O(n^2)). *)
+  let run = Bytes.create (Array.length names83 * Fat_types.entry_bytes) in
+  Array.iteri
+    (fun i name ->
+      Fat_types.encode_entry
+        {
+          Fat_types.name;
+          attr = Fat_types.attr_archive;
+          first_cluster = 0;
+          size = 0;
+        }
+        run
+        ~off:(i * Fat_types.entry_bytes))
+    names83;
+  let rec fill i =
+    if i >= Array.length dirs then Ok ()
     else
-      match Fat_name.to_83 (Printf.sprintf "%s%d.dat" prefix i) with
+      match Fat_dir.append_bulk t.img ~head:dirs.(i).head run with
       | Error e -> Error e
-      | Ok name83 ->
-          make (i - 1)
-            ({
-               Fat_types.name = name83;
-               attr = Fat_types.attr_archive;
-               first_cluster = 0;
-               size = 0;
-             }
-            :: acc)
+      | Ok () -> fill (i + 1)
   in
-  match make (count - 1) [] with
-  | Error e -> Error e
-  | Ok entries -> Fat_dir.append_bulk t.img ~head:d.head entries
+  fill 0
 
 let lookup t d name =
   match Fat_name.to_83 name with

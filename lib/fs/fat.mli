@@ -63,10 +63,18 @@ val add_file : t -> dir -> name:string -> size:int -> (unit, string) result
 (** Create a file entry (no data clusters are allocated: the benchmark
     only resolves names). *)
 
-val populate :
-  t -> dir -> prefix:string -> count:int -> (unit, string) result
-(** Add [count] files named [<prefix><i>.dat]; the benchmark's 1000
-    entries per directory. *)
+val populate : t -> dir array -> names83:string array -> (unit, string) result
+(** Add one empty archive file per 11-byte 8.3 name (see {!Fat_name.to_83})
+    to every directory: the benchmark's 1000 entries per directory. The
+    names are encoded once per call into one run of
+    [Array.length names83] x 32 bytes, which is copied into each
+    directory's cluster chain ({!Fat_dir.append_bulk}). Directories are
+    filled completely one after another in array order, so array order is
+    cluster-allocation order. The run lives only inside the call: nothing
+    is cached across calls or volumes. Names are not checked for
+    duplicates. [Error "volume full"] when the clusters run out; the
+    directories filled so far keep their entries.
+    @raise Invalid_argument when a name is not 11 bytes. *)
 
 val lookup : t -> dir -> string -> Fat_types.entry option
 (** Simulated name resolution (call inside a thread; caller holds the

@@ -135,45 +135,52 @@ let add img ~head entry =
     scan_chain (Fat_image.chain img head)
   end
 
-let append_bulk img ~head entries =
-  let buf = Fat_image.buf img in
+(* The append point of a chain: its last cluster, reached one FAT cell at
+   a time, and the slot of the end marker there ([per] when full). *)
+let rec last_cluster img total cluster steps =
+  if steps > total then failwith "Fat_dir.append_bulk: cycle in cluster chain"
+  else begin
+    let next = Fat_image.next_cluster img cluster in
+    if next < 0 then cluster else last_cluster img total next (steps + 1)
+  end
+
+let rec end_slot buf base per i =
+  if i >= per || Fat_types.is_end buf ~off:(base + (i * Fat_types.entry_bytes))
+  then i
+  else end_slot buf base per (i + 1)
+
+(* Copy [run] from byte [src] on: one blit fills the rest of [cluster]
+   from [slot], and each fresh cluster is linked after it. *)
+let rec append_run img run src cluster slot =
+  let len = Bytes.length run in
   let per = entries_per_cluster img in
-  (* Find the append point: last cluster of the chain and the index of its
-     end marker (or the cluster's end). *)
-  let chain = Fat_image.chain img head in
-  let rec find_tail = function
-    | [] -> assert false
-    | [ last ] ->
-        let base = Fat_image.cluster_off img last in
-        let rec slot i =
-          if i >= per then (last, per)
-          else if Fat_types.is_end buf ~off:(base + (i * Fat_types.entry_bytes))
-          then (last, i)
-          else slot (i + 1)
-        in
-        slot 0
-    | _ :: rest -> find_tail rest
+  if src >= len then Ok ()
+  else if slot >= per then begin
+    match Fat_image.alloc_cluster img ~prev:(Some cluster) with
+    | None -> Error "volume full"
+    | Some fresh ->
+        zero_cluster img fresh;
+        append_run img run src fresh 0
+  end
+  else begin
+    let n = Int.min (len - src) ((per - slot) * Fat_types.entry_bytes) in
+    Bytes.blit run src (Fat_image.buf img)
+      (Fat_image.cluster_off img cluster + (slot * Fat_types.entry_bytes))
+      n;
+    (* either the run is done or this cluster is now full *)
+    append_run img run (src + n) cluster per
+  end
+
+let append_bulk img ~head run =
+  if Bytes.length run mod Fat_types.entry_bytes <> 0 then
+    invalid_arg "Fat_dir.append_bulk: run is not whole entries";
+  let last = last_cluster img (Fat_image.total_clusters img) head 0 in
+  let slot =
+    end_slot (Fat_image.buf img)
+      (Fat_image.cluster_off img last)
+      (entries_per_cluster img) 0
   in
-  let cluster, slot = find_tail chain in
-  let rec go cluster slot = function
-    | [] -> Ok ()
-    | entry :: rest ->
-        if slot >= per then begin
-          match Fat_image.alloc_cluster img ~prev:(Some cluster) with
-          | None -> Error "volume full"
-          | Some fresh ->
-              zero_cluster img fresh;
-              go fresh 0 (entry :: rest)
-        end
-        else begin
-          Fat_types.encode_entry entry buf
-            ~off:
-              (Fat_image.cluster_off img cluster
-              + (slot * Fat_types.entry_bytes));
-          go cluster (slot + 1) rest
-        end
-  in
-  go cluster slot entries
+  append_run img run 0 last slot
 
 let remove img ~head ~name83 =
   let buf = Fat_image.buf img in

@@ -17,11 +17,17 @@ val add : Fat_image.t -> head:int -> Fat_types.entry -> (unit, string) result
     the chain with a fresh cluster when full. Fails when the volume is
     full or the entry name duplicates an existing one. *)
 
-val append_bulk :
-  Fat_image.t -> head:int -> Fat_types.entry list -> (unit, string) result
-(** Append entries in order without duplicate checks, extending the chain
-    as needed: O(chain + entries) where {!add} is O(chain) per entry. The
-    caller guarantees the names are fresh (directory population). *)
+val append_bulk : Fat_image.t -> head:int -> Bytes.t -> (unit, string) result
+(** [append_bulk img ~head run] appends the entries already encoded in
+    [run] (whole 32-byte entries, see {!Fat_types.encode_entry}) after the
+    directory's end marker, in order and without duplicate checks. The
+    rest of the last cluster is filled with one blit, then fresh clusters
+    are linked after it ({!Fat_image.alloc_cluster} [~prev]) and zeroed,
+    one blit each: O(chain + entries) where {!add} is O(chain) per entry.
+    The caller guarantees the names are fresh (directory population).
+    [Error "volume full"] leaves the entries copied so far in place, the
+    chain well formed.
+    @raise Invalid_argument when [run] is not a whole number of entries. *)
 
 val remove : Fat_image.t -> head:int -> name83:string -> bool
 (** Mark an entry deleted; false when absent. *)

@@ -76,30 +76,31 @@ let fat_set t c v =
     invalid_arg (Printf.sprintf "Fat_image.fat_set: bad cluster %d" c);
   Fat_types.put16 t.buf_ (t.fat_off + (2 * c)) v
 
-let find_free t =
-  if t.free = 0 then None
+(* First free cluster from [c] on, wrapping at [limit], or -1 after
+   [remaining] cells. A top-level recursion returning an int, so finding
+   a cluster allocates nothing (volume population calls this per
+   cluster). *)
+let rec free_from t limit c remaining =
+  if remaining = 0 then -1
   else begin
-    let limit = first_cluster_no + t.total in
-    let rec scan c remaining =
-      if remaining = 0 then None
-      else begin
-        let c = if c >= limit then first_cluster_no else c in
-        if fat_get t c = Fat_types.fat_free then Some c
-        else scan (c + 1) (remaining - 1)
-      end
-    in
-    scan t.hint t.total
+    let c = if c >= limit then first_cluster_no else c in
+    if fat_get t c = Fat_types.fat_free then c
+    else free_from t limit (c + 1) (remaining - 1)
   end
 
 let alloc_cluster t ~prev =
-  match find_free t with
-  | None -> None
-  | Some c ->
-      fat_set t c Fat_types.fat_eoc;
-      t.free <- t.free - 1;
-      t.hint <- c + 1;
-      (match prev with Some p -> fat_set t p c | None -> ());
-      Some c
+  let c =
+    if t.free = 0 then -1
+    else free_from t (first_cluster_no + t.total) t.hint t.total
+  in
+  if c < 0 then None
+  else begin
+    fat_set t c Fat_types.fat_eoc;
+    t.free <- t.free - 1;
+    t.hint <- c + 1;
+    (match prev with Some p -> fat_set t p c | None -> ());
+    Some c
+  end
 
 let alloc_chain t n =
   if n <= 0 then invalid_arg "Fat_image.alloc_chain: n must be positive";

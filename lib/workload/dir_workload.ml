@@ -74,12 +74,13 @@ let build ct spec =
     | Error e -> failwith ("Dir_workload.build: mkdir: " ^ e)
   in
   let dirs_ = Array.init spec.dirs mkdir in
-  Array.iteri
-    (fun i d ->
-      match Fat.populate fs_ d ~prefix:"f" ~count:spec.entries_per_dir with
-      | Ok () -> ()
-      | Error e -> failwith (Printf.sprintf "populate d%d: %s" i e))
-    dirs_;
+  let file_names83 =
+    Array.init spec.entries_per_dir (fun k ->
+        Fat_name.to_83_exn (Printf.sprintf "f%d.dat" k))
+  in
+  (match Fat.populate fs_ dirs_ ~names83:file_names83 with
+  | Ok () -> ()
+  | Error e -> failwith ("Dir_workload.build: populate: " ^ e));
   let dir_addr = Array.map (fun d -> Fat.dir_base_addr fs_ d) dirs_ in
   let objs_ =
     Array.mapi
@@ -87,10 +88,6 @@ let build ct spec =
         Coretime.register ct ~base:dir_addr.(i) ~size:(Fat.dir_bytes fs_ d)
           ~name:d.Fat.dname ())
       dirs_
-  in
-  let file_names83 =
-    Array.init spec.entries_per_dir (fun k ->
-        Fat_name.to_83_exn (Printf.sprintf "f%d.dat" k))
   in
   let perm = Array.init spec.dirs Fun.id in
   if spec.shuffle_popularity then

@@ -39,7 +39,15 @@ type t
 val build : Coretime.t -> spec -> t
 (** Format and populate the volume, register every directory as a CoreTime
     object (identified by its first cluster's address, sized by its
-    cluster chain). Host-side; costs nothing. *)
+    cluster chain). Host-side; costs nothing.
+
+    Every directory holds the same files [f0.dat] .. [f<n-1>.dat]. Their
+    8.3 names are made once, kept for the lookups, and handed to one
+    {!O2_fs.Fat.populate} call over all directories in index order: the
+    entries are encoded once per build, and directory [i]'s clusters are
+    all allocated before directory [i+1]'s, so the image is a function of
+    [dirs], [entries_per_dir] and [cluster_bytes] alone. Nothing is cached
+    across builds, so cells of a parallel sweep share no mutable state. *)
 
 val fs : t -> O2_fs.Fat.t
 val spec : t -> spec

@@ -168,23 +168,103 @@ let test_dir_grows_across_clusters () =
     (Fat_dir.find img ~head ~name83:(Fat_name.to_83_exn (Printf.sprintf "f%d.dat" (n - 1)))
     <> None)
 
-let test_append_bulk_matches_add () =
-  let img1 = image () and img2 = image () in
-  let head1 = Option.get (Fat_image.alloc_cluster img1 ~prev:None) in
-  let head2 = Option.get (Fat_image.alloc_cluster img2 ~prev:None) in
-  let entries =
-    List.init 40 (fun i ->
-        {
-          Fat_types.name = Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i);
-          attr = Fat_types.attr_archive;
-          first_cluster = 0;
-          size = i;
-        })
+let names83 prefix n =
+  Array.init n (fun i -> Fat_name.to_83_exn (Printf.sprintf "%s%d.dat" prefix i))
+
+(* Fat.populate copies one encoded run into each directory's chain; it
+   must leave exactly the image that one Fat_dir.add per entry leaves,
+   directory after directory in array order. The volume uses 4 KB
+   clusters (128 entries), and the generated shapes cover that boundary
+   exactly, chains that already hold entries, and chains made
+   non-contiguous by mkdirs interleaved with their growth. *)
+type populate_case = {
+  ndirs : int;
+  pre : int;  (* entries already in each directory *)
+  gaps : bool;  (* mkdir between pre-entry rounds *)
+  nnames : int;
+}
+
+let populate_case_gen =
+  let open QCheck2.Gen in
+  let count edges = oneof [ int_range 0 400; oneofl edges ] in
+  map
+    (fun (ndirs, pre, gaps, nnames) -> { ndirs; pre; gaps; nnames })
+    (quad (int_range 1 3)
+       (oneof [ pure 0; count [ 127; 128; 129 ] ])
+       bool
+       (count [ 0; 1; 127; 128; 129; 256 ]))
+
+let print_populate_case c =
+  Printf.sprintf "{ndirs=%d; pre=%d; gaps=%b; nnames=%d}" c.ndirs c.pre
+    c.gaps c.nnames
+
+let populate_volume ?(clusters = 64) c fill =
+  let fs = Fat.format (mem ()) ~label:"t" ~cluster_bytes:4096 ~clusters () in
+  let dirs =
+    Array.init c.ndirs (fun i ->
+        Result.get_ok (Fat.mkdir fs (Printf.sprintf "d%d" i)))
   in
-  List.iter (fun e -> Result.get_ok (Fat_dir.add img1 ~head:head1 e)) entries;
-  Result.get_ok (Fat_dir.append_bulk img2 ~head:head2 entries);
-  Alcotest.(check bool) "same listing" true
-    (Fat_dir.list img1 ~head:head1 = Fat_dir.list img2 ~head:head2)
+  for k = 0 to c.pre - 1 do
+    Array.iter
+      (fun d ->
+        Result.get_ok (Fat.add_file fs d ~name:(Printf.sprintf "p%d.dat" k) ~size:0))
+      dirs;
+    if c.gaps && k mod 50 = 0 then
+      ignore (Result.get_ok (Fat.mkdir fs (Printf.sprintf "g%d" k)))
+  done;
+  let r = fill fs dirs (names83 "f" c.nnames) in
+  (fs, r)
+
+let populate_by_add fs dirs names =
+  let add d name =
+    Fat_dir.add (Fat.image fs) ~head:d.Fat.head
+      {
+        Fat_types.name;
+        attr = Fat_types.attr_archive;
+        first_cluster = 0;
+        size = 0;
+      }
+  in
+  Array.fold_left
+    (fun r d ->
+      Array.fold_left
+        (fun r name -> match r with Error _ -> r | Ok () -> add d name)
+        r names)
+    (Ok ()) dirs
+
+let populate_bulk fs dirs names = Fat.populate fs dirs ~names83:names
+
+let image_bytes fs = Fat_image.buf (Fat.image fs)
+
+let prop_populate_matches_add =
+  QCheck2.Test.make ~name:"Fat.populate = one Fat_dir.add per entry (same image)"
+    ~count:100 ~print:print_populate_case populate_case_gen (fun c ->
+      let fs_add, r_add = populate_volume c populate_by_add in
+      let fs_bulk, r_bulk = populate_volume c populate_bulk in
+      r_add = Ok ()
+      && r_bulk = Ok ()
+      && Bytes.equal (image_bytes fs_add) (image_bytes fs_bulk)
+      && Fat_check.ok (Fat_check.check fs_bulk))
+
+(* A volume that runs out of clusters part-way through the second
+   directory: populate reports it, stops where repeated adds stop, and
+   leaves a consistent volume. *)
+let test_populate_volume_full () =
+  let c = { ndirs = 2; pre = 0; gaps = false; nnames = 400 } in
+  let fs_add, r_add = populate_volume ~clusters:6 c populate_by_add in
+  let fs_bulk, r_bulk = populate_volume ~clusters:6 c populate_bulk in
+  Alcotest.(check (result unit string)) "populate reports it"
+    (Error "volume full") r_bulk;
+  Alcotest.(check (result unit string)) "adds report it too"
+    (Error "volume full") r_add;
+  Alcotest.(check bool) "same image as repeated adds" true
+    (Bytes.equal (image_bytes fs_add) (image_bytes fs_bulk));
+  Alcotest.(check int) "no cluster left" 0
+    (Fat_image.free_clusters (Fat.image fs_bulk));
+  let r = Fat_check.check fs_bulk in
+  Alcotest.(check bool) "fsck clean" true (Fat_check.ok r);
+  Alcotest.(check int) "first dir full, second cut at a cluster end"
+    (400 + 128) r.Fat_check.files
 
 (* ---------- Fat facade + simulated lookups ---------- *)
 
@@ -195,7 +275,7 @@ let fat () =
 let test_fat_mkdir_and_host_lookup () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "www") in
-  Result.get_ok (Fat.populate fs d ~prefix:"page" ~count:30);
+  Result.get_ok (Fat.populate fs [| d |] ~names83:(names83 "page" 30));
   Alcotest.(check bool) "host lookup hit" true (Fat.lookup_host fs d "page7.dat" <> None);
   Alcotest.(check bool) "host lookup miss" true (Fat.lookup_host fs d "nope.dat" = None);
   Alcotest.(check int) "readdir count" 30 (List.length (Fat.readdir fs d));
@@ -207,7 +287,7 @@ let test_fat_sim_lookup_agrees_with_host () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:256 () in
   let d = Result.get_ok (Fat.mkdir fs "docs") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:100);
+  Result.get_ok (Fat.populate fs [| d |] ~names83:(names83 "f" 100));
   let engine = O2_runtime.Engine.create machine in
   let sim_result = ref None and sim_miss = ref (Some Fat_types.{ name = ""; attr = 0; first_cluster = 0; size = 0 }) in
   ignore
@@ -225,7 +305,7 @@ let test_fat_lookup_locked_serializes () =
   let machine = Machine.create Config.amd16 in
   let fs = Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512 ~clusters:512 () in
   let d = Result.get_ok (Fat.mkdir fs "shared") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:200);
+  Result.get_ok (Fat.populate fs [| d |] ~names83:(names83 "f" 200));
   let engine = O2_runtime.Engine.create machine in
   let hits = ref 0 in
   for core = 0 to 3 do
@@ -244,7 +324,7 @@ let test_fat_lookup_locked_serializes () =
 let test_fsck_clean_and_detects_corruption () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "a") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:50);
+  Result.get_ok (Fat.populate fs [| d |] ~names83:(names83 "f" 50));
   let r = Fat_check.check fs in
   Alcotest.(check bool) "clean volume" true (Fat_check.ok r);
   Alcotest.(check int) "two directories (root + a)" 2 r.Fat_check.directories;
@@ -265,7 +345,7 @@ let test_fat_rejects_invalid_names () =
 let test_dir_object_identity () =
   let _, fs = fat () in
   let d = Result.get_ok (Fat.mkdir fs "obj") in
-  Result.get_ok (Fat.populate fs d ~prefix:"f" ~count:40);
+  Result.get_ok (Fat.populate fs [| d |] ~names83:(names83 "f" 40));
   Alcotest.(check int) "base addr = first cluster addr"
     (Fat_image.cluster_addr (Fat.image fs) d.Fat.head)
     (Fat.dir_base_addr fs d);
@@ -277,7 +357,7 @@ let test_nested_dirs_and_paths () =
   let _, fs = fat () in
   let www = Result.get_ok (Fat.mkdir fs "www") in
   let static = Result.get_ok (Fat.mkdir_in fs www "static") in
-  Result.get_ok (Fat.populate fs static ~prefix:"img" ~count:10);
+  Result.get_ok (Fat.populate fs [| static |] ~names83:(names83 "img" 10));
   Alcotest.(check (option string)) "registered under its path" (Some "/www/static")
     (Option.map (fun d -> d.Fat.dname) (Fat.find_dir fs "/www/static"));
   Alcotest.(check bool) "parent of static is www" true
@@ -315,7 +395,7 @@ let test_resolve_sim_agrees () =
       ~clusters:256 ()
   in
   let sub = Result.get_ok (Fat.mkdir_path fs "/srv/data") in
-  Result.get_ok (Fat.populate fs sub ~prefix:"f" ~count:20);
+  Result.get_ok (Fat.populate fs [| sub |] ~names83:(names83 "f" 20));
   let engine = O2_runtime.Engine.create machine in
   let hit = ref None and miss = ref (Some (`Dir (Fat.root fs))) in
   ignore
@@ -394,7 +474,9 @@ let suite =
     Alcotest.test_case "chain cycles detected" `Quick test_chain_cycle_detected;
     Alcotest.test_case "dir add/find/remove/reuse" `Quick test_dir_add_find_remove;
     Alcotest.test_case "dir grows across clusters" `Quick test_dir_grows_across_clusters;
-    Alcotest.test_case "append_bulk = repeated add" `Quick test_append_bulk_matches_add;
+    QCheck_alcotest.to_alcotest prop_populate_matches_add;
+    Alcotest.test_case "populate stops cleanly on a full volume" `Quick
+      test_populate_volume_full;
     Alcotest.test_case "mkdir + host lookups" `Quick test_fat_mkdir_and_host_lookup;
     Alcotest.test_case "simulated lookup agrees with host" `Quick test_fat_sim_lookup_agrees_with_host;
     Alcotest.test_case "locked lookups serialize" `Quick test_fat_lookup_locked_serializes;

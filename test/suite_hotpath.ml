@@ -81,7 +81,11 @@ let test_fat_scan_miss () =
     | Ok d -> d
     | Error e -> Alcotest.failf "mkdir: %s" e
   in
-  (match O2_fs.Fat.populate fs dir ~prefix:"f" ~count:100 with
+  let names83 =
+    Array.init 100 (fun i ->
+        O2_fs.Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i))
+  in
+  (match O2_fs.Fat.populate fs [| dir |] ~names83 with
   | Ok () -> ()
   | Error e -> Alcotest.failf "populate: %s" e);
   let img = O2_fs.Fat.image fs in
@@ -96,6 +100,49 @@ let test_fat_scan_miss () =
         done)
   in
   check_zero_alloc "Fat_dir.find miss (100-entry dir)" words
+
+(* Volume population encodes the names once per call and copies the
+   encoded run into each directory: the words one Fat.populate call
+   allocates (minor plus direct-to-major, net of promotion) may grow by at
+   most [populate_words_per_dir] per extra directory. Encoding per
+   directory (a 32 KB run each) or building per-entry records or 8.3 names
+   per directory costs thousands of words per directory instead. *)
+let populate_words_per_dir = 64.0
+
+let populate_words ~dirs =
+  let mem = Memsys.create ~line_bytes:64 () in
+  let fs =
+    O2_fs.Fat.format mem ~label:"probe" ~clusters:((dirs * 8) + 16) ()
+  in
+  let ds =
+    Array.init dirs (fun i ->
+        match O2_fs.Fat.mkdir fs (Printf.sprintf "d%d" i) with
+        | Ok d -> d
+        | Error e -> Alcotest.failf "mkdir: %s" e)
+  in
+  let names83 =
+    Array.init 1000 (fun i ->
+        O2_fs.Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i))
+  in
+  (* Gc.counters' minor figure lags the young heap on OCaml 5.1, so the
+     minor words come from Gc.minor_words (exact for this domain) *)
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let r = O2_fs.Fat.populate fs ds ~names83 in
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  (match r with Ok () -> () | Error e -> Alcotest.failf "populate: %s" e);
+  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+
+let test_fat_populate_per_dir () =
+  let one = populate_words ~dirs:1 in
+  let many = populate_words ~dirs:64 in
+  let bound = one +. (63.0 *. populate_words_per_dir) in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "populate 1000 names: %.0f words for 64 dirs, %.0f for 1 (bound %.0f)"
+       many one bound)
+    true (many <= bound)
 
 (* The cache observatory's zero-cost-when-off claim, miss-path edition:
    with no Machine.observe subscriber the notification sites on the fill,
@@ -547,6 +594,8 @@ let suite =
       test_machine_write_l1_hit;
     Alcotest.test_case "FAT directory scan allocates nothing on a miss"
       `Quick test_fat_scan_miss;
+    Alcotest.test_case "FAT populate allocates nothing per directory entry"
+      `Quick test_fat_populate_per_dir;
     Alcotest.test_case "unobserved miss paths allocate nothing" `Quick
       test_machine_miss_paths_unobserved;
     Alcotest.test_case "presence nearest-holder scans allocate nothing"

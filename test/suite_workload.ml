@@ -105,6 +105,34 @@ let test_workload_builds_valid_volume () =
   Alcotest.(check int) "dir object sized by its cluster chain" rounded
     (Dir_workload.dir_object w 0).Coretime.Object_table.size
 
+(* The built image, byte for byte, pinned at the Figure 4 sizes and at
+   the 128-entry cluster boundary. It depends on neither the seed nor the
+   machine config: only on directory count, entries and cluster size. *)
+let image_pins =
+  [
+    ((256, 1000), "eaebc90c7236e478c6578cfa12f7fc8e");
+    ((8192, 1000), "fc41e7a50c47fb0ff34ee37b5bd60025");
+    ((20480, 1000), "63b40d185bda1747236b8300bddddcec");
+    ((1024, 100), "a0b509a1c807332f3f1f3cfc07dc6da3");
+    ((1024, 127), "fe17409dc98288d04e0239a9fc8d9bf6");
+    ((1024, 128), "8f1c45de8500af484a93598a369900ff");
+    ((1024, 129), "9a75e13bb2c38831e7725f8380445f54");
+    ((4096, 1), "8692ccb513dd9b2882d6f8269eebb63c");
+  ]
+
+let test_workload_image_pinned () =
+  List.iter
+    (fun ((kb, entries_per_dir), digest) ->
+      let _, w =
+        build ~spec:(Dir_workload.spec_for_data_kb ~entries_per_dir ~kb ()) ()
+      in
+      let img = O2_fs.Fat_image.buf (O2_fs.Fat.image (Dir_workload.fs w)) in
+      Alcotest.(check string)
+        (Printf.sprintf "image MD5 at %d KB x %d entries" kb entries_per_dir)
+        digest
+        (Digest.to_hex (Digest.bytes img)))
+    image_pins
+
 let test_one_lookup_resolves () =
   let engine, w = build () in
   let ok = ref false in
@@ -255,6 +283,8 @@ let suite =
     Alcotest.test_case "fixed distribution" `Quick test_fixed;
     Alcotest.test_case "workload geometry (paper sizes)" `Quick test_workload_geometry;
     Alcotest.test_case "workload builds a valid volume" `Quick test_workload_builds_valid_volume;
+    Alcotest.test_case "workload image is pinned" `Quick
+      test_workload_image_pinned;
     Alcotest.test_case "one_lookup resolves and counts" `Quick test_one_lookup_resolves;
     Alcotest.test_case "set_active clamps" `Quick test_set_active_clamps;
     Alcotest.test_case "active prefix respected" `Quick test_active_prefix_respected;
