@@ -58,12 +58,16 @@ let kv_throughput ~domains ~clients ~ops_per_client ~rounds =
         Kv.create b ~name:"kv" ~buckets:64 ~slots_per_bucket:32 ()
       in
       let sinks = Array.make clients 0 in
+      (* every round's programs are built before the clock starts *)
+      let progs =
+        Array.init rounds (fun r ->
+            Array.init clients (fun c ->
+                Op.kv_program ~clients ~client:c ~ops:ops_per_client
+                  ~keyspace:1024 ~seed:(811 + (97 * r))))
+      in
       let round r =
         for c = 0 to clients - 1 do
-          let prog =
-            Op.kv_program ~clients ~client:c ~ops:ops_per_client
-              ~keyspace:1024 ~seed:(811 + (97 * r))
-          in
+          let prog = progs.(r).(c) in
           NB.spawn b ~core:(c mod domains) ~name:"kv-client" (fun () ->
               let acc = ref 0 in
               Array.iter
@@ -113,12 +117,17 @@ let dir_throughput ~domains ~clients ~ops_per_client ~rounds =
         Dir.create b ~name:"dir" ~dirs:24 ~entries_per_dir:48 ()
       in
       let sinks = Array.make clients 0 in
+      (* every round's programs are built before the clock starts *)
+      let progs =
+        Array.init rounds (fun r ->
+            Array.init clients (fun c ->
+                Op.dir_program ~dirs:24 ~entries_per_dir:48
+                  ~ops:ops_per_client
+                  ~seed:(131 * ((r * clients) + c + 1))))
+      in
       let round r =
         for c = 0 to clients - 1 do
-          let prog =
-            Op.dir_program ~dirs:24 ~entries_per_dir:48 ~ops:ops_per_client
-              ~seed:(131 * ((r * clients) + c + 1))
-          in
+          let prog = progs.(r).(c) in
           NB.spawn b ~core:(c mod domains) ~name:"dir-client" (fun () ->
               let acc = ref 0 in
               Array.iter

@@ -19,6 +19,17 @@ let minor_words_during f =
   f ();
   Gc.minor_words () -. before
 
+(* Every word a call allocates: minor plus direct-to-major, net of
+   promotion. Gc.counters' minor figure lags the young heap on OCaml 5.1,
+   so the minor words come from Gc.minor_words (exact for this domain). *)
+let words_during f =
+  let minor0 = Gc.minor_words () in
+  let _, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let _, promoted1, major1 = Gc.counters () in
+  let minor1 = Gc.minor_words () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
 let check_zero_alloc name words =
   Alcotest.(check bool)
     (Printf.sprintf "%s: %.0f minor words over %d ops (slack %.0f)" name words
@@ -124,15 +135,9 @@ let populate_words ~dirs =
     Array.init 1000 (fun i ->
         O2_fs.Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i))
   in
-  (* Gc.counters' minor figure lags the young heap on OCaml 5.1, so the
-     minor words come from Gc.minor_words (exact for this domain) *)
-  let minor0 = Gc.minor_words () in
-  let _, promoted0, major0 = Gc.counters () in
-  let r = O2_fs.Fat.populate fs ds ~names83 in
-  let _, promoted1, major1 = Gc.counters () in
-  let minor1 = Gc.minor_words () in
+  let r, words = words_during (fun () -> O2_fs.Fat.populate fs ds ~names83) in
   (match r with Ok () -> () | Error e -> Alcotest.failf "populate: %s" e);
-  minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+  words
 
 let test_fat_populate_per_dir () =
   let one = populate_words ~dirs:1 in
@@ -143,6 +148,52 @@ let test_fat_populate_per_dir () =
        "populate 1000 names: %.0f words for 64 dirs, %.0f for 1 (bound %.0f)"
        many one bound)
     true (many <= bound)
+
+(* Op programs share their immutable ops: one call allocates the result
+   array, the sharing tables (one word per table slot) and one block per
+   distinct op value it draws, and only [Put] carries a fresh value. At
+   the perfbench sizes a block per op would cost tens of thousands of
+   words beyond these bounds. *)
+let program_ops = 20_000
+let program_slack = 64.0
+
+let test_program_generation_words () =
+  let module Op = O2_native.Op_program in
+  let dirs = 24 and entries_per_dir = 48 in
+  let _, words =
+    words_during (fun () ->
+        Op.dir_program ~dirs ~entries_per_dir ~ops:program_ops ~seed:7919)
+  in
+  let pairs = dirs * (entries_per_dir + 4) in
+  (* a pair block is 3 words, plus its table slot *)
+  let bound =
+    float_of_int (program_ops + 1 + (4 * pairs)) +. program_slack
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "dir_program: %.0f words for %d ops (bound %.0f)" words
+       program_ops bound)
+    true (words <= bound);
+  let clients = 8 and client = 3 and keyspace = 1024 in
+  let prog, words =
+    words_during (fun () ->
+        Op.kv_program ~clients ~client ~ops:program_ops ~keyspace ~seed:7919)
+  in
+  let puts =
+    Array.fold_left
+      (fun n op -> match op with Op.Put _ -> n + 1 | _ -> n)
+      0 prog
+  in
+  let own_keys = (keyspace - client + clients - 1) / clients in
+  (* a Put is 3 words; per own key, a Get and a Delete block of 2 words
+     each plus a slot in each of the two tables *)
+  let bound =
+    float_of_int (program_ops + 1 + (3 * puts) + (6 * own_keys))
+    +. program_slack
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "kv_program: %.0f words for %d ops, %d puts (bound %.0f)"
+       words program_ops puts bound)
+    true (words <= bound)
 
 (* The cache observatory's zero-cost-when-off claim, miss-path edition:
    with no Machine.observe subscriber the notification sites on the fill,
@@ -622,4 +673,6 @@ let suite =
       test_lru_page_churn;
     Alcotest.test_case "LRU cluster runs allocate nothing" `Quick
       test_lru_cluster_runs;
+    Alcotest.test_case "op programs allocate one block per distinct op"
+      `Quick test_program_generation_words;
   ]

@@ -567,6 +567,120 @@ let test_oracle_rejects_overflowable_buckets () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Op_program: the generated programs are pinned bit for bit.          *)
+(* ------------------------------------------------------------------ *)
+
+(* A canonical text of a program, so the digest sees values only: ops
+   may share blocks, which Marshal would encode differently. *)
+let kv_text prog =
+  let b = Buffer.create (8 * Array.length prog) in
+  Array.iter
+    (function
+      | Op_program.Get k -> Printf.bprintf b "g%d;" k
+      | Op_program.Put (k, v) -> Printf.bprintf b "p%d,%d;" k v
+      | Op_program.Delete k -> Printf.bprintf b "d%d;" k)
+    prog;
+  Buffer.contents b
+
+let dir_text prog =
+  let b = Buffer.create (8 * Array.length prog) in
+  Array.iter (fun (dir, key) -> Printf.bprintf b "%d,%d;" dir key) prog;
+  Buffer.contents b
+
+(* Digests of the programs as first generated (one op per fresh block,
+   draws in ocamlopt's right-to-left argument order). The grid covers an
+   empty program, one own key per client (keyspace = clients), a client
+   owning more than keyspace / clients keys, one entry per directory, a
+   seed that maps to the generator's zero-state substitute, and the
+   perfbench sizes (8 clients x 1024 keys; 24 dirs x 48 entries). *)
+let kv_pins =
+  [
+    ((4, 0, 0, 64, 1), "d41d8cd98f00b204e9800998ecf8427e");
+    ((3, 2, 300, 3, 42), "dacbedb5633b95c3c0c423dd631dae5c");
+    ((4, 1, 500, 10, 7), "bf6888cb5933154a72a86ccc6504d34f");
+    ((4, 3, 500, 10, 7), "775d31673af513fd84f8dbe34ae3e85c");
+    ((1, 0, 400, 1, 5), "24895d6307c7668c289f6e3d376bab80");
+    ((2, 0, 200, 16, -1), "2f0ed92c94fe8d59848d784fa7d52c15");
+    ((8, 0, 2000, 1024, 7919), "4283e1f9a1cbe7c34759695d4a542a2e");
+    ((8, 7, 2000, 1024, 23762), "7c7639777835e27904c5776718b80ad4");
+  ]
+
+let dir_pins =
+  [
+    ((24, 48, 0, 1), "d41d8cd98f00b204e9800998ecf8427e");
+    ((5, 1, 400, 9), "ff4a3f0c5089431e10e9f4b201d03733");
+    ((1, 1, 100, 3), "01a6688a1cf05a5f7cf602a6098d6b93");
+    ((3, 7, 300, -0x5eed), "ee8097d9c9d37f8f868279a54e3b872b");
+    ((24, 48, 2000, 7919), "9fc8756756f90d6e863ea8e1c2dced23");
+    ((24, 48, 2000, 131), "3cbfcde28c7b5d970c2595d4475aaaa7");
+  ]
+
+let test_programs_pinned () =
+  List.iter
+    (fun ((clients, client, ops, keyspace, seed), want) ->
+      let prog = Op_program.kv_program ~clients ~client ~ops ~keyspace ~seed in
+      checki "kv program length" ops (Array.length prog);
+      check Alcotest.string
+        (Printf.sprintf
+           "kv_program clients=%d client=%d ops=%d keyspace=%d seed=%d" clients
+           client ops keyspace seed)
+        want
+        (Digest.to_hex (Digest.string (kv_text prog))))
+    kv_pins;
+  List.iter
+    (fun ((dirs, entries_per_dir, ops, seed), want) ->
+      let prog = Op_program.dir_program ~dirs ~entries_per_dir ~ops ~seed in
+      checki "dir program length" ops (Array.length prog);
+      check Alcotest.string
+        (Printf.sprintf "dir_program dirs=%d entries_per_dir=%d ops=%d seed=%d"
+           dirs entries_per_dir ops seed)
+        want
+        (Digest.to_hex (Digest.string (dir_text prog))))
+    dir_pins
+
+(* One case per Invalid_argument branch of the generators and of
+   max_bucket_load. *)
+let raises_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" what
+  | exception Invalid_argument _ -> ()
+
+let kv_call ~clients ~client ~ops ~keyspace () =
+  Op_program.kv_program ~clients ~client ~ops ~keyspace ~seed:1
+
+let test_kv_program_rejects_counts () =
+  raises_invalid "clients = 0"
+    (kv_call ~clients:0 ~client:0 ~ops:1 ~keyspace:4);
+  raises_invalid "ops < 0" (kv_call ~clients:2 ~client:0 ~ops:(-1) ~keyspace:4)
+
+let test_kv_program_rejects_client () =
+  raises_invalid "client < 0"
+    (kv_call ~clients:2 ~client:(-1) ~ops:1 ~keyspace:4);
+  raises_invalid "client = clients"
+    (kv_call ~clients:2 ~client:2 ~ops:1 ~keyspace:4)
+
+let test_kv_program_rejects_keyspace () =
+  raises_invalid "keyspace < clients"
+    (kv_call ~clients:4 ~client:0 ~ops:1 ~keyspace:3)
+
+let test_dir_program_rejects_counts () =
+  let dir ~dirs ~entries_per_dir ~ops () =
+    Op_program.dir_program ~dirs ~entries_per_dir ~ops ~seed:1
+  in
+  raises_invalid "dirs = 0" (dir ~dirs:0 ~entries_per_dir:4 ~ops:1);
+  raises_invalid "entries_per_dir = 0" (dir ~dirs:2 ~entries_per_dir:0 ~ops:1);
+  raises_invalid "ops < 0" (dir ~dirs:2 ~entries_per_dir:4 ~ops:(-1))
+
+let test_max_bucket_load_rejects_counts () =
+  let load ~buckets ~keyspace () =
+    Op_program.max_bucket_load ~buckets ~keyspace
+  in
+  raises_invalid "buckets = 0" (load ~buckets:0 ~keyspace:8);
+  raises_invalid "keyspace = 0" (load ~buckets:4 ~keyspace:0);
+  checki "one bucket takes the whole keyspace" 8
+    (load ~buckets:1 ~keyspace:8 ())
+
+(* ------------------------------------------------------------------ *)
 (* Native telemetry: merge order, span reconstruction, oracle parity.  *)
 (* ------------------------------------------------------------------ *)
 
@@ -805,4 +919,16 @@ let suite =
       (test_guards_survive_stress 2);
     Alcotest.test_case "layout: guards clear after stress at 4 domains" `Quick
       (test_guards_survive_stress 4);
+    Alcotest.test_case "op_program: programs match their pinned digests"
+      `Quick test_programs_pinned;
+    Alcotest.test_case "op_program: kv_program rejects bad counts" `Quick
+      test_kv_program_rejects_counts;
+    Alcotest.test_case "op_program: kv_program rejects an unknown client"
+      `Quick test_kv_program_rejects_client;
+    Alcotest.test_case "op_program: kv_program rejects a short keyspace"
+      `Quick test_kv_program_rejects_keyspace;
+    Alcotest.test_case "op_program: dir_program rejects bad counts" `Quick
+      test_dir_program_rejects_counts;
+    Alcotest.test_case "op_program: max_bucket_load rejects bad counts" `Quick
+      test_max_bucket_load_rejects_counts;
   ]
