@@ -52,10 +52,11 @@ let out_arg =
 let backend_arg =
   let doc =
     "$(b,sim) (default) runs experiments on the deterministic simulated \
-     machine; $(b,native) runs the object/operation model on real OCaml 5 \
-     domains instead — wall-clock kv/dir throughput plus the \
-     simulator-as-oracle cross-check (DESIGN.md, 'Two backends, one \
-     API'). Native mode takes no experiment ids; $(b,--metrics), \
+     machine; $(b,native) runs the object/operation model's kv/dir \
+     programs on real OCaml 5 domains instead and cross-checks their \
+     results against the simulator (DESIGN.md, 'Two backends, one API'). \
+     Native wall-clock ops/sec are measured by $(b,perfbench/run.py), \
+     not here. Native mode takes no experiment ids; $(b,--metrics), \
      $(b,--trace) and $(b,--trace-sample) attach the wall-clock flight \
      recorder, while the flags that read simulated state \
      ($(b,--occupancy)/$(b,--heat)/$(b,--explain)) are \
@@ -69,19 +70,12 @@ let backend_arg =
 let domains_arg =
   let doc =
     "Worker domains for $(b,--backend native), clamped to the detected \
-     core count. The throughput ladder always includes 1/2/4 (taken \
-     literally); this adds one more point and sizes the oracle run."
+     core count. The oracle cross-check always runs at 1/2/4 domains \
+     (taken literally); this adds one more point and sizes the \
+     $(b,--metrics)/$(b,--trace) run. For native ops/sec use \
+     $(b,perfbench/run.py --domains N)."
   in
   Arg.(value & opt int 2 & info [ "domains" ] ~docv:"N" ~doc)
-
-let bench_json_arg =
-  let doc =
-    "With $(b,--backend native): also write the oracle verdicts and \
-     throughput rows as JSON to $(docv) (the BENCH_native.json CI \
-     artifact)."
-  in
-  Arg.(
-    value & opt (some string) None & info [ "bench-json" ] ~docv:"FILE" ~doc)
 
 let metrics_arg =
   let doc =
@@ -155,18 +149,14 @@ let explain_arg =
 
 let run_cmd =
   let doc = "Run experiments and print paper-shaped tables and figures." in
-  let run quick all jobs backend domains bench_json out metrics trace
+  let run quick all jobs backend domains out metrics trace
       trace_sample occupancy occupancy_interval heat heat_top explain ids =
     if jobs < 1 then begin
       prerr_endline "o2sim: --jobs must be at least 1";
       exit 1
     end;
     (match backend with
-    | `Sim ->
-        if bench_json <> None then begin
-          prerr_endline "o2sim: --bench-json requires --backend native";
-          exit 1
-        end
+    | `Sim -> ()
     | `Native ->
         if domains < 1 then begin
           prerr_endline "o2sim: --domains must be at least 1";
@@ -238,8 +228,8 @@ let run_cmd =
       match backend with
       | `Native ->
           if
-            O2_experiments.Native_exp.run_cli ~quick ~domains ~json:bench_json
-              ~metrics ~trace ~trace_sample ppf
+            O2_experiments.Native_exp.run_cli ~quick ~domains ~metrics ~trace
+              ~trace_sample ppf
           then Ok ()
           else Error "native backend: oracle cross-check FAILED"
       | `Sim -> O2_experiments.Registry.run_ids ~obs ~quick ~jobs ppf ids
@@ -263,7 +253,7 @@ let run_cmd =
     (Cmd.info "run" ~doc)
     Term.(
       const run $ quick_arg $ all_arg $ jobs_arg $ backend_arg
-      $ domains_arg $ bench_json_arg $ out_arg $ metrics_arg $ trace_arg
+      $ domains_arg $ out_arg $ metrics_arg $ trace_arg
       $ trace_sample_arg $ occupancy_arg $ occupancy_interval_arg $ heat_arg
       $ heat_top_arg $ explain_arg $ ids_arg)
 

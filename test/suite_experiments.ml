@@ -250,6 +250,40 @@ let test_fig2_partitioning () =
     true
     (List.length o2.Fig2.off_chip <= List.length thread.Fig2.off_chip)
 
+(* The native experiment is the oracle table alone: one OK row per
+   workload at each ladder rung (--domains 2 adds none), and no
+   throughput table — native ops/sec come from perfbench. *)
+let test_native_exp_oracle_only () =
+  let buf = Buffer.create 1024 in
+  let ppf = Format.formatter_of_buffer buf in
+  let ok = Native_exp.run ~domains:2 ppf in
+  Format.pp_print_flush ppf ();
+  let out = Buffer.contents buf in
+  let lines = String.split_on_char '\n' out |> List.map String.trim in
+  let contains ~sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) "oracle verdict" true ok;
+  List.iter
+    (fun w ->
+      List.iter
+        (fun d ->
+          let row = Printf.sprintf "oracle OK: domains=%d " d in
+          Alcotest.(check int)
+            (Printf.sprintf "one %s row at domains=%d" w d)
+            1
+            (List.length
+               (List.filter
+                  (fun l -> String.starts_with ~prefix:w l && contains ~sub:row l)
+                  lines)))
+        [ 1; 2; 4 ])
+    [ "kv_store"; "dir_workload" ];
+  Alcotest.(check int) "six oracle rows" 6
+    (List.length (List.filter (contains ~sub:"oracle OK:") lines));
+  Alcotest.(check bool) "no ops/sec header" false (contains ~sub:"ops/sec" out)
+
 let suite =
   [
     Alcotest.test_case "latencies match Section 5" `Quick test_latency_matches_paper;
@@ -274,6 +308,8 @@ let suite =
     Alcotest.test_case "paper claim: CoreTime wins beyond L3" `Slow test_paper_claim_beyond_l3;
     Alcotest.test_case "paper claim: parity when data fits" `Slow test_paper_claim_fits_in_l3;
     Alcotest.test_case "figure 2: O2 partitions the caches" `Slow test_fig2_partitioning;
+    Alcotest.test_case "native experiment prints the oracle table only" `Slow
+      test_native_exp_oracle_only;
     Alcotest.test_case "golden rows: future64 small (E10)" `Slow
       test_golden_future;
   ]

@@ -327,8 +327,8 @@ let test_machine_paths_observed_noop () =
 (* The flight recorder's zero-cost-when-idle claim: producers guard event
    construction with Probe.active, so with no subscriber the whole
    emission path — guard included — allocates nothing. (With a recorder
-   subscribed each event is a fresh block by design; that path is timed,
-   not allocation-checked, in bench/main.ml.) *)
+   subscribed each event is a fresh block by design, so that path is not
+   allocation-checked.) *)
 let test_probe_inactive_emits_nothing () =
   let probe = O2_runtime.Probe.create () in
   Alcotest.(check bool) "probe starts inactive" false

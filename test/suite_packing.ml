@@ -109,6 +109,32 @@ let prop_unplaced_really_do_not_fit =
           Array.for_all (fun u -> u + it.Cache_packing.bytes > budget) fill)
         unplaced)
 
+(* E5, the paper's Section 4 claim: cache packing is Θ(n log n). An 8x
+   larger input should cost ~10.9x under n log n and 64x under n^2; the
+   bound sits between the two. *)
+let packing_items n =
+  List.init n (fun i ->
+      item i (1024 + (i mod 7 * 4096))
+        (float_of_int ((i * 2654435761) land 0xFFFF)))
+
+let test_pack_scales_n_log_n () =
+  let time n =
+    let items = packing_items n in
+    let used = Array.make 16 0 in
+    Timing.best_of_ns ~runs:7 (fun () ->
+        for _ = 1 to 10 do
+          ignore
+            (Sys.opaque_identity
+               (Cache_packing.pack ~budget:(1 lsl 20) ~used ~items))
+        done)
+  in
+  let small = time 2048 and large = time 16384 in
+  let ratio = float_of_int large /. float_of_int (Int.max 1 small) in
+  Alcotest.(check bool)
+    (Printf.sprintf "n=16384 / n=2048 = %.1fx (n log n: 10.9x, n^2: 64x)"
+       ratio)
+    true (ratio < 32.0)
+
 let suite =
   [
     Alcotest.test_case "hottest objects pack first" `Quick test_pack_hottest_first;
@@ -118,6 +144,7 @@ let suite =
     Alcotest.test_case "place_one least-loaded" `Quick test_place_one_least_loaded;
     Alcotest.test_case "place_one with no space" `Quick test_place_one_none_when_full;
     Alcotest.test_case "place_one random stays feasible" `Quick test_place_one_random_feasible;
+    Alcotest.test_case "pack scales as n log n" `Slow test_pack_scales_n_log_n;
     QCheck_alcotest.to_alcotest prop_never_over_budget;
     QCheck_alcotest.to_alcotest prop_unplaced_really_do_not_fit;
   ]

