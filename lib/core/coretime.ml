@@ -110,7 +110,7 @@ let replicate_instead t (o : Object_table.obj) =
 let maybe_promote t (o : Object_table.obj) =
   let p = t.policy_ in
   if
-    o.Object_table.home = None
+    Option.is_none o.Object_table.home
     && o.Object_table.ops_total >= p.Policy.promote_min_ops
     && o.Object_table.ewma_misses > p.Policy.promote_threshold
   then

@@ -1,28 +1,54 @@
 let entries_per_cluster img =
   Fat_image.cluster_bytes img / Fat_types.entry_bytes
 
-(* Scan one cluster, comparing the 8.3 name bytes in place — no decoded
-   entry record, no allocation per live slot. The packed result is:
-   the matching slot index (>= 0) on a hit; [-1] when the cluster was
-   exhausted without a hit; [-(2 + slot)] when the end-of-directory marker
-   sits at [slot]. The loop is a top-level recursion: a [let rec ... in]
-   closure would be heap-allocated per scan without flambda. *)
-let rec scan_slots buf base per name83 i =
+(* The scan kernel. The 11-byte 8.3 name is split once per cluster into
+   a 4-byte, a 4-byte, a 2-byte and a 1-byte int; per slot the loop
+   tests the end byte, then compares the first 32-bit word, and compares
+   the rest only when that word matches. A deleted slot keeps its name
+   bytes behind the 0xE5 marker, so the deleted test is needed only
+   after a match. One range check per cluster (in [scan_cluster]) covers
+   every unchecked load below. [get32u] reads native-endian, which is
+   fine: the name words are read the same way. The packed result is the
+   matching slot index (>= 0) on a hit; [-1] when the cluster was
+   exhausted without a hit; [-(2 + slot)] when the end-of-directory
+   marker sits at [slot]. The loop is a top-level recursion: a
+   [let rec ... in] closure would be heap-allocated per scan without
+   flambda. *)
+external get32u : bytes -> int -> int32 = "%caml_bytes_get32u"
+external get16u : bytes -> int -> int = "%caml_bytes_get16u"
+external name32 : string -> int -> int32 = "%caml_string_get32"
+external name16 : string -> int -> int = "%caml_string_get16"
+
+(* No 32-bit word reads as this, so a name that is not 11 bytes long
+   matches no slot. *)
+let no_word = 1 lsl 40
+
+let rec scan_slots buf off per w0 w1 w2 b10 i =
   if i >= per then -1
-  else begin
-    let off = base + (i * Fat_types.entry_bytes) in
-    if Fat_types.is_end buf ~off then -(2 + i)
-    else if
-      (not (Fat_types.is_deleted buf ~off))
-      && Fat_types.name_matches buf ~off name83
-    then i
-    else scan_slots buf base per name83 (i + 1)
-  end
+  else if Bytes.unsafe_get buf off = Fat_types.end_marker then -(2 + i)
+  else if
+    Int32.to_int (get32u buf off) = w0
+    && Int32.to_int (get32u buf (off + 4)) = w1
+    && get16u buf (off + 8) = w2
+    && Char.code (Bytes.unsafe_get buf (off + 10)) = b10
+    && Bytes.unsafe_get buf off <> Fat_types.deleted_marker
+  then i
+  else scan_slots buf (off + Fat_types.entry_bytes) per w0 w1 w2 b10 (i + 1)
 
 let scan_cluster img cluster ~name83 =
-  scan_slots (Fat_image.buf img)
-    (Fat_image.cluster_off img cluster)
-    (entries_per_cluster img) name83 0
+  let buf = Fat_image.buf img in
+  let base = Fat_image.cluster_off img cluster in
+  let per = entries_per_cluster img in
+  if base < 0 || base + (per * Fat_types.entry_bytes) > Bytes.length buf then
+    invalid_arg "Fat_dir.scan_cluster: cluster outside the image";
+  if String.length name83 = 11 then
+    scan_slots buf base per
+      (Int32.to_int (name32 name83 0))
+      (Int32.to_int (name32 name83 4))
+      (name16 name83 8)
+      (Char.code (String.unsafe_get name83 10))
+      0
+  else scan_slots buf base per no_word 0 0 0 0
 
 let decode_at img cluster slot =
   Fat_types.decode_entry (Fat_image.buf img)
@@ -183,28 +209,18 @@ let append_bulk img ~head run =
   append_run img run 0 last slot
 
 let remove img ~head ~name83 =
-  let buf = Fat_image.buf img in
-  let per = entries_per_cluster img in
   let rec walk = function
     | [] -> false
     | cluster :: rest ->
-        let base = Fat_image.cluster_off img cluster in
-        let rec go i =
-          if i >= per then walk rest
-          else begin
-            let off = base + (i * Fat_types.entry_bytes) in
-            if Fat_types.is_end buf ~off then false
-            else if
-              (not (Fat_types.is_deleted buf ~off))
-              && Fat_types.name_matches buf ~off name83
-            then begin
-              Bytes.set buf off Fat_types.deleted_marker;
-              true
-            end
-            else go (i + 1)
-          end
-        in
-        go 0
+        let r = scan_cluster img cluster ~name83 in
+        if r >= 0 then begin
+          Bytes.set (Fat_image.buf img)
+            (Fat_image.cluster_off img cluster + (r * Fat_types.entry_bytes))
+            Fat_types.deleted_marker;
+          true
+        end
+        else if r = -1 then walk rest
+        else false
   in
   walk (Fat_image.chain img head)
 

@@ -9,6 +9,15 @@
 
 val entries_per_cluster : Fat_image.t -> int
 
+val scan_cluster : Fat_image.t -> int -> name83:string -> int
+(** [scan_cluster img cluster ~name83] scans one cluster's slots in
+    order: the index of the first live slot named [name83] (>= 0); [-1]
+    when the cluster ends with no match; [-(2 + slot)] when the
+    end-of-directory marker sits at [slot]. Deleted slots never match,
+    and neither does a [name83] that is not exactly 11 bytes. The name is
+    compared a 32-bit word at a time, in place; allocation-free (the
+    kernel under {!find}, {!remove} and {!lookup_sim}). *)
+
 val find : Fat_image.t -> head:int -> name83:string -> Fat_types.entry option
 (** Host-side linear scan; stops at the end-of-directory marker. *)
 

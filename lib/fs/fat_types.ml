@@ -42,18 +42,6 @@ let decode_entry b ~off =
 let is_end b ~off = Bytes.get b off = end_marker
 let is_deleted b ~off = Bytes.get b off = deleted_marker
 
-(* In-place 8.3 name comparison. The lookup loop calls this once per live
-   slot, so it must not allocate — [decode_entry] would build a record and
-   an 11-byte string per slot just to compare names. The recursion is
-   top-level (not a [let rec ... in] closure) because without flambda an
-   inner recursive function capturing [b]/[name] is heap-allocated on
-   every call. *)
-let rec name_eq_from b ~off name i =
-  i = 11 || (Bytes.get b (off + i) = String.get name i && name_eq_from b ~off name (i + 1))
-
-let name_matches b ~off name =
-  String.length name = 11 && name_eq_from b ~off name 0
-
 let pp_entry ppf e =
   Format.fprintf ppf "%S attr=%#x cluster=%d size=%d" e.name e.attr
     e.first_cluster e.size

@@ -47,10 +47,4 @@ val decode_entry : bytes -> off:int -> entry
 val is_end : bytes -> off:int -> bool
 val is_deleted : bytes -> off:int -> bool
 
-val name_matches : bytes -> off:int -> string -> bool
-(** [name_matches b ~off name] compares the 11 name bytes of the entry at
-    [off] against [name] in place, without decoding the entry. False when
-    [name] is not exactly 11 bytes. Allocation-free — this is the compare
-    in the lookup hot loop. *)
-
 val pp_entry : Format.formatter -> entry -> unit

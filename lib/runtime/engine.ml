@@ -262,7 +262,11 @@ let handler t th =
         Some
           (fun k ->
             let cs = t.cores_.(th.Thread.core) in
-            if l.Spinlock.owner <> Some th.Thread.id then
+            if
+              match l.Spinlock.owner with
+              | Some o -> o <> th.Thread.id
+              | None -> true
+            then
               raise
                 (Not_lock_owner
                    (Printf.sprintf "thread %d releasing %s it does not hold"

@@ -25,33 +25,44 @@ let before t i j =
   t.times.(i) < t.times.(j)
   || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
 
-let swap t i j =
-  let time = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- time;
-  let seq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- seq;
-  let payload = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- payload
+(* Whether the entry at [i] comes before the key [(time, seq)]. Seqs are
+   unique, so when it does not, the key comes first. *)
+let entry_before t i time seq =
+  t.times.(i) < time || (t.times.(i) = time && t.seqs.(i) < seq)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
-    end
+let move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.payloads.(dst) <- t.payloads.(src)
+
+let set t i time seq payload =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.payloads.(i) <- payload
+
+(* Both sifts move a hole instead of swapping: the entries on the path
+   shift one level into it, and the entry being placed is written once,
+   where it lands. A swap writes each payload slot on the path twice,
+   and every payload write is a [caml_modify]. *)
+let rec sift_up t i time seq payload =
+  let parent = (i - 1) / 2 in
+  if i > 0 && not (entry_before t parent time seq) then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent time seq payload
   end
+  else set t i time seq payload
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < t.size && before t l i then l else i in
-  let smallest = if r < t.size && before t r smallest then r else smallest in
-  if smallest <> i then begin
-    swap t i smallest;
-    sift_down t smallest
+let rec sift_down t i time seq payload =
+  let l = (2 * i) + 1 in
+  if l >= t.size then set t i time seq payload
+  else begin
+    let r = l + 1 in
+    let c = if r < t.size && before t r l then r else l in
+    if entry_before t c time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t c time seq payload
+    end
+    else set t i time seq payload
   end
 
 let grow t payload =
@@ -69,13 +80,10 @@ let grow t payload =
 let push t ~time payload =
   if time < 0 then invalid_arg "Event_queue.push: negative time";
   if t.size = Array.length t.times then grow t payload;
-  let i = t.size in
-  t.times.(i) <- time;
-  t.seqs.(i) <- t.next_seq;
-  t.payloads.(i) <- payload;
-  t.next_seq <- t.next_seq + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
   t.size <- t.size + 1;
-  sift_up t i
+  sift_up t (t.size - 1) time seq payload
 
 let min_time t =
   if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
@@ -85,12 +93,8 @@ let pop_min t =
   if t.size = 0 then invalid_arg "Event_queue.pop_min: empty queue";
   let top = t.payloads.(0) in
   t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.times.(0) <- t.times.(t.size);
-    t.seqs.(0) <- t.seqs.(t.size);
-    t.payloads.(0) <- t.payloads.(t.size);
-    sift_down t 0
-  end;
+  let n = t.size in
+  if n > 0 then sift_down t 0 t.times.(n) t.seqs.(n) t.payloads.(n);
   top
 
 let pop t =

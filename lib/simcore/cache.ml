@@ -33,11 +33,17 @@ let resident_lines t = Lru.length t.lru
 let[@inline] probe t line = Lru.touch t.lru line
 let[@inline] contains t line = Lru.mem t.lru line
 
+let[@inline] notify_fill t line victim =
+  match t.watcher with None -> () | Some w -> w.on_fill t ~line ~victim
+
 let fill_evict t line =
   let victim = Lru.add_evict t.lru line in
-  (match t.watcher with
-  | None -> ()
-  | Some w -> w.on_fill t ~line ~victim);
+  notify_fill t line victim;
+  victim
+
+let fill_absent t line =
+  let victim = Lru.insert_absent t.lru line in
+  notify_fill t line victim;
   victim
 
 let notify_remove t line =

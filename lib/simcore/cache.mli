@@ -10,7 +10,7 @@ type t
 
 type watcher = {
   on_fill : t -> line:int -> victim:int -> unit;
-      (** Called after every {!fill_evict}; [victim] is the evicted line or
+      (** Called after every {!fill_evict} and {!fill_absent}; [victim] is the evicted line or
           [-1]. The cache already contains [line] and no longer contains the
           victim when the watcher runs. *)
   on_remove : t -> line:int -> unit;
@@ -43,7 +43,12 @@ val contains : t -> int -> bool
 
 val fill_evict : t -> int -> int
 (** Insert a line after a miss: the evicted victim line, or [-1] when
-    nothing was evicted. Allocation-free (the access path uses this). *)
+    nothing was evicted. Allocation-free. *)
+
+val fill_absent : t -> int -> int
+(** {!fill_evict} for a line the caller has just probed and missed: no
+    second lookup. The access path's fills all use this. The line must be
+    absent. *)
 
 val drop : t -> int -> bool
 (** Removal (coherence invalidation, the L3's exclusive hand-back, a

@@ -209,26 +209,31 @@ let lru_key t = if t.size = 0 then None else Some (key_of t t.tail)
 (* Allocation-free insert: the evicted key comes back as a bare int, with
    [-1] for "nothing evicted", which no key can be. The victim leaves
    before the new key maps, so a page it empties can come straight back
-   for the new key's range. *)
+   for the new key's range. [insert_absent] is the miss path's fill: its
+   caller has just probed and missed, so it skips the [touch]. *)
+let link_absent t key =
+  let victim =
+    if t.size < t.cap then -1
+    else begin
+      let o = t.tail in
+      let vkey = key_of t o in
+      unlink t o;
+      unmap_node t o;
+      t.size <- t.size - 1;
+      vkey
+    end
+  in
+  push_front t (map_key t key);
+  t.size <- t.size + 1;
+  victim
+
+let insert_absent t key =
+  if key < 0 then invalid_arg "Lru.insert_absent: negative key";
+  link_absent t key
+
 let add_evict t key =
   if key < 0 then invalid_arg "Lru.add_evict: negative key";
-  if touch t key then -1
-  else begin
-    let victim =
-      if t.size < t.cap then -1
-      else begin
-        let o = t.tail in
-        let vkey = key_of t o in
-        unlink t o;
-        unmap_node t o;
-        t.size <- t.size - 1;
-        vkey
-      end
-    in
-    push_front t (map_key t key);
-    t.size <- t.size + 1;
-    victim
-  end
+  if touch t key then -1 else link_absent t key
 
 let add t key =
   let victim = add_evict t key in

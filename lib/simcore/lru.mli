@@ -48,6 +48,13 @@ val add_evict : t -> int -> int
     (also from {!add}). Lookups of a negative key ({!mem}, {!touch},
     {!remove}) report it absent. *)
 
+val insert_absent : t -> int -> int
+(** [insert_absent t k] is {!add_evict} for a key the caller knows is
+    absent (it has just probed and missed): no lookup first. Returns the
+    evicted key or [-1]. The key must be absent: a present key would be
+    linked twice.
+    @raise Invalid_argument ["Lru.insert_absent: negative key"] if [k < 0]. *)
+
 val remove : t -> int -> bool
 (** [remove t k] deletes [k]; returns whether it was present. *)
 

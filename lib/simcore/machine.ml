@@ -38,6 +38,7 @@ type t = {
      of a call. *)
   chip_tab : int array;
   hop_mat : int array;
+  classes : Presence.classes;  (* core masks by hop distance, per chip *)
   nchips : int;
   line_shift : int;  (* log2 line_bytes; Config.validate enforces pow2 *)
   (* Cache-observatory subscribers. Empty list = not observed: every
@@ -63,6 +64,10 @@ let create cfg =
   let line = cfg.Config.line_bytes in
   let presence = Presence.create ~cores:ncores in
   let hops = Topology.hops topo in
+  let chip_tab = Array.init ncores (Config.chip_of_core cfg) in
+  let hop_mat =
+    Array.init (nchips * nchips) (fun i -> hops (i / nchips) (i mod nchips))
+  in
   {
     cfg;
     topo;
@@ -85,9 +90,10 @@ let create cfg =
     ctr = Counters.create_array ncores;
     dram_scratch = Array.make nchips 0;
     dram_touched = false;
-    chip_tab = Array.init ncores (Config.chip_of_core cfg);
-    hop_mat =
-      Array.init (nchips * nchips) (fun i -> hops (i / nchips) (i mod nchips));
+    chip_tab;
+    hop_mat;
+    classes =
+      Presence.hop_classes presence ~chip_of:chip_tab ~hops:hop_mat ~nchips;
     nchips;
     line_shift = log2 line 0;
     observers = [];
@@ -179,22 +185,26 @@ let fill_l3 t chip line =
   if victim >= 0 then Presence.clear_chip t.presence ~line:victim ~chip;
   Presence.set_chip t.presence ~line ~chip
 
-let fill_l1 t core line =
-  let victim = Cache.fill_evict t.l1.(core) line in
+(* What a private fill's victim leaves behind: its presence bit goes
+   once it is in neither private level, and an L2 victim drops into the
+   chip's L3. *)
+let l1_evicted t core victim =
   if victim >= 0 && not (Cache.contains t.l2.(core) victim) then
     Presence.clear_core t.presence ~line:victim ~core
 
-let fill_l2 t core line =
-  let victim = Cache.fill_evict t.l2.(core) line in
+let l2_evicted t core victim =
   if victim >= 0 && not (Cache.contains t.l1.(core) victim) then begin
     Presence.clear_core t.presence ~line:victim ~core;
     (* victim-cache insertion into the chip's L3 *)
     fill_l3 t t.chip_tab.(core) victim
   end
 
+(* The access path fills only caches its probe just missed, so its fills
+   skip the re-probe ([Cache.fill_absent]). [fill_private] follows a miss
+   in both private levels. *)
 let fill_private t core line =
-  fill_l1 t core line;
-  fill_l2 t core line;
+  l1_evicted t core (Cache.fill_absent t.l1.(core) line);
+  l2_evicted t core (Cache.fill_absent t.l2.(core) line);
   Presence.set_core t.presence ~line ~core
 
 (* One load: the cost in cache cycles of sourcing [line]. Lines that miss
@@ -212,15 +222,14 @@ let read_line t ~core ~chip ~now line =
   end
   else if Cache.probe t.l2.(core) line then begin
     c.Counters.l2_hits <- c.Counters.l2_hits + 1;
-    fill_l1 t core line;
-    Presence.set_core t.presence ~line ~core;
+    (* the line's presence bit is already set: L2 holds it *)
+    l1_evicted t core (Cache.fill_absent t.l1.(core) line);
     notify_access t ~now ~core ~line ~source:src_l2;
     t.cfg.Config.l2_latency
   end
-  else if Cache.probe t.l3.(chip) line then begin
+  else if Cache.drop t.l3.(chip) line then begin
     c.Counters.l3_hits <- c.Counters.l3_hits + 1;
     (* exclusive: the line moves from the L3 into the private hierarchy *)
-    ignore (Cache.drop t.l3.(chip) line);
     Presence.clear_chip t.presence ~line ~chip;
     fill_private t core line;
     notify_access t ~now ~core ~line ~source:src_l3;
@@ -229,8 +238,8 @@ let read_line t ~core ~chip ~now line =
   else begin
     (* Missed the local hierarchy: nearest remote holder, else home DRAM. *)
     let holder =
-      Presence.nearest_core_holder t.presence ~line ~exclude_core:core
-        ~chip_of:t.chip_tab ~from_chip:chip ~hops:t.hop_mat ~nchips:t.nchips
+      Presence.nearest_core t.presence t.classes ~line ~exclude_core:core
+        ~from_chip:chip
     in
     let holder_chip =
       if holder >= 0 then t.chip_tab.(holder)
@@ -464,8 +473,8 @@ let check_presence_consistency t =
 let place t ~core ~addr ~l1 ~l2 ~l3 =
   let line = line_of t addr in
   let chip = t.chip_tab.(core) in
-  if l1 then fill_l1 t core line;
-  if l2 then fill_l2 t core line;
+  if l1 then l1_evicted t core (Cache.fill_evict t.l1.(core) line);
+  if l2 then l2_evicted t core (Cache.fill_evict t.l2.(core) line);
   if l1 || l2 then Presence.set_core t.presence ~line ~core;
   if l3 then fill_l3 t chip line
 

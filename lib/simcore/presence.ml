@@ -112,46 +112,62 @@ let core_holders t ~line =
 let cached_anywhere t ~line = line < t.cap && not (line_empty t line)
 
 (* The nearest-holder scans return a bare id with [-1] for "no holder",
-   and loop over mask words and bits directly — no option, no closure, no
-   refs — because they run on the miss path of every simulated load.
-   [chip_of] is the per-core chip table and [hops] the flat chips x chips
-   hop matrix (row-major), both prebuilt by Machine. Ties on hop distance
-   go to the lowest id: words ascend and the lowest set bit wins. *)
+   and loop over mask words directly — no option, no closure, no refs —
+   because they run on the miss path of every simulated load. Ties on
+   hop distance go to the lowest id. *)
 let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1)
 
-let rec nearest_core_bits ~chip_of ~hops ~row base mask best best_h =
-  if mask = 0 then best
+(* Core masks grouped by hop distance, per source chip: chip [f]'s
+   classes are the [words]-wide masks in [masks] from word [lo.(f)] up to
+   [lo.(f + 1)], nearest class first. *)
+type classes = { masks : int array; lo : int array }
+
+let hop_classes t ~chip_of ~hops ~nchips =
+  let ncores = Array.length chip_of in
+  let dist f c = hops.((f * nchips) + chip_of.(c)) in
+  let per_chip =
+    List.init nchips (fun f ->
+        List.init ncores (dist f)
+        |> List.sort_uniq Int.compare
+        |> List.map (fun d ->
+               let m = Array.make t.words 0 in
+               for c = 0 to ncores - 1 do
+                 if dist f c = d then
+                   m.(c lsr 5) <- m.(c lsr 5) lor (1 lsl (c land 31))
+               done;
+               m))
+  in
+  let lo = Array.make (nchips + 1) 0 in
+  List.iteri
+    (fun f cls -> lo.(f + 1) <- lo.(f) + (List.length cls * t.words))
+    per_chip;
+  { masks = Array.concat (List.concat per_chip); lo }
+
+(* The lowest holder in the class starting at word [i] of [masks], or
+   [-1]: words ascend, so the first non-empty word's lowest bit is the
+   class's lowest core id. *)
+let rec class_word t base masks i w xw xbit =
+  if w >= t.words then -1
   else begin
-    let bit = mask land -mask in
-    let core = base + bit_index bit 0 in
-    let h = hops.(row + chip_of.(core)) in
-    let rest = mask land lnot bit in
-    if h < best_h then nearest_core_bits ~chip_of ~hops ~row base rest core h
-    else nearest_core_bits ~chip_of ~hops ~row base rest best best_h
+    let m = t.cores_.(base + w) land masks.(i + w) in
+    let m = if w = xw then m land lnot xbit else m in
+    if m <> 0 then (w * bits_per_word) + bit_index (m land -m) 0
+    else class_word t base masks i (w + 1) xw xbit
   end
 
-let rec nearest_core_words t ~line ~exclude_core ~chip_of ~hops ~row w best
-    best_h =
-  if w >= t.words then best
+let rec class_scan t base masks i hi xw xbit =
+  if i >= hi then -1
   else begin
-    let mask = t.cores_.((line * t.words) + w) in
-    let mask =
-      if exclude_core lsr 5 = w then mask land lnot (1 lsl (exclude_core land 31))
-      else mask
-    in
-    let best =
-      nearest_core_bits ~chip_of ~hops ~row (w * bits_per_word) mask best best_h
-    in
-    let best_h = if best >= 0 then hops.(row + chip_of.(best)) else best_h in
-    nearest_core_words t ~line ~exclude_core ~chip_of ~hops ~row (w + 1) best
-      best_h
+    let h = class_word t base masks i 0 xw xbit in
+    if h >= 0 then h else class_scan t base masks (i + t.words) hi xw xbit
   end
 
-let nearest_core_holder t ~line ~exclude_core ~chip_of ~from_chip ~hops ~nchips =
+let nearest_core t cls ~line ~exclude_core ~from_chip =
   if line >= t.cap then -1
   else
-    nearest_core_words t ~line ~exclude_core ~chip_of ~hops
-      ~row:(from_chip * nchips) 0 (-1) max_int
+    class_scan t (line * t.words) cls.masks cls.lo.(from_chip)
+      cls.lo.(from_chip + 1) (exclude_core lsr 5)
+      (1 lsl (exclude_core land 31))
 
 let rec nearest_chip_bits ~hops ~row mask best best_h =
   if mask = 0 then best

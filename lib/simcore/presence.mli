@@ -48,15 +48,23 @@ val chip_holders : t -> line:int -> int
 
 val cached_anywhere : t -> line:int -> bool
 
-val nearest_core_holder :
-  t -> line:int -> exclude_core:int -> chip_of:int array -> from_chip:int ->
-  hops:int array -> nchips:int -> int
+type classes
+(** Per source chip, the core masks grouped by hop distance, nearest
+    class first. Built once per machine by {!hop_classes}. *)
+
+val hop_classes :
+  t -> chip_of:int array -> hops:int array -> nchips:int -> classes
+(** [chip_of] maps core to chip and [hops] is the flat row-major
+    [nchips * nchips] hop matrix. The masks are as wide as [t]'s. *)
+
+val nearest_core :
+  t -> classes -> line:int -> exclude_core:int -> from_chip:int -> int
 (** The holder core (other than [exclude_core]) whose chip is fewest hops
     from [from_chip]; ties broken by lowest core id. [-1] when no other
     core holds the line — a bare int rather than an option, because this
     runs on the miss path of every simulated load and must not allocate.
-    [chip_of] maps core to chip and [hops] is the flat row-major
-    [nchips * nchips] hop matrix, both prebuilt by {!Machine}. *)
+    The answer is the lowest set bit of the holder mask and the first
+    non-empty distance class: a few loads and ands per class. *)
 
 val nearest_chip_holder :
   t -> line:int -> exclude_chip:int -> from_chip:int ->

@@ -15,8 +15,8 @@ let default =
     (* innermost engine loop: three-parallel-array heap *)
     { module_ = "Event_queue";
       functions =
-        [ "before"; "swap"; "sift_up"; "sift_down"; "push"; "min_time";
-          "pop_min"; "length"; "is_empty" ] };
+        [ "before"; "entry_before"; "move"; "set"; "sift_up"; "sift_down";
+          "push"; "min_time"; "pop_min"; "length"; "is_empty" ] };
     (* the event loop around min_time/pop_min, and one event's dispatch *)
     { module_ = "Engine"; functions = [ "run"; "step" ] };
     (* flat extent lookup on every simulated access *)
@@ -26,34 +26,37 @@ let default =
     { module_ = "Dram"; functions = [ "fetch" ] };
     (* cache fill/evict int protocol *)
     { module_ = "Cache";
-      functions = [ "probe"; "contains"; "fill_evict"; "drop"; "notify_remove" ] };
+      functions =
+        [ "probe"; "contains"; "fill_evict"; "fill_absent"; "drop";
+          "notify_fill"; "notify_remove" ] };
     { module_ = "Lru";
       functions =
         [ "find"; "mem"; "touch"; "unlink"; "push_front"; "add_evict";
-          "remove"; "map_key"; "unmap_node"; "take_page"; "key_of";
-          "next_of"; "prev_of"; "set_next"; "set_prev" ] };
+          "insert_absent"; "link_absent"; "remove"; "map_key"; "unmap_node";
+          "take_page"; "key_of"; "next_of"; "prev_of"; "set_next";
+          "set_prev" ] };
     (* the access walk itself: every simulated load and store *)
     { module_ = "Machine";
       functions =
         [ "line_of"; "read"; "write"; "read_line"; "read_lines";
-          "write_lines"; "dram_batch_loop"; "dram_batch_cost"; "fill_l1";
-          "fill_l2"; "fill_l3"; "fill_private"; "core_still_holds";
+          "write_lines"; "dram_batch_loop"; "dram_batch_cost"; "fill_l3";
+          "l1_evicted"; "l2_evicted"; "fill_private"; "core_still_holds";
           "invalidate_core_bits"; "invalidate_chip_bits"; "inval_words";
           "invalidate_others"; "notify_fill";
           "notify_remove"; "notify_access"; "fill_list"; "remove_list";
           "access_list" ] };
     (* flat per-line presence masks on the miss path of every simulated
-       load: direct indexing, so the old hash-probe helpers are gone *)
+       load: direct indexing, and the nearest core holder is a scan of
+       the per-chip hop-distance class masks *)
     { module_ = "Presence";
       functions =
         [ "words_empty"; "line_empty"; "set_core"; "set_chip";
           "clear_core"; "clear_chip"; "core_word"; "chip_holders";
-          "cached_anywhere"; "bit_index"; "nearest_core_bits";
-          "nearest_core_words"; "nearest_core_holder"; "nearest_chip_bits";
-          "nearest_chip_holder"; "core_popcount" ] };
-    (* FAT scan kernel: in-place 8.3 compare + packed scan + chain step *)
-    { module_ = "Fat_types";
-      functions = [ "is_end"; "is_deleted"; "name_eq_from"; "name_matches" ] };
+          "cached_anywhere"; "bit_index"; "class_word"; "class_scan";
+          "nearest_core"; "nearest_chip_bits"; "nearest_chip_holder";
+          "core_popcount" ] };
+    (* FAT scan kernel: word-wise 8.3 compare + packed scan + chain step *)
+    { module_ = "Fat_types"; functions = [ "is_end"; "is_deleted" ] };
     { module_ = "Fat_dir"; functions = [ "scan_slots"; "scan_cluster" ] };
     { module_ = "Fat_image"; functions = [ "next_cluster" ] };
     (* monitor indexes: O(active set) iteration and accounting *)

@@ -145,7 +145,7 @@ let one_lookup t rng =
   in
   Coretime.ct_end t.ct;
   if t.spec_.think_cycles > 0 then O2_runtime.Api.compute t.spec_.think_cycles;
-  found <> None
+  Option.is_some found
 
 let spawn_thread t ~core =
   let engine = Coretime.engine t.ct in

@@ -34,6 +34,38 @@ let test_registry_sound () =
   Alcotest.(check bool) "default set non-empty" true
     (List.exists (fun e -> e.Registry.default_set) Registry.all)
 
+(* A failed check inside an experiment (the native oracle's verdict) comes
+   back from run_ids as an [Error], which bench and o2sim turn into a
+   nonzero exit, and the other selected experiments still run. *)
+let test_registry_carries_failure () =
+  let ran = ref [] in
+  let exp id verdict =
+    {
+      Registry.id;
+      title = id;
+      paper_ref = "-";
+      default_set = true;
+      run =
+        (fun ~quick:_ ~jobs:_ ~obs:_ _ ->
+          ran := id :: !ran;
+          verdict);
+    }
+  in
+  let catalogue =
+    [ exp "a" (Ok ()); exp "bad" (Error "bad: check FAILED"); exp "b" (Ok ()) ]
+  in
+  let run ids =
+    Registry.run_ids ~catalogue ~quick:true ~jobs:1 Format.str_formatter ids
+  in
+  let verdict = Alcotest.(result unit string) in
+  Alcotest.check verdict "failure carried" (Error "bad: check FAILED")
+    (run []);
+  Alcotest.(check (list string)) "every selected experiment ran"
+    [ "a"; "bad"; "b" ] (List.rev !ran);
+  Alcotest.check verdict "passing selection" (Ok ()) (run [ "a"; "b" ]);
+  Alcotest.check verdict "failure among named ids"
+    (Error "bad: check FAILED") (run [ "bad"; "b" ])
+
 let test_harness_point_shape () =
   let spec = O2_workload.Dir_workload.spec_for_data_kb ~kb:1024 () in
   let p =
@@ -289,6 +321,8 @@ let suite =
     Alcotest.test_case "latencies match Section 5" `Quick test_latency_matches_paper;
     Alcotest.test_case "latency table is complete" `Quick test_latency_rows_complete;
     Alcotest.test_case "experiment registry" `Quick test_registry_sound;
+    Alcotest.test_case "registry carries a failed check as an Error" `Quick
+      test_registry_carries_failure;
     Alcotest.test_case "harness point fields" `Quick test_harness_point_shape;
     Alcotest.test_case "figure 4 x-axis ladder" `Quick test_kb_ladder;
     Alcotest.test_case "parallel sweep is bit-identical" `Slow

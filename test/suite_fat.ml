@@ -459,6 +459,86 @@ let prop_dir_matches_map =
       && List.length (Fat.readdir fs d) = Hashtbl.length model
       && Fat_check.ok (Fat_check.check fs))
 
+(* The word-wise scan kernel against the byte-wise scan it replaced:
+   end marker first, then a live slot (not 0xE5) whose 11 name bytes all
+   match a name of exactly 11 bytes. Slots are built to hit every branch:
+   end and deleted markers, the target itself (live or deleted), names
+   differing from it in one byte (byte 10 included), and random bytes
+   with the top bit set; names are sometimes not 11 bytes long. *)
+let byte_wise_scan buf base per name =
+  let name_eq off =
+    String.length name = 11
+    && List.for_all
+         (fun j -> Bytes.get buf (off + j) = name.[j])
+         (List.init 11 Fun.id)
+  in
+  let rec go i =
+    if i >= per then -1
+    else begin
+      let off = base + (i * Fat_types.entry_bytes) in
+      if Bytes.get buf off = Fat_types.end_marker then -(2 + i)
+      else if Bytes.get buf off <> Fat_types.deleted_marker && name_eq off
+      then i
+      else go (i + 1)
+    end
+  in
+  go 0
+
+type slot_kind = Target | Deleted_target | One_byte_off of int | Random | End
+
+let scan_case_gen =
+  let open QCheck2.Gen in
+  (* a small alphabet so random names collide, plus the two markers and
+     bytes >= 0x80 *)
+  let byte =
+    oneofl [ 'A'; 'B'; ' '; '\x00'; '\xE5'; '\x80'; '\xFF'; '\xC1' ]
+  in
+  let name = string_size ~gen:byte (oneof [ pure 11; pure 11; int_bound 14 ]) in
+  let kind =
+    frequency
+      [
+        (3, pure Target);
+        (2, pure Deleted_target);
+        (3, map (fun j -> One_byte_off j) (oneof [ pure 10; int_bound 10 ]));
+        (3, pure Random);
+        (1, pure End);
+      ]
+  in
+  let slot = pair kind (string_size ~gen:byte (pure 32)) in
+  triple name (int_bound 3) (list_size (int_range 1 16) slot)
+
+let prop_scan_matches_byte_wise =
+  QCheck2.Test.make ~name:"word-wise scan_cluster = byte-wise scan"
+    ~count:500 scan_case_gen (fun (name, which, slots) ->
+      let img =
+        Fat_image.create (mem ()) ~label:"scan" ~cluster_bytes:512
+          ~total_clusters:4
+      in
+      (* any of the four clusters, the image's last one included *)
+      let cluster = Fat_image.first_cluster_no + which in
+      let buf = Fat_image.buf img in
+      let base = Fat_image.cluster_off img cluster in
+      let target = if String.length name = 11 then name else "TARGET  DAT" in
+      List.iteri
+        (fun i (kind, noise) ->
+          let off = base + (i * Fat_types.entry_bytes) in
+          Bytes.blit_string noise 0 buf off 32;
+          match kind with
+          | Target -> Bytes.blit_string target 0 buf off 11
+          | Deleted_target ->
+              Bytes.blit_string target 0 buf off 11;
+              Bytes.set buf off Fat_types.deleted_marker
+          | One_byte_off j ->
+              Bytes.blit_string target 0 buf off 11;
+              let c = Char.code target.[j] in
+              Bytes.set buf (off + j) (Char.chr ((c + 1 + (c land 7)) land 0xFF))
+          | Random -> ()
+          | End -> Bytes.set buf off Fat_types.end_marker)
+        slots;
+      let per = Fat_dir.entries_per_cluster img in
+      Fat_dir.scan_cluster img cluster ~name83:name
+      = byte_wise_scan buf base per name)
+
 let suite =
   [
     Alcotest.test_case "8.3 encoding" `Quick test_name_encode;
@@ -487,4 +567,5 @@ let suite =
     Alcotest.test_case "mkdir_path" `Quick test_mkdir_path;
     Alcotest.test_case "simulated path resolution" `Quick test_resolve_sim_agrees;
     QCheck_alcotest.to_alcotest prop_dir_matches_map;
+    QCheck_alcotest.to_alcotest prop_scan_matches_byte_wise;
   ]

@@ -237,8 +237,9 @@ let test_machine_miss_paths_unobserved () =
   check_zero_alloc "coherence invalidation, no observer" words
 
 (* The flat presence directory's nearest-holder scans, probed directly:
-   per-line mask words walked bit by bit against the prebuilt core->chip
-   table and hop matrix, exactly as Machine's miss path drives them. No
+   per-line mask words anded with the per-chip hop-distance class masks
+   (built as Machine.create builds them) and the chip mask walked against
+   the hop matrix, exactly as Machine's miss path drives them. No
    options, no closures, no refs — a scan is loads and shifts only. *)
 let test_presence_scan_zero_alloc () =
   let cfg = Config.amd16 in
@@ -251,7 +252,8 @@ let test_presence_scan_zero_alloc () =
     Array.init (nchips * nchips) (fun i ->
         Topology.hops topo (i / nchips) (i mod nchips))
   in
-  (* scatter holders so scans cross mask words and chips *)
+  let classes = Presence.hop_classes p ~chip_of ~hops ~nchips in
+  (* scatter holders so scans cross distance classes and chips *)
   for line = 0 to 255 do
     Presence.set_core p ~line ~core:(line mod ncores);
     Presence.set_chip p ~line ~chip:(line mod nchips)
@@ -261,8 +263,8 @@ let test_presence_scan_zero_alloc () =
         for i = 1 to iters do
           let line = i land 255 in
           ignore
-            (Presence.nearest_core_holder p ~line ~exclude_core:0 ~chip_of
-               ~from_chip:0 ~hops ~nchips);
+            (Presence.nearest_core p classes ~line ~exclude_core:0
+               ~from_chip:0);
           ignore
             (Presence.nearest_chip_holder p ~line ~exclude_chip:0 ~from_chip:0
                ~hops ~nchips);

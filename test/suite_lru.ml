@@ -287,6 +287,46 @@ let prop_matches_model_paged =
           && Result.is_ok (Lru.check_invariants t))
         ops)
 
+(* The miss path's fill: probe, and on a miss [insert_absent] with no
+   second lookup. Mixed with the other operations it must keep the
+   structure sound and agree with the model's touch-then-add. *)
+type fill_op = Plain of op | Fill of int
+
+let fill_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Fill k) (int_bound 40));
+        (3, map (fun o -> Plain o) op_gen);
+      ])
+
+let prop_insert_absent_matches_model =
+  QCheck2.Test.make ~name:"lru insert_absent after a missed probe = model add"
+    ~count:300
+    QCheck2.Gen.(pair (int_range 1 12) (list_size (int_bound 200) fill_op_gen))
+    (fun (cap, ops) ->
+      let t = Lru.create ~cap in
+      let m = Model.create cap in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Fill k ->
+                if Lru.touch t k then Model.touch m k
+                else begin
+                  let victim = Lru.insert_absent t k in
+                  (not (Model.touch m k))
+                  && Model.add m k = if victim < 0 then None else Some victim
+                end
+            | Plain (Add k) -> Lru.add t k = Model.add m k
+            | Plain (Touch k) -> Lru.touch t k = Model.touch m k
+            | Plain (Remove k) -> Lru.remove t k = Model.remove m k
+          in
+          same
+          && Lru.to_list t = m.Model.l
+          && Result.is_ok (Lru.check_invariants t))
+        ops)
+
 (* Keys index the page directory by [key lsr 6], so a negative key would
    read as a huge page index: inserting one is a named error, and a
    lookup reports it absent without touching the directory. *)
@@ -298,6 +338,9 @@ let test_negative_keys () =
       ignore (Lru.add_evict t (-1)));
   Alcotest.check_raises "add" (Invalid_argument "Lru.add_evict: negative key")
     (fun () -> ignore (Lru.add t min_int));
+  Alcotest.check_raises "insert_absent"
+    (Invalid_argument "Lru.insert_absent: negative key") (fun () ->
+      ignore (Lru.insert_absent t (-1)));
   check Alcotest.bool "mem" false (Lru.mem t (-1));
   check Alcotest.bool "touch" false (Lru.touch t (-64));
   check Alcotest.bool "remove" false (Lru.remove t min_int);
@@ -323,5 +366,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_matches_model_wide_keys;
     QCheck_alcotest.to_alcotest prop_matches_model_paged;
+    QCheck_alcotest.to_alcotest prop_insert_absent_matches_model;
     Alcotest.test_case "negative keys" `Quick test_negative_keys;
   ]

@@ -159,6 +159,51 @@ let test_residency_and_distinct () =
   Alcotest.(check int) "8 distinct lines on chip" 8
     (Machine.distinct_cached_lines m)
 
+(* The distance-class nearest holder against the per-bit hop loop it
+   replaced: the holder (not the excluded core) with the fewest hops from
+   the source chip, lowest id on ties, or -1. future64's 64 cores span
+   two mask words. *)
+let hop_loop_nearest ~holders ~exclude_core ~chip_of ~hops ~nchips ~from_chip =
+  List.fold_left
+    (fun best c ->
+      if c = exclude_core then best
+      else
+        let h = hops.((from_chip * nchips) + chip_of.(c)) in
+        match best with
+        | Some (_, bh) when bh <= h -> best
+        | _ -> Some (c, h))
+    None
+    (List.sort_uniq Int.compare holders)
+  |> Option.fold ~none:(-1) ~some:fst
+
+let prop_nearest_by_class name cfg =
+  let ncores = Config.cores cfg and nchips = cfg.Config.chips in
+  let topo = Topology.create cfg in
+  let chip_of = Array.init ncores (Config.chip_of_core cfg) in
+  let hops =
+    Array.init (nchips * nchips) (fun i ->
+        Topology.hops topo (i / nchips) (i mod nchips))
+  in
+  QCheck2.Test.make
+    ~name:(Printf.sprintf "nearest holder by distance class = hop loop (%s)" name)
+    ~count:300
+    QCheck2.Gen.(
+      triple
+        (list_size (int_bound 8) (int_bound (ncores - 1)))
+        (int_bound (ncores - 1))
+        (int_bound (nchips - 1)))
+    (fun (holders, exclude_core, from_chip) ->
+      let p = Presence.create ~cores:ncores in
+      let classes = Presence.hop_classes p ~chip_of ~hops ~nchips in
+      let line = 7 in
+      List.iter (fun core -> Presence.set_core p ~line ~core) holders;
+      Presence.nearest_core p classes ~line ~exclude_core ~from_chip
+      = hop_loop_nearest ~holders ~exclude_core ~chip_of ~hops ~nchips
+          ~from_chip
+      && Presence.nearest_core p classes ~line:(line + 1) ~exclude_core
+           ~from_chip
+         = -1)
+
 let suite =
   [
     Alcotest.test_case "L1 hit costs 3" `Quick test_l1_hit;
@@ -174,4 +219,8 @@ let suite =
     Alcotest.test_case "zero-length accesses are free" `Quick test_zero_and_negative_len;
     Alcotest.test_case "object residency snapshot" `Quick test_residency_and_distinct;
     QCheck_alcotest.to_alcotest prop_presence_consistent;
+    QCheck_alcotest.to_alcotest (prop_nearest_by_class "small4" Config.small4);
+    QCheck_alcotest.to_alcotest (prop_nearest_by_class "amd16" Config.amd16);
+    QCheck_alcotest.to_alcotest
+      (prop_nearest_by_class "future64" Config.future64);
   ]
