@@ -18,6 +18,16 @@ type obj = {
   mutable in_active : bool;
 }
 
+(* Keyed by base address with an int equality, so a lookup on every
+   [ct_start] pays no polymorphic compare. The hash is [Hashtbl.hash], as
+   the generic table's, so buckets and iteration order are unchanged. *)
+module By_base = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
 (* Three incremental indexes keep the monitor's cost proportional to what
    it actually touches, not to the table size:
 
@@ -32,7 +42,7 @@ type obj = {
      drains it instead of resetting every registered object's
      [ops_period]. *)
 type t = {
-  by_base : (int, obj) Hashtbl.t;
+  by_base : obj By_base.t;
   used_ : int array;  (* bytes assigned per core *)
   budget_ : int;
   mutable all : obj array;  (* registration order; first [n_objs] live *)
@@ -47,7 +57,7 @@ let create ~cores ~budget_per_core =
   if cores <= 0 then invalid_arg "Object_table.create: cores";
   if budget_per_core <= 0 then invalid_arg "Object_table.create: budget";
   {
-    by_base = Hashtbl.create 1024;
+    by_base = By_base.create 1024;
     used_ = Array.make cores 0;
     budget_ = budget_per_core;
     all = [||];
@@ -60,7 +70,7 @@ let create ~cores ~budget_per_core =
 
 let register t ?(pid = 0) ~base ~size ~name () =
   if size <= 0 then invalid_arg "Object_table.register: size must be positive";
-  if Hashtbl.mem t.by_base base then
+  if By_base.mem t.by_base base then
     invalid_arg
       (Printf.sprintf "Object_table.register: duplicate object at %#x" base);
   let o =
@@ -84,7 +94,7 @@ let register t ?(pid = 0) ~base ~size ~name () =
       in_active = false;
     }
   in
-  Hashtbl.add t.by_base base o;
+  By_base.add t.by_base base o;
   if t.n_objs = Array.length t.all then begin
     let grown = Array.make (max 16 (2 * t.n_objs)) o in
     Array.blit t.all 0 grown 0 t.n_objs;
@@ -94,7 +104,7 @@ let register t ?(pid = 0) ~base ~size ~name () =
   t.n_objs <- t.n_objs + 1;
   o
 
-let find t base = Hashtbl.find_opt t.by_base base
+let find t base = By_base.find_opt t.by_base base
 
 let find_exn t base =
   match find t base with
@@ -115,7 +125,7 @@ let fold t f init =
   !acc
 
 let objects t = List.init t.n_objs (fun i -> t.all.(i))
-let size t = Hashtbl.length t.by_base
+let size t = By_base.length t.by_base
 
 let unassign t o =
   match o.home with
@@ -228,7 +238,7 @@ let check_accounting t =
   let n = Array.length t.used_ in
   let recomputed = Array.make n 0 in
   let homed = Array.make n 0 in
-  Hashtbl.iter
+  By_base.iter
     (fun _ o ->
       match o.home with
       | Some c when c >= 0 && c < n ->

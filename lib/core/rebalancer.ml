@@ -330,8 +330,8 @@ let move_from_saturated t ~now period =
 let displace_for_hotter t ~now =
   t.cand_len <- 0;
   Object_table.iter_active t.table (fun o ->
-      if o.Object_table.home = None && o.Object_table.ops_period > 0 then
-        push_cand t o);
+      if Option.is_none o.Object_table.home && o.Object_table.ops_period > 0
+      then push_cand t o);
   let top = select_top t 4 (* bounded work per period *) in
   for hi = 0 to top - 1 do
     let hot = t.cand_.(hi) in

@@ -53,7 +53,6 @@ let create mem ~label ~cluster_bytes ~total_clusters =
 let cluster_bytes t = t.cluster_bytes_
 let total_clusters t = t.total
 let free_clusters t = t.free
-let base_addr t = t.mem_base
 let image_bytes t = Bytes.length t.buf_
 let buf t = t.buf_
 let valid_cluster t c = c >= first_cluster_no && c < first_cluster_no + t.total

@@ -23,7 +23,6 @@ val create :
 val cluster_bytes : t -> int
 val total_clusters : t -> int
 val free_clusters : t -> int
-val base_addr : t -> int
 val image_bytes : t -> int
 val buf : t -> Bytes.t
 (** The raw image, for directory-entry code and for {!Fat_check}. *)

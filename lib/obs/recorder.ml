@@ -19,7 +19,9 @@ type span = {
 type op_class = Home_hit | Remote | Migrated
 
 let classify s =
-  if s.migrated then Migrated else if s.home <> None then Home_hit else Remote
+  if s.migrated then Migrated
+  else if Option.is_some s.home then Home_hit
+  else Remote
 
 (* A ct_start that has been requested but not yet started; at most one per
    thread (a nested ct_start can only be entered once the outer one has

@@ -59,7 +59,6 @@ let probe t = t.probe_
 let cores t = Array.length t.cores_
 let now t = t.last_time
 let core_clock t c = t.cores_.(c).clock
-let runq_length t c = Queue.length t.cores_.(c).runq
 let events_processed t = t.events
 let live_threads t = t.live
 

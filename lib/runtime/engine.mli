@@ -54,7 +54,6 @@ val now : t -> int
 (** Virtual time of the most recently processed event. *)
 
 val core_clock : t -> int -> int
-val runq_length : t -> int -> int
 val events_processed : t -> int
 
 val finalize_idle : t -> unit

@@ -24,7 +24,15 @@
    or a ring write because every call site in lib/native is guarded by
    [enabled]; the guard plus the argument loads are branch + int reads,
    pinned allocation-free by suite_hotpath and the o2staticcheck
-   manifest. *)
+   manifest.
+
+   This library is built with [-inline 200] for the simulator's engine,
+   which would make the writers below inlinable into lib/native's hot
+   functions. Their bodies sit behind the [enabled] guard there and only
+   bloat the code around it ([Native_backend.exec] grew from 1.5 KB to
+   3.7 KB and native_dir lost ~8% of its ops/s), so the writers the
+   native backend calls that the default [-inline] would not inline are
+   marked [@inline never]. *)
 
 let buckets = 63
 (* Same log2 layout as O2_obs.Hist: bucket 0 holds 0, bucket k >= 1
@@ -47,7 +55,7 @@ let rec significant_bits acc v =
 
 let bucket_of v = significant_bits 0 v
 
-let observe a v =
+let[@inline never] observe a v =
   let v = if v < 0 then 0 else v in
   a.counts.(bucket_of v) <- a.counts.(bucket_of v) + 1;
   a.total <- a.total + 1;
@@ -208,13 +216,14 @@ let enabled t = t.enabled
 let domains t = t.domains
 let sample t = t.sample
 
-let sink t d =
+let[@inline never] sink t d =
   if not t.enabled then disabled_sink
   else if d < 0 || d > t.domains then
     invalid_arg "Telemetry.sink: domain out of range"
   else t.sinks.(d)
 
-let coordinator t = if t.enabled then t.sinks.(t.domains) else disabled_sink
+let[@inline never] coordinator t =
+  if t.enabled then t.sinks.(t.domains) else disabled_sink
 
 let sink_array t ~n =
   if not t.enabled then Array.make n disabled_sink
@@ -257,31 +266,31 @@ let record_at s ~ts ~kind ~a ~b ~c =
 
 let record s ~kind ~a ~b ~c = record_at s ~ts:(now_ns ()) ~kind ~a ~b ~c
 
-let note_steal s ~victim =
+let[@inline never] note_steal s ~victim =
   s.steals <- s.steals + 1;
   record s ~kind:Steal ~a:victim ~b:0 ~c:0
 
-let note_park s =
+let[@inline never] note_park s =
   s.parks <- s.parks + 1;
   record s ~kind:Park ~a:0 ~b:0 ~c:0
 
-let note_wake s =
+let[@inline never] note_wake s =
   s.wakes <- s.wakes + 1;
   record s ~kind:Wake ~a:0 ~b:0 ~c:0
 
-let note_inbox_batch s ~count =
+let[@inline never] note_inbox_batch s ~count =
   s.inbox_batches <- s.inbox_batches + 1;
   s.inbox_tasks <- s.inbox_tasks + count;
   if count > s.max_batch then s.max_batch <- count;
   record s ~kind:Inbox_batch ~a:count ~b:0 ~c:0
 
-let note_spawned s ~core =
+let[@inline never] note_spawned s ~core =
   s.spawns <- s.spawns + 1;
   record s ~kind:Spawned ~a:core ~b:0 ~c:0
 
 (* Mint a token for one op. Returns -1 when this op's span events are
    sampled out — the latency accumulators still see it. *)
-let op_submit s ~obj =
+let[@inline never] op_submit s ~obj =
   let seq = s.seq in
   s.seq <- seq + 1;
   if s.sample > 0 && seq mod s.sample = 0 then begin
@@ -294,18 +303,18 @@ let op_submit s ~obj =
 let token_sink token = token mod max_sinks
 let token_seq token = token / max_sinks
 
-let note_ship_out s ~token ~obj ~dst =
+let[@inline never] note_ship_out s ~token ~obj ~dst =
   s.ships_out <- s.ships_out + 1;
   if token >= 0 then record s ~kind:Ship_out ~a:token ~b:obj ~c:dst
 
-let note_ship_in s ~token ~obj ~src =
+let[@inline never] note_ship_in s ~token ~obj ~src =
   s.ships_in <- s.ships_in + 1;
   if token >= 0 then record s ~kind:Ship_in ~a:token ~b:obj ~c:src
 
-let note_start s ~token ~obj =
+let[@inline never] note_start s ~token ~obj =
   if token >= 0 then record s ~kind:Start ~a:token ~b:obj ~c:0
 
-let note_end s ~token ~obj =
+let[@inline never] note_end s ~token ~obj =
   if token >= 0 then record s ~kind:End ~a:token ~b:obj ~c:0
 
 let observe_home s ns = observe s.lat_home ns
@@ -313,10 +322,10 @@ let observe_shipped s ns = observe s.lat_shipped ns
 let observe_ship_delay s ns = observe s.lat_ship_delay ns
 let observe_exec s ns = observe s.lat_exec ns
 
-let note_rebalance s ~moves =
+let[@inline never] note_rebalance s ~moves =
   record s ~kind:Rebalance ~a:moves ~b:0 ~c:0
 
-let note_quiesce s = record s ~kind:Quiesce ~a:0 ~b:0 ~c:0
+let[@inline never] note_quiesce s = record s ~kind:Quiesce ~a:0 ~b:0 ~c:0
 
 (* ------------------------------------------------------------------ *)
 (* Readers (quiescence only)                                           *)

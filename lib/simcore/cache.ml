@@ -31,6 +31,7 @@ let capacity_lines t = Lru.capacity t.lru
 let resident_lines t = Lru.length t.lru
 
 let[@inline] probe t line = Lru.touch t.lru line
+let[@inline] probe_run t first last = Lru.touch_run t.lru first last
 let[@inline] contains t line = Lru.mem t.lru line
 
 let[@inline] notify_fill t line victim =

@@ -38,6 +38,11 @@ val probe : t -> int -> bool
 (** [probe t line] is a lookup for the access path: touches the line's
     recency and reports whether it was present. *)
 
+val probe_run : t -> int -> int -> int
+(** [probe_run t first last] probes [first], [first + 1], ... up to
+    [last] while each line is present ({!Lru.touch_run}): the number of
+    lines that hit, whose recency ends as after probing them one by one. *)
+
 val contains : t -> int -> bool
 (** Membership without touching recency (for assertions and snapshots). *)
 

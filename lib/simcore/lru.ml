@@ -115,6 +115,52 @@ let[@inline] touch t key =
     true
   end
 
+(* Move the list segment from [top] down to [bot] (top nearer the head)
+   to the head with one splice. *)
+let[@inline] splice_front t top bot =
+  if top <> t.head then begin
+    let p = prev_of t.arena.(top) and n = next_of t.arena.(bot) in
+    set_next t p n;
+    if n = 0 then t.tail <- p else set_prev t n p;
+    let h = t.head in
+    set_prev t top 0;
+    set_next t bot h;
+    set_prev t h bot;
+    t.head <- top
+  end
+
+(* The node of [key + 1], given [o], the node of a present [key]: inside
+   a page it is the next arena word, across a boundary a [find]. *)
+let[@inline] node_after t key o =
+  if (key + 1) land page_mask <> 0 then
+    if t.arena.(o + 1) = 0 then 0 else o + 1
+  else find t (key + 1)
+
+(* Touching [key], [key + 1], ... one by one moves each to the head, so
+   they end up above the rest in descending key order. A maximal list
+   segment in which each key's [prev] is the next key's node is already
+   in that order: touching its keys one by one ends exactly as splicing
+   the whole segment to the head does. [o] is [key]'s node, [bot] the
+   bottom of the segment being climbed, and [n] the keys touched so far,
+   [key] included. *)
+let rec climb t key last bot o n =
+  let o' = if key < last then node_after t key o else 0 in
+  if o' = 0 then begin
+    splice_front t o bot;
+    n
+  end
+  else if prev_of t.arena.(o) = o' then climb t (key + 1) last bot o' (n + 1)
+  else begin
+    splice_front t o bot;
+    climb t (key + 1) last o' o' (n + 1)
+  end
+
+let touch_run t first last =
+  if first > last then 0
+  else
+    let o = find t first in
+    if o = 0 then 0 else climb t first last o o 1
+
 (* Directory growth to cover page [pi]: amortized doubling, at most once
    per doubling of the highest key inserted. *)
 let grow_dir t pi =

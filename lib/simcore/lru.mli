@@ -34,6 +34,14 @@ val touch : t -> int -> bool
 (** [touch t k] moves [k] to most-recently-used position; returns whether
     [k] was present. *)
 
+val touch_run : t -> int -> int -> int
+(** [touch_run t first last] touches [first], [first + 1], ... up to
+    [last] while each key is present, and returns how many it touched
+    ([0] when [first] is absent or [first > last]). The list ends exactly
+    as after touching them one by one, but each maximal segment of the
+    run that is already in that order moves to the head with one splice.
+    Allocation-free. *)
+
 val add : t -> int -> int option
 (** [add t k] inserts [k] as most-recently-used. Returns [Some victim] if a
     least-recently-used key had to be evicted, [None] otherwise. Adding a

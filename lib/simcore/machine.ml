@@ -63,11 +63,8 @@ let create cfg =
   let nchips = cfg.Config.chips in
   let line = cfg.Config.line_bytes in
   let presence = Presence.create ~cores:ncores in
-  let hops = Topology.hops topo in
   let chip_tab = Array.init ncores (Config.chip_of_core cfg) in
-  let hop_mat =
-    Array.init (nchips * nchips) (fun i -> hops (i / nchips) (i mod nchips))
-  in
+  let hop_mat = Topology.hop_table topo in
   {
     cfg;
     topo;
@@ -207,27 +204,16 @@ let fill_private t core line =
   l2_evicted t core (Cache.fill_absent t.l2.(core) line);
   Presence.set_core t.presence ~line ~core
 
-(* One load: the cost in cache cycles of sourcing [line]. Lines that miss
-   everywhere and fall through to DRAM cost 0 here; they are tallied into
-   [t.dram_scratch] per home bank so [read]/[write] can batch them (fetches
-   to different banks overlap). The whole path — probes, fills, presence
-   updates, nearest-holder location — is allocation-free. *)
-let read_line t ~core ~chip ~now line =
+(* One load that missed both private levels: the cost in cache cycles of
+   sourcing [line] from the local L3, the nearest remote holder or DRAM.
+   Lines that fall through to DRAM cost 0 here; they are tallied into
+   [t.dram_scratch] per home bank so [read]/[write] can batch them
+   (fetches to different banks overlap). The whole path — probes, fills,
+   presence updates, nearest-holder location — is allocation-free. *)
+let read_below_l2 t ~core ~chip ~now line =
   let c = t.ctr.(core) in
   c.Counters.loads <- c.Counters.loads + 1;
-  if Cache.probe t.l1.(core) line then begin
-    c.Counters.l1_hits <- c.Counters.l1_hits + 1;
-    notify_access t ~now ~core ~line ~source:src_l1;
-    t.cfg.Config.l1_latency
-  end
-  else if Cache.probe t.l2.(core) line then begin
-    c.Counters.l2_hits <- c.Counters.l2_hits + 1;
-    (* the line's presence bit is already set: L2 holds it *)
-    l1_evicted t core (Cache.fill_absent t.l1.(core) line);
-    notify_access t ~now ~core ~line ~source:src_l2;
-    t.cfg.Config.l2_latency
-  end
-  else if Cache.drop t.l3.(chip) line then begin
+  if Cache.drop t.l3.(chip) line then begin
     c.Counters.l3_hits <- c.Counters.l3_hits + 1;
     (* exclusive: the line moves from the L3 into the private hierarchy *)
     Presence.clear_chip t.presence ~line ~chip;
@@ -267,15 +253,72 @@ let read_line t ~core ~chip ~now line =
     end
   end
 
-(* The accumulating loops below are recursive rather than [ref]-based:
-   without flambda a local ref is a minor allocation, and [read]/[write]
-   are the hottest functions in the simulator. *)
+(* Observers see a run of hits line by line, in line order. *)
+let notify_run t ~now ~core first last source =
+  match t.observers with
+  | [] -> ()
+  | obs ->
+      for line = first to last do
+        access_list obs ~now ~core ~line ~source
+      done
 
+(* The end of an L2-hit run [first .. last]: one relink of the run in the
+   L2 and one bump of the counters. *)
+let end_l2_run t ~core first last acc =
+  let k = last - first + 1 in
+  if k = 0 then acc
+  else begin
+    ignore (Cache.probe_run t.l2.(core) first last);
+    let c = t.ctr.(core) in
+    c.Counters.loads <- c.Counters.loads + k;
+    c.Counters.l2_hits <- c.Counters.l2_hits + k;
+    acc + (k * t.cfg.Config.l2_latency)
+  end
+
+(* A load of lines [line .. last] walks runs: a run of L1 hits is one
+   [Cache.probe_run]; a run of L2 hits fills the L1 line by line and
+   relinks the L2 once at its end; a line that misses both goes below.
+   Every line, counter and cost comes out as read one by one. The loops
+   are recursive rather than [ref]-based: without flambda a local ref is
+   a minor allocation, and [read]/[write] are the hottest functions in
+   the simulator. *)
 let rec read_lines t ~core ~chip ~now line last acc =
   if line > last then acc
-  else
-    read_lines t ~core ~chip ~now (line + 1) last
-      (acc + read_line t ~core ~chip ~now line)
+  else begin
+    let n = Cache.probe_run t.l1.(core) line last in
+    if n = 0 then l2_run t ~core ~chip ~now line line last acc
+    else begin
+      let c = t.ctr.(core) in
+      c.Counters.loads <- c.Counters.loads + n;
+      c.Counters.l1_hits <- c.Counters.l1_hits + n;
+      let next = line + n in
+      notify_run t ~now ~core line (next - 1) src_l1;
+      let acc = acc + (n * t.cfg.Config.l1_latency) in
+      (* the run stopped at [last] or at a line absent from L1 *)
+      if next > last then acc else l2_run t ~core ~chip ~now next next last acc
+    end
+  end
+
+(* Lines [first .. line - 1] hit in L2 and were filled into L1, and
+   [line] is absent from L1. The L2 relink of the run waits for its end,
+   which is exact: an L1 fill reads only L2 membership, never its order. *)
+and l2_run t ~core ~chip ~now first line last acc =
+  if line <= last && Cache.contains t.l2.(core) line then begin
+    l1_evicted t core (Cache.fill_absent t.l1.(core) line);
+    notify_access t ~now ~core ~line ~source:src_l2;
+    (* an L1 hit on the next line (one the fill did not evict) ends the run *)
+    if line < last && Cache.contains t.l1.(core) (line + 1) then
+      read_lines t ~core ~chip ~now (line + 1) last
+        (end_l2_run t ~core first line acc)
+    else l2_run t ~core ~chip ~now first (line + 1) last acc
+  end
+  else begin
+    let acc = end_l2_run t ~core first (line - 1) acc in
+    if line > last then acc
+    else
+      read_lines t ~core ~chip ~now (line + 1) last
+        (acc + read_below_l2 t ~core ~chip ~now line)
+  end
 
 (* Cost of the batched DRAM traffic tallied in [t.dram_scratch]: fetches
    to different home banks overlap, so the result is the max over banks.
@@ -362,7 +405,8 @@ let rec write_lines t ~core ~chip ~now line last acc =
   else begin
     let c = t.ctr.(core) in
     c.Counters.stores <- c.Counters.stores + 1;
-    let acc = acc + read_line t ~core ~chip ~now line in
+    (* a one-line run: this line's invalidations precede the next read *)
+    let acc = read_lines t ~core ~chip ~now line line acc in
     let acc =
       if invalidate_others t ~core ~chip line then begin
         c.Counters.invalidations_sent <- c.Counters.invalidations_sent + 1;

@@ -18,7 +18,6 @@ type t = {
   mutable cap : int;  (* lines covered by the arrays *)
   mutable cores_ : int array;  (* line * words + w -> core mask word *)
   mutable chips_ : int array;  (* line -> chip mask *)
-  mutable size : int;  (* lines with at least one holder *)
 }
 
 let bits_per_word = 32
@@ -33,7 +32,6 @@ let create ~cores =
     cap;
     cores_ = Array.make (cap * words) 0;
     chips_ = Array.make cap 0;
-    size = 0;
   }
 
 let words t = t.words
@@ -60,39 +58,25 @@ let rec words_empty t base w =
 let line_empty t line =
   t.chips_.(line) = 0 && words_empty t (line * t.words) (t.words - 1)
 
+(* Updates are one load and one store: no holder count is kept, so no
+   update needs to know whether the line's entry was or becomes empty. *)
 let set_core t ~line ~core =
   if line >= t.cap then grow t line;
-  let was_empty = line_empty t line in
   let i = (line * t.words) + (core lsr 5) in
-  t.cores_.(i) <- t.cores_.(i) lor (1 lsl (core land 31));
-  if was_empty then t.size <- t.size + 1
+  t.cores_.(i) <- t.cores_.(i) lor (1 lsl (core land 31))
 
 let set_chip t ~line ~chip =
   if line >= t.cap then grow t line;
-  let was_empty = line_empty t line in
-  t.chips_.(line) <- t.chips_.(line) lor (1 lsl chip);
-  if was_empty then t.size <- t.size + 1
+  t.chips_.(line) <- t.chips_.(line) lor (1 lsl chip)
 
 let clear_core t ~line ~core =
   if line < t.cap then begin
     let i = (line * t.words) + (core lsr 5) in
-    let m = t.cores_.(i) in
-    let m' = m land lnot (1 lsl (core land 31)) in
-    if m' <> m then begin
-      t.cores_.(i) <- m';
-      if line_empty t line then t.size <- t.size - 1
-    end
+    t.cores_.(i) <- t.cores_.(i) land lnot (1 lsl (core land 31))
   end
 
 let clear_chip t ~line ~chip =
-  if line < t.cap then begin
-    let m = t.chips_.(line) in
-    let m' = m land lnot (1 lsl chip) in
-    if m' <> m then begin
-      t.chips_.(line) <- m';
-      if line_empty t line then t.size <- t.size - 1
-    end
-  end
+  if line < t.cap then t.chips_.(line) <- t.chips_.(line) land lnot (1 lsl chip)
 
 let core_word t ~line ~w = if line < t.cap then t.cores_.((line * t.words) + w) else 0
 let chip_holders t ~line = if line < t.cap then t.chips_.(line) else 0
@@ -111,11 +95,24 @@ let core_holders t ~line =
 
 let cached_anywhere t ~line = line < t.cap && not (line_empty t line)
 
+(* [bit_index] is a de Bruijn multiply: [b = 1 lsl k] times the
+   constant, wrapped to 63 bits, has a different top six bits for every
+   [k] in 0..62, and [debruijn_index] maps them back to [k]. *)
+let debruijn = 0x022fdd63cc95386d
+
+let debruijn_index =
+  let tab = Array.make 64 0 in
+  for k = 0 to 62 do
+    tab.(((1 lsl k) * debruijn) lsr 57) <- k
+  done;
+  tab
+
+let[@inline] bit_index b i = i + debruijn_index.((b * debruijn) lsr 57)
+
 (* The nearest-holder scans return a bare id with [-1] for "no holder",
    and loop over mask words directly — no option, no closure, no refs —
    because they run on the miss path of every simulated load. Ties on
    hop distance go to the lowest id. *)
-let rec bit_index b i = if b = 1 then i else bit_index (b lsr 1) (i + 1)
 
 (* Core masks grouped by hop distance, per source chip: chip [f]'s
    classes are the [words]-wide masks in [masks] from word [lo.(f)] up to
@@ -187,7 +184,13 @@ let nearest_chip_holder t ~line ~exclude_chip ~from_chip ~hops ~nchips =
     nearest_chip_bits ~hops ~row:(from_chip * nchips) mask (-1) max_int
   end
 
-let tracked_lines t = t.size
+(* Counted on demand: only reports ask. *)
+let tracked_lines t =
+  let n = ref 0 in
+  for line = 0 to t.cap - 1 do
+    if not (line_empty t line) then incr n
+  done;
+  !n
 
 let popcount mask =
   let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in

@@ -73,14 +73,17 @@ val nearest_chip_holder :
     when none. *)
 
 val tracked_lines : t -> int
-(** Number of lines with at least one holder (for tests/metrics). *)
+(** Number of lines with at least one holder (for tests and reports).
+    Counted on demand over every line the arrays cover, so updates keep
+    no count. *)
 
 val popcount : int -> int
 (** Bits set in a holder mask. *)
 
 val bit_index : int -> int -> int
 (** [bit_index b i] is the index of the single set bit in [b], plus [i]
-    ([b] must be a power of two — typically [m land -m]). *)
+    ([b] must be a power of two — typically [m land -m]). Constant
+    time: one multiply and one table load. *)
 
 val core_popcount : t -> line:int -> int
 (** Cores privately holding [line] (popcount across all mask words). *)

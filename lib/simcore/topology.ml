@@ -1,26 +1,26 @@
-type t = { cfg : Config.t; width : int }
+(* Chips sit on a [width]-wide grid: chip [c] is at
+   [(c mod width, c / width)], and two chips are the Manhattan distance
+   apart. The distances are tabulated once, row-major, so [hops] — on the
+   remote-hit and DRAM paths of every simulated miss — is one load
+   instead of four divisions. *)
+type t = { cfg : Config.t; width : int; nchips : int; hop_tab : int array }
 
 let create cfg =
   let rec width n = if n * n >= cfg.Config.chips then n else width (n + 1) in
-  { cfg; width = width 1 }
+  let width = width 1 in
+  let nchips = cfg.Config.chips in
+  let dist a b =
+    abs ((a mod width) - (b mod width)) + abs ((a / width) - (b / width))
+  in
+  let hop_tab =
+    Array.init (nchips * nchips) (fun i -> dist (i / nchips) (i mod nchips))
+  in
+  { cfg; width; nchips; hop_tab }
 
-(* Chips sit on a [width]-wide grid: chip [c] is at
-   [(c mod width, c / width)]. [hops] keeps the coordinates as bare ints —
-   it runs on the locate path of every simulated cache miss, and a
-   tuple-returning [coords] helper would box per chip visited. *)
-let hops t a b =
-  abs ((a mod t.width) - (b mod t.width))
-  + abs ((a / t.width) - (b / t.width))
+let[@inline] hops t a b = t.hop_tab.((a * t.nchips) + b)
+let hop_table t = t.hop_tab
 
-let max_hops t =
-  let n = t.cfg.Config.chips in
-  let best = ref 0 in
-  for a = 0 to n - 1 do
-    for b = 0 to n - 1 do
-      if hops t a b > !best then best := hops t a b
-    done
-  done;
-  !best
+let max_hops t = Array.fold_left Int.max 0 t.hop_tab
 
 let remote_cache_latency t ~from_chip ~to_chip =
   t.cfg.Config.remote_same_chip

@@ -12,6 +12,11 @@ val hops : t -> int -> int -> int
 (** [hops t a b] is the interconnect distance between chips [a] and [b];
     0 when [a = b]. *)
 
+val hop_table : t -> int array
+(** The hop counts as one row-major [chips * chips] array: [hops t a b]
+    is element [a * chips + b]. Shared, not copied: callers must not
+    write to it. *)
+
 val max_hops : t -> int
 (** Largest hop count between any two chips (the "most distant" bank). *)
 

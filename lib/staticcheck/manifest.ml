@@ -27,20 +27,21 @@ let default =
     (* cache fill/evict int protocol *)
     { module_ = "Cache";
       functions =
-        [ "probe"; "contains"; "fill_evict"; "fill_absent"; "drop";
-          "notify_fill"; "notify_remove" ] };
+        [ "probe"; "probe_run"; "contains"; "fill_evict"; "fill_absent";
+          "drop"; "notify_fill"; "notify_remove" ] };
     { module_ = "Lru";
       functions =
         [ "find"; "mem"; "touch"; "unlink"; "push_front"; "add_evict";
           "insert_absent"; "link_absent"; "remove"; "map_key"; "unmap_node";
           "take_page"; "key_of"; "next_of"; "prev_of"; "set_next";
-          "set_prev" ] };
+          "set_prev"; "touch_run"; "climb"; "splice_front"; "node_after" ] };
     (* the access walk itself: every simulated load and store *)
     { module_ = "Machine";
       functions =
-        [ "line_of"; "read"; "write"; "read_line"; "read_lines";
-          "write_lines"; "dram_batch_loop"; "dram_batch_cost"; "fill_l3";
-          "l1_evicted"; "l2_evicted"; "fill_private"; "core_still_holds";
+        [ "line_of"; "read"; "write"; "read_below_l2"; "read_lines";
+          "l2_run"; "end_l2_run"; "notify_run"; "write_lines";
+          "dram_batch_loop"; "dram_batch_cost"; "fill_l3"; "l1_evicted";
+          "l2_evicted"; "fill_private"; "core_still_holds";
           "invalidate_core_bits"; "invalidate_chip_bits"; "inval_words";
           "invalidate_others"; "notify_fill";
           "notify_remove"; "notify_access"; "fill_list"; "remove_list";
@@ -55,6 +56,9 @@ let default =
           "cached_anywhere"; "bit_index"; "class_word"; "class_scan";
           "nearest_core"; "nearest_chip_bits"; "nearest_chip_holder";
           "core_popcount" ] };
+    (* the hop table behind every remote hit and DRAM fetch *)
+    { module_ = "Topology";
+      functions = [ "hops"; "remote_cache_latency"; "dram_latency" ] };
     (* FAT scan kernel: word-wise 8.3 compare + packed scan + chain step *)
     { module_ = "Fat_types"; functions = [ "is_end"; "is_deleted" ] };
     { module_ = "Fat_dir"; functions = [ "scan_slots"; "scan_cluster" ] };

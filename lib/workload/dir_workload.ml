@@ -52,6 +52,23 @@ type t = {
   mutable next_seed : int;
 }
 
+(* The 8.3 name of "f<k>.dat", written directly: 'F', the digits of [k],
+   spaces up to the 8-byte base, then "DAT". *)
+let file_name83 k =
+  let rec last_digit v i = if v < 10 then i else last_digit (v / 10) (i + 1) in
+  let last = last_digit k 1 in
+  if k < 0 || last > 7 then
+    invalid_arg "Dir_workload.file_name83: f<k>.dat has no 8.3 name";
+  let b = Bytes.make 11 ' ' in
+  Bytes.set b 0 'F';
+  let rec put v i =
+    Bytes.set b i (Char.chr (Char.code '0' + (v mod 10)));
+    if v >= 10 then put (v / 10) (i - 1)
+  in
+  put k last;
+  Bytes.blit_string "DAT" 0 b 8 3;
+  Bytes.unsafe_to_string b
+
 let build ct spec =
   if spec.dirs <= 0 || spec.entries_per_dir <= 0 then
     invalid_arg "Dir_workload.build: dirs and entries must be positive";
@@ -74,10 +91,7 @@ let build ct spec =
     | Error e -> failwith ("Dir_workload.build: mkdir: " ^ e)
   in
   let dirs_ = Array.init spec.dirs mkdir in
-  let file_names83 =
-    Array.init spec.entries_per_dir (fun k ->
-        Fat_name.to_83_exn (Printf.sprintf "f%d.dat" k))
-  in
+  let file_names83 = Array.init spec.entries_per_dir file_name83 in
   (match Fat.populate fs_ dirs_ ~names83:file_names83 with
   | Ok () -> ()
   | Error e -> failwith ("Dir_workload.build: populate: " ^ e));

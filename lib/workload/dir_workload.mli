@@ -34,6 +34,12 @@ val spec_for_data_kb :
 (** The spec whose directory count best approximates [kb] of directory
     content (at least 1 directory). *)
 
+val file_name83 : int -> string
+(** [file_name83 k] is the 8.3 name of file [f<k>.dat] (["F<k>"] padded
+    to 8 bytes, then ["DAT"]), as {!O2_fs.Fat_name.to_83_exn} gives it.
+    @raise Invalid_argument when [k] is negative or has more than 7
+    digits. *)
+
 type t
 
 val build : Coretime.t -> spec -> t

@@ -79,6 +79,45 @@ let test_machine_write_l1_hit () =
   in
   check_zero_alloc "Machine.write L1 hit" words
 
+(* The run path: a 4 KB read whose 64 lines are all in L1 is one run of
+   L1 hits, and a cycle of 4 KB reads over 128 KB (past the 64 KB L1,
+   inside the 512 KB L2) makes every read a run of L2 hits that fills the
+   L1 line by line, each fill evicting, then relinks the L2 once. *)
+let test_machine_read_runs () =
+  let machine = Machine.create Config.amd16 in
+  let mem = Machine.memory machine in
+  let page = 4096 in
+  let hot = (Memsys.alloc mem ~name:"hot" ~size:page).Memsys.base in
+  ignore (Machine.read machine ~core:0 ~now:0 ~addr:hot ~len:page);
+  let words =
+    minor_words_during (fun () ->
+        for i = 1 to iters do
+          ignore (Machine.read machine ~core:0 ~now:i ~addr:hot ~len:page)
+        done)
+  in
+  check_zero_alloc "Machine.read run of L1 hits" words;
+  let span = 32 * page in
+  let wide = (Memsys.alloc mem ~name:"wide" ~size:span).Memsys.base in
+  for k = 0 to 63 do
+    ignore
+      (Machine.read machine ~core:0 ~now:k ~addr:(wide + (k mod 32 * page))
+         ~len:page)
+  done;
+  let c = Machine.counters machine 0 in
+  let l2_before = c.Counters.l2_hits in
+  let words =
+    minor_words_during (fun () ->
+        for i = 1 to iters do
+          ignore
+            (Machine.read machine ~core:0 ~now:i
+               ~addr:(wide + (i mod 32 * page))
+               ~len:page)
+        done)
+  in
+  Alcotest.(check int) "every line an L2 hit" (iters * 64)
+    (c.Counters.l2_hits - l2_before);
+  check_zero_alloc "Machine.read run of L2 hits" words
+
 (* The directory-scan kernel shared by Fat_dir.find and Fat_dir.lookup_sim
    (lookup_sim adds only Api.read/compute charges on top of the same
    scan_cluster walk). A missing name scans every entry of every cluster
@@ -645,6 +684,8 @@ let suite =
       test_machine_read_l1_hit;
     Alcotest.test_case "Machine.write L1 hit allocates nothing" `Quick
       test_machine_write_l1_hit;
+    Alcotest.test_case "Machine.read runs of hits allocate nothing" `Quick
+      test_machine_read_runs;
     Alcotest.test_case "FAT directory scan allocates nothing on a miss"
       `Quick test_fat_scan_miss;
     Alcotest.test_case "FAT populate allocates nothing per directory entry"

@@ -327,6 +327,73 @@ let prop_insert_absent_matches_model =
           && Result.is_ok (Lru.check_invariants t))
         ops)
 
+(* [touch_run] against touching key by key in the model. Keys sit in a
+   window that crosses the page boundary at 64, capacities reach past the
+   window, and the touches and removes between runs leave the run's keys
+   split into segments, partly absent, or already at the head. *)
+type run_op = Single of op | Run of int * int
+
+let run_key_gen = QCheck2.Gen.int_range 52 76
+
+let run_op_gen =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, map (fun k -> Single (Add k)) run_key_gen);
+        (2, map (fun k -> Single (Touch k)) run_key_gen);
+        (1, map (fun k -> Single (Remove k)) run_key_gen);
+        (3, map2 (fun k n -> Run (k, k + n)) run_key_gen (int_range (-1) 16));
+      ])
+
+let model_touch_run m first last =
+  let rec go k n = if k <= last && Model.touch m k then go (k + 1) (n + 1) else n in
+  go first 0
+
+let prop_touch_run_matches_touch =
+  QCheck2.Test.make ~name:"lru touch_run = touch key by key" ~count:500
+    QCheck2.Gen.(pair (int_range 1 30) (list_size (int_bound 200) run_op_gen))
+    (fun (cap, ops) ->
+      let t = Lru.create ~cap in
+      let m = Model.create cap in
+      List.for_all
+        (fun op ->
+          let same =
+            match op with
+            | Run (first, last) ->
+                Lru.touch_run t first last = model_touch_run m first last
+            | Single (Add k) -> Lru.add t k = Model.add m k
+            | Single (Touch k) -> Lru.touch t k = Model.touch m k
+            | Single (Remove k) -> Lru.remove t k = Model.remove m k
+          in
+          same
+          && Lru.to_list t = m.Model.l
+          && Result.is_ok (Lru.check_invariants t))
+        ops)
+
+(* The shapes the property samples, pinned: a run across the page
+   boundary that is one segment already at the head, one split into
+   segments by a touch, and one cut short by an absent key. *)
+let test_touch_run_shapes () =
+  let t = Lru.create ~cap:16 in
+  List.iter (fun k -> ignore (Lru.add t k)) [ 60; 61; 62; 63; 64; 65; 66 ];
+  check Alcotest.int "first absent" 0 (Lru.touch_run t 59 66);
+  check Alcotest.int "empty range" 0 (Lru.touch_run t 61 60);
+  check Alcotest.int "all present" 7 (Lru.touch_run t 60 66);
+  check Alcotest.(list int) "descending" [ 66; 65; 64; 63; 62; 61; 60 ]
+    (Lru.to_list t);
+  check Alcotest.int "segment at the head" 7 (Lru.touch_run t 60 66);
+  check Alcotest.(list int) "unchanged" [ 66; 65; 64; 63; 62; 61; 60 ]
+    (Lru.to_list t);
+  ignore (Lru.touch t 63);
+  check Alcotest.int "split run" 4 (Lru.touch_run t 62 65);
+  check Alcotest.(list int) "split run order" [ 65; 64; 63; 62; 66; 61; 60 ]
+    (Lru.to_list t);
+  ignore (Lru.remove t 64);
+  check Alcotest.int "absent in the middle" 2 (Lru.touch_run t 62 66);
+  check Alcotest.(list int) "partial order" [ 63; 62; 65; 66; 61; 60 ]
+    (Lru.to_list t);
+  check_ok t
+
 (* Keys index the page directory by [key lsr 6], so a negative key would
    read as a huge page index: inserting one is a named error, and a
    lookup reports it absent without touching the directory. *)
@@ -367,5 +434,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_matches_model_wide_keys;
     QCheck_alcotest.to_alcotest prop_matches_model_paged;
     QCheck_alcotest.to_alcotest prop_insert_absent_matches_model;
+    QCheck_alcotest.to_alcotest prop_touch_run_matches_touch;
+    Alcotest.test_case "touch_run shapes" `Quick test_touch_run_shapes;
     Alcotest.test_case "negative keys" `Quick test_negative_keys;
   ]

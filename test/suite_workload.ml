@@ -271,6 +271,24 @@ let prop_kv_matches_map =
             ops)
       && Kv_store.size store = Hashtbl.length model)
 
+(* The names the workload writes directly are the ones [Fat_name] makes
+   of "f<k>.dat": every k a directory of up to 100000 entries uses, and
+   the 7-digit ends. *)
+let test_file_names83 () =
+  let expect k = O2_fs.Fat_name.to_83_exn (Printf.sprintf "f%d.dat" k) in
+  List.iter
+    (fun k ->
+      if Dir_workload.file_name83 k <> expect k then
+        Alcotest.failf "f%d.dat: %S, want %S" k (Dir_workload.file_name83 k)
+          (expect k))
+    (List.init 100_000 Fun.id @ [ 1_000_000; 9_999_999 ]);
+  List.iter
+    (fun k ->
+      match Dir_workload.file_name83 k with
+      | _ -> Alcotest.failf "f%d.dat has no 8.3 name, but one was made" k
+      | exception Invalid_argument _ -> ())
+    [ -1; 10_000_000 ]
+
 let suite =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -283,6 +301,7 @@ let suite =
     Alcotest.test_case "fixed distribution" `Quick test_fixed;
     Alcotest.test_case "workload geometry (paper sizes)" `Quick test_workload_geometry;
     Alcotest.test_case "workload builds a valid volume" `Quick test_workload_builds_valid_volume;
+    Alcotest.test_case "file names written as 8.3" `Quick test_file_names83;
     Alcotest.test_case "workload image is pinned" `Quick
       test_workload_image_pinned;
     Alcotest.test_case "one_lookup resolves and counts" `Quick test_one_lookup_resolves;
