@@ -201,9 +201,10 @@ let add_file t d ~name ~size =
         }
 
 let populate t dirs ~names83 =
-  (* Every directory gets the same entries: encode them once into one run
-     and blit it into each chain. Names are fresh by construction, so no
-     per-entry duplicate scans (population is O(n), not O(n^2)). *)
+  (* Every directory gets the same entries: encode them once into one run,
+     cut it into cluster blocks, and hand those blocks to each chain's
+     fresh clusters. Names are fresh by construction, so no per-entry
+     duplicate scans (population is O(n), not O(n^2)). *)
   let run = Bytes.create (Array.length names83 * Fat_types.entry_bytes) in
   Array.iteri
     (fun i name ->
@@ -217,6 +218,7 @@ let populate t dirs ~names83 =
         run
         ~off:(i * Fat_types.entry_bytes))
     names83;
+  let run = Fat_dir.run_of_entries t.img run in
   let rec fill i =
     if i >= Array.length dirs then Ok ()
     else

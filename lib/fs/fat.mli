@@ -67,13 +67,15 @@ val populate : t -> dir array -> names83:string array -> (unit, string) result
 (** Add one empty archive file per 11-byte 8.3 name (see {!Fat_name.to_83})
     to every directory: the benchmark's 1000 entries per directory. The
     names are encoded once per call into one run of
-    [Array.length names83] x 32 bytes, which is copied into each
-    directory's cluster chain ({!Fat_dir.append_bulk}). Directories are
-    filled completely one after another in array order, so array order is
-    cluster-allocation order. The run lives only inside the call: nothing
-    is cached across calls or volumes. Names are not checked for
-    duplicates. [Error "volume full"] when the clusters run out; the
-    directories filled so far keep their entries.
+    [Array.length names83] x 32 bytes, cut into cluster-sized blocks, and
+    appended to each directory's cluster chain ({!Fat_dir.append_bulk}):
+    a fresh cluster filled from its first slot shares the matching block
+    instead of copying it. Directories are filled completely one after
+    another in array order, so array order is cluster-allocation order.
+    Nothing is cached across calls or volumes: the blocks belong to this
+    volume's image once shared. Names are not checked for duplicates.
+    [Error "volume full"] when the clusters run out; the directories
+    filled so far keep their entries.
     @raise Invalid_argument when a name is not 11 bytes. *)
 
 val lookup : t -> dir -> string -> Fat_types.entry option

@@ -9,7 +9,7 @@ let ok r = r.problems = []
 
 let check fs =
   let img = Fat.image fs in
-  let buf = Fat_image.buf img in
+  let buf = Fat_image.header img in
   let problems = ref [] in
   let problem fmt =
     Format.kasprintf (fun s -> problems := s :: !problems) fmt

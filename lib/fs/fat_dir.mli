@@ -15,28 +15,45 @@ val scan_cluster : Fat_image.t -> int -> name83:string -> int
     when the cluster ends with no match; [-(2 + slot)] when the
     end-of-directory marker sits at [slot]. Deleted slots never match,
     and neither does a [name83] that is not exactly 11 bytes. The name is
-    compared a 32-bit word at a time, in place; allocation-free (the
-    kernel under {!find}, {!remove} and {!lookup_sim}). *)
+    compared a 32-bit word at a time, in place, in the cluster's block
+    ({!Fat_image.cluster_block}); allocation-free (the kernel under
+    {!find}, {!remove} and {!lookup_sim}). *)
 
 val find : Fat_image.t -> head:int -> name83:string -> Fat_types.entry option
 (** Host-side linear scan; stops at the end-of-directory marker. *)
 
 val add : Fat_image.t -> head:int -> Fat_types.entry -> (unit, string) result
 (** Write an entry into the first free slot (deleted or end), extending
-    the chain with a fresh cluster when full. Fails when the volume is
-    full or the entry name duplicates an existing one. *)
+    the chain with a fresh cluster when full. One word-wise walk over the
+    chain finds both a duplicate name and the first free slot. Fails when
+    the volume is full or the entry name duplicates an existing one.
+    @raise Invalid_argument when the entry name is not 11 bytes. *)
 
-val append_bulk : Fat_image.t -> head:int -> Bytes.t -> (unit, string) result
-(** [append_bulk img ~head run] appends the entries already encoded in
-    [run] (whole 32-byte entries, see {!Fat_types.encode_entry}) after the
+type run
+(** Encoded directory entries ready to append to many directories: the
+    bytes, and the same bytes cut into cluster-sized blocks (the last one
+    zero-padded) that fresh clusters can share. *)
+
+val run_of_entries : Fat_image.t -> Bytes.t -> run
+(** [run_of_entries img bytes] cuts [bytes], whole 32-byte entries (see
+    {!Fat_types.encode_entry}), into [img]'s cluster size. [bytes] must
+    not change afterwards.
+    @raise Invalid_argument when [bytes] is not a whole number of
+    entries. *)
+
+val append_bulk : Fat_image.t -> head:int -> run -> (unit, string) result
+(** [append_bulk img ~head run] appends the entries of [run] after the
     directory's end marker, in order and without duplicate checks. The
     rest of the last cluster is filled with one blit, then fresh clusters
-    are linked after it ({!Fat_image.alloc_cluster} [~prev]) and zeroed,
-    one blit each: O(chain + entries) where {!add} is O(chain) per entry.
-    The caller guarantees the names are fresh (directory population).
-    [Error "volume full"] leaves the entries copied so far in place, the
-    chain well formed.
-    @raise Invalid_argument when [run] is not a whole number of entries. *)
+    are linked after it ({!Fat_image.alloc_cluster} [~prev]). A cluster
+    filled from slot 0 at a cluster-aligned point of the run shares the
+    run's block for that slice ({!Fat_image.share_block}) instead of
+    copying it: O(chain + clusters) pointer stores where {!add} is
+    O(chain) per entry. The caller guarantees the names are fresh
+    (directory population). [Error "volume full"] leaves the entries
+    copied so far in place, the chain well formed.
+    @raise Invalid_argument when a block of [run] is to be shared and
+    [run] was cut for another cluster size. *)
 
 val remove : Fat_image.t -> head:int -> name83:string -> bool
 (** Mark an entry deleted; false when absent. *)
@@ -55,4 +72,5 @@ val lookup_sim :
 (** The simulated scan: must run inside an {!O2_runtime.Engine.spawn}ed
     thread. Reads exactly the bytes a real scan would touch before
     matching (or before hitting the end marker) and charges
-    [compare_cycles] of compute per entry examined. *)
+    [compare_cycles] of compute per entry examined. Besides the effects
+    it performs, it allocates only the entry it returns. *)

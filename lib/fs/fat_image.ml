@@ -1,13 +1,23 @@
 let magic = "O2FAT1"
 let first_cluster_no = 2
 
+(* The image in two parts: [header] holds the boot record and the FAT
+   (the bytes before cluster #2), and [blocks.(c - 2)] holds cluster [c]'s
+   data. A block may be shared by several clusters: every cluster starts
+   out pointing at [zero], and a directory-population run can hand the
+   same slice to many clusters. [owned] marks the clusters whose block is
+   private; only those are written in place, every other write copies the
+   block first ({!writable_block}). *)
 type t = {
   mem_base : int;
   cluster_bytes_ : int;
   total : int;
   fat_off : int;  (* byte offset of the FAT region within the image *)
   data_off : int;  (* byte offset of cluster #2 *)
-  buf_ : Bytes.t;
+  header : Bytes.t;  (* bytes [0, data_off) of the image *)
+  zero : Bytes.t;  (* the shared all-zero cluster *)
+  blocks : Bytes.t array;
+  owned : Bytes.t;  (* '\001' where blocks.(i) is private to cluster i + 2 *)
   mutable free : int;
   mutable hint : int;  (* next cluster to try allocating *)
 }
@@ -28,11 +38,12 @@ let create mem ~label ~cluster_bytes ~total_clusters =
   let ext =
     O2_simcore.Memsys.alloc mem ~name:("fat:" ^ label) ~size:image_size
   in
-  let buf_ = Bytes.make image_size '\x00' in
+  let header = Bytes.make data_off '\x00' in
   (* Boot record: magic, then geometry, so Fat_check can revalidate. *)
-  Bytes.blit_string magic 0 buf_ 0 (String.length magic);
-  Fat_types.put32 buf_ 8 cluster_bytes;
-  Fat_types.put32 buf_ 12 total_clusters;
+  Bytes.blit_string magic 0 header 0 (String.length magic);
+  Fat_types.put32 header 8 cluster_bytes;
+  Fat_types.put32 header 12 total_clusters;
+  let zero = Bytes.make cluster_bytes '\x00' in
   let t =
     {
       mem_base = ext.O2_simcore.Memsys.base;
@@ -40,40 +51,85 @@ let create mem ~label ~cluster_bytes ~total_clusters =
       total = total_clusters;
       fat_off;
       data_off;
-      buf_;
+      header;
+      zero;
+      blocks = Array.make total_clusters zero;
+      owned = Bytes.make total_clusters '\x00';
       free = total_clusters;
       hint = first_cluster_no;
     }
   in
   (* Reserve the two conventional head cells. *)
-  Fat_types.put16 buf_ fat_off 0xFFF8;
-  Fat_types.put16 buf_ (fat_off + 2) Fat_types.fat_eoc;
+  Fat_types.put16 header fat_off 0xFFF8;
+  Fat_types.put16 header (fat_off + 2) Fat_types.fat_eoc;
   t
 
 let cluster_bytes t = t.cluster_bytes_
 let total_clusters t = t.total
 let free_clusters t = t.free
-let image_bytes t = Bytes.length t.buf_
-let buf t = t.buf_
+let image_bytes t = t.data_off + (t.total * t.cluster_bytes_)
+let header t = t.header
 let valid_cluster t c = c >= first_cluster_no && c < first_cluster_no + t.total
 
-let cluster_off t c =
+let check_cluster t c =
   if not (valid_cluster t c) then
-    invalid_arg (Printf.sprintf "Fat_image: bad cluster %d" c);
-  t.data_off + ((c - first_cluster_no) * t.cluster_bytes_)
+    invalid_arg (Printf.sprintf "Fat_image: bad cluster %d" c)
 
-let cluster_addr t c = t.mem_base + cluster_off t c
+let cluster_addr t c =
+  check_cluster t c;
+  t.mem_base + t.data_off + ((c - first_cluster_no) * t.cluster_bytes_)
+
 let fat_entry_addr t c = t.mem_base + t.fat_off + (2 * c)
+
+let cluster_block t c =
+  check_cluster t c;
+  Array.unsafe_get t.blocks (c - first_cluster_no)
+
+let writable_block t c =
+  check_cluster t c;
+  let i = c - first_cluster_no in
+  if Bytes.unsafe_get t.owned i <> '\x00' then Array.unsafe_get t.blocks i
+  else begin
+    let b = Bytes.copy (Array.unsafe_get t.blocks i) in
+    Array.unsafe_set t.blocks i b;
+    Bytes.unsafe_set t.owned i '\x01';
+    b
+  end
+
+let share_block t c block =
+  check_cluster t c;
+  if Bytes.length block <> t.cluster_bytes_ then
+    invalid_arg "Fat_image.share_block: block is not one cluster";
+  let i = c - first_cluster_no in
+  Array.unsafe_get t.blocks i == t.zero
+  && begin
+       Array.unsafe_set t.blocks i block;
+       true
+     end
+
+let zero_cluster t c =
+  let i = c - first_cluster_no in
+  Array.unsafe_set t.blocks i t.zero;
+  Bytes.unsafe_set t.owned i '\x00'
+
+let to_bytes t =
+  let out = Bytes.create (image_bytes t) in
+  Bytes.blit t.header 0 out 0 t.data_off;
+  Array.iteri
+    (fun i b ->
+      Bytes.blit b 0 out (t.data_off + (i * t.cluster_bytes_)) t.cluster_bytes_)
+    t.blocks;
+  out
 
 let fat_get t c =
   if not (valid_cluster t c) then
     invalid_arg (Printf.sprintf "Fat_image.fat_get: bad cluster %d" c);
-  Fat_types.get16 t.buf_ (t.fat_off + (2 * c))
+  Fat_types.get16 t.header (t.fat_off + (2 * c))
 
 let fat_set t c v =
   if not (valid_cluster t c) then
     invalid_arg (Printf.sprintf "Fat_image.fat_set: bad cluster %d" c);
-  Fat_types.put16 t.buf_ (t.fat_off + (2 * c)) v
+  Fat_types.put16 t.header (t.fat_off + (2 * c)) v
 
 (* First free cluster from [c] on, wrapping at [limit], or -1 after
    [remaining] cells. A top-level recursion returning an int, so finding
@@ -95,6 +151,8 @@ let alloc_cluster t ~prev =
   if c < 0 then None
   else begin
     fat_set t c Fat_types.fat_eoc;
+    (* a freed cluster keeps its bytes; a fresh one reads as zero *)
+    zero_cluster t c;
     t.free <- t.free - 1;
     t.hint <- c + 1;
     (match prev with Some p -> fat_set t p c | None -> ());

@@ -59,10 +59,19 @@ let default =
     (* the hop table behind every remote hit and DRAM fetch *)
     { module_ = "Topology";
       functions = [ "hops"; "remote_cache_latency"; "dram_latency" ] };
-    (* FAT scan kernel: word-wise 8.3 compare + packed scan + chain step *)
+    (* FAT scan kernel: word-wise 8.3 compare + packed scan + chain step,
+       the simulated lookup's walk and charges around it, and the image's
+       cluster-block and FAT accessors they read through *)
     { module_ = "Fat_types"; functions = [ "is_end"; "is_deleted" ] };
-    { module_ = "Fat_dir"; functions = [ "scan_slots"; "scan_cluster" ] };
-    { module_ = "Fat_image"; functions = [ "next_cluster" ] };
+    { module_ = "Fat_dir";
+      functions =
+        [ "name_matches"; "scan_slots"; "checked_block"; "scan_cluster";
+          "decode_at"; "locate"; "find"; "charge"; "lookup_walk";
+          "lookup_sim" ] };
+    { module_ = "Fat_image";
+      functions =
+        [ "valid_cluster"; "check_cluster"; "cluster_block"; "cluster_addr";
+          "fat_entry_addr"; "fat_get"; "next_cluster" ] };
     (* monitor indexes: O(active set) iteration and accounting *)
     { module_ = "Object_table";
       functions =

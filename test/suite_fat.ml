@@ -234,7 +234,7 @@ let populate_by_add fs dirs names =
 
 let populate_bulk fs dirs names = Fat.populate fs dirs ~names83:names
 
-let image_bytes fs = Fat_image.buf (Fat.image fs)
+let image_bytes fs = Fat_image.to_bytes (Fat.image fs)
 
 let prop_populate_matches_add =
   QCheck2.Test.make ~name:"Fat.populate = one Fat_dir.add per entry (same image)"
@@ -516,8 +516,8 @@ let prop_scan_matches_byte_wise =
       in
       (* any of the four clusters, the image's last one included *)
       let cluster = Fat_image.first_cluster_no + which in
-      let buf = Fat_image.buf img in
-      let base = Fat_image.cluster_off img cluster in
+      let buf = Fat_image.writable_block img cluster in
+      let base = 0 in
       let target = if String.length name = 11 then name else "TARGET  DAT" in
       List.iteri
         (fun i (kind, noise) ->
@@ -538,6 +538,183 @@ let prop_scan_matches_byte_wise =
       let per = Fat_dir.entries_per_cluster img in
       Fat_dir.scan_cluster img cluster ~name83:name
       = byte_wise_scan buf base per name)
+
+(* A directory made on a freed cluster starts empty: allocation gives a
+   cluster that reads as zero, whatever the cluster held before. *)
+let test_mkdir_on_freed_cluster_is_empty () =
+  let _, fs = fat () in
+  let a = Result.get_ok (Fat.mkdir fs "a") in
+  Result.get_ok (Fat.populate fs [| a |] ~names83:(names83 "f" 2));
+  Fat_image.free_chain (Fat.image fs) a.Fat.head;
+  let b = Result.get_ok (Fat.mkdir fs "b") in
+  Alcotest.(check int) "b reuses a's cluster" a.Fat.head b.Fat.head;
+  Alcotest.(check int) "b lists no entries" 0 (List.length (Fat.readdir fs b))
+
+(* Directories populated with the same names share their clusters'
+   blocks; a write into one of them changes only that directory. *)
+let test_shared_cluster_write_is_private () =
+  let _, fs = fat () in
+  let dirs =
+    Array.init 3 (fun i -> Result.get_ok (Fat.mkdir fs (Printf.sprintf "d%d" i)))
+  in
+  Result.get_ok (Fat.populate fs dirs ~names83:(names83 "f" 40));
+  let img = Fat.image fs in
+  let block i = Fat_image.cluster_block img dirs.(i).Fat.head in
+  let shared = block 0 in
+  let content = Bytes.to_string shared in
+  Alcotest.(check bool) "heads share one block" true
+    (block 1 == shared && block 2 == shared);
+  (* f3 sits in d1's head; new.dat goes to d2's third cluster *)
+  Alcotest.(check bool) "remove from d1" true (Fat.remove fs dirs.(1) "f3.dat");
+  Result.get_ok (Fat.add_file fs dirs.(2) ~name:"new.dat" ~size:7);
+  Alcotest.(check bool) "d1's head copied, the others still shared" true
+    (block 1 != shared && block 0 == shared && block 2 == shared);
+  Alcotest.(check string) "the shared block is unchanged" content
+    (Bytes.to_string shared);
+  Alcotest.(check int) "d0 keeps its entries" 40 (List.length (Fat.readdir fs dirs.(0)));
+  Alcotest.(check int) "d1 lost one" 39 (List.length (Fat.readdir fs dirs.(1)));
+  Alcotest.(check int) "d2 gained one" 41 (List.length (Fat.readdir fs dirs.(2)));
+  Alcotest.(check bool) "d1's entry gone" true (Fat.lookup_host fs dirs.(1) "f3.dat" = None);
+  Alcotest.(check bool) "d0's entry kept" true (Fat.lookup_host fs dirs.(0) "f3.dat" <> None);
+  Alcotest.(check bool) "fsck clean" true (Fat_check.ok (Fat_check.check fs))
+
+(* ---------- the copy-on-write image against a flat reference ---------- *)
+
+(* Run [f] with a handler that logs the reads and computes it performs
+   and answers each at once: the charges of a simulated lookup, without
+   an engine. *)
+let charges_of f =
+  let log = ref [] in
+  let r =
+    Effect.Deep.try_with f ()
+      {
+        effc =
+          (fun (type a) (e : a Effect.t) ->
+            match e with
+            | O2_runtime.Api.Read { addr; len } ->
+                Some
+                  (fun (k : (a, _) Effect.Deep.continuation) ->
+                    log := Flat_fat.Read (addr, len) :: !log;
+                    Effect.Deep.continue k 0)
+            | O2_runtime.Api.Compute n ->
+                Some
+                  (fun (k : (a, _) Effect.Deep.continuation) ->
+                    log := Flat_fat.Compute n :: !log;
+                    Effect.Deep.continue k ())
+            | _ -> None);
+      }
+  in
+  (r, List.rev !log)
+
+type model_op =
+  | Mkdir of int
+  | Populate of int list * int * int  (* dirs, first name, count *)
+  | Add_file of int * int
+  | Remove of int * int
+  | Free of int
+
+let print_model_op = function
+  | Mkdir i -> Printf.sprintf "Mkdir %d" i
+  | Populate (ds, lo, n) ->
+      Printf.sprintf "Populate ([%s], %d, %d)"
+        (String.concat ";" (List.map string_of_int ds)) lo n
+  | Add_file (d, k) -> Printf.sprintf "Add_file (%d, %d)" d k
+  | Remove (d, k) -> Printf.sprintf "Remove (%d, %d)" d k
+  | Free d -> Printf.sprintf "Free %d" d
+
+let model_names = 48
+
+let model_op_gen =
+  let open QCheck2.Gen in
+  let dir = int_bound 7 and name = int_bound (model_names - 1) in
+  frequency
+    [
+      (3, map (fun i -> Mkdir i) (int_bound 9));
+      ( 3,
+        map3
+          (fun ds lo n -> Populate (ds, lo, n))
+          (list_size (int_range 1 3) dir)
+          (int_bound 16)
+          (oneof [ int_bound 40; pure 16; pure 32 ]) );
+      (3, map2 (fun d k -> Add_file (d, k)) dir name);
+      (2, map2 (fun d k -> Remove (d, k)) dir name);
+      (1, map (fun d -> Free d) dir);
+    ]
+
+let model_name k = Fat_name.to_83_exn (Printf.sprintf "k%d.dat" k)
+
+(* Random mkdir / populate / add_file / remove / free_chain sequences over
+   several directories on 512-byte clusters (16 entries each), on a
+   volume small enough to fill up. After every step the operation's
+   result, the whole image and every lookup's result and charges in
+   every live directory match the flat reference. Populate makes clusters
+   share blocks, and the later adds and removes write into them. *)
+let prop_cow_image_matches_flat =
+  QCheck2.Test.make ~name:"copy-on-write image = flat reference image"
+    ~count:150
+    ~print:QCheck2.Print.(list print_model_op)
+    QCheck2.Gen.(list_size (int_bound 30) model_op_gen)
+    (fun ops ->
+      let fs = Fat.format (mem ()) ~label:"m" ~cluster_bytes:512 ~clusters:48 () in
+      let img = Fat.image fs in
+      let reference =
+        Flat_fat.create
+          ~mem_base:(Fat_image.fat_entry_addr img 0 - 512)
+          ~cluster_bytes:512 ~total:48
+      in
+      (* live directories: real handle and reference head *)
+      let live = ref [] in
+      let pick d f =
+        match !live with [] -> true | l -> f (List.nth l (d mod List.length l))
+      in
+      let step op =
+        match op with
+        | Mkdir i -> (
+            let name = Printf.sprintf "d%d" i in
+            match (Fat.mkdir fs name, Flat_fat.mkdir reference name) with
+            | Ok d, Ok head ->
+                live := !live @ [ (d, head) ];
+                d.Fat.head = head
+            | Error e, Error e' -> e = e'
+            | _ -> false)
+        | Populate (ds, lo, n) ->
+            let names = Array.init n (fun k -> model_name ((lo + k) mod model_names)) in
+            let chosen =
+              match !live with
+              | [] -> []
+              | l -> List.map (fun d -> List.nth l (d mod List.length l)) ds
+            in
+            Fat.populate fs (Array.of_list (List.map fst chosen)) ~names83:names
+            = Flat_fat.populate reference (List.map snd chosen) names
+        | Add_file (d, k) ->
+            pick d (fun (dir, head) ->
+                Fat.add_file fs dir ~name:(Printf.sprintf "k%d.dat" k) ~size:k
+                = Flat_fat.add reference ~head (Flat_fat.file (model_name k) k))
+        | Remove (d, k) ->
+            pick d (fun (dir, head) ->
+                Fat.remove fs dir (Printf.sprintf "k%d.dat" k)
+                = Flat_fat.remove reference ~head (model_name k))
+        | Free d ->
+            pick d (fun ((dir, head) as gone) ->
+                Fat_image.free_chain img dir.Fat.head;
+                Flat_fat.free_chain reference head;
+                live := List.filter (fun x -> x != gone) !live;
+                true)
+      in
+      let lookups_agree (dir, head) =
+        List.for_all
+          (fun name83 ->
+            charges_of (fun () -> Fat.lookup_83 fs dir name83)
+            = Flat_fat.lookup reference ~head
+                ~compare_cycles:(Fat.compare_cycles fs) name83)
+          (Fat_image.magic
+          :: List.init 10 (fun i -> Fat_name.to_83_exn (Printf.sprintf "d%d" i))
+          @ List.init model_names model_name)
+      in
+      List.for_all step ops
+      && Bytes.equal (Fat_image.to_bytes img) reference.Flat_fat.buf
+      && Fat_image.free_clusters img = reference.Flat_fat.free
+      && List.for_all lookups_agree ((Fat.root fs, reference.Flat_fat.root) :: !live))
 
 let suite =
   [
@@ -568,4 +745,9 @@ let suite =
     Alcotest.test_case "simulated path resolution" `Quick test_resolve_sim_agrees;
     QCheck_alcotest.to_alcotest prop_dir_matches_map;
     QCheck_alcotest.to_alcotest prop_scan_matches_byte_wise;
+    Alcotest.test_case "mkdir on a freed cluster starts empty" `Quick
+      test_mkdir_on_freed_cluster_is_empty;
+    Alcotest.test_case "a write into a shared cluster stays private" `Quick
+      test_shared_cluster_write_is_private;
+    QCheck_alcotest.to_alcotest prop_cow_image_matches_flat;
   ]

@@ -151,6 +151,93 @@ let test_fat_scan_miss () =
   in
   check_zero_alloc "Fat_dir.find miss (100-entry dir)" words
 
+(* The simulated lookup, Fat_dir.lookup_sim, around the same scan: its
+   walk and its charges are top-level functions, so a lookup allocates
+   nothing of its own beyond the reads and computes it performs and the
+   entry it returns. The effects are answered by a handler here instead
+   of the engine, and a baseline loop performs the same effects in the
+   same order under the same handler; the difference between the two is
+   the lookup's own allocation. The directory spans seven 512-byte
+   clusters, so a lookup walks six FAT links. *)
+let effects_answered = ref 0
+
+let answer_effects f =
+  Effect.Deep.try_with f ()
+    {
+      effc =
+        (fun (type a) (e : a Effect.t) ->
+          match e with
+          | O2_runtime.Api.Read _ ->
+              Some
+                (fun (k : (a, _) Effect.Deep.continuation) ->
+                  incr effects_answered;
+                  Effect.Deep.continue k 0)
+          | O2_runtime.Api.Compute _ ->
+              Some
+                (fun (k : (a, _) Effect.Deep.continuation) ->
+                  incr effects_answered;
+                  Effect.Deep.continue k ())
+          | _ -> None);
+    }
+
+let lookup_entry_words = 10.0 (* Some + 4-field record + 11-byte string *)
+
+let test_fat_lookup_sim () =
+  let mem = Memsys.create ~line_bytes:64 () in
+  let fs = O2_fs.Fat.format mem ~label:"probe" ~cluster_bytes:512 ~clusters:64 () in
+  let dir =
+    match O2_fs.Fat.mkdir fs "d0" with
+    | Ok d -> d
+    | Error e -> Alcotest.failf "mkdir: %s" e
+  in
+  let names83 =
+    Array.init 100 (fun i ->
+        O2_fs.Fat_name.to_83_exn (Printf.sprintf "f%d.dat" i))
+  in
+  (match O2_fs.Fat.populate fs [| dir |] ~names83 with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "populate: %s" e);
+  let img = O2_fs.Fat.image fs in
+  let head = dir.O2_fs.Fat.head in
+  let clusters = List.length (O2_fs.Fat_image.chain img head) in
+  Alcotest.(check int) "seven clusters" 7 clusters;
+  let lookups name83 () =
+    for _ = 1 to iters do
+      ignore (O2_fs.Fat_dir.lookup_sim img ~head ~name83 ~compare_cycles:2)
+    done
+  in
+  let same_effects () =
+    for _ = 1 to iters do
+      for c = 1 to clusters do
+        ignore (O2_runtime.Api.read ~addr:c ~len:32);
+        O2_runtime.Api.compute 2;
+        if c < clusters then ignore (O2_runtime.Api.read ~addr:c ~len:2)
+      done
+    done
+  in
+  let measure f =
+    effects_answered := 0;
+    let words = minor_words_during (fun () -> answer_effects f) in
+    (words, !effects_answered)
+  in
+  let base, base_effects = measure same_effects in
+  let miss, miss_effects =
+    measure (lookups (O2_fs.Fat_name.to_83_exn "nope.dat"))
+  in
+  let hit, hit_effects = measure (lookups (O2_fs.Fat_name.to_83_exn "f99.dat")) in
+  Alcotest.(check int) "a miss performs the baseline's effects" base_effects
+    miss_effects;
+  Alcotest.(check int) "so does a hit in the last cluster" base_effects
+    hit_effects;
+  check_zero_alloc "Fat_dir.lookup_sim miss, net of its effects" (miss -. base);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "Fat_dir.lookup_sim hit: %.0f words net of its effects over %d hits \
+        (bound %.0f per entry + slack)"
+       (hit -. base) iters lookup_entry_words)
+    true
+    (hit -. base <= (lookup_entry_words *. float_of_int iters) +. slack)
+
 (* Volume population encodes the names once per call and copies the
    encoded run into each directory: the words one Fat.populate call
    allocates (minor plus direct-to-major, net of promotion) may grow by at
@@ -688,6 +775,8 @@ let suite =
       test_machine_read_runs;
     Alcotest.test_case "FAT directory scan allocates nothing on a miss"
       `Quick test_fat_scan_miss;
+    Alcotest.test_case "FAT simulated lookup allocates only its result"
+      `Quick test_fat_lookup_sim;
     Alcotest.test_case "FAT populate allocates nothing per directory entry"
       `Quick test_fat_populate_per_dir;
     Alcotest.test_case "unobserved miss paths allocate nothing" `Quick

@@ -126,12 +126,31 @@ let test_workload_image_pinned () =
       let _, w =
         build ~spec:(Dir_workload.spec_for_data_kb ~entries_per_dir ~kb ()) ()
       in
-      let img = O2_fs.Fat_image.buf (O2_fs.Fat.image (Dir_workload.fs w)) in
+      let img = O2_fs.Fat_image.to_bytes (O2_fs.Fat.image (Dir_workload.fs w)) in
       Alcotest.(check string)
         (Printf.sprintf "image MD5 at %d KB x %d entries" kb entries_per_dir)
         digest
         (Digest.to_hex (Digest.bytes img)))
     image_pins
+
+(* An 8 MB cell's directories all hold the same 1000 entries, so their
+   clusters share the populate run's eight blocks: with the zero block
+   and the root's clusters, a handful of distinct blocks back ~2100
+   clusters. *)
+let test_workload_image_shares_blocks () =
+  let _, w = build ~spec:(Dir_workload.spec_for_data_kb ~kb:8192 ()) () in
+  let img = O2_fs.Fat.image (Dir_workload.fs w) in
+  let first = O2_fs.Fat_image.first_cluster_no in
+  let total = O2_fs.Fat_image.total_clusters img in
+  let distinct = ref [] in
+  for c = first to first + total - 1 do
+    let b = O2_fs.Fat_image.cluster_block img c in
+    if not (List.memq b !distinct) then distinct := b :: !distinct
+  done;
+  let n = List.length !distinct in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d distinct blocks for %d clusters (at most 16)" n total)
+    true (n <= 16)
 
 let test_one_lookup_resolves () =
   let engine, w = build () in
@@ -304,6 +323,8 @@ let suite =
     Alcotest.test_case "file names written as 8.3" `Quick test_file_names83;
     Alcotest.test_case "workload image is pinned" `Quick
       test_workload_image_pinned;
+    Alcotest.test_case "an 8 MB cell shares its cluster blocks" `Quick
+      test_workload_image_shares_blocks;
     Alcotest.test_case "one_lookup resolves and counts" `Quick test_one_lookup_resolves;
     Alcotest.test_case "set_active clamps" `Quick test_set_active_clamps;
     Alcotest.test_case "active prefix respected" `Quick test_active_prefix_respected;
