@@ -31,8 +31,8 @@ end)
 (* Three incremental indexes keep the monitor's cost proportional to what
    it actually touches, not to the table size:
 
-   - [all]/[n_objs]: registration order, for the (deprecated) [objects]
-     shim and full-table audits;
+   - [all]/[n_objs]: registration order, for [iter]/[fold] and
+     full-table audits;
    - [heads]: per-core intrusive doubly-linked assignment lists threaded
      through [link_prev]/[link_next], so iterating a core's objects is
      O(assigned-on-core) with zero allocation;
@@ -124,7 +124,6 @@ let fold t f init =
   done;
   !acc
 
-let objects t = List.init t.n_objs (fun i -> t.all.(i))
 let size t = By_base.length t.by_base
 
 let unassign t o =

@@ -62,14 +62,6 @@ val iter : t -> (obj -> unit) -> unit
 val fold : t -> ('a -> obj -> 'a) -> 'a -> 'a
 (** [fold t f init]: {!iter} with an accumulator, registration order. *)
 
-val objects : t -> obj list
-[@@alert
-  deprecated
-    "allocates a fresh list per call; use iter / fold / iter_assigned"]
-(** Registration-order compatibility shim. Allocates O(n) per call — keep
-    it out of anything periodic; it survives only for callers where the
-    materialised registration-order list is the point. *)
-
 val size : t -> int
 
 val assign : t -> obj -> int -> unit

@@ -3,9 +3,11 @@
     {!O2_workload.Dir_workload}: each directory is one backend object
     holding [entries] 32-byte entries, and a lookup is a linear scan
     charged per probed entry ([compare_cycles] each, as FAT's 8.3
-    compare is). Read-only means results are interleaving-independent
-    on any backend, so this exercises shipping and rebalancing without
-    the single-writer sizing constraints Backend_kv needs. *)
+    compare is). The charge is the simulator's price of the scan; on
+    native it is free and the scan itself is the cost. Read-only means
+    results are interleaving-independent on any backend, so this
+    exercises shipping and rebalancing without the single-writer sizing
+    constraints Backend_kv needs. *)
 
 module Make (B : O2_runtime.Backend_intf.S) : sig
   type t
@@ -19,7 +21,8 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
     unit ->
     t
   (** Directory [d] holds entry keys [0 .. entries_per_dir - 1]; handle
-      order = directory order. [compare_cycles] defaults to 2.
+      order = directory order. [compare_cycles] (default 2) is the
+      simulated cycles per probed entry; the native backend ignores it.
       @raise Invalid_argument unless both counts are positive. *)
 
   val dirs : t -> int

@@ -15,7 +15,9 @@
       [get] is read-only ([with_op] without [~write]), so on a bucket
       never written it runs on the client's own domain. Probe/compute
       costs are charged {e after} the logical section for exactly this
-      reason.
+      reason. They are the simulator's price of the probe (a touch of
+      the probed slots and 2 cycles per slot); on native both charges
+      are free and the probe itself is the cost.
     - Results are sentinel ints, not options ([get] returns [-1] for
       absent), so native hot paths allocate nothing. *)
 

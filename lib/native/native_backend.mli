@@ -78,6 +78,10 @@ val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
 val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
 val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
 val compute : t -> int -> unit
+(** [touch] and [compute] are free: they are the simulator's price for
+    loads and compares the op body really performs, so a native op costs
+    exactly what its body executes. *)
+
 val run : t -> unit
 val ops_completed : t -> int
 val object_ops : t -> int -> int

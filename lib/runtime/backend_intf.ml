@@ -16,8 +16,9 @@
     [touch] against an (object, offset) pair, and operations are
     bracketed by [with_op] exactly as [Coretime.with_op] brackets them.
     On the simulator [touch]/[compute] charge virtual cycles through
-    {!Api}; on the native backend memory cost is real, so [touch] is
-    free and [compute] spins for real work. *)
+    {!Api}. On the native backend both are free: they are the
+    simulator's price for loads and compares the op body really
+    performs, so a native op costs exactly what its body executes. *)
 
 module type S = sig
   type t
@@ -61,12 +62,14 @@ module type S = sig
 
   val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
   (** The cost of touching [len] bytes at [off] inside an object:
-      charged cycles on the simulator, free on native (the access the
-      caller performs on its host-side data is the real cost). *)
+      charged cycles on the simulator, free on native (the loads and
+      stores the body performs on its host-side data are the real
+      cost). *)
 
   val compute : t -> int -> unit
-  (** [cycles] of non-memory work: virtual on the simulator, a real
-      spin on native. *)
+  (** [cycles] of non-memory work, such as the compares of a probe the
+      body has just run: charged cycles on the simulator, free on
+      native (the body's own instructions are the real cost). *)
 
   val run : t -> unit
   (** Drive every spawned body to completion and quiesce. *)

@@ -316,6 +316,14 @@ let test_rebalance_ignores_unhomed () =
       let out, in_ = Native_backend.ships b in
       checki "ship balance" out in_)
 
+(* A real delay of [n] loop iterations inside an op body. Native
+   [compute] is free, so the tearing test below widens its race window
+   with this instead. *)
+let spin n =
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity 0)
+  done
+
 (* The first-write handshake under contention. Each round registers a
    fresh object; readers on both domains hammer it with a body that
    loads two fields a long gap apart, and one client makes the first
@@ -341,7 +349,7 @@ let test_first_write_never_tears () =
           let a, c =
             Native_backend.with_op b o (fun () ->
                 let a = pair.(0) in
-                Native_backend.compute b 1_000;
+                spin 1_000;
                 (a, pair.(1)))
           in
           if a <> c then Atomic.incr torn;
@@ -370,7 +378,7 @@ let test_first_write_never_tears () =
               done;
             Native_backend.with_op b ~write:true o (fun () ->
                 pair.(0) <- r;
-                Native_backend.compute b 20;
+                spin 20;
                 pair.(1) <- r));
         Native_backend.run b;
         checkb "the write landed whole" true (pair.(0) = r && pair.(1) = r)
@@ -381,6 +389,33 @@ let test_first_write_never_tears () =
       checki "no reader saw a torn pair" 0 (Atomic.get torn);
       let out, in_ = Native_backend.ships b in
       checki "ship balance" out in_)
+
+(* Native [compute] charges nothing: a billion cycles, which a real
+   spin needs well over 0.3 s to run, return at once, on and off the
+   pool. *)
+let test_compute_is_free () =
+  let b = Native_backend.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Native_backend.shutdown b)
+    (fun () ->
+      let elapsed_ns f =
+        let t0 = O2_runtime.Telemetry.now_ns () in
+        f ();
+        O2_runtime.Telemetry.now_ns () - t0
+      in
+      let off_pool =
+        elapsed_ns (fun () -> Native_backend.compute b 1_000_000_000)
+      in
+      let o = Native_backend.register b ~size:64 ~name:"free" in
+      let in_op = ref max_int in
+      Native_backend.spawn b ~core:0 ~name:"client" (fun () ->
+          in_op :=
+            elapsed_ns (fun () ->
+                Native_backend.with_op b o (fun () ->
+                    Native_backend.compute b 1_000_000_000)));
+      Native_backend.run b;
+      checkb "off the pool, well under 0.3 s" true (off_pool < 30_000_000);
+      checkb "inside an op, well under 0.3 s" true (!in_op < 30_000_000))
 
 (* A raise inside a local read must clear the reader's slot: otherwise
    the object's first write would spin on it forever. The coordinator
@@ -866,6 +901,68 @@ let test_oracle_dir_with_telemetry domains () =
   checki "telemetry counted no ships" 0
     (Tel.fold_sinks telemetry ~init:0 ~f:(fun acc s -> acc + Tel.ships_out s))
 
+(* ------------------------------------------------------------------ *)
+(* The simulator's price of the two functor programs.                  *)
+(* ------------------------------------------------------------------ *)
+
+module Sim_kv = Backend_kv.Make (Sim_backend)
+module Sim_dir = Backend_dir.Make (Sim_backend)
+
+(* Engine clock, busy cycles summed over cores and events processed at
+   the end of a simulated run: every cycle a program's [touch] and
+   [compute] charge lands in these. *)
+let sim_price sb =
+  let e = Sim_backend.engine sb in
+  let busy =
+    Array.fold_left
+      (fun acc (c : O2_simcore.Counters.t) -> acc + c.busy_cycles)
+      0
+      (O2_simcore.Machine.all_counters (O2_runtime.Engine.machine e))
+  in
+  (O2_runtime.Engine.now e, busy, O2_runtime.Engine.events_processed e)
+
+let price = Alcotest.(triple int int int)
+
+(* One fixed kv program: four clients of 120 ops over 64 keys in eight
+   buckets of 16 slots. *)
+let test_sim_price_kv () =
+  let sb = Sim_backend.create () in
+  let clients = 4 and ops = 120 in
+  let kv = Sim_kv.create sb ~name:"kv" ~buckets:8 ~slots_per_bucket:16 () in
+  for c = 0 to clients - 1 do
+    let prog =
+      Op_program.kv_program ~clients ~client:c ~ops ~keyspace:64 ~seed:7
+    in
+    Sim_backend.spawn sb ~core:c ~name:"kv-client" (fun () ->
+        Array.iter
+          (function
+            | Op_program.Get k -> ignore (Sim_kv.get kv ~key:k)
+            | Op_program.Put (k, v) -> ignore (Sim_kv.put kv ~key:k ~value:v)
+            | Op_program.Delete k -> ignore (Sim_kv.delete kv ~key:k))
+          prog)
+  done;
+  Sim_backend.run sb;
+  checki "every op completed" (clients * ops) (Sim_backend.ops_completed sb);
+  check price "clock, busy cycles, events" (9701, 38525, 1606) (sim_price sb)
+
+(* One fixed directory program: four clients of 120 lookups over six
+   directories of 64 entries, at the default compare price. *)
+let test_sim_price_dir () =
+  let sb = Sim_backend.create () in
+  let clients = 4 and ops = 120 and dirs = 6 and entries_per_dir = 64 in
+  let d = Sim_dir.create sb ~name:"dir" ~dirs ~entries_per_dir () in
+  for c = 0 to clients - 1 do
+    let prog =
+      Op_program.dir_program ~dirs ~entries_per_dir ~ops ~seed:(11 + c)
+    in
+    Sim_backend.spawn sb ~core:c ~name:"dir-client" (fun () ->
+        Array.iter (fun (dir, key) -> ignore (Sim_dir.lookup d ~dir ~key)) prog)
+  done;
+  Sim_backend.run sb;
+  checki "every lookup completed" (clients * ops) (Sim_backend.ops_completed sb);
+  check price "clock, busy cycles, events" (43994, 168332, 1448)
+    (sim_price sb)
+
 let suite =
   [
     Alcotest.test_case "deque grow + FIFO/LIFO ends" `Quick test_deque_grow;
@@ -909,6 +1006,8 @@ let suite =
       test_first_write_never_tears;
     Alcotest.test_case "backend: a raising local read clears its slot" `Quick
       test_local_read_raise_clears_slot;
+    Alcotest.test_case "backend: native compute is free" `Quick
+      test_compute_is_free;
     Alcotest.test_case "telemetry: local reads stay on their domain" `Quick
       test_spans_of_local_reads;
     Alcotest.test_case "backend: home and object_ops reject unknown handles"
@@ -931,4 +1030,8 @@ let suite =
       test_dir_program_rejects_counts;
     Alcotest.test_case "op_program: max_bucket_load rejects bad counts" `Quick
       test_max_bucket_load_rejects_counts;
+    Alcotest.test_case "sim price: the kv program's cycles are pinned" `Quick
+      test_sim_price_kv;
+    Alcotest.test_case "sim price: the dir program's cycles are pinned" `Quick
+      test_sim_price_dir;
   ]

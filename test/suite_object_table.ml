@@ -52,21 +52,20 @@ let test_fits_and_place () =
   Alcotest.(check bool) "can place somewhere" true (Object_table.can_place t small);
   Alcotest.(check (float 0.001)) "occupancy" 0.225 (Object_table.occupancy t)
 
-(* The compat shim is deprecated (it allocates per call), but where it
-   survives, registration order is its contract — pinned here. *)
-let test_objects_in_registration_order () =
+(* [iter] and [fold] visit objects in registration order — pinned here. *)
+let test_iter_fold_in_registration_order () =
   let t = table () in
   let names = [ "x"; "y"; "z" ] in
   List.iteri
     (fun i n -> ignore (Object_table.register t ~base:i ~size:1 ~name:n ()))
     names;
-  Alcotest.(check (list string)) "order kept" names
-    (List.map
-       (fun o -> o.Object_table.name)
-       ((Object_table.objects [@alert "-deprecated"]) t));
-  Alcotest.(check (list string)) "iter agrees with the shim" names
+  Alcotest.(check (list string)) "fold keeps registration order" names
     (List.rev
-       (Object_table.fold t (fun acc o -> o.Object_table.name :: acc) []))
+       (Object_table.fold t (fun acc o -> o.Object_table.name :: acc) []));
+  let seen = ref [] in
+  Object_table.iter t (fun o -> seen := o.Object_table.name :: !seen);
+  Alcotest.(check (list string)) "iter keeps registration order" names
+    (List.rev !seen)
 
 let names_assigned t core =
   List.rev
@@ -74,8 +73,7 @@ let names_assigned t core =
          o.Object_table.name :: acc) [])
 
 (* Per-core assignment lists: membership tracks assign/unassign exactly,
-   and [assigned] presents the union in registration order (the order the
-   deprecated full-list shim guaranteed). *)
+   and [assigned] presents the union in registration order. *)
 let test_assigned_lists () =
   let t = table () in
   let a = Object_table.register t ~base:1 ~size:10 ~name:"a" () in
@@ -156,7 +154,8 @@ let suite =
     Alcotest.test_case "register rejects bad input" `Quick test_register_rejects;
     Alcotest.test_case "assignment accounting" `Quick test_assign_accounting;
     Alcotest.test_case "fits / can_place / occupancy" `Quick test_fits_and_place;
-    Alcotest.test_case "objects keep registration order" `Quick test_objects_in_registration_order;
+    Alcotest.test_case "iter and fold keep registration order" `Quick
+      test_iter_fold_in_registration_order;
     Alcotest.test_case "per-core assignment lists" `Quick test_assigned_lists;
     Alcotest.test_case "active set via note_op / drain_active" `Quick
       test_active_set;
