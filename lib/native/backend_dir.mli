@@ -3,11 +3,11 @@
     {!O2_workload.Dir_workload}: each directory is one backend object
     holding [entries] 32-byte entries, and a lookup is a linear scan
     charged per probed entry ([compare_cycles] each, as FAT's 8.3
-    compare is). The charge is the simulator's price of the scan; on
-    native it is free and the scan itself is the cost. Read-only means
-    results are interleaving-independent on any backend, so this
-    exercises shipping and rebalancing without the single-writer sizing
-    constraints Backend_kv needs. *)
+    compare is). The charge is the simulator's price of the scan, made
+    only when [B.priced]: on native it is not made and the scan itself
+    is the cost. Read-only means results are interleaving-independent
+    on any backend, so this exercises shipping and rebalancing without
+    the single-writer sizing constraints Backend_kv needs. *)
 
 module Make (B : O2_runtime.Backend_intf.S) : sig
   type t
@@ -29,5 +29,7 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
   val dir_obj : t -> int -> int
 
   val lookup : t -> dir:int -> key:int -> int
-  (** The entry index for [key] in [dir], or [-1]. One backend op. *)
+  (** The entry index for [key] in [dir], or [-1]. One backend op.
+      @raise Invalid_argument ["Backend_dir.lookup: dir out of range"]
+      unless [0 <= dir < dirs t], before the op is bracketed. *)
 end

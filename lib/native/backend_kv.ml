@@ -29,7 +29,12 @@ let rec scan_from bk ~key n i =
 let[@inline] scan bk ~key = scan_from bk ~key (used bk) 0
 
 module Make (B : O2_runtime.Backend_intf.S) = struct
-  type t = { b : B.t; bucket_arr : bucket array; slots : int }
+  type t = {
+    b : B.t;
+    bucket_arr : bucket array;
+    slots : int;
+    mask : int;  (* [buckets - 1] for a power-of-two count, else -1 *)
+  }
 
   let create b ~name ~buckets ~slots_per_bucket () =
     if buckets <= 0 || slots_per_bucket <= 0 then
@@ -43,25 +48,35 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
         row = Pad_row.make (1 + (2 * slots_per_bucket));
       }
     in
-    { b; bucket_arr = Array.init buckets make_bucket; slots = slots_per_bucket }
+    {
+      b;
+      bucket_arr = Array.init buckets make_bucket;
+      slots = slots_per_bucket;
+      mask = (if buckets land (buckets - 1) = 0 then buckets - 1 else -1);
+    }
 
   let buckets t = Array.length t.bucket_arr
 
+  (* [h] is nonnegative, so for a power-of-two count the mask picks the
+     same bucket as [mod] without a division. *)
   let bucket_of_key t key =
     let h = key * 0x2545F491 land max_int in
-    h mod buckets t
+    if t.mask >= 0 then h land t.mask else h mod buckets t
 
   let bucket_obj t i = t.bucket_arr.(i).obj
 
   (* The cost a linear probe of [probed] slots would incur, charged once
-     the logical section is decided (mirrors Kv_store.scan_sim). *)
+     the logical section is decided (mirrors Kv_store.scan_sim). Only a
+     priced backend is called: on native the probe itself is the cost. *)
   let charge t bk ~probed ~wrote =
-    if probed > 0 then
-      B.touch t.b ~write:false ~obj:bk.obj ~off:0 ~len:(probed * slot_bytes);
-    B.compute t.b (2 * Int.max probed 1);
-    if wrote >= 0 then
-      B.touch t.b ~write:true ~obj:bk.obj ~off:(wrote * slot_bytes)
-        ~len:slot_bytes
+    if B.priced then begin
+      if probed > 0 then
+        B.touch t.b ~write:false ~obj:bk.obj ~off:0 ~len:(probed * slot_bytes);
+      B.compute t.b (2 * Int.max probed 1);
+      if wrote >= 0 then
+        B.touch t.b ~write:true ~obj:bk.obj ~off:(wrote * slot_bytes)
+          ~len:slot_bytes
+    end
 
   let get t ~key =
     let bk = t.bucket_arr.(bucket_of_key t key) in

@@ -16,8 +16,9 @@
       never written it runs on the client's own domain. Probe/compute
       costs are charged {e after} the logical section for exactly this
       reason. They are the simulator's price of the probe (a touch of
-      the probed slots and 2 cycles per slot); on native both charges
-      are free and the probe itself is the cost.
+      the probed slots and 2 cycles per slot), made only when
+      [B.priced]: on native neither call is made and the probe itself
+      is the cost.
     - Results are sentinel ints, not options ([get] returns [-1] for
       absent), so native hot paths allocate nothing. *)
 

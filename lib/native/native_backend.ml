@@ -237,7 +237,9 @@ let with_op t ?write obj f =
     | _ -> local_read t me obj f ~tel_on ~t0 ~token
 
 (* Both are the simulator's price for loads and compares the op body
-   really performs, so on real cores they cost nothing on top. *)
+   really performs, so on real cores they cost nothing on top; [priced]
+   tells the programs not to call them at all. *)
+let priced = false
 let touch _t ~write:_ ~obj:_ ~off:_ ~len:_ = ()
 let compute _t _cycles = ()
 

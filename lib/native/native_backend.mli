@@ -70,6 +70,13 @@ val telemetry : t -> O2_runtime.Telemetry.t
 (** The {!O2_runtime.Backend_intf.S} surface. *)
 
 val name : t -> string
+
+val priced : bool
+(** [false]: [touch] and [compute] charge nothing here, so the backend
+    programs ({!Backend_kv}, {!Backend_dir}) make no pricing calls on
+    native and an op executes only its body inside the [with_op]
+    bracket. *)
+
 val cores : t -> int
 val probe : t -> O2_runtime.Probe.t
 val register : t -> size:int -> name:string -> int
@@ -80,7 +87,9 @@ val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
 val compute : t -> int -> unit
 (** [touch] and [compute] are free: they are the simulator's price for
     loads and compares the op body really performs, so a native op costs
-    exactly what its body executes. *)
+    exactly what its body executes. The backend programs do not call
+    them here ([priced] is [false]); they stay for callers that price
+    ops on any backend. *)
 
 val run : t -> unit
 val ops_completed : t -> int

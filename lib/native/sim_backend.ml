@@ -39,6 +39,7 @@ let create ?(cfg = O2_simcore.Config.amd16) () =
 let engine t = t.engine
 let coretime t = t.ct
 let name _ = "sim"
+let priced = true
 let cores t = Engine.cores t.engine
 let probe t = Engine.probe t.engine
 let objects t = t.nobjs

@@ -5,10 +5,10 @@
     the backend signature: [register] allocates a simulated extent and
     registers it with CoreTime, [with_op] is [Coretime.with_op] on the
     extent's base address, [touch]/[compute] charge virtual cycles
-    through {!O2_runtime.Api}, and [run] drives the event loop until the
-    spawned clients finish. Per-object op counts are reconstructed from
-    the probe's [Op_started] stream, which the backend subscribes to at
-    creation. *)
+    through {!O2_runtime.Api} ([priced] is [true]), and [run] drives
+    the event loop until the spawned clients finish. Per-object op
+    counts are reconstructed from the probe's [Op_started] stream, which
+    the backend subscribes to at creation. *)
 
 type t
 
@@ -22,6 +22,11 @@ val coretime : t -> Coretime.t
 (** The {!O2_runtime.Backend_intf.S} surface. *)
 
 val name : t -> string
+
+val priced : bool
+(** [true]: [touch] and [compute] charge virtual cycles, so the backend
+    programs call them after every op body. *)
+
 val cores : t -> int
 val probe : t -> O2_runtime.Probe.t
 val register : t -> size:int -> name:string -> int

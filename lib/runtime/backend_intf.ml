@@ -18,13 +18,22 @@
     On the simulator [touch]/[compute] charge virtual cycles through
     {!Api}. On the native backend both are free: they are the
     simulator's price for loads and compares the op body really
-    performs, so a native op costs exactly what its body executes. *)
+    performs, so a native op costs exactly what its body executes.
+    [priced] says which kind of backend a program runs on, so that a
+    program skips computing and passing a price nobody charges. *)
 
 module type S = sig
   type t
 
   val name : t -> string
   (** ["sim"] or ["native"] — for reports and error messages. *)
+
+  val priced : bool
+  (** Whether [touch] and [compute] charge anything: [true] on the
+      simulator, [false] on native. A fixed property of the backend, not
+      a setting. A program calls [touch]/[compute] only when it is
+      [true], so a native op makes no pricing calls at all and a
+      simulated op is charged exactly as before. *)
 
   val cores : t -> int
   (** Execution lanes: simulated cores, or pool domains. *)

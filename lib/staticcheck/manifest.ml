@@ -99,6 +99,9 @@ let default =
     (* padded per-domain counter rows and kv bucket rows: every word the
        homed op path writes goes through these *)
     { module_ = "Pad_row"; functions = [ "length"; "get"; "set"; "incr" ] };
+    (* the backend programs' probe loops: one per native kv/dir op *)
+    { module_ = "Backend_kv"; functions = [ "scan_from" ] };
+    { module_ = "Backend_dir"; functions = [ "scan_from" ] };
     { module_ = "Native_backend";
       functions =
         [ "with_op"; "exec"; "local_read"; "claim"; "touch"; "compute";

@@ -902,6 +902,164 @@ let test_oracle_dir_with_telemetry domains () =
     (Tel.fold_sinks telemetry ~init:0 ~f:(fun acc s -> acc + Tel.ships_out s))
 
 (* ------------------------------------------------------------------ *)
+(* The programs' pricing calls, on a backend that only counts them.    *)
+(* ------------------------------------------------------------------ *)
+
+(* A one-lane backend that runs each op in place and counts the
+   [touch]/[compute] calls it receives; [priced] is the flavour. *)
+module Counting (P : sig
+  val priced : bool
+end) =
+struct
+  type t = {
+    mutable objs : int;
+    mutable bodies : (unit -> unit) list;  (* newest first *)
+    mutable ops : int;
+    mutable touches : int;
+    mutable computes : int;
+  }
+
+  let create () = { objs = 0; bodies = []; ops = 0; touches = 0; computes = 0 }
+  let name _ = "counting"
+  let priced = P.priced
+  let cores _ = 1
+  let shared_probe = O2_runtime.Probe.create ()
+  let probe _ = shared_probe
+
+  let register t ~size:_ ~name:_ =
+    t.objs <- t.objs + 1;
+    t.objs - 1
+
+  let objects t = t.objs
+  let spawn t ~core:_ ~name:_ body = t.bodies <- body :: t.bodies
+
+  let with_op t ?write:_ _obj f =
+    let r = f () in
+    t.ops <- t.ops + 1;
+    r
+
+  let touch t ~write:_ ~obj:_ ~off:_ ~len:_ = t.touches <- t.touches + 1
+  let compute t _ = t.computes <- t.computes + 1
+
+  let run t =
+    let bodies = List.rev t.bodies in
+    t.bodies <- [];
+    List.iter (fun body -> body ()) bodies
+
+  let ops_completed t = t.ops
+  let object_ops _ _ = 0
+  let ships _ = (0, 0)
+  let migrations _ = 0
+end
+
+module Priced = Counting (struct
+  let priced = true
+end)
+
+module Unpriced = Counting (struct
+  let priced = false
+end)
+
+(* The sim price tests' kv and dir programs, run in client order. Each
+   returns the results in op order, so both flavours can be compared. *)
+module Programs (B : O2_runtime.Backend_intf.S) = struct
+  module Kv = Backend_kv.Make (B)
+  module Dir = Backend_dir.Make (B)
+
+  let kv b =
+    let clients = 4 and ops = 120 in
+    let kv = Kv.create b ~name:"kv" ~buckets:8 ~slots_per_bucket:16 () in
+    let out = ref [] in
+    for c = 0 to clients - 1 do
+      let prog =
+        Op_program.kv_program ~clients ~client:c ~ops ~keyspace:64 ~seed:7
+      in
+      B.spawn b ~core:c ~name:"kv-client" (fun () ->
+          Array.iter
+            (fun op ->
+              let r =
+                match op with
+                | Op_program.Get k -> Kv.get kv ~key:k
+                | Op_program.Put (k, v) ->
+                    Bool.to_int (Kv.put kv ~key:k ~value:v)
+                | Op_program.Delete k -> Bool.to_int (Kv.delete kv ~key:k)
+              in
+              out := r :: !out)
+            prog)
+    done;
+    B.run b;
+    List.rev !out
+
+  let dir b =
+    let clients = 4 and ops = 120 and dirs = 6 and entries_per_dir = 64 in
+    let d = Dir.create b ~name:"dir" ~dirs ~entries_per_dir () in
+    let out = ref [] in
+    for c = 0 to clients - 1 do
+      let prog =
+        Op_program.dir_program ~dirs ~entries_per_dir ~ops ~seed:(11 + c)
+      in
+      B.spawn b ~core:c ~name:"dir-client" (fun () ->
+          Array.iter
+            (fun (dir, key) -> out := Dir.lookup d ~dir ~key :: !out)
+            prog)
+    done;
+    B.run b;
+    List.rev !out
+end
+
+module P = Programs (Priced)
+module U = Programs (Unpriced)
+
+let calls = Alcotest.(triple int int int)
+
+(* A priced backend gets one [compute] per op and a [touch] per probed
+   range and per written slot (the counts the programs made on every
+   backend before [priced] existed); an unpriced one gets no call at
+   all, and both compute the same results. *)
+let test_pricing_calls ~priced ~unpriced ~touches () =
+  let p = Priced.create () and u = Unpriced.create () in
+  check Alcotest.(list int) "same results either way" (priced p) (unpriced u);
+  check calls "priced: ops, touches, computes" (480, touches, 480)
+    (p.ops, p.touches, p.computes);
+  check calls "unpriced: ops, touches, computes" (480, 0, 0)
+    (u.ops, u.touches, u.computes)
+
+(* The mask path (power-of-two counts) and the [mod] path pick the
+   bucket the reference hash picks, for every key of a 4096-key range. *)
+let test_bucket_of_key () =
+  List.iter
+    (fun buckets ->
+      let kv =
+        U.Kv.create (Unpriced.create ()) ~name:"kv" ~buckets
+          ~slots_per_bucket:1 ()
+      in
+      for key = 0 to 4095 do
+        let want = key * 0x2545F491 land max_int mod buckets in
+        let got = U.Kv.bucket_of_key kv key in
+        if got <> want then
+          Alcotest.failf "buckets=%d key=%d: bucket %d, want %d" buckets key
+            got want
+      done)
+    [ 1; 2; 3; 16; 48; 64; 1000 ]
+
+(* An out-of-range directory is a named error, not the array's bare
+   bounds failure, on either side of the range. *)
+let test_dir_out_of_range () =
+  let d =
+    U.Dir.create (Unpriced.create ()) ~name:"dir" ~dirs:3
+      ~entries_per_dir:4 ()
+  in
+  List.iter
+    (fun dir ->
+      Alcotest.check_raises
+        (Printf.sprintf "dir %d" dir)
+        (Invalid_argument "Backend_dir.lookup: dir out of range")
+        (fun () -> ignore (U.Dir.lookup d ~dir ~key:0)))
+    [ -1; 3; max_int; min_int ];
+  checki "the last directory still resolves" 2
+    (U.Dir.lookup d ~dir:2 ~key:2)
+
+(* ------------------------------------------------------------------ *)
 (* The simulator's price of the two functor programs.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -1034,4 +1192,14 @@ let suite =
       test_sim_price_kv;
     Alcotest.test_case "sim price: the dir program's cycles are pinned" `Quick
       test_sim_price_dir;
+    Alcotest.test_case "priced: kv pricing calls only on a priced backend"
+      `Quick
+      (test_pricing_calls ~priced:P.kv ~unpriced:U.kv ~touches:638);
+    Alcotest.test_case "priced: dir pricing calls only on a priced backend"
+      `Quick
+      (test_pricing_calls ~priced:P.dir ~unpriced:U.dir ~touches:480);
+    Alcotest.test_case "kv: bucket_of_key matches the reference hash" `Quick
+      test_bucket_of_key;
+    Alcotest.test_case "dir: an out-of-range dir is a named error" `Quick
+      test_dir_out_of_range;
   ]
