@@ -1,14 +1,5 @@
 let entry_bytes = 32 (* Fat_types.entry_bytes: one 8.3 directory entry *)
 
-(* A top-level loop, so a probe allocates no closure. The annotation
-   keeps the compare and the load specialised to ints. [n] is the
-   array's length, so [i < n] is the range check and the load needs
-   none of its own. *)
-let rec scan_from (entries : int array) ~(key : int) n i =
-  if i >= n then -1
-  else if Array.unsafe_get entries i = key then i
-  else scan_from entries ~key n (i + 1)
-
 module Make (B : O2_runtime.Backend_intf.S) = struct
   type dir = { obj : int; entries : int array }
 
@@ -33,7 +24,18 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
   let dirs t = Array.length t.dir_arr
   let dir_obj t i = t.dir_arr.(i).obj
 
-  let scan d ~key = scan_from d.entries ~key (Array.length d.entries) 0
+  (* The op body, defined once per instance so that a lookup builds no
+     closure: the probe kernel over the directory's entries, then the
+     simulator's price of the scan when the backend charges one. *)
+  let lookup_body t d key =
+    let n = Array.length d.entries in
+    let i = Int_scan.first d.entries ~lo:0 ~hi:n key in
+    if B.priced then begin
+      let probed = if i >= 0 then i + 1 else n in
+      B.touch t.b ~write:false ~obj:d.obj ~off:0 ~len:(probed * entry_bytes);
+      B.compute t.b (t.compare_cycles * Int.max probed 1)
+    end;
+    i
 
   (* The range test stands in for the array's own bounds check, so an
      out-of-range [dir] gets a named error at no extra cost. *)
@@ -41,13 +43,5 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
     if dir < 0 || dir >= Array.length t.dir_arr then
       invalid_arg "Backend_dir.lookup: dir out of range";
     let d = Array.unsafe_get t.dir_arr dir in
-    B.with_op t.b d.obj (fun () ->
-        let i = scan d ~key in
-        if B.priced then begin
-          let probed = if i >= 0 then i + 1 else Array.length d.entries in
-          B.touch t.b ~write:false ~obj:d.obj ~off:0
-            ~len:(probed * entry_bytes);
-          B.compute t.b (t.compare_cycles * Int.max probed 1)
-        end;
-        i)
+    B.with_op t.b d.obj lookup_body t d key
 end

@@ -7,7 +7,12 @@
     only when [B.priced]: on native it is not made and the scan itself
     is the cost. Read-only means results are interleaving-independent
     on any backend, so this exercises shipping and rebalancing without
-    the single-writer sizing constraints Backend_kv needs. *)
+    the single-writer sizing constraints Backend_kv needs.
+
+    A lookup hands [with_op] a closed body defined once per instance,
+    with the store, the directory and the key as its arguments, and the
+    body scans with the one probe kernel, {!Int_scan.first}: a native
+    lookup allocates nothing. *)
 
 module Make (B : O2_runtime.Backend_intf.S) : sig
   type t
@@ -29,7 +34,8 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
   val dir_obj : t -> int -> int
 
   val lookup : t -> dir:int -> key:int -> int
-  (** The entry index for [key] in [dir], or [-1]. One backend op.
+  (** The entry index for [key] in [dir], or [-1]. One backend op, which
+      allocates nothing on native.
       @raise Invalid_argument ["Backend_dir.lookup: dir out of range"]
       unless [0 <= dir < dirs t], before the op is bracketed. *)
 end

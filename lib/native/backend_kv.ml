@@ -4,8 +4,8 @@ let slot_bytes = 16 (* 8-byte key + 8-byte value, as in Kv_store *)
    then [slots] keys, then [slots] values. The record is never written,
    so an op on one bucket touches no line that an op on a bucket homed
    elsewhere writes (DESIGN.md, "Home-isolated layout"). The helpers sit
-   outside the functor so the op closures need not capture them, and are
-   forced inline so the probe loop makes no call per slot. *)
+   outside the functor and are forced inline, so an op body makes no
+   call per word. *)
 type bucket = { obj : int;  (* backend object handle *) row : Pad_row.t }
 
 let[@inline] used bk = Pad_row.get bk.row 0
@@ -18,15 +18,10 @@ let[@inline] set_slot ~slots bk i ~key ~value =
   Pad_row.set bk.row (1 + i) key;
   set_value ~slots bk i value
 
-(* Pure probe: the slot holding [key], or -1. No backend calls — see
-   the .mli on why the logical section must stay effect-free. A
-   top-level loop, so a probe allocates no closure. *)
-let rec scan_from bk ~key n i =
-  if i >= n then -1
-  else if key_at bk i = key then i
-  else scan_from bk ~key n (i + 1)
-
-let[@inline] scan bk ~key = scan_from bk ~key (used bk) 0
+(* Pure probe: the slot holding [key], or -1 — the probe kernel over the
+   bucket's live key words. No backend calls: see the .mli on why the
+   logical section must stay effect-free. *)
+let[@inline] scan bk ~key = Pad_row.find_in bk.row ~lo:1 ~len:(used bk) key
 
 module Make (B : O2_runtime.Backend_intf.S) = struct
   type t = {
@@ -78,53 +73,65 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
           ~len:slot_bytes
     end
 
+  (* The op bodies are defined once per instance and take the store,
+     the bucket or key, and the key or value as arguments, so an op
+     builds no closure. [put_body] finds its bucket again from the key:
+     [with_op] carries three arguments, and [put] needs the key and the
+     value besides the store. *)
+  let get_body t bk key =
+    let i = scan bk ~key in
+    let result = if i >= 0 then value_at ~slots:t.slots bk i else -1 in
+    let probed = if i >= 0 then i + 1 else used bk in
+    charge t bk ~probed ~wrote:(-1);
+    result
+
+  let put_body t key value =
+    let bk = t.bucket_arr.(bucket_of_key t key) in
+    let i = scan bk ~key in
+    let n = used bk in
+    let probed = if i >= 0 then i + 1 else n in
+    let wrote =
+      if i >= 0 then begin
+        set_value ~slots:t.slots bk i value;
+        i
+      end
+      else if n >= t.slots then -1
+      else begin
+        set_slot ~slots:t.slots bk n ~key ~value;
+        set_used bk (n + 1);
+        n
+      end
+    in
+    charge t bk ~probed ~wrote;
+    wrote >= 0
+
+  let delete_body t bk key =
+    let i = scan bk ~key in
+    let probed = if i >= 0 then i + 1 else used bk in
+    if i < 0 then begin
+      charge t bk ~probed ~wrote:(-1);
+      false
+    end
+    else begin
+      let last = used bk - 1 in
+      set_slot ~slots:t.slots bk i ~key:(key_at bk last)
+        ~value:(value_at ~slots:t.slots bk last);
+      set_used bk last;
+      charge t bk ~probed ~wrote:i;
+      true
+    end
+
   let get t ~key =
     let bk = t.bucket_arr.(bucket_of_key t key) in
-    B.with_op t.b bk.obj (fun () ->
-        let i = scan bk ~key in
-        let result = if i >= 0 then value_at ~slots:t.slots bk i else -1 in
-        let probed = if i >= 0 then i + 1 else used bk in
-        charge t bk ~probed ~wrote:(-1);
-        result)
+    B.with_op t.b bk.obj get_body t bk key
 
   let put t ~key ~value =
     let bk = t.bucket_arr.(bucket_of_key t key) in
-    B.with_op t.b ~write:true bk.obj (fun () ->
-        let i = scan bk ~key in
-        let n = used bk in
-        let probed = if i >= 0 then i + 1 else n in
-        let wrote =
-          if i >= 0 then begin
-            set_value ~slots:t.slots bk i value;
-            i
-          end
-          else if n >= t.slots then -1
-          else begin
-            set_slot ~slots:t.slots bk n ~key ~value;
-            set_used bk (n + 1);
-            n
-          end
-        in
-        charge t bk ~probed ~wrote;
-        wrote >= 0)
+    B.with_op t.b ~write:true bk.obj put_body t key value
 
   let delete t ~key =
     let bk = t.bucket_arr.(bucket_of_key t key) in
-    B.with_op t.b ~write:true bk.obj (fun () ->
-        let i = scan bk ~key in
-        let probed = if i >= 0 then i + 1 else used bk in
-        if i < 0 then begin
-          charge t bk ~probed ~wrote:(-1);
-          false
-        end
-        else begin
-          let last = used bk - 1 in
-          set_slot ~slots:t.slots bk i ~key:(key_at bk last)
-            ~value:(value_at ~slots:t.slots bk last);
-          set_used bk last;
-          charge t bk ~probed ~wrote:i;
-          true
-        end)
+    B.with_op t.b ~write:true bk.obj delete_body t bk key
 
   let size t = Array.fold_left (fun acc bk -> acc + used bk) 0 t.bucket_arr
 

@@ -20,7 +20,12 @@
       [B.priced]: on native neither call is made and the probe itself
       is the cost.
     - Results are sentinel ints, not options ([get] returns [-1] for
-      absent), so native hot paths allocate nothing. *)
+      absent), and each op hands [with_op] a closed body defined once
+      per instance, with the store, the bucket and the key (or the key
+      and the value) as its arguments. So a native op allocates
+      nothing: no closure, no option. The body probes the bucket with
+      the one probe kernel, {!Int_scan.first}, through
+      {!Pad_row.find_in}. *)
 
 module Make (B : O2_runtime.Backend_intf.S) : sig
   type t

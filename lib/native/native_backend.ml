@@ -54,7 +54,7 @@ type t = {
   mutable nobjs : int;
   mutable home_ : int array;
       (* obj -> home domain, or [lnot] the nominal home until first written *)
-  reading : Native_pool.slot array;  (* [domain] -> object in a local read, or -1 *)
+  reading : Native_pool.slots;  (* [domain] -> object in a local read, or -1 *)
   mutable names : string array;
   mutable sizes : int array;
   rows : Pad_row.t array;  (* [domain], owner-written; see the offsets *)
@@ -75,7 +75,7 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     tcoord = O2_runtime.Telemetry.coordinator telemetry;
     nobjs = 0;
     home_ = Array.make 16 0;
-    reading = Array.init domains (fun _ -> Native_pool.make_slot (-1));
+    reading = Native_pool.make_slots domains (-1);
     names = Array.make 16 "";
     sizes = Array.make 16 0;
     rows = Array.init domains (fun _ -> Pad_row.make (row_words 16));
@@ -140,13 +140,25 @@ let run t =
 
 let telemetry t = t.tel
 
-(* Runs [f] on domain [h], shipping there first if the caller is
-   elsewhere, and does the op's accounting where it ran. Telemetry
-   timestamps ride in locals: [t0]/[t1] live in the shipped
+(* Writer side, run on the nominal home as the first write's prologue:
+   the sign flip publishes the home, then local readers drain out. A
+   second first write queued behind this one finds the object homed. *)
+let claim_home t obj =
+  let h = t.home_.(obj) in
+  if h < 0 then begin
+    t.home_.(obj) <- lnot h;
+    Native_pool.await_vacant t.reading obj
+  end
+
+(* Runs [f e x y] on domain [h], shipping there first if the caller is
+   elsewhere, and does the op's accounting where it ran; [claim] makes
+   the op its object's first write (see [claim_home]). The body and its
+   arguments travel as separate values, so the op allocates nothing.
+   Telemetry timestamps ride in locals: [t0]/[t1] live in the shipped
    continuation's frame, so a span that crosses domains keeps its
    submit-side clock reading with no shared state. Ints when off, so
    the disabled branch costs a cached-bool test and two zero loads. *)
-let exec t me obj f ~tel_on ~t0 ~token h =
+let exec t me obj ~claim f e x y ~tel_on ~t0 ~token h =
   let shipped = h <> me in
   if shipped then begin
     Pad_row.incr t.rows.(me) w_ships_out;
@@ -169,7 +181,8 @@ let exec t me obj f ~tel_on ~t0 ~token h =
     end
     else 0
   in
-  let r = f () in
+  if claim then claim_home t obj;
+  let r = f e x y in
   Pad_row.incr row w_ops;
   if tel_on then begin
     let sk = t.tsinks.(h) in
@@ -186,38 +199,24 @@ let exec t me obj f ~tel_on ~t0 ~token h =
 
 (* Reader side of the first-write handshake: publish, re-check, run in
    place. The slot is cleared on every exit, including a raise. *)
-let local_read t me obj f ~tel_on ~t0 ~token =
-  let slot = t.reading.(me) in
-  Native_pool.publish slot obj;
+let local_read t me obj f e x y ~tel_on ~t0 ~token =
+  Native_pool.publish t.reading me obj;
   let h = t.home_.(obj) in
   if h >= 0 then begin
     (* A first write got in between: the object has its home now. *)
-    Native_pool.publish slot (-1);
-    exec t me obj f ~tel_on ~t0 ~token h
+    Native_pool.publish t.reading me (-1);
+    exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token h
   end
   else
-    match exec t me obj f ~tel_on ~t0 ~token me with
+    match exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token me with
     | r ->
-        Native_pool.publish slot (-1);
+        Native_pool.publish t.reading me (-1);
         r
     | exception e ->
-        Native_pool.publish slot (-1);
+        Native_pool.publish t.reading me (-1);
         raise e
 
-(* Writer side, run on the nominal home as the first write's prologue:
-   the sign flip publishes the home, then local readers drain out. A
-   second first write queued behind this one finds the object homed. *)
-let claim t obj =
-  let h = t.home_.(obj) in
-  if h < 0 then begin
-    t.home_.(obj) <- lnot h;
-    Native_pool.await_vacant t.reading obj
-  end
-
-let first_write t me obj f ~tel_on ~t0 ~token h =
-  exec t me obj (fun () -> claim t obj; f ()) ~tel_on ~t0 ~token h
-
-let with_op t ?write obj f =
+let with_op t ?write obj f e x y =
   let me = Native_pool.current_domain t.pool in
   if me < 0 then
     invalid_arg "Native_backend.with_op: called outside a pool worker";
@@ -230,11 +229,12 @@ let with_op t ?write obj f =
     if tel_on then O2_runtime.Telemetry.op_submit t.tsinks.(me) ~obj else -1
   in
   let h = t.home_.(obj) in
-  if h >= 0 then exec t me obj f ~tel_on ~t0 ~token h
+  if h >= 0 then exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token h
   else
     match write with
-    | Some true -> first_write t me obj f ~tel_on ~t0 ~token (lnot h)
-    | _ -> local_read t me obj f ~tel_on ~t0 ~token
+    | Some true ->
+        exec t me obj ~claim:true f e x y ~tel_on ~t0 ~token (lnot h)
+    | _ -> local_read t me obj f e x y ~tel_on ~t0 ~token
 
 (* Both are the simulator's price for loads and compares the op body
    really performs, so on real cores they cost nothing on top; [priced]

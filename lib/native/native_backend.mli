@@ -82,7 +82,16 @@ val probe : t -> O2_runtime.Probe.t
 val register : t -> size:int -> name:string -> int
 val objects : t -> int
 val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
-val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
+val with_op :
+  t -> ?write:bool -> int -> ('e -> 'x -> 'y -> 'a) -> 'e -> 'x -> 'y -> 'a
+(** [with_op t ?write obj f e x y] runs [f e x y] as one op on [obj],
+    where the backend's policy (above) puts it. The body is closed and
+    takes its state as arguments, so with telemetry off or metrics-only
+    an op run where it was submitted allocates nothing beyond what [f]
+    does. A shipped op also allocates what shipping its continuation
+    takes (the effect and the inbox cell).
+    @raise Invalid_argument off-pool or for an unknown handle. *)
+
 val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
 val compute : t -> int -> unit
 (** [touch] and [compute] are free: they are the simulator's price for

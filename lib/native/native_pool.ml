@@ -288,14 +288,17 @@ type slot = {
   p14 : int; p15 : int;
 }
 
+type slots = slot array
+
 external slot_exchange : slot -> int -> int = "%atomic_exchange"
 external slot_fetch_add : slot -> int -> int = "%atomic_fetch_add"
 
-let make_slot v =
-  { v; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0; p8 = 0;
-    p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0; p15 = 0 }
+let make_slots n v =
+  Array.init n (fun _ ->
+      { v; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0; p8 = 0;
+        p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0; p15 = 0 })
 
-let publish s v = ignore (slot_exchange s v)
+let publish slots d v = ignore (slot_exchange slots.(d) v)
 
 (* The writer side of the handshake. Each poll is [fetch_and_add s 0], a
    read-modify-write rather than a load: a reader whose publication

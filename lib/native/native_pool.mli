@@ -64,18 +64,21 @@ val shutdown : t -> unit
     domains publishing into their own slots never share a line (DESIGN.md,
     "Home-isolated layout"). The slots carry {!Native_backend}'s
     first-write handshake; they live here because this module is the
-    raw-primitive shim. *)
+    raw-primitive shim. The set is indexed here too, where its element
+    type is known, so a slot lookup is a plain load. *)
 
-type slot
+type slots
 
-val make_slot : int -> slot
+val make_slots : int -> int -> slots
+(** [make_slots n v]: [n] slots, each holding [v]. *)
 
-val publish : slot -> int -> unit
-(** A sequentially consistent store ([Atomic.set]). *)
+val publish : slots -> int -> int -> unit
+(** [publish s d v] stores [v] in slot [d] with a sequentially
+    consistent store ([Atomic.exchange], result dropped). *)
 
-val await_vacant : slot array -> int -> unit
-(** [await_vacant slots v] spins ([Domain.cpu_relax]) until no slot
-    holds [v], visiting each slot once in order. Every poll is a
+val await_vacant : slots -> int -> unit
+(** [await_vacant s v] spins ([Domain.cpu_relax]) until no slot holds
+    [v], visiting each slot once in order. Every poll is a
     read-modify-write, so a domain that publishes into a slot after its
     poll observes everything the caller wrote before calling. *)
 

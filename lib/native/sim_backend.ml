@@ -64,7 +64,8 @@ let register t ~size ~name =
   o
 
 let spawn t ~core ~name body = ignore (Engine.spawn t.engine ~core ~name body)
-let with_op t ?write obj f = Coretime.with_op t.ct ?write t.bases.(obj) f
+let with_op t ?write obj f e x y =
+  Coretime.with_op t.ct ?write t.bases.(obj) (fun () -> f e x y)
 
 let touch t ~write ~obj ~off ~len =
   if len > 0 then begin

@@ -8,7 +8,11 @@
     through {!O2_runtime.Api} ([priced] is [true]), and [run] drives
     the event loop until the spawned clients finish. Per-object op
     counts are reconstructed from the probe's [Op_started] stream, which
-    the backend subscribes to at creation. *)
+    the backend subscribes to at creation.
+
+    [Coretime.with_op] brackets a thunk, so [with_op] wraps the closed
+    body and its arguments in one. That closure is host allocation,
+    which the simulator does not price: no simulated cycle moves. *)
 
 type t
 
@@ -32,7 +36,8 @@ val probe : t -> O2_runtime.Probe.t
 val register : t -> size:int -> name:string -> int
 val objects : t -> int
 val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
-val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
+val with_op :
+  t -> ?write:bool -> int -> ('e -> 'x -> 'y -> 'a) -> 'e -> 'x -> 'y -> 'a
 val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
 val compute : t -> int -> unit
 val run : t -> unit

@@ -57,17 +57,27 @@ module type S = sig
       backend; they may be scheduled elsewhere by the backend (the
       native pool steals idle-lane work). *)
 
-  val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
-  (** Bracket one operation on an object handle, from inside a spawned
-      body; [write] (default [false]) says whether the op mutates the
-      object. Where the op runs is the backend's policy. The simulator
-      runs it where CoreTime puts it: on the object's assigned core by
-      thread migration or shipping, or in place for unassigned or
-      replicated objects. The native backend runs reads of an object
-      never written in place, on the submitting domain. The first write
-      homes the object, and every op after it ships to the home (the
-      continuation is enqueued on the home domain). Both count the op
-      where it ran. *)
+  val with_op :
+    t -> ?write:bool -> int -> ('e -> 'x -> 'y -> 'a) -> 'e -> 'x -> 'y -> 'a
+  (** [with_op t ?write obj f e x y] brackets one operation on an object
+      handle, from inside a spawned body, and runs [f e x y] inside it;
+      [write] (default [false]) says whether the op mutates the object.
+
+      The body is closed: a program passes a function defined once, not
+      one built per op, and hands it the op's state and arguments as
+      [e], [x] and [y]. So bracketing an op builds no closure, and a
+      native op allocates nothing. A closure per op kept filling the
+      minor heap, and on OCaml 5 every minor collection stops all
+      domains.
+
+      Where the op runs is the backend's policy. The simulator runs it
+      where CoreTime puts it: on the object's assigned core by thread
+      migration or shipping, or in place for unassigned or replicated
+      objects. The native backend runs reads of an object never written
+      in place, on the submitting domain. The first write homes the
+      object, and every op after it ships to the home (the continuation
+      is enqueued on the home domain). Both count the op where it
+      ran. *)
 
   val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
   (** The cost of touching [len] bytes at [off] inside an object:

@@ -93,7 +93,10 @@ let scan ctx root =
     | _ -> expr sub e
   in
   let iter = { Tast_iterator.default_iterator with expr } in
-  iter.expr iter root
+  (* The binding's own closure is built once, where it is defined, not
+     per call: judge only what its body builds. That matters in a
+     functor, whose functions capture the functor's other values. *)
+  descend_chain iter root
 
 (* Float boxing: a float produced by arithmetic in tail position must be
    boxed to be returned. Narrow by construction — only flags arithmetic

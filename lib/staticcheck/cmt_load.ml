@@ -201,22 +201,39 @@ let attr_reason name attrs =
 
 (* Map from top-level value name to its binding, for manifest lookup and
    same-module transitive analysis. Multiple bindings of the same name
-   keep the last one (what the rest of the module sees). *)
+   keep the last one (what the rest of the module sees). Bindings in the
+   body of a functor or submodule defined in the file are included too,
+   under their bare names, unless the top level binds the same name: a
+   program written against a backend signature keeps its op bodies in
+   its functor. *)
 let top_bindings (str : Typedtree.structure) =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun item ->
-      match item.Typedtree.str_desc with
-      | Typedtree.Tstr_value (_, vbs) ->
-          List.iter
-            (fun vb ->
-              match vb.Typedtree.vb_pat.Typedtree.pat_desc with
-              | Typedtree.Tpat_var (id, _) ->
-                  Hashtbl.replace tbl (Ident.name id) vb
-              | _ -> ())
-            vbs
-      | _ -> ())
-    str.Typedtree.str_items;
+  let tbl = Hashtbl.create 64 and nested = Hashtbl.create 16 in
+  let rec items into (str : Typedtree.structure) =
+    List.iter
+      (fun item ->
+        match item.Typedtree.str_desc with
+        | Typedtree.Tstr_value (_, vbs) ->
+            List.iter
+              (fun vb ->
+                match vb.Typedtree.vb_pat.Typedtree.pat_desc with
+                | Typedtree.Tpat_var (id, _) ->
+                    Hashtbl.replace into (Ident.name id) vb
+                | _ -> ())
+              vbs
+        | Typedtree.Tstr_module mb -> mod_expr mb.Typedtree.mb_expr
+        | _ -> ())
+      str.Typedtree.str_items
+  and mod_expr (me : Typedtree.module_expr) =
+    match me.Typedtree.mod_desc with
+    | Typedtree.Tmod_structure s -> items nested s
+    | Typedtree.Tmod_functor (_, body) -> mod_expr body
+    | Typedtree.Tmod_constraint (me, _, _, _) -> mod_expr me
+    | _ -> ()
+  in
+  items tbl str;
+  Hashtbl.iter
+    (fun name vb -> if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name vb)
+    nested;
   tbl
 
 (* Idents bound at the structure's top level, keyed by [Ident.unique_name]

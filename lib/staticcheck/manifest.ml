@@ -98,13 +98,18 @@ let default =
           "current_domain"; "publish"; "await_vacant" ] };
     (* padded per-domain counter rows and kv bucket rows: every word the
        homed op path writes goes through these *)
-    { module_ = "Pad_row"; functions = [ "length"; "get"; "set"; "incr" ] };
-    (* the backend programs' probe loops: one per native kv/dir op *)
-    { module_ = "Backend_kv"; functions = [ "scan_from" ] };
-    { module_ = "Backend_dir"; functions = [ "scan_from" ] };
+    { module_ = "Pad_row";
+      functions = [ "length"; "get"; "set"; "incr"; "find_in" ] };
+    (* the probe kernel every native kv/dir op runs, and the programs'
+       op bodies around it (in their functors): closed, so an op builds
+       no closure *)
+    { module_ = "Int_scan"; functions = [ "first"; "quads"; "rest" ] };
+    { module_ = "Backend_kv";
+      functions = [ "scan"; "get_body"; "put_body"; "delete_body"; "charge" ] };
+    { module_ = "Backend_dir"; functions = [ "lookup_body" ] };
     { module_ = "Native_backend";
       functions =
-        [ "with_op"; "exec"; "local_read"; "claim"; "touch"; "compute";
+        [ "with_op"; "exec"; "local_read"; "claim_home"; "touch"; "compute";
           "delta" ] };
     (* native telemetry writers: every call site in the pool/backend is
        guarded by a cached bool, and when the recorder IS on the writers

@@ -19,3 +19,19 @@ let annotated n = ((ref n) [@alloc_ok "fixture: deliberate cell"])
 
 (* allocation-free: no finding *)
 let clean a i = Array.unsafe_get a i + i
+
+(* Functor bodies are checked too. [functor_clean] calls a sibling in
+   the functor: its own closure is built once per application, not per
+   call, so no finding. [functor_closure] builds a closure per call that
+   captures [i]: alloc-closure. *)
+module Over (X : sig
+  val base : int
+end) =
+struct
+  let offset i = i + X.base
+  let functor_clean a i = Array.unsafe_get a (offset i)
+
+  let functor_closure i =
+    let f () = offset i in
+    f
+end

@@ -610,6 +610,10 @@ let test_native_steal_path_telemetry_off () =
   in
   check_zero_alloc "deque steal path, telemetry off" words
 
+(* An empty op body for the with_op probes below: closed, so passing it
+   builds nothing. *)
+let nop () () () = ()
+
 (* The dispatch paths: with_op on the op's home domain (no ship, no
    effect) and a local read of a never-written object (the handshake's
    publish / re-check / clear) with telemetry off must not allocate —
@@ -626,16 +630,16 @@ let test_native_with_op_telemetry_off () =
       let out = Array.make 2 0.0 in
       let probe i o =
         for _ = 1 to 100 do
-          O2_native.Native_backend.with_op b o (fun () -> ())
+          O2_native.Native_backend.with_op b o nop () () ()
         done;
         out.(i) <-
           minor_words_during (fun () ->
               for _ = 1 to iters do
-                O2_native.Native_backend.with_op b o (fun () -> ())
+                O2_native.Native_backend.with_op b o nop () () ()
               done)
       in
       O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
-          O2_native.Native_backend.with_op b ~write:true homed ignore;
+          O2_native.Native_backend.with_op b ~write:true homed nop () () ();
           probe 0 homed;
           probe 1 read);
       O2_native.Native_backend.run b;
@@ -654,11 +658,11 @@ let test_native_with_op_metrics_only () =
       let o = O2_native.Native_backend.register b ~size:64 ~name:"probe" in
       let out = Array.make 1 0.0 in
       O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
-          O2_native.Native_backend.with_op b ~write:true o ignore;
+          O2_native.Native_backend.with_op b ~write:true o nop () () ();
           out.(0) <-
             minor_words_during (fun () ->
                 for _ = 1 to iters do
-                  O2_native.Native_backend.with_op b o (fun () -> ())
+                  O2_native.Native_backend.with_op b o nop () () ()
                 done));
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op, metrics-only telemetry" out.(0))
@@ -689,14 +693,84 @@ let test_native_padded_rows () =
       let o = O2_native.Native_backend.register b ~size:64 ~name:"probe" in
       let out = Array.make 1 0.0 in
       O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
-          O2_native.Native_backend.with_op b ~write:true o ignore;
+          O2_native.Native_backend.with_op b ~write:true o nop () () ();
           out.(0) <-
             minor_words_during (fun () ->
                 for _ = 1 to iters do
-                  O2_native.Native_backend.with_op b o (fun () -> ())
+                  O2_native.Native_backend.with_op b o nop () () ()
                 done));
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op at home on grown rows" out.(0))
+
+(* The programs' ops on native, each after a warm-up: a directory
+   lookup (a local read: directories are never written) and a kv get,
+   put and delete on buckets their first puts homed. Each op is the
+   with_op bracket around a closed body and the probe kernel, so none
+   allocates. The kv store is perfbench's: 64 buckets of 32 slots, keys
+   0-1023, which fit. Deletes run in laps over all the keys, each
+   followed by an unmeasured lap of puts that refills the store. *)
+module Dir = O2_native.Backend_dir.Make (O2_native.Native_backend)
+module Kv = O2_native.Backend_kv.Make (O2_native.Native_backend)
+
+let kv_keys = 1024
+
+let test_native_program_ops () =
+  let b = O2_native.Native_backend.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> O2_native.Native_backend.shutdown b)
+    (fun () ->
+      let dir = Dir.create b ~name:"dir" ~dirs:4 ~entries_per_dir:48 () in
+      let kv = Kv.create b ~name:"kv" ~buckets:64 ~slots_per_bucket:32 () in
+      let out = Array.make 4 0.0 and deletes = ref 0 and bad = ref 0 in
+      let lookups () =
+        for i = 1 to iters do
+          (* keys 0-51 over 48 entries: hits, and misses that scan all *)
+          let key = i mod 52 in
+          let want = if key < 48 then key else -1 in
+          if Dir.lookup dir ~dir:(i land 3) ~key <> want then incr bad
+        done
+      in
+      let fill () =
+        for k = 0 to kv_keys - 1 do
+          if not (Kv.put kv ~key:k ~value:k) then incr bad
+        done
+      in
+      O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
+          lookups ();
+          out.(0) <- minor_words_during lookups;
+          fill ();
+          for k = 0 to kv_keys - 1 do
+            if Kv.get kv ~key:k <> k then incr bad
+          done;
+          out.(1) <-
+            minor_words_during (fun () ->
+                for i = 1 to iters do
+                  if Kv.get kv ~key:(i land (kv_keys - 1)) < 0 then incr bad
+                done);
+          out.(2) <-
+            minor_words_during (fun () ->
+                for i = 1 to iters do
+                  if not (Kv.put kv ~key:(i land (kv_keys - 1)) ~value:i) then
+                    incr bad
+                done);
+          while !deletes < iters do
+            out.(3) <-
+              out.(3)
+              +. minor_words_during (fun () ->
+                     for k = 0 to kv_keys - 1 do
+                       if not (Kv.delete kv ~key:k) then incr bad
+                     done);
+            deletes := !deletes + kv_keys;
+            fill ()
+          done);
+      O2_native.Native_backend.run b;
+      Alcotest.(check int) "every op answered as the store holds" 0 !bad;
+      check_zero_alloc "native Backend_dir.lookup" out.(0);
+      check_zero_alloc "native Backend_kv.get" out.(1);
+      check_zero_alloc "native Backend_kv.put" out.(2);
+      check_zero_alloc
+        (Printf.sprintf "native Backend_kv.delete (%d deletes)" !deletes)
+        out.(3))
 
 (* The LRU's page recycling: a cyclic stream over 4x capacity evicts
    each 64-key page's lines one by one until the page empties onto the
@@ -801,6 +875,8 @@ let suite =
       test_native_with_op_metrics_only;
     Alcotest.test_case "padded counter rows allocate nothing" `Quick
       test_native_padded_rows;
+    Alcotest.test_case "native program ops allocate nothing" `Quick
+      test_native_program_ops;
     Alcotest.test_case "LRU page recycling allocates nothing" `Quick
       test_lru_page_churn;
     Alcotest.test_case "LRU cluster runs allocate nothing" `Quick

@@ -229,6 +229,13 @@ let test_pool_yield_and_scale () =
 (* Backend counters and monitor invariants.                            *)
 (* ------------------------------------------------------------------ *)
 
+(* [with_op] runs a closed body on three arguments; these tests bracket
+   thunks, so the thunk rides as the body's first argument. *)
+let run_thunk f () () = f ()
+
+let thunk_op b ?write o f =
+  Native_backend.with_op b ?write o run_thunk f () ()
+
 let test_backend_counters () =
   let b = Native_backend.create ~domains:2 () in
   Fun.protect
@@ -238,14 +245,14 @@ let test_backend_counters () =
       let o1 = Native_backend.register b ~size:64 ~name:"b" in
       checki "round-robin initial homes" 0 (Native_backend.home b o0);
       checki "round-robin initial homes" 1 (Native_backend.home b o1);
-      (match Native_backend.with_op b o0 (fun () -> ()) with
+      (match thunk_op b o0 (fun () -> ()) with
       | () -> Alcotest.fail "with_op off-pool must be rejected"
       | exception Invalid_argument _ -> ());
       for c = 0 to 3 do
         Native_backend.spawn b ~core:(c mod 2) ~name:"client" (fun () ->
             for i = 0 to 24 do
               let o = if i land 1 = 0 then o0 else o1 in
-              Native_backend.with_op b o (fun () ->
+              thunk_op b o (fun () ->
                   Native_backend.compute b 10)
             done)
       done;
@@ -259,7 +266,7 @@ let test_backend_counters () =
       (* Another batch after a monitor step must keep every invariant. *)
       Native_backend.spawn b ~core:0 ~name:"client2" (fun () ->
           for _ = 1 to 10 do
-            Native_backend.with_op b o0 (fun () -> ())
+            thunk_op b o0 (fun () -> ())
           done);
       Native_backend.run b;
       checki "ops accumulate across batches" 110
@@ -285,8 +292,8 @@ let test_rebalance_ignores_unhomed () =
       for c = 0 to 3 do
         Native_backend.spawn b ~core:(c mod 2) ~name:"reader" (fun () ->
             for _ = 1 to 50 do
-              Native_backend.with_op b o0 (fun () -> ());
-              Native_backend.with_op b o1 (fun () -> ())
+              thunk_op b o0 (fun () -> ());
+              thunk_op b o1 (fun () -> ())
             done)
       done;
       Native_backend.run b;
@@ -300,9 +307,9 @@ let test_rebalance_ignores_unhomed () =
       for c = 0 to 3 do
         Native_backend.spawn b ~core:(c mod 2) ~name:"mixed" (fun () ->
             for i = 0 to 19 do
-              Native_backend.with_op b o0 (fun () -> ());
-              Native_backend.with_op b o1 (fun () -> ());
-              Native_backend.with_op b ~write:(i = 0) w (fun () -> ())
+              thunk_op b o0 (fun () -> ());
+              thunk_op b o1 (fun () -> ());
+              thunk_op b ~write:(i = 0) w (fun () -> ())
             done)
       done;
       Native_backend.run b;
@@ -347,7 +354,7 @@ let test_first_write_never_tears () =
         let seen = Array.init 2 (fun _ -> Atomic.make 0) in
         let read () =
           let a, c =
-            Native_backend.with_op b o (fun () ->
+            thunk_op b o (fun () ->
                 let a = pair.(0) in
                 spin 1_000;
                 (a, pair.(1)))
@@ -376,7 +383,7 @@ let test_first_write_never_tears () =
               do
                 Domain.cpu_relax ()
               done;
-            Native_backend.with_op b ~write:true o (fun () ->
+            thunk_op b ~write:true o (fun () ->
                 pair.(0) <- r;
                 spin 20;
                 pair.(1) <- r));
@@ -411,7 +418,7 @@ let test_compute_is_free () =
       Native_backend.spawn b ~core:0 ~name:"client" (fun () ->
           in_op :=
             elapsed_ns (fun () ->
-                Native_backend.with_op b o (fun () ->
+                thunk_op b o (fun () ->
                     Native_backend.compute b 1_000_000_000)));
       Native_backend.run b;
       checkb "off the pool, well under 0.3 s" true (off_pool < 30_000_000);
@@ -428,13 +435,13 @@ let test_local_read_raise_clears_slot () =
   let wrote = Atomic.make false in
   for c = 0 to 1 do
     Native_backend.spawn b ~core:c ~name:"raiser" (fun () ->
-        match Native_backend.with_op b o (fun () -> failwith "boom") with
+        match thunk_op b o (fun () -> failwith "boom") with
         | () -> ()
         | exception Failure _ -> ())
   done;
   Native_backend.run b;
   Native_backend.spawn b ~core:0 ~name:"writer" (fun () ->
-      Native_backend.with_op b ~write:true o (fun () -> ());
+      thunk_op b ~write:true o (fun () -> ());
       Atomic.set wrote true);
   let deadline = O2_runtime.Telemetry.now_ns () + 10_000_000_000 in
   while
@@ -495,6 +502,47 @@ let test_pad_row () =
   Pad_row.set r (-1) 1;
   checkb "a store before the start lands in the front guard" false
     (Pad_row.guards_clear r)
+
+(* The probe kernel against a one-at-a-time scan. Words are drawn from
+   0-5, so arrays hold duplicates and the first match must win; keys
+   from -1 to 6, so some are absent. Lengths 0-70 and range ends drawn
+   from 2 past either end of the array give every tail of 0-3 words
+   after the unrolled steps, and bad ranges, which must raise the named
+   error. Pad_row.find_in on a row holding the same words must give the
+   same answer, relative to [lo]. *)
+let reference_first a ~lo ~hi key =
+  let rec go i = if i >= hi then -1 else if a.(i) = key then i else go (i + 1) in
+  go lo
+
+let prop_int_scan_matches_reference =
+  QCheck2.Test.make ~count:2000
+    ~name:"Int_scan.first = a scalar scan; bad ranges raise"
+    ~print:(fun (a, lo, hi, key) ->
+      Printf.sprintf "a=[|%s|] lo=%d hi=%d key=%d"
+        (String.concat "; " (Array.to_list (Array.map string_of_int a)))
+        lo hi key)
+    QCheck2.Gen.(
+      int_range 0 70 >>= fun n ->
+      quad
+        (array_size (pure n) (int_range 0 5))
+        (int_range (-2) (n + 2))
+        (int_range (-2) (n + 2))
+        (int_range (-1) 6))
+    (fun (a, lo, hi, key) ->
+      let n = Array.length a in
+      if lo < 0 || lo > hi || hi > n then
+        match Int_scan.first a ~lo ~hi key with
+        | _ -> false
+        | exception Invalid_argument msg ->
+            msg = "Int_scan.first: range outside the array"
+      else begin
+        let want = reference_first a ~lo ~hi key in
+        let row = Pad_row.make n in
+        Array.iteri (Pad_row.set row) a;
+        Int_scan.first a ~lo ~hi key = want
+        && Pad_row.find_in row ~lo ~len:(hi - lo) key
+           = if want < 0 then -1 else want - lo
+      end)
 
 module Kv_native = Backend_kv.Make (Native_backend)
 module Dir_native = Backend_dir.Make (Native_backend)
@@ -804,7 +852,7 @@ let test_span_reconstruction_across_ship () =
       Native_backend.spawn b ~core:0 ~name:"client" (fun () ->
           for i = 0 to ops - 1 do
             let o = if i land 1 = 0 then o0 else o1 in
-            Native_backend.with_op b ~write:true o (fun () ->
+            thunk_op b ~write:true o (fun () ->
                 Native_backend.compute b 5)
           done);
       Native_backend.run b;
@@ -860,7 +908,7 @@ let test_spans_of_local_reads () =
         Native_backend.spawn b ~core:c ~name:"reader" (fun () ->
             for i = 0 to per - 1 do
               let o = if i land 1 = 0 then o0 else o1 in
-              Native_backend.with_op b o (fun () -> Native_backend.compute b 5)
+              thunk_op b o (fun () -> Native_backend.compute b 5)
             done)
       done;
       Native_backend.run b;
@@ -933,8 +981,8 @@ struct
   let objects t = t.objs
   let spawn t ~core:_ ~name:_ body = t.bodies <- body :: t.bodies
 
-  let with_op t ?write:_ _obj f =
-    let r = f () in
+  let with_op t ?write:_ _obj f e x y =
+    let r = f e x y in
     t.ops <- t.ops + 1;
     r
 
@@ -1125,6 +1173,7 @@ let suite =
   [
     Alcotest.test_case "deque grow + FIFO/LIFO ends" `Quick test_deque_grow;
     QCheck_alcotest.to_alcotest prop_deque_matches_model;
+    QCheck_alcotest.to_alcotest prop_int_scan_matches_reference;
     Alcotest.test_case "deque multi-domain stress" `Slow test_deque_stress;
     Alcotest.test_case "inbox MPSC per-producer FIFO" `Quick test_inbox_fifo;
     Alcotest.test_case "pool: shipping lands on target" `Quick

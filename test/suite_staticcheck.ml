@@ -45,7 +45,7 @@ let test_alloc_fixture () =
         functions =
           [
             "boxed_pair"; "consing"; "closure_maker"; "annotated"; "clean";
-            "does_not_exist";
+            "functor_clean"; "functor_closure"; "does_not_exist";
           ];
       };
     ]
@@ -53,7 +53,10 @@ let test_alloc_fixture () =
   let fs = SC.Alloc_check.check_module ~manifest m in
   Alcotest.(check (list string))
     "one finding per allocating construct"
-    [ "alloc-closure"; "alloc-construct"; "alloc-tuple"; "manifest-missing" ]
+    [
+      "alloc-closure"; "alloc-closure"; "alloc-construct"; "alloc-tuple";
+      "manifest-missing";
+    ]
     (codes fs);
   Alcotest.(check (list string))
     "tuple blamed on boxed_pair" [ "boxed_pair" ]
@@ -62,7 +65,8 @@ let test_alloc_fixture () =
     "cons blamed on consing" [ "consing" ]
     (funcs_with ~code:"alloc-construct" fs);
   Alcotest.(check (list string))
-    "capture blamed on closure_maker" [ "closure_maker" ]
+    "captures blamed on closure_maker and the functor's closure"
+    [ "closure_maker"; "functor_closure" ]
     (funcs_with ~code:"alloc-closure" fs);
   Alcotest.(check (list string))
     "missing manifest entry reported" [ "does_not_exist" ]
