@@ -1,27 +1,29 @@
 (* Homes are earned by writing. An object starts unhomed: [home_.(o)]
    holds [lnot h], a negative word, for its nominal home h = o mod n. A
    read-only op on an unhomed object runs on the submitting domain: no
-   ship, no inbox, no wake. The first [~write:true] op ships to h, flips
-   the word to h and waits out the local reads in flight; from then on
-   every op ships to the home, so a written object keeps a single
-   writer. The homed path pays one sign test on the word it already
-   loads.
+   ship, no inbox, no wake, and no atomic write. The first
+   [~write:true] op ships to h, flips the word to h and waits out the
+   local reads in flight; from then on every op ships to the home, so a
+   written object keeps a single writer. The homed path pays one sign
+   test on the word it already loads.
 
-   First-write handshake, the Dekker pattern of Native_pool's
-   sleepers/epoch pair:
-   - reader on domain d: publish o in [reading.(d)] (an SC store), re-read
-     [home_.(o)]; still negative -> run the body in place, then
-     [reading.(d) <- -1], also on a raise. Non-negative -> clear, ship.
-   - writer on h: [home_.(o) <- h] (plain), then poll every
-     [reading.(d)] with [fetch_and_add 0] until it no longer holds o.
-   All atomic ops on one slot are totally ordered. If the reader's
-   publication comes first, the writer's poll sees o and waits for the
-   clear, which follows the body: the read happens before the write.
-   If the poll comes first, it is a read-modify-write, so it releases
-   the flip into the slot and the reader's publication acquires it: the
-   re-read sees h and the op ships. Either way no local read overlaps
-   the write. Op bodies are effect-free (see Backend_kv), so a reader
-   never waits on the writer's domain and the spin ends.
+   First write, a grace period (Native_pool's [pass] / [await_grace]):
+   - every op on domain d starts with [pass]: load the generation, and
+     if it moved, store it in d's ack word. Then it loads [home_.(o)];
+     negative -> the body runs in place. The pool loop passes too.
+   - the writer on h: [home_.(o) <- h] (plain), bump the generation g
+     (fetch-and-add, a release), wake the parked workers, and spin until
+     every other domain's ack is >= g, passing for itself meanwhile.
+   A body that loaded a negative word finishes before its domain's next
+   [pass]; the ack that pass stores happens before the writer's data
+   writes, so the read happens before the write. A [home_] load after
+   an ack of g follows a load of the generation that saw the bump, so
+   it sees the flip and the op ships.
+
+   Liveness: the write waits until every other domain starts an op,
+   returns to its loop or parks. Op bodies are effect-free (Backend_kv),
+   and clients wait on each other through ops or [Api.yield], never by
+   spinning between ops.
 
    Counter layout: each domain's op counters and its per-object submit
    and op counts share one Pad_row written only by that domain's worker
@@ -30,7 +32,7 @@
    Rows are summed by the coordinator only at quiescence. [home_] is
    plain too: written by [register] and [rebalance] at quiescence
    (published to workers by the next spawn's inbox CAS / drain exchange
-   pair) and once per object by its first write, which the handshake
+   pair) and once per object by its first write, which the grace period
    above orders. *)
 
 (* Word offsets in a domain's row: three op counters, then one
@@ -54,7 +56,6 @@ type t = {
   mutable nobjs : int;
   mutable home_ : int array;
       (* obj -> home domain, or [lnot] the nominal home until first written *)
-  reading : Native_pool.slots;  (* [domain] -> object in a local read, or -1 *)
   mutable names : string array;
   mutable sizes : int array;
   rows : Pad_row.t array;  (* [domain], owner-written; see the offsets *)
@@ -75,7 +76,6 @@ let create ?(telemetry = O2_runtime.Telemetry.off) ~domains () =
     tcoord = O2_runtime.Telemetry.coordinator telemetry;
     nobjs = 0;
     home_ = Array.make 16 0;
-    reading = Native_pool.make_slots domains (-1);
     names = Array.make 16 "";
     sizes = Array.make 16 0;
     rows = Array.init domains (fun _ -> Pad_row.make (row_words 16));
@@ -140,15 +140,17 @@ let run t =
 
 let telemetry t = t.tel
 
-(* Writer side, run on the nominal home as the first write's prologue:
-   the sign flip publishes the home, then local readers drain out. A
-   second first write queued behind this one finds the object homed. *)
-let claim_home t obj =
-  let h = t.home_.(obj) in
-  if h < 0 then begin
-    t.home_.(obj) <- lnot h;
-    Native_pool.await_vacant t.reading obj
+(* The first write's prologue, on the nominal home [h]: flip, then
+   wait out the local reads. A second first write queued behind this
+   one finds the object homed. *)
+let claim_home t obj h =
+  if t.home_.(obj) < 0 then begin
+    t.home_.(obj) <- h;
+    Native_pool.await_grace t.pool h
   end
+
+(* Indexed inside Telemetry, where [sink] is a record: no tag test. *)
+let sink t d = O2_runtime.Telemetry.sink_at t.tsinks d
 
 (* Runs [f e x y] on domain [h], shipping there first if the caller is
    elsewhere, and does the op's accounting where it ran; [claim] makes
@@ -163,29 +165,29 @@ let exec t me obj ~claim f e x y ~tel_on ~t0 ~token h =
   if shipped then begin
     Pad_row.incr t.rows.(me) w_ships_out;
     if tel_on then
-      O2_runtime.Telemetry.note_ship_out t.tsinks.(me) ~token ~obj ~dst:h;
+      O2_runtime.Telemetry.note_ship_out (sink t me) ~token ~obj ~dst:h;
     O2_runtime.Api.ship_to h;
     (* The continuation resumed on the home's worker; from here until
        the next ship, everything runs there — including the telemetry
        writes, which now target the home's own sink. *)
     Pad_row.incr t.rows.(h) w_ships_in;
     if tel_on then
-      O2_runtime.Telemetry.note_ship_in t.tsinks.(h) ~token ~obj ~src:me
+      O2_runtime.Telemetry.note_ship_in (sink t h) ~token ~obj ~src:me
   end;
   let row = t.rows.(h) in
   Pad_row.incr row (w_obj_ops obj);
   let t1 =
     if tel_on then begin
-      O2_runtime.Telemetry.note_start t.tsinks.(h) ~token ~obj;
+      O2_runtime.Telemetry.note_start (sink t h) ~token ~obj;
       O2_runtime.Telemetry.now_ns ()
     end
     else 0
   in
-  if claim then claim_home t obj;
+  if claim then claim_home t obj h;
   let r = f e x y in
   Pad_row.incr row w_ops;
   if tel_on then begin
-    let sk = t.tsinks.(h) in
+    let sk = sink t h in
     let t2 = O2_runtime.Telemetry.now_ns () in
     O2_runtime.Telemetry.note_end sk ~token ~obj;
     O2_runtime.Telemetry.observe_exec sk (t2 - t1);
@@ -197,36 +199,18 @@ let exec t me obj ~claim f e x y ~tel_on ~t0 ~token h =
   end;
   r
 
-(* Reader side of the first-write handshake: publish, re-check, run in
-   place. The slot is cleared on every exit, including a raise. *)
-let local_read t me obj f e x y ~tel_on ~t0 ~token =
-  Native_pool.publish t.reading me obj;
-  let h = t.home_.(obj) in
-  if h >= 0 then begin
-    (* A first write got in between: the object has its home now. *)
-    Native_pool.publish t.reading me (-1);
-    exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token h
-  end
-  else
-    match exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token me with
-    | r ->
-        Native_pool.publish t.reading me (-1);
-        r
-    | exception e ->
-        Native_pool.publish t.reading me (-1);
-        raise e
-
 let with_op t ?write obj f e x y =
   let me = Native_pool.current_domain t.pool in
   if me < 0 then
     invalid_arg "Native_backend.with_op: called outside a pool worker";
   if obj < 0 || obj >= t.nobjs then
     invalid_arg "Native_backend.with_op: unknown object";
+  Native_pool.pass t.pool me;
   Pad_row.incr t.rows.(me) (w_submits obj);
   let tel_on = t.tel_on in
   let t0 = if tel_on then O2_runtime.Telemetry.now_ns () else 0 in
   let token =
-    if tel_on then O2_runtime.Telemetry.op_submit t.tsinks.(me) ~obj else -1
+    if tel_on then O2_runtime.Telemetry.op_submit (sink t me) ~obj else -1
   in
   let h = t.home_.(obj) in
   if h >= 0 then exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token h
@@ -234,7 +218,7 @@ let with_op t ?write obj f e x y =
     match write with
     | Some true ->
         exec t me obj ~claim:true f e x y ~tel_on ~t0 ~token (lnot h)
-    | _ -> local_read t me obj f e x y ~tel_on ~t0 ~token
+    | _ -> exec t me obj ~claim:false f e x y ~tel_on ~t0 ~token me
 
 (* Both are the simulator's price for loads and compares the op body
    really performs, so on real cores they cost nothing on top; [priced]

@@ -5,8 +5,10 @@
     is unhomed, and a read-only op on it ([write] absent or [false])
     runs on the submitting domain, like a read-only object the
     simulator leaves to hardware replication. The first
-    [~write:true] op ships to the object's nominal home, waits until no
-    other domain is inside a local read of it, and homes it there. From
+    [~write:true] op ships to the object's nominal home, homes it there
+    and waits out a grace period ({!Native_pool.await_grace}), after
+    which no local read of it is running; a local read makes no atomic
+    write. From
     then on an op submitted anywhere else is shipped — [Api.ship_to]
     captures the client's continuation and posts it to the home's inbox
     — so a write only ever runs on the home domain, alone. That
@@ -14,6 +16,10 @@
     per-object locks, and ops on a homed object execute in inbox FIFO
     order. Op bodies must be effect-free (no nested [with_op], no
     yield): a local read must finish on its own domain.
+
+    Liveness contract: a first write waits until every other domain
+    starts an op, returns to its loop or parks, so a client waits on
+    another through ops or [Api.yield], never by spinning between ops.
 
     The monitor is a quiesce-point rebalancer: {!rebalance} may only run
     between {!run} batches (inflight = 0), when no client is executing,

@@ -34,8 +34,28 @@ type worker = {
   sink : Telemetry.sink;  (* this worker's single-writer telemetry sink *)
 }
 
+(* Grace-period words (DESIGN.md, "Home-isolated layout"): 16-word
+   records, not Pad_rows, as [%atomic_*] acts on a block's first field;
+   the unread rest keeps the next word two cache lines away. *)
+type slot = {
+  mutable v : int;
+  p1 : int; p2 : int; p3 : int; p4 : int; p5 : int; p6 : int; p7 : int;
+  p8 : int; p9 : int; p10 : int; p11 : int; p12 : int; p13 : int;
+  p14 : int; p15 : int;
+}
+
+external slot_load : slot -> int = "%atomic_load"
+external slot_exchange : slot -> int -> int = "%atomic_exchange"
+external slot_fetch_add : slot -> int -> int = "%atomic_fetch_add"
+
+let make_slot () =
+  { v = 0; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0; p8 = 0;
+    p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0; p15 = 0 }
+
 type t = {
   n : int;
+  grace : slot;  (* generation, bumped by every first write *)
+  acks : slot array;  (* [worker] -> last generation it passed *)
   tel : Telemetry.t;
   tel_on : bool;  (* Telemetry.enabled tel, cached for the hot loop *)
   coord_sink : Telemetry.sink;
@@ -78,6 +98,31 @@ let notify t =
 let post t ~core task =
   Inbox.push t.workers.(core).inbox task;
   notify t
+
+(* The quiescent point. The ack word's only writer is its worker, so the
+   plain read of it is the worker's copy of its last ack, and the
+   exchange (a release) runs only when the generation has moved. *)
+let pass t me =
+  let g = slot_load t.grace in
+  let a = t.acks.(me) in
+  if g <> a.v then ignore (slot_exchange a g)
+
+(* The bump releases the caller's plain writes (the home flip). The
+   caller passes as it spins, so two first writers ack each other. Out
+   of line: it runs once per object, and inlined it would copy the spin
+   and [notify]'s mutex path into every op bracket. *)
+let[@inline never] await_grace t me =
+  let g = slot_fetch_add t.grace 1 + 1 in
+  notify t;
+  for d = 0 to t.n - 1 do
+    if d <> me then begin
+      let a = t.acks.(d) in
+      while slot_load a < g do
+        pass t me;
+        Domain.cpu_relax ()
+      done
+    end
+  done
 
 let record_error t e = ignore (Atomic.compare_and_set t.error None (Some e))
 
@@ -160,6 +205,9 @@ let park t w e =
 let rec loop t w me handler on_task =
   if not (Atomic.get t.stop) then begin
     let e = Atomic.get t.epoch in
+    (* After the epoch read: a pass that misses a first write's bump
+       holds an epoch the writer's notify moves, so [park] wakes. *)
+    pass t me;
     let drained = Inbox.drain_into w.inbox on_task in
     if drained > 0 && t.tel_on then
       Telemetry.note_inbox_batch w.sink ~count:drained;
@@ -217,6 +265,8 @@ let create ?(telemetry = Telemetry.off) ~domains () =
   let t =
     {
       n = domains;
+      grace = make_slot ();
+      acks = Array.init domains (fun _ -> make_slot ());
       tel = telemetry;
       tel_on = Telemetry.enabled telemetry;
       coord_sink = Telemetry.coordinator telemetry;
@@ -275,43 +325,6 @@ let shutdown t =
     Mutex.unlock t.lock;
     Array.iter Domain.join t.handles
   end
-
-(* Reading slots for Native_backend's first-write handshake, laid out by
-   the rule in DESIGN.md, "Home-isolated layout". A slot is a 16-word
-   record rather than a Pad_row because the [%atomic_*] primitives
-   [Atomic] is built on act on a block's first field; the other fields
-   are never read and keep the next slot's word two cache lines away. *)
-type slot = {
-  mutable v : int;
-  p1 : int; p2 : int; p3 : int; p4 : int; p5 : int; p6 : int; p7 : int;
-  p8 : int; p9 : int; p10 : int; p11 : int; p12 : int; p13 : int;
-  p14 : int; p15 : int;
-}
-
-type slots = slot array
-
-external slot_exchange : slot -> int -> int = "%atomic_exchange"
-external slot_fetch_add : slot -> int -> int = "%atomic_fetch_add"
-
-let make_slots n v =
-  Array.init n (fun _ ->
-      { v; p1 = 0; p2 = 0; p3 = 0; p4 = 0; p5 = 0; p6 = 0; p7 = 0; p8 = 0;
-        p9 = 0; p10 = 0; p11 = 0; p12 = 0; p13 = 0; p14 = 0; p15 = 0 })
-
-let publish slots d v = ignore (slot_exchange slots.(d) v)
-
-(* The writer side of the handshake. Each poll is [fetch_and_add s 0], a
-   read-modify-write rather than a load: a reader whose publication
-   lands after the poll then acquires, through the slot itself, every
-   write the caller made before polling — which is what lets the
-   backend keep its written flag in a plain word. *)
-let await_vacant slots v =
-  for d = 0 to Array.length slots - 1 do
-    let s = slots.(d) in
-    while slot_fetch_add s 0 = v do
-      Domain.cpu_relax ()
-    done
-  done
 
 let tasks_executed t =
   Array.fold_left (fun acc w -> acc + w.executed) 0 t.workers

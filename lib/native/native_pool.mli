@@ -58,29 +58,25 @@ val shutdown : t -> unit
 (** Stop and join every worker. The pool must be quiescent ({!drain}
     returned). Idempotent. *)
 
-(** {1 Reading slots}
+(** {1 Grace period}
 
-    One atomic int per domain, padded to two cache lines so that
-    domains publishing into their own slots never share a line (DESIGN.md,
-    "Home-isolated layout"). The slots carry {!Native_backend}'s
-    first-write handshake; they live here because this module is the
-    raw-primitive shim. The set is indexed here too, where its element
-    type is known, so a slot lookup is a plain load. *)
+    {!Native_backend}'s first-write protocol: a generation word and one
+    ack word per worker, each padded to two cache lines (DESIGN.md,
+    "Home-isolated layout"). *)
 
-type slots
+val pass : t -> int -> unit
+(** [pass t me], worker [me]'s quiescent point: if the generation moved
+    since [me]'s last ack, store it in [me]'s ack word (a release). The
+    caller asserts that no local read it began is still running. The
+    worker loop passes on every iteration, also after a park. *)
 
-val make_slots : int -> int -> slots
-(** [make_slots n v]: [n] slots, each holding [v]. *)
-
-val publish : slots -> int -> int -> unit
-(** [publish s d v] stores [v] in slot [d] with a sequentially
-    consistent store ([Atomic.exchange], result dropped). *)
-
-val await_vacant : slots -> int -> unit
-(** [await_vacant s v] spins ([Domain.cpu_relax]) until no slot holds
-    [v], visiting each slot once in order. Every poll is a
-    read-modify-write, so a domain that publishes into a slot after its
-    poll observes everything the caller wrote before calling. *)
+val await_grace : t -> int -> unit
+(** [await_grace t me], a first writer's wait on worker [me]: bump the
+    generation (releasing the caller's writes), wake parked workers,
+    and spin, passing for [me], until every other worker has acked the
+    new generation. It returns once each of them starts an op, returns
+    to its loop or parks, so a client spinning between ops holds it up.
+    After it, no local read begun before the bump is running. *)
 
 val tasks_executed : t -> int
 (** Tasks run across all workers (client bodies plus resumed shipped /

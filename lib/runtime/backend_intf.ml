@@ -77,7 +77,12 @@ module type S = sig
       in place, on the submitting domain. The first write homes the
       object, and every op after it ships to the home (the continuation
       is enqueued on the home domain). Both count the op where it
-      ran. *)
+      ran.
+
+      Liveness: on native, a first write waits until every other domain
+      starts an op, returns to its worker loop or parks. So a client
+      that waits on another client must do it through ops or
+      [Api.yield], never by spinning between ops. *)
 
   val touch : t -> write:bool -> obj:int -> off:int -> len:int -> unit
   (** The cost of touching [len] bytes at [off] inside an object:

@@ -231,6 +231,11 @@ let sink_array t ~n =
     invalid_arg "Telemetry.sink_array: telemetry sized for a different pool"
   else Array.init n (fun i -> t.sinks.(i))
 
+(* Here the element type is a known record, so the load is a plain one:
+   indexed where [sink] is abstract, each load would carry a
+   float-array tag test. *)
+let sink_at (a : sink array) i = a.(i)
+
 (* ------------------------------------------------------------------ *)
 (* The clock                                                           *)
 

@@ -62,6 +62,11 @@ val sink_array : t -> n:int -> sink array
     paths index an array instead of calling {!sink}.
     @raise Invalid_argument if enabled and [n <> domains]. *)
 
+val sink_at : sink array -> int -> sink
+(** [sink_at a d] is [a.(d)]: the hot paths index a {!sink_array}
+    through it, since out here [sink] is abstract and a direct index
+    would test for a float array on every load. *)
+
 (** {1 The clock} *)
 
 val now_ns : unit -> int

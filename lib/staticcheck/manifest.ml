@@ -95,7 +95,7 @@ let default =
     { module_ = "Native_pool";
       functions =
         [ "loop"; "sweep"; "run_task"; "post"; "notify"; "park"; "finish";
-          "current_domain"; "publish"; "await_vacant" ] };
+          "current_domain"; "pass"; "await_grace" ] };
     (* padded per-domain counter rows and kv bucket rows: every word the
        homed op path writes goes through these *)
     { module_ = "Pad_row";
@@ -109,7 +109,7 @@ let default =
     { module_ = "Backend_dir"; functions = [ "lookup_body" ] };
     { module_ = "Native_backend";
       functions =
-        [ "with_op"; "exec"; "local_read"; "claim_home"; "touch"; "compute";
+        [ "with_op"; "exec"; "sink"; "claim_home"; "touch"; "compute";
           "delta" ] };
     (* native telemetry writers: every call site in the pool/backend is
        guarded by a cached bool, and when the recorder IS on the writers
@@ -122,7 +122,7 @@ let default =
           "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
           "observe_home"; "observe_shipped"; "observe_ship_delay";
           "observe_exec"; "note_rebalance"; "note_quiesce"; "enabled";
-          "token_sink"; "token_seq" ] };
+          "token_sink"; "token_seq"; "sink_at" ] };
   ]
 
 let functions_for manifest ~module_ =

@@ -615,9 +615,10 @@ let test_native_steal_path_telemetry_off () =
 let nop () () () = ()
 
 (* The dispatch paths: with_op on the op's home domain (no ship, no
-   effect) and a local read of a never-written object (the handshake's
-   publish / re-check / clear) with telemetry off must not allocate —
-   the instrumentation is a cached-bool branch and two zero loads.
+   effect) and a local read of a never-written object (the grace
+   period's pass, then the body in place) with telemetry off must not
+   allocate — the instrumentation is a cached-bool branch and two zero
+   loads.
    Gc.minor_words is per-domain, so the probes run inside the worker and
    hand their readings out through a preallocated slot. *)
 let test_native_with_op_telemetry_off () =
@@ -645,6 +646,43 @@ let test_native_with_op_telemetry_off () =
       O2_native.Native_backend.run b;
       check_zero_alloc "native with_op at home, telemetry off" out.(0);
       check_zero_alloc "native local read, telemetry off" out.(1))
+
+(* A first write's claim path: the home flip, the generation bump, the
+   peer's wake-up and the spin on its ack, for objects homed where the
+   probe runs (so no write ships). Two domains, so the spin really
+   waits on a peer. *)
+let test_native_first_write_claim () =
+  let b = O2_native.Native_backend.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> O2_native.Native_backend.shutdown b)
+    (fun () ->
+      let warm = 100 in
+      let objs =
+        Array.init
+          (2 * (warm + iters))
+          (fun _ -> O2_native.Native_backend.register b ~size:64 ~name:"claim")
+      in
+      let out = Array.make 1 0.0 in
+      let claim me i =
+        O2_native.Native_backend.with_op b ~write:true objs.((2 * i) + me) nop
+          () () ()
+      in
+      O2_native.Native_backend.spawn b ~core:0 ~name:"probe" (fun () ->
+          let me =
+            O2_native.Native_pool.current_domain
+              (O2_native.Native_backend.pool b)
+          in
+          for i = 0 to warm - 1 do
+            claim me i
+          done;
+          out.(0) <-
+            minor_words_during (fun () ->
+                for i = warm to warm + iters - 1 do
+                  claim me i
+                done));
+      O2_native.Native_backend.run b;
+      check_zero_alloc "native first write (claim path), telemetry off"
+        out.(0))
 
 (* With the clock an untagged C stub, a metrics-only recorder
    (ring_capacity:0) adds no allocation to with_op either: two clock
@@ -873,6 +911,8 @@ let suite =
       test_native_with_op_telemetry_off;
     Alcotest.test_case "metrics-only with_op allocates nothing" `Quick
       test_native_with_op_metrics_only;
+    Alcotest.test_case "first-write claim allocates nothing" `Quick
+      test_native_first_write_claim;
     Alcotest.test_case "padded counter rows allocate nothing" `Quick
       test_native_padded_rows;
     Alcotest.test_case "native program ops allocate nothing" `Quick

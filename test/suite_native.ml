@@ -331,7 +331,7 @@ let spin n =
     ignore (Sys.opaque_identity 0)
   done
 
-(* The first-write handshake under contention. Each round registers a
+(* The first-write grace period under contention. Each round registers a
    fresh object; readers on both domains hammer it with a body that
    loads two fields a long gap apart, and one client makes the first
    write, storing both fields a short gap apart, once the domain that
@@ -424,12 +424,22 @@ let test_compute_is_free () =
       checkb "off the pool, well under 0.3 s" true (off_pool < 30_000_000);
       checkb "inside an op, well under 0.3 s" true (!in_op < 30_000_000))
 
-(* A raise inside a local read must clear the reader's slot: otherwise
-   the object's first write would spin on it forever. The coordinator
-   waits for the write with a deadline instead of draining, so a leaked
-   slot fails this test rather than hanging the suite (the stuck pool is
-   then abandoned, not joined). *)
-let test_local_read_raise_clears_slot () =
+(* Waits up to ten seconds for [cond], failing with [what] if it does
+   not hold by then. The grace-period tests below wait for a first
+   write this way instead of draining, so a write that never completes
+   fails its test rather than hanging the suite (the stuck pool is then
+   abandoned, not joined). *)
+let within_deadline what cond =
+  let deadline = O2_runtime.Telemetry.now_ns () + 10_000_000_000 in
+  while (not (cond ())) && O2_runtime.Telemetry.now_ns () < deadline do
+    Domain.cpu_relax ()
+  done;
+  if not (cond ()) then Alcotest.fail what
+
+(* A local read that raises leaves its domain through the handler back
+   to the loop, which passes: the object's first write must not wait on
+   it. *)
+let test_raising_read_does_not_block_write () =
   let b = Native_backend.create ~domains:2 () in
   let o = Native_backend.register b ~size:64 ~name:"raiser" in
   let wrote = Atomic.make false in
@@ -443,17 +453,70 @@ let test_local_read_raise_clears_slot () =
   Native_backend.spawn b ~core:0 ~name:"writer" (fun () ->
       thunk_op b ~write:true o (fun () -> ());
       Atomic.set wrote true);
-  let deadline = O2_runtime.Telemetry.now_ns () + 10_000_000_000 in
-  while
-    (not (Atomic.get wrote)) && O2_runtime.Telemetry.now_ns () < deadline
-  do
-    Domain.cpu_relax ()
-  done;
-  if not (Atomic.get wrote) then
-    Alcotest.fail "first write still waiting: a raising local read left its slot";
+  within_deadline "first write still waiting after a raising local read"
+    (fun () -> Atomic.get wrote);
   Native_backend.run b;
   Native_backend.shutdown b;
   checki "only the write ran to completion" 1 (Native_backend.ops_completed b)
+
+(* A first write whose peer is parked: the peer acks only once the
+   writer's wake-up reaches it. The writer first idles long enough for
+   the other worker, which has nothing to run, to park, then writes the
+   object homed where it runs, so the write does not ship. *)
+let test_first_write_wakes_parked_peer () =
+  let b = Native_backend.create ~domains:2 () in
+  let objs =
+    Array.init 2 (fun i ->
+        Native_backend.register b ~size:64 ~name:(Printf.sprintf "parked%d" i))
+  in
+  let wrote = Atomic.make false in
+  Native_backend.spawn b ~core:0 ~name:"writer" (fun () ->
+      let until = O2_runtime.Telemetry.now_ns () + 50_000_000 in
+      while O2_runtime.Telemetry.now_ns () < until do
+        Domain.cpu_relax ()
+      done;
+      let me = Native_pool.current_domain (Native_backend.pool b) in
+      thunk_op b ~write:true objs.(me) (fun () -> ());
+      Atomic.set wrote true);
+  within_deadline "first write still waiting on a parked worker" (fun () ->
+      Atomic.get wrote);
+  Native_backend.run b;
+  Native_backend.shutdown b;
+  checki "the write ran" 1 (Native_backend.ops_completed b)
+
+(* First writes from both domains at once: each client, once both run
+   (a yield barrier, which splits them across the domains), makes the
+   first write of [rounds] objects homed where it runs. Each write's
+   grace period waits for the other domain, which is inside a first
+   write of its own as often as not. *)
+let test_concurrent_first_writes () =
+  let b = Native_backend.create ~domains:2 () in
+  let rounds = 200 in
+  let objs =
+    Array.init (2 * rounds) (fun i ->
+        Native_backend.register b ~size:64 ~name:(Printf.sprintf "w%d" i))
+  in
+  let arrived = Atomic.make 0 and finished = Atomic.make 0 in
+  let pool = Native_backend.pool b in
+  for c = 0 to 1 do
+    Native_backend.spawn b ~core:c ~name:"writer" (fun () ->
+        Atomic.incr arrived;
+        while Atomic.get arrived < 2 do
+          O2_runtime.Api.yield ()
+        done;
+        for r = 0 to rounds - 1 do
+          let me = Native_pool.current_domain pool in
+          thunk_op b ~write:true objs.((2 * r) + me) (fun () -> ())
+        done;
+        Atomic.incr finished)
+  done;
+  within_deadline "concurrent first writes still waiting on each other"
+    (fun () -> Atomic.get finished = 2);
+  Native_backend.run b;
+  Native_backend.shutdown b;
+  checki "every write ran" (2 * rounds) (Native_backend.ops_completed b);
+  let out, in_ = Native_backend.ships b in
+  checki "no write shipped" 0 (out + in_)
 
 (* The counters live past the objects registered so far (rows keep
    spare capacity); reading one for a handle never registered must fail
@@ -1211,8 +1274,12 @@ let suite =
       test_rebalance_ignores_unhomed;
     Alcotest.test_case "backend: first write never tears a local read" `Quick
       test_first_write_never_tears;
-    Alcotest.test_case "backend: a raising local read clears its slot" `Quick
-      test_local_read_raise_clears_slot;
+    Alcotest.test_case "backend: a raising local read does not block the \
+                        first write" `Quick test_raising_read_does_not_block_write;
+    Alcotest.test_case "backend: a first write wakes a parked peer" `Quick
+      test_first_write_wakes_parked_peer;
+    Alcotest.test_case "backend: concurrent first writes both complete" `Quick
+      test_concurrent_first_writes;
     Alcotest.test_case "backend: native compute is free" `Quick
       test_compute_is_free;
     Alcotest.test_case "telemetry: local reads stay on their domain" `Quick

@@ -25,6 +25,7 @@ let () =
       ("obs", Suite_obs.suite);
       ("experiments", Suite_experiments.suite);
       ("native", Suite_native.suite);
+      ("grace-model", Suite_grace.suite);
       ("analysis", Suite_analysis.suite);
       ("staticcheck", Suite_staticcheck.suite);
     ]
