@@ -54,6 +54,7 @@ let make_slot () =
 
 type t = {
   n : int;
+  tag : int;  (* this pool's serial, shifted past the worker index bits *)
   grace : slot;  (* generation, bumped by every first write *)
   acks : slot array;  (* [worker] -> last generation it passed *)
   tel : Telemetry.t;
@@ -72,20 +73,28 @@ type t = {
   mutable down : bool;
 }
 
-(* Worker identity travels in domain-local storage, not in captured
-   closure state: a shipped continuation resumes on another domain, and
-   its handler must see the NEW domain's index (e.g. for Yield's
-   re-queue). The slot also names the pool, so nested/successive pools
-   cannot alias each other's indices. *)
-let dls_slot : (t * int) option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
+(* Worker identity travels in a C thread-local word (native_stubs.c),
+   not in captured closure state: a shipped continuation resumes on
+   another domain, and its handler must see the NEW domain's index (e.g.
+   for Yield's re-queue). The word is the pool's tag plus the index, so
+   nested/successive pools cannot alias each other's indices: for any
+   other pool's word, or the 0 of a thread that is no worker, the xor
+   with [t.tag] leaves a bit at or above [index_bits] set. *)
+external worker_word : unit -> (int[@untagged])
+  = "o2_native_worker_word_byte" "o2_native_worker_word"
+[@@noalloc]
+
+external set_worker_word : int -> unit = "o2_native_set_worker_word"
+[@@noalloc]
+
+let index_bits = 16
+let serials = Atomic.make 0
 
 let domains t = t.n
 
 let current_domain t =
-  match Domain.DLS.get dls_slot with
-  | Some (p, i) when p == t -> i
-  | _ -> -1
+  let d = worker_word () lxor t.tag in
+  if d < t.n then d else -1
 
 let notify t =
   Atomic.incr t.epoch;
@@ -233,7 +242,7 @@ let rec loop t w me handler on_task =
   end
 
 let worker_main t me () =
-  Domain.DLS.set dls_slot (Some (t, me));
+  set_worker_word (t.tag + me);
   let w = t.workers.(me) in
   let handler = make_handler t in
   (* Built once per worker: the drain callback runs shipped/yielded
@@ -251,6 +260,8 @@ let worker_main t me () =
 
 let create ?(telemetry = Telemetry.off) ~domains () =
   if domains < 1 then invalid_arg "Native_pool.create: domains must be >= 1";
+  if domains >= 1 lsl index_bits then
+    invalid_arg "Native_pool.create: too many domains";
   let sinks = Telemetry.sink_array telemetry ~n:domains in
   let worker i =
     {
@@ -265,6 +276,7 @@ let create ?(telemetry = Telemetry.off) ~domains () =
   let t =
     {
       n = domains;
+      tag = (Atomic.fetch_and_add serials 1 + 1) lsl index_bits;
       grace = make_slot ();
       acks = Array.init domains (fun _ -> make_slot ());
       tel = telemetry;

@@ -15,7 +15,8 @@
     the data stays), and [Yield] re-queues the continuation locally.
     Continuations are resumed on whichever domain receives them;
     {!current_domain} always names the executing worker because the
-    handler consults domain-local state, never a captured id.
+    handler consults the executing thread's worker word, never a
+    captured id.
 
     The pool is the only [lib/native] module touching raw [Domain] /
     [Mutex] / [Condition]; it is allowlisted in o2staticcheck's
@@ -35,14 +36,16 @@ val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
     and spawns are stamped on the caller's sink. With the default the
     instrumented paths are a cached-bool branch — pinned
     allocation-free by suite_hotpath and the o2staticcheck manifest.
-    @raise Invalid_argument if [domains < 1], or if [telemetry] was
-    created for a different domain count. *)
+    @raise Invalid_argument if [domains < 1] or [domains >= 65536], or
+    if [telemetry] was created for a different domain count. *)
 
 val domains : t -> int
 
 val current_domain : t -> int
 (** The worker index executing the caller, or [-1] off-pool (the
-    coordinator). Valid inside client bodies wherever they ran. *)
+    coordinator, or a worker of another pool). Valid inside client
+    bodies wherever they ran. One thread-local load, an xor and a
+    compare. *)
 
 val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
 (** Queue a client body on worker [core]'s inbox (it may later be stolen

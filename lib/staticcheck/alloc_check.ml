@@ -10,7 +10,9 @@
    and [compare_val]; [Int.max]/[Int.min] and the int-typed [<]/[>=]
    compile to one machine compare and are not flagged. Matching resolved
    paths catches [max] and [Stdlib.max] alike, applied or passed as an
-   argument. [@alloc_ok] and raising applications do not suppress it. *)
+   argument. [@alloc_ok] and raising applications do not suppress it.
+
+   A call to a C external that is not [@@noalloc] is [alloc-extcall]. *)
 
 open Typedtree
 
@@ -49,6 +51,24 @@ let poly_compare ctx (e : expression) =
            (Cmt_load.path_tail ~k:2 p))
   | _ -> ()
 
+(* [alloc-extcall]: an application of a C external (a primitive whose
+   name has no [%]) not declared [@@noalloc]. Such a call may allocate
+   on the OCaml heap, and the typedtree cannot see inside it; a
+   [@@noalloc] stub has promised not to. *)
+let extcall ctx (e : expression) =
+  match e.exp_desc with
+  | Texp_apply ({ exp_desc = Texp_ident (p, _, vd); _ }, _) -> (
+      match vd.Types.val_kind with
+      | Types.Val_prim prim
+        when prim.Primitive.prim_alloc
+             && not (String.starts_with ~prefix:"%" prim.Primitive.prim_name)
+        ->
+          add ctx ~code:"alloc-extcall" ~line:(Expr_scan.loc_line e)
+            (Printf.sprintf "C external %s (%s) is not [@@noalloc]"
+               (Cmt_load.path_tail ~k:2 p) prim.Primitive.prim_name)
+      | _ -> ())
+  | _ -> ()
+
 (* The poly-compare check alone, for subtrees the allocation check skips. *)
 let compares_only ctx =
   let expr sub e =
@@ -69,6 +89,7 @@ let scan ctx root =
     then compares.expr compares e
     else begin
       poly_compare ctx e;
+      extcall ctx e;
       (match Expr_scan.alloc_of_node ~top_idents:ctx.tops e with
       | Some (code, what) -> add ctx ~code ~line:(Expr_scan.loc_line e) what
       | None -> ());

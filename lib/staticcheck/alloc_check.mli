@@ -2,8 +2,9 @@
 
     Flags boxed constructors, tuples, records, array literals, lazy
     suspensions, non-constant closures, partial applications, [ref]
-    cells, known-allocating stdlib calls, and tail-position float boxing
-    inside manifest functions. Raising applications are skipped;
+    cells, known-allocating stdlib calls, calls to C externals not
+    declared [@@noalloc] ([alloc-extcall]), and tail-position float
+    boxing inside manifest functions. Raising applications are skipped;
     [@alloc_ok "reason"] on an expression or binding suppresses the
     subtree.
 

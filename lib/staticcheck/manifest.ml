@@ -100,10 +100,11 @@ let default =
        homed op path writes goes through these *)
     { module_ = "Pad_row";
       functions = [ "length"; "get"; "set"; "incr"; "find_in" ] };
-    (* the probe kernel every native kv/dir op runs, and the programs'
-       op bodies around it (in their functors): closed, so an op builds
-       no closure *)
-    { module_ = "Int_scan"; functions = [ "first"; "quads"; "rest" ] };
+    (* the probe kernel every native kv/dir op runs (a C external, so
+       the pass checks it is [@@noalloc]), and the programs' op bodies
+       around it (in their functors): closed, so an op builds no
+       closure *)
+    { module_ = "Int_scan"; functions = [ "first" ] };
     { module_ = "Backend_kv";
       functions = [ "scan"; "get_body"; "put_body"; "delete_body"; "charge" ] };
     { module_ = "Backend_dir"; functions = [ "lookup_body" ] };

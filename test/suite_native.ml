@@ -187,6 +187,42 @@ let test_pool_ship_lands_on_target () =
         trail;
       checkb "coordinator is off-pool" true (Native_pool.current_domain t = -1))
 
+(* The worker word names its pool: a worker of [a], on either side of a
+   ship within [a], reads -1 for [b], and a worker of [b] reads -1 for
+   [a]. The first ship pins the body to worker 0, as a peer may have
+   stolen it. An index must fit below the tag, so a pool of 65536
+   workers is refused before any is spawned. *)
+let test_pool_worker_is_off_other_pool () =
+  (match Native_pool.create ~domains:65536 () with
+  | _ -> Alcotest.fail "a pool of 65536 domains was created"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string)
+        "named error" "Native_pool.create: too many domains" msg);
+  let a = Native_pool.create ~domains:2 () in
+  let b = Native_pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () ->
+      Native_pool.shutdown a;
+      Native_pool.shutdown b)
+    (fun () ->
+      let seen = Array.make 5 0 in
+      Native_pool.spawn a ~core:0 ~name:"a-worker" (fun () ->
+          O2_runtime.Api.ship_to 0;
+          seen.(0) <- Native_pool.current_domain a;
+          seen.(1) <- Native_pool.current_domain b;
+          O2_runtime.Api.ship_to 1;
+          seen.(2) <- Native_pool.current_domain a;
+          seen.(3) <- Native_pool.current_domain b);
+      Native_pool.spawn b ~core:1 ~name:"b-worker" (fun () ->
+          seen.(4) <- Native_pool.current_domain a);
+      Native_pool.drain a;
+      Native_pool.drain b;
+      checki "a's worker 0 names itself in a" 0 seen.(0);
+      checki "a's worker 0 is off pool b" (-1) seen.(1);
+      checki "after the ship, a's worker 1 names itself in a" 1 seen.(2);
+      checki "after the ship, a's worker 1 is off pool b" (-1) seen.(3);
+      checki "b's worker is off pool a" (-1) seen.(4))
+
 let test_pool_exception_propagates () =
   let t = Native_pool.create ~domains:2 () in
   Fun.protect
@@ -567,31 +603,55 @@ let test_pad_row () =
     (Pad_row.guards_clear r)
 
 (* The probe kernel against a one-at-a-time scan. Words are drawn from
-   0-5, so arrays hold duplicates and the first match must win; keys
-   from -1 to 6, so some are absent. Lengths 0-70 and range ends drawn
-   from 2 past either end of the array give every tail of 0-3 words
-   after the unrolled steps, and bad ranges, which must raise the named
-   error. Pad_row.find_in on a row holding the same words must give the
-   same answer, relative to [lo]. *)
+   0-40 and, one in eight, from [min_int], [max_int] and [-1] (tagged,
+   0x80..01, 0x7f..ff and all ones: the lane extremes), so arrays hold
+   duplicates and the first match must win, and first matches fall in
+   every 8-word block of a range. Keys are a word of the array, an int
+   from -1 to 42 (some absent) or one of the three extremes. Lengths
+   0-140 give ranges of one and two 64-word mask groups, each followed
+   by every tail of 0-7 words. Three cases in four draw a valid range
+   with any [lo], so most ranges start off a 4-word boundary; the rest
+   draw both ends from 2 past either end of the array, and a bad range
+   must raise the named error. Pad_row.find_in on a row holding the
+   same words must give the same answer, relative to [lo]. *)
 let reference_first a ~lo ~hi key =
   let rec go i = if i >= hi then -1 else if a.(i) = key then i else go (i + 1) in
   go lo
 
 let prop_int_scan_matches_reference =
+  let extreme = QCheck2.Gen.oneofl [ min_int; max_int; -1 ] in
   QCheck2.Test.make ~count:2000
     ~name:"Int_scan.first = a scalar scan; bad ranges raise"
-    ~print:(fun (a, lo, hi, key) ->
+    ~print:(fun (a, (lo, hi), key) ->
       Printf.sprintf "a=[|%s|] lo=%d hi=%d key=%d"
         (String.concat "; " (Array.to_list (Array.map string_of_int a)))
         lo hi key)
     QCheck2.Gen.(
-      int_range 0 70 >>= fun n ->
-      quad
-        (array_size (pure n) (int_range 0 5))
-        (int_range (-2) (n + 2))
-        (int_range (-2) (n + 2))
-        (int_range (-1) 6))
-    (fun (a, lo, hi, key) ->
+      int_range 0 140 >>= fun n ->
+      array_size (pure n)
+        (frequency [ (7, int_range 0 40); (1, extreme) ])
+      >>= fun a ->
+      let range =
+        frequency
+          [
+            ( 3,
+              int_range 0 n >>= fun lo ->
+              int_range lo n >|= fun hi -> (lo, hi) );
+            (1, pair (int_range (-2) (n + 2)) (int_range (-2) (n + 2)));
+          ]
+      in
+      let key =
+        if n = 0 then oneof [ int_range (-1) 42; extreme ]
+        else
+          frequency
+            [
+              (2, int_range 0 (n - 1) >|= Array.get a);
+              (2, int_range (-1) 42);
+              (1, extreme);
+            ]
+      in
+      triple (pure a) range key)
+    (fun (a, (lo, hi), key) ->
       let n = Array.length a in
       if lo < 0 || lo > hi || hi > n then
         match Int_scan.first a ~lo ~hi key with
@@ -1241,6 +1301,8 @@ let suite =
     Alcotest.test_case "inbox MPSC per-producer FIFO" `Quick test_inbox_fifo;
     Alcotest.test_case "pool: shipping lands on target" `Quick
       test_pool_ship_lands_on_target;
+    Alcotest.test_case "pool: a worker reads -1 for another pool" `Quick
+      test_pool_worker_is_off_other_pool;
     Alcotest.test_case "pool: client exception propagates" `Quick
       test_pool_exception_propagates;
     Alcotest.test_case "pool: yield keeps all work" `Quick

@@ -45,7 +45,8 @@ let test_alloc_fixture () =
         functions =
           [
             "boxed_pair"; "consing"; "closure_maker"; "annotated"; "clean";
-            "functor_clean"; "functor_closure"; "does_not_exist";
+            "functor_clean"; "functor_closure"; "extcall";
+            "noalloc_extcall"; "does_not_exist";
           ];
       };
     ]
@@ -54,10 +55,13 @@ let test_alloc_fixture () =
   Alcotest.(check (list string))
     "one finding per allocating construct"
     [
-      "alloc-closure"; "alloc-closure"; "alloc-construct"; "alloc-tuple";
-      "manifest-missing";
+      "alloc-closure"; "alloc-closure"; "alloc-construct"; "alloc-extcall";
+      "alloc-tuple"; "manifest-missing";
     ]
     (codes fs);
+  Alcotest.(check (list string))
+    "only the external without [@@noalloc] is reported" [ "extcall" ]
+    (funcs_with ~code:"alloc-extcall" fs);
   Alcotest.(check (list string))
     "tuple blamed on boxed_pair" [ "boxed_pair" ]
     (funcs_with ~code:"alloc-tuple" fs);
