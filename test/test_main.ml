@@ -23,6 +23,7 @@ let () =
       ("sched", Suite_sched.suite);
       ("stats", Suite_stats.suite);
       ("obs", Suite_obs.suite);
+      ("capture-pin", Suite_capture_pin.suite);
       ("experiments", Suite_experiments.suite);
       ("native", Suite_native.suite);
       ("grace-model", Suite_grace.suite);
