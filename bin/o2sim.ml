@@ -81,7 +81,8 @@ let metrics_arg =
   let doc =
     "Attach the flight recorder's metrics registry and print latency \
      histograms / counters (quickstart, figures, and the ablations that \
-     support per-cell metric columns). With $(b,--backend native): attach \
+     support per-cell metric columns); the histogram header names the \
+     time unit (simulated cycles). With $(b,--backend native): attach \
      the wall-clock telemetry sinks and print the o2top readout in \
      nanoseconds plus a per-domain steal/ship/park breakdown."
   in
@@ -90,19 +91,22 @@ let metrics_arg =
 let trace_arg =
   let doc =
     "Record the run with the flight recorder and write Chrome/Perfetto \
-     trace_event JSON to $(docv) (load it at https://ui.perfetto.dev). On \
+     trace_event JSON to $(docv) (load it at https://ui.perfetto.dev). \
+     Both backends write the same format: one track per core (simulator) \
+     or domain (native) plus the monitor's, op spans with their class and \
+     queue/migrate/exec breakdown, shipped ops as flow arrows, and the \
+     time unit in otherData (simulated cycles or wall-clock ns). On \
      figure sweeps the trace covers one representative 8 MB cell; with \
-     $(b,--backend native) it covers the observed kv cell — wall-clock \
-     time, one track per domain, ship handoffs as flow arrows."
+     $(b,--backend native) it covers the observed kv cell."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
 
 let trace_sample_arg =
   let doc =
-    "Keep 1-in-$(docv) memory-access events in the trace ring (1 = all). \
-     Operation spans, migrations, and monitor periods are always kept. \
-     With $(b,--backend native) the sampling applies to op spans instead; \
-     steals, parks, inbox batches, and rebalances are always kept."
+    "Keep the trace records of 1-in-$(docv) operations (1 = all), on \
+     both backends; the metrics still count every op. Monitor periods, \
+     scheduler decisions, steals, parks and inbox batches are always \
+     kept."
   in
   Arg.(value & opt int 1 & info [ "trace-sample" ] ~docv:"N" ~doc)
 

@@ -19,11 +19,9 @@ let run ?(record = false) ~label ~policy ~kb () =
   let machine = Machine.create Config.amd16 in
   let engine = O2_runtime.Engine.create machine in
   let recorder =
-    (* Mem events are sampled out (sample_mem:0) so the flight ring keeps
-       operation spans, migrations and monitor periods instead of being
-       flooded by per-access records. *)
-    if record then Some (O2_obs.Recorder.attach ~sample_mem:0 engine)
-    else None
+    (* The recorder's sinks hold op spans, migrations and monitor
+       periods; memory accesses only feed its counters. *)
+    if record then Some (O2_obs.Recorder.attach engine) else None
   in
   let ct = Coretime.create ~policy engine () in
   let spec = Dir_workload.spec_for_data_kb ~kb () in
@@ -44,16 +42,14 @@ let run ?(record = false) ~label ~policy ~kb () =
   (match recorder with
   | None -> ()
   | Some r ->
+      let tel = O2_obs.Recorder.capture r in
       Printf.printf "\n-- o2top (%s) --\n%s%!" label
-        (O2_obs.O2top.render (O2_obs.Recorder.metrics r));
-      O2_obs.Trace_export.write_file r ~path:trace_path;
+        (O2_obs.O2top.render ~capture:tel (O2_obs.Recorder.metrics r));
+      O2_obs.Trace_export.write_file ~obj_name:(O2_obs.Recorder.obj_name r)
+        tel ~path:trace_path;
       Printf.printf
-        "trace: %d spans, %d events retained, %d dropped -> %s (open in \
-         https://ui.perfetto.dev)\n\n\
-         %!"
-        (O2_obs.Recorder.span_count r)
-        (O2_obs.Recorder.events_retained r)
-        (O2_obs.Recorder.events_dropped r)
+        "trace: %s -> %s (open in https://ui.perfetto.dev)\n\n%!"
+        (O2_obs.Capture.accounting tel)
         trace_path);
   resolutions_per_sec
 

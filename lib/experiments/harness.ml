@@ -119,8 +119,7 @@ let run ?attach s =
   let recorder =
     if s.collect_metrics then
       Some
-        (O2_obs.Recorder.attach ~ring_capacity:0 ~span_capacity:0 ~sample_mem:0
-           engine)
+        (O2_obs.Recorder.attach ~ring_capacity:0 engine)
     else None
   in
   O2_runtime.Engine.run ~until:(s.warmup + s.measure) engine;

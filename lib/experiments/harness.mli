@@ -9,7 +9,7 @@ type oscillation = { period : int; divisor : int }
 type obs = {
   metrics : bool;  (** Collect/print latency histograms and counters. *)
   trace : string option;  (** Write a Perfetto trace_event JSON here. *)
-  trace_sample : int;  (** Keep 1-in-N [Mem] events in the trace ring. *)
+  trace_sample : int;  (** Keep the trace records of 1-in-N ops. *)
   occupancy : bool;  (** Attach the cache observatory's occupancy tracker. *)
   occupancy_interval : int;  (** Cycles between occupancy timeline samples. *)
   heat : bool;  (** Attach per-object heat attribution. *)

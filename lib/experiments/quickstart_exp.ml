@@ -103,7 +103,7 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
     if want_recorder then
       Some
         (fun engine ->
-          O2_obs.Recorder.attach ~sample_mem:obs.Harness.trace_sample engine)
+          O2_obs.Recorder.attach ~sample:obs.Harness.trace_sample engine)
     else None
   in
   let observatory = ref None in
@@ -119,7 +119,9 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
   (match r.recorder with
   | Some rec_ when obs.Harness.metrics ->
       Format.fprintf ppf "@.%s"
-        (O2_obs.O2top.render ~recorder:rec_ (O2_obs.Recorder.metrics rec_))
+        (O2_obs.O2top.render
+           ~capture:(O2_obs.Recorder.capture rec_)
+           (O2_obs.Recorder.metrics rec_))
   | Some _ | None -> ());
   (match observatory.heat with
   | Some h ->
@@ -137,15 +139,12 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
   | None -> ());
   match (r.recorder, obs.Harness.trace) with
   | Some rec_, Some path ->
-      O2_obs.Trace_export.write_file ?occupancy:observatory.occupancy rec_
-        ~path;
+      let tel = O2_obs.Recorder.capture rec_ in
+      O2_obs.Trace_export.write_file ?occupancy:observatory.occupancy
+        ~obj_name:(O2_obs.Recorder.obj_name rec_) tel ~path;
       Format.fprintf ppf
-        "trace written to %s (%d spans, %d events retained, %d dropped) — \
-         load in https://ui.perfetto.dev@."
-        path
-        (O2_obs.Recorder.span_count rec_)
-        (O2_obs.Recorder.events_retained rec_)
-        (O2_obs.Recorder.events_dropped rec_)
+        "trace written to %s (%s) — load in https://ui.perfetto.dev@." path
+        (O2_obs.Capture.accounting tel)
   | _ -> ()
 
 (* The o2explain report: the full observatory on the quickstart run —

@@ -12,3 +12,13 @@ let first (a : int array) ~lo ~hi (key : int) =
   if lo < 0 || lo > hi || hi > Array.length a then
     invalid_arg "Int_scan.first: range outside the array";
   scan a lo hi key
+
+external scan_scalar :
+  int array -> (int[@untagged]) -> (int[@untagged]) -> int -> (int[@untagged])
+  = "o2_int_scan_first_scalar_byte" "o2_int_scan_first_scalar"
+[@@noalloc]
+
+let first_scalar (a : int array) ~lo ~hi (key : int) =
+  if lo < 0 || lo > hi || hi > Array.length a then
+    invalid_arg "Int_scan.first: range outside the array";
+  scan_scalar a lo hi key

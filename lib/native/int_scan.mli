@@ -15,3 +15,9 @@ val first : int array -> lo:int -> hi:int -> int -> int
     range. Allocates nothing.
     @raise Invalid_argument ["Int_scan.first: range outside the array"]
     unless [0 <= lo <= hi <= Array.length a]; nothing is read then. *)
+
+(**/**)
+
+val first_scalar : int array -> lo:int -> hi:int -> int -> int
+(** {!first} through the kernel's scalar loop over the whole range, the
+    path a host without AVX2 runs, whatever this host has. For tests. *)

@@ -64,28 +64,54 @@ o2_scan_blocks(const value *p, intnat lo, intnat stop, value key)
 
 /* The least i in [lo, hi) with a[i] = key, or -1. The caller has
    checked 0 <= lo <= hi <= length a; nothing outside [lo, hi) is read.
-   With AVX2 the blocks take every full 8 words from [lo] and the
-   scalar loop below the last 0-7; without AVX2 (or off x86-64) the
-   same loop is the whole scan. */
-intnat o2_int_scan_first(value a, intnat lo, intnat hi, value key)
+   With [vector] the blocks take every full 8 words from [lo] and the
+   scalar loop below the last 0-7; without it the same loop is the
+   whole scan. Inlined into both entry points, so [vector] is a
+   constant in the scalar one. */
+static inline __attribute__((always_inline)) intnat
+o2_scan(value a, intnat lo, intnat hi, value key, int vector)
 {
   const value *p = (const value *)a;
   intnat i = lo;
 #ifdef O2_VECTOR
-  if (has_avx2) {
+  if (vector) {
     i = hi - ((hi - lo) & 7);
     intnat r = o2_scan_blocks(p, lo, i, key);
     if (r >= 0) return r;
   }
+#else
+  (void)vector;
 #endif
   for (; i < hi; i++)
     if (p[i] == key) return i;
   return -1;
 }
 
+intnat o2_int_scan_first(value a, intnat lo, intnat hi, value key)
+{
+#ifdef O2_VECTOR
+  return o2_scan(a, lo, hi, key, has_avx2);
+#else
+  return o2_scan(a, lo, hi, key, 0);
+#endif
+}
+
 value o2_int_scan_first_byte(value a, value lo, value hi, value key)
 {
   return Val_long(o2_int_scan_first(a, Long_val(lo), Long_val(hi), key));
+}
+
+/* The path a host without AVX2 runs, on any host: the scalar loop over
+   the whole range. Only the tests call it. */
+intnat o2_int_scan_first_scalar(value a, intnat lo, intnat hi, value key)
+{
+  return o2_scan(a, lo, hi, key, 0);
+}
+
+value o2_int_scan_first_scalar_byte(value a, value lo, value hi, value key)
+{
+  return Val_long(
+      o2_int_scan_first_scalar(a, Long_val(lo), Long_val(hi), key));
 }
 
 /* ------------------------------------------------------------------ */

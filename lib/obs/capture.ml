@@ -1,16 +1,17 @@
-(* Readers for the native backend's wall-clock flight recorder
-   (O2_runtime.Telemetry): the quiescent-side half of the design. Each
-   sink's ring is nondecreasing by construction (the writer clamps its
-   stamps), so the global order is a k-way cursor merge with no sort —
-   pick the smallest head timestamp, ties to the lower sink id, which
-   makes the merged order total and deterministic for a fixed capture.
+(* Readers for a Telemetry capture, the quiescent-side half of the
+   flight recorder on both backends. Each sink's ring is nondecreasing
+   by construction (the writer clamps its stamps), so the global order
+   is a k-way cursor merge with no sort — pick the smallest head
+   timestamp, ties to the lower sink id, which makes the merged order
+   total and deterministic for a fixed capture.
 
-   Span reconstruction replays the merged stream: Submit opens a
-   partial span keyed by its token, Ship_out / Ship_in / Start fill in
-   the handoff, End completes it. A span whose events were partly
-   dropped by the ring bound never sees its End (or sees End first) and
-   is counted in [incomplete_spans] instead of being emitted half-built
-   — drops are accounted, never papered over. *)
+   Span reconstruction gathers each token's records: Submit, Ship_out,
+   Ship_in, Start and End each fill in their part of the span, in any
+   order, so records of different sinks with equal stamps (common on
+   the simulator, where a departure and a landing can share a cycle)
+   build the same span whichever the merge puts first. A span with a
+   record lost to the ring bound is counted incomplete instead of being
+   emitted half-built — drops are accounted, never papered over. *)
 
 open O2_runtime
 
@@ -65,9 +66,10 @@ let merged_events tel =
 type span = {
   token : int;
   obj : int;
+  home : int;  (* -1 when the object had no home *)
   submit_sink : int;
   submit_ts : int;
-  ship_out_ts : int;  (* -1 when the op ran at home *)
+  ship_out_ts : int;  (* -1 when the op ran where it was submitted *)
   ship_in_ts : int;
   ship_dst : int;
   exec_sink : int;
@@ -75,64 +77,93 @@ type span = {
   end_ts : int;
 }
 
+let shipped s = s.ship_out_ts >= 0
+let queue s = (if shipped s then s.ship_out_ts else s.start_ts) - s.submit_ts
+let migrate s = if shipped s then s.start_ts - s.ship_out_ts else 0
+let exec s = s.end_ts - s.start_ts
+
+type op_class = Home_hit | Remote | Migrated
+
+let classify s =
+  if shipped s then Migrated else if s.home >= 0 then Home_hit else Remote
+
+let class_name = function
+  | Home_hit -> "home-hit"
+  | Remote -> "remote"
+  | Migrated -> "migrated"
+
+let submitted ~token ~obj ~sink ~ts =
+  {
+    token;
+    obj;
+    home = -1;
+    submit_sink = sink;
+    submit_ts = ts;
+    ship_out_ts = -1;
+    ship_in_ts = -1;
+    ship_dst = -1;
+    exec_sink = -1;
+    start_ts = -1;
+    end_ts = -1;
+  }
+
 let spans_of_events events =
-  let open_spans : (int, span) Hashtbl.t = Hashtbl.create 256 in
-  let done_ = ref [] in
-  let incomplete = ref 0 in
+  let by_token : (int, span) Hashtbl.t = Hashtbl.create 256 in
+  let ended = ref [] in
   Array.iter
     (fun e ->
+      let fill f =
+        let s =
+          match Hashtbl.find_opt by_token e.a with
+          | Some s -> s
+          | None -> submitted ~token:e.a ~obj:e.b ~sink:(-1) ~ts:(-1)
+        in
+        Hashtbl.replace by_token e.a (f s)
+      in
       match e.kind with
       | Telemetry.Submit ->
-          (* A token reused after a dropped End would shadow; tokens are
-             unique per capture (sink id + sequence), so plain add. *)
-          Hashtbl.replace open_spans e.a
-            {
-              token = e.a;
-              obj = e.b;
-              submit_sink = e.sink;
-              submit_ts = e.ts;
-              ship_out_ts = -1;
-              ship_in_ts = -1;
-              ship_dst = -1;
-              exec_sink = -1;
-              start_ts = -1;
-              end_ts = -1;
-            }
-      | Telemetry.Ship_out -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s ->
-              Hashtbl.replace open_spans e.a
-                { s with ship_out_ts = e.ts; ship_dst = e.c }
-          | None -> incr incomplete)
-      | Telemetry.Ship_in -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s -> Hashtbl.replace open_spans e.a { s with ship_in_ts = e.ts }
-          | None -> incr incomplete)
-      | Telemetry.Start -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s ->
-              Hashtbl.replace open_spans e.a
-                { s with start_ts = e.ts; exec_sink = e.sink }
-          | None -> incr incomplete)
-      | Telemetry.End -> (
-          match Hashtbl.find_opt open_spans e.a with
-          | Some s when s.start_ts >= 0 ->
-              Hashtbl.remove open_spans e.a;
-              done_ := { s with end_ts = e.ts } :: !done_
-          | Some _ ->
-              Hashtbl.remove open_spans e.a;
-              incr incomplete
-          | None -> incr incomplete)
+          fill (fun s -> { s with obj = e.b; submit_sink = e.sink; submit_ts = e.ts })
+      | Telemetry.Ship_out ->
+          fill (fun s -> { s with ship_out_ts = e.ts; ship_dst = e.c })
+      | Telemetry.Ship_in -> fill (fun s -> { s with ship_in_ts = e.ts })
+      | Telemetry.Start ->
+          fill (fun s -> { s with home = e.c; exec_sink = e.sink; start_ts = e.ts })
+      | Telemetry.End ->
+          ended := e.a :: !ended;
+          fill (fun s -> { s with end_ts = e.ts })
       | _ -> ())
     events;
-  (* Whatever is still open lost its End to the ring bound. *)
-  Hashtbl.iter (fun _ _ -> incr incomplete) open_spans;
-  (List.rev !done_, !incomplete)
+  (* A span whose Submit, Start or End fell to the ring bound is
+     incomplete; so is one that never ended. *)
+  let complete s = s.submit_ts >= 0 && s.start_ts >= 0 && s.end_ts >= 0 in
+  let done_ =
+    List.filter complete
+      (List.rev_map (fun token -> Hashtbl.find by_token token) !ended)
+  in
+  let incomplete =
+    Hashtbl.fold (fun _ s n -> if complete s then n else n + 1) by_token 0
+  in
+  (done_, incomplete)
 
-let spans tel = fst (spans_of_events (merged_events tel))
-let incomplete_spans tel = snd (spans_of_events (merged_events tel))
+let spans tel = spans_of_events (merged_events tel)
 
-let shipped s = s.ship_out_ts >= 0
+let accounting tel =
+  let complete, incomplete = spans tel in
+  let dropped = Telemetry.total_dropped tel in
+  Printf.sprintf
+    "%d spans, %d incomplete; %d records retained, %d dropped by the ring \
+     bound"
+    (List.length complete) incomplete
+    (Telemetry.total_events tel - dropped)
+    dropped
+
+let time_unit tel =
+  match Telemetry.clock tel with
+  | Telemetry.Wall_ns -> "wall-clock ns"
+  | Telemetry.Cycles _ -> "simulated cycles"
+
+let decision_kinds =
+  [| "promote"; "replicate"; "move"; "demote"; "displace"; "release" |]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics import                                                      *)

@@ -206,15 +206,3 @@ let render ?(top = 10) t =
     Printf.ksprintf (Buffer.add_string buf)
       "(%d line accesses outside any registered object)\n" t.unattributed;
   Buffer.contents buf
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    "object,name,ops,l1,l2,l3,remote,dram,fills,evictions,resident\n";
-  List.iter
-    (fun r ->
-      Printf.ksprintf (Buffer.add_string buf) "%d,%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n"
-        r.obj r.name r.ops r.l1 r.l2 r.l3 r.remote r.dram r.fills r.evictions
-        r.resident)
-    (tracked t);
-  Buffer.contents buf

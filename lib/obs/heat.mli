@@ -44,6 +44,3 @@ val unattributed : t -> int
 
 val render : ?top:int -> t -> string
 (** The top-[top] (default 10) heat table. *)
-
-val to_csv : t -> string
-(** All tracked rows as CSV. *)

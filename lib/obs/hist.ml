@@ -53,15 +53,6 @@ let merge_into ~into t =
     if t.max_v > into.max_v then into.max_v <- t.max_v
   end
 
-let copy t =
-  {
-    counts = Array.copy t.counts;
-    total = t.total;
-    sum = t.sum;
-    min_v = t.min_v;
-    max_v = t.max_v;
-  }
-
 (* Nearest-rank plus linear interpolation across the winning bucket's
    value range: deterministic, and exact at q=0 / q=1 because the range is
    clamped to the observed min/max. *)
@@ -96,10 +87,3 @@ let p50 t = percentile t 0.50
 let p90 t = percentile t 0.90
 let p99 t = percentile t 0.99
 let p999 t = percentile t 0.999
-
-let pp ppf t =
-  if t.total = 0 then Format.pp_print_string ppf "n=0"
-  else
-    Format.fprintf ppf
-      "n=%d mean=%.1f min=%d p50=%.0f p90=%.0f p99=%.0f p999=%.0f max=%d"
-      t.total (mean t) (min_value t) (p50 t) (p90 t) (p99 t) (p999 t) t.max_v

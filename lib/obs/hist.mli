@@ -35,8 +35,6 @@ val merge_into : into:t -> t -> unit
 (** Bucket-wise add [t] into [into] (for combining per-domain or per-cell
     histograms). *)
 
-val copy : t -> t
-
 val percentile : t -> float -> float
 (** [percentile t q] with [q] in [0,1]: nearest-rank bucket lookup with
     linear interpolation across the bucket's value range (clamped to the
@@ -47,8 +45,6 @@ val p50 : t -> float
 val p90 : t -> float
 val p99 : t -> float
 val p999 : t -> float
-
-val pp : Format.formatter -> t -> unit
 
 (**/**)
 

@@ -59,8 +59,3 @@ let merge_into ~into t =
   List.iter
     (fun (name, h) -> Hist.merge_into ~into:(hist into name) h)
     (hists t)
-
-let pp ppf t =
-  List.iter (fun (n, v) -> Format.fprintf ppf "%s %d@." n v) (counters t);
-  List.iter (fun (n, v) -> Format.fprintf ppf "%s %.3f@." n v) (gauges t);
-  List.iter (fun (n, h) -> Format.fprintf ppf "%s %a@." n Hist.pp h) (hists t)

@@ -16,7 +16,6 @@ val create : unit -> t
 (** {2 Counters} *)
 
 val incr : ?by:int -> t -> string -> unit
-val counter : t -> string -> int ref
 val counter_value : t -> string -> int
 (** 0 for a counter never incremented. *)
 
@@ -42,5 +41,3 @@ val gauges : t -> (string * float) list
 val hists : t -> (string * Hist.t) list
 
 val merge_into : into:t -> t -> unit
-
-val pp : Format.formatter -> t -> unit

@@ -1,92 +1,51 @@
-let hist_table hists =
-  let t =
-    O2_stats.Table.create
-      ~columns:
-        [
-          ("histogram", O2_stats.Table.Left);
-          ("count", O2_stats.Table.Right);
-          ("mean", O2_stats.Table.Right);
-          ("p50", O2_stats.Table.Right);
-          ("p90", O2_stats.Table.Right);
-          ("p99", O2_stats.Table.Right);
-          ("p999", O2_stats.Table.Right);
-          ("max", O2_stats.Table.Right);
-        ]
-  in
-  List.iter
-    (fun (name, h) ->
-      if Hist.count h = 0 then
-        O2_stats.Table.add_row t [ name; "0"; "-"; "-"; "-"; "-"; "-"; "-" ]
-      else
-        O2_stats.Table.add_row t
-          [
-            name;
-            string_of_int (Hist.count h);
-            Printf.sprintf "%.1f" (Hist.mean h);
-            Printf.sprintf "%.0f" (Hist.p50 h);
-            Printf.sprintf "%.0f" (Hist.p90 h);
-            Printf.sprintf "%.0f" (Hist.p99 h);
-            Printf.sprintf "%.0f" (Hist.p999 h);
-            string_of_int (Hist.max_value h);
-          ])
-    hists;
-  O2_stats.Table.render t
+open O2_stats
 
-let counter_table counters =
+(* The metric name left-aligned, every value column right-aligned. *)
+let table header rows =
   let t =
-    O2_stats.Table.create
+    Table.create
       ~columns:
-        [ ("counter", O2_stats.Table.Left); ("value", O2_stats.Table.Right) ]
+        (List.mapi
+           (fun i h -> (h, if i = 0 then Table.Left else Table.Right))
+           header)
   in
-  List.iter
-    (fun (name, v) -> O2_stats.Table.add_row t [ name; string_of_int v ])
-    counters;
-  O2_stats.Table.render t
+  List.iter (Table.add_row t) rows;
+  Table.render t
 
-let gauge_table gauges =
-  let t =
-    O2_stats.Table.create
-      ~columns:
-        [ ("gauge", O2_stats.Table.Left); ("value", O2_stats.Table.Right) ]
-  in
-  List.iter
-    (fun (name, v) -> O2_stats.Table.add_row t [ name; Printf.sprintf "%.3f" v ])
-    gauges;
-  O2_stats.Table.render t
+let hist_row (name, h) =
+  if Hist.count h = 0 then [ name; "0"; "-"; "-"; "-"; "-"; "-"; "-" ]
+  else
+    [ name; string_of_int (Hist.count h); Printf.sprintf "%.1f" (Hist.mean h) ]
+    @ List.map (Printf.sprintf "%.0f")
+        [ Hist.p50 h; Hist.p90 h; Hist.p99 h; Hist.p999 h ]
+    @ [ string_of_int (Hist.max_value h) ]
 
-let render ?(units = "cycles") ?(gauges = true) ?recorder metrics =
+let render ?(gauges = true) ?capture metrics =
   let buf = Buffer.create 2048 in
   let section title body =
-    if body <> "" then begin
-      Buffer.add_string buf ("-- " ^ title ^ " --\n");
-      Buffer.add_string buf body;
-      Buffer.add_char buf '\n'
-    end
+    Buffer.add_string buf ("-- " ^ title ^ " --\n");
+    Buffer.add_string buf body;
+    Buffer.add_char buf '\n'
   in
-  (match Metrics.hists metrics with
-  | [] -> ()
-  | hs -> section ("latency histograms (" ^ units ^ ")") (hist_table hs));
-  (match Metrics.counters metrics with
-  | [] -> ()
-  | cs -> section "counters" (counter_table cs));
-  (if gauges then
-     match Metrics.gauges metrics with
-     | [] -> ()
-     | gs -> section "gauges (last monitor period)" (gauge_table gs));
-  (match recorder with
-  | None -> ()
-  | Some r ->
+  let table_section title header rows =
+    if rows <> [] then section title (table header rows)
+  in
+  let units = Option.fold ~none:"cycles" ~some:Capture.time_unit capture in
+  table_section
+    ("latency histograms (" ^ units ^ ")")
+    [ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "p999"; "max" ]
+    (List.map hist_row (Metrics.hists metrics));
+  table_section "counters" [ "counter"; "value" ]
+    (List.map (fun (n, v) -> [ n; string_of_int v ]) (Metrics.counters metrics));
+  if gauges then
+    table_section "gauges (last monitor period)" [ "gauge"; "value" ]
+      (List.map
+         (fun (n, v) -> [ n; Printf.sprintf "%.3f" v ])
+         (Metrics.gauges metrics));
+  Option.iter
+    (fun tel ->
       section "recorder"
-        (Printf.sprintf
-           "events: %d captured, %d retained, %d dropped by the ring bound\n\
-            spans:  %d completed, %d retained, %d dropped by the bound\n"
-           (Recorder.events_total r)
-           (Recorder.events_retained r)
-           (Recorder.events_dropped r)
-           (Recorder.span_count r + Recorder.spans_dropped r)
-           (Recorder.span_count r)
-           (Recorder.spans_dropped r)));
+        (Printf.sprintf "%s; 1-in-%d ops sampled\n" (Capture.accounting tel)
+           (O2_runtime.Telemetry.sample tel)))
+    capture;
   Buffer.contents buf
-
-let print ?units ?gauges ?recorder metrics =
-  print_string (render ?units ?gauges ?recorder metrics)

@@ -4,15 +4,13 @@
     Three sections (each omitted when empty): latency histograms with
     count/mean/p50/p90/p99/p999/max columns, counters, and — unless
     [gauges:false] — the per-core gauges from the last monitor period.
-    [units] labels the histogram section's header — ["cycles"] by
-    default (simulator virtual time); the native backend passes
-    ["wall-clock ns"] so a reader can never mistake one domain of time
-    for the other. With [?recorder], a footer accounts for the flight
-    recorder's ring bounds: events and spans captured, retained and
-    dropped. Output is deterministic: rows are sorted by metric name. *)
+    With [?capture], the histogram header names the capture's time unit
+    ({!Capture.time_unit}: simulated cycles or wall-clock ns, so a
+    reader can never mistake one domain of time for the other) and a
+    footer accounts for its ring bounds: records retained and dropped,
+    spans complete and incomplete, the span sampling. Without one the
+    header says cycles. Output is deterministic: rows are sorted by
+    metric name. *)
 
 val render :
-  ?units:string -> ?gauges:bool -> ?recorder:Recorder.t -> Metrics.t -> string
-
-val print :
-  ?units:string -> ?gauges:bool -> ?recorder:Recorder.t -> Metrics.t -> unit
+  ?gauges:bool -> ?capture:O2_runtime.Telemetry.t -> Metrics.t -> string

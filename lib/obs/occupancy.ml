@@ -23,13 +23,8 @@ type t = {
 let cache_count t = Array.length t.caches
 let label t i = t.labels.(i)
 let lines t i = t.lines_.(i)
-let objects t i = t.objs_.(i)
-let fills t i = t.fills_.(i)
-let evictions t i = t.evictions_.(i)
-let removals t i = t.removals_.(i)
 let samples t = Ring.to_list t.timeline
 let samples_dropped t = Ring.dropped t.timeline
-let interval t = t.interval
 
 (* Index of a cache in the machine's (fixed) cache list. O(caches) by
    physical equality — runs only while an observer is attached, never on
@@ -130,9 +125,6 @@ let attach ?(interval = 100_000) ?(timeline_capacity = 4096) machine =
 
 let distinct_lines t = Machine.distinct_cached_lines t.machine
 let replicated t = Presence.replicated_lines (Machine.presence t.machine)
-
-let object_lines t ~cache ~obj =
-  if obj >= 0 && obj < t.occ_width then t.occ.(cache).(obj) else 0
 
 let check t =
   let err = ref None in

@@ -37,17 +37,6 @@ val cache_count : t -> int
 
 val label : t -> int -> string
 val lines : t -> int -> int
-val objects : t -> int -> int
-val fills : t -> int -> int
-val evictions : t -> int -> int
-(** Capacity evictions (a fill's victim). *)
-
-val removals : t -> int -> int
-(** Invalidations, inclusion drops and clears. *)
-
-val object_lines : t -> cache:int -> obj:int -> int
-(** Lines of object [obj] ({!O2_simcore.Memsys.obj_id}) resident in
-    [cache]. *)
 
 val distinct_lines : t -> int
 (** {!O2_simcore.Machine.distinct_cached_lines} of the tracked machine —
@@ -63,7 +52,6 @@ val samples : t -> sample list
 (** Retained periodic samples, oldest first. *)
 
 val samples_dropped : t -> int
-val interval : t -> int
 
 (** {2 Reports} *)
 

@@ -134,14 +134,12 @@ let pp_record ppf { time; decision } =
          alone"
         time name seq obj_base core ops_period min_ops
 
-let render_record r = Format.asprintf "%a" pp_record r
-
 let render t =
   let buf = Buffer.create 4096 in
   Printf.ksprintf (Buffer.add_string buf)
     "-- decision provenance: showing %d of %d decision(s) (%d dropped) --\n"
     (count t) (total t) (dropped t);
   Ring.iter t.ring (fun r ->
-      Buffer.add_string buf (render_record r);
+      Buffer.add_string buf (Format.asprintf "%a" pp_record r);
       Buffer.add_char buf '\n');
   Buffer.contents buf

@@ -20,11 +20,7 @@ val count : t -> int
 val total : t -> int
 val dropped : t -> int
 
-val pp_record : Format.formatter -> record -> unit
-val render_record : record -> string
-(** One decision as a multi-line [inputs / score-or-choice / action]
-    explanation. *)
-
 val render : t -> string
-(** Every retained decision, with a showing-N-of-M header that accounts
-    for ring drops honestly. *)
+(** Every retained decision as a multi-line [inputs / score-or-choice /
+    action] explanation, with a showing-N-of-M header that accounts for
+    ring drops honestly. *)

@@ -1,92 +1,61 @@
-(** The flight recorder: a probe listener that captures the event stream
-    into a bounded {!Ring}, reconstructs annotated-operation {e spans},
-    and keeps a {!Metrics} registry up to date — all without touching
-    simulator state (listeners observe; they never perform {!O2_runtime.Api}
-    effects).
+(** The simulator's flight recorder: a probe listener that writes the
+    run into a {!O2_runtime.Telemetry} capture and keeps a {!Metrics}
+    registry up to date — all without touching simulator state
+    (listeners observe; they never perform {!O2_runtime.Api} effects).
 
     Costs are paid only when attached: with no listener the engine's
     probes are guarded out entirely (see {!O2_runtime.Probe.active}).
 
-    {2 Span reconstruction}
+    {2 The capture}
 
-    A span is one [Coretime.ct_start] .. [ct_end] region, stitched from
-    [Op_requested] (annotation entered), an optional [Thread_moved]
-    (operation migrated to the object's home), [Op_started] (running at
-    its final core) and [Op_ended]:
+    One sink per simulated core plus the monitor's, in the
+    coordinator's slot, stamped with the probe event's simulated cycle
+    (the capture's clock is {!O2_runtime.Telemetry.Cycles}). An
+    annotated operation — one [Coretime.ct_start] .. [ct_end] region —
+    is written like a native op:
 
-    - [queue]: request → migration departure (or start when the operation
-      did not move) — annotation overhead plus time to leave the core;
-    - [migrate]: departure → start — wire transfer plus landing;
-    - [exec]: start → end — the operation body.
+    - [Op_requested] mints a token and writes [Submit] on the requesting
+      core's sink (1-in-[sample] ops keep their records; every op counts
+      in the metrics);
+    - the op's migration writes [Ship_out] on the core it leaves, at the
+      departure, and [Ship_in] on the core it runs on, at its start;
+    - [Op_started] writes [Start] ([c] = the object's home, [-1] when
+      unassigned) and [Op_ended] writes [End].
 
-    Nested operations form nested spans (per-thread stacks). Spans are
-    classified {!Home_hit} (object assigned, already on its home),
-    {!Migrated} (moved to reach the home) or {!Remote} (object unassigned,
-    served wherever the thread runs).
+    Nested operations keep a per-thread stack of open spans. Each
+    monitor period ([Rebalanced]: moves, demotions) and each scheduler
+    [Decision] (kind, object base, core — see
+    {!Capture.decision_kinds}) goes to the monitor sink. Memory, lock
+    and thread-lifecycle events only feed the counters. Read the capture
+    with {!Capture} and export it with [Trace_export].
 
     {2 Metrics maintained}
 
     Counters: [ops], [migrations], [locks/acquired], [locks/handoffs],
-    [threads/spawned], [threads/finished], [mem/events], [mem/sampled],
-    [rebalance/periods], [rebalance/moves], [rebalance/demotions].
-    Histograms: [op/latency] plus the [op/home_hit]/[op/remote]/
-    [op/migrated] split (all request→end, in cycles) and the
-    [op/queue]/[op/migrate]/[op/exec] breakdown; [monitor/idle_pct],
-    [monitor/dram_loads], [monitor/l2_hits] sampled per core at each
-    monitor period. Gauges: per-core [coreNN/idle_frac], [coreNN/dram_loads],
-    [coreNN/l2_hits] for the most recent period. *)
-
-type span = {
-  tid : int;
-  addr : int;  (** The operation's object base ([ct_start]'s argument). *)
-  home : int option;  (** The object's home core at start, if assigned. *)
-  request_core : int;  (** Core where [ct_start] was entered. *)
-  exec_core : int;  (** Core where the operation ran and ended. *)
-  request_time : int;
-  start_time : int;
-  end_time : int;
-  queue : int;
-  migrate : int;
-  exec : int;
-  migrated : bool;
-}
-
-type op_class = Home_hit | Remote | Migrated
-
-val classify : span -> op_class
+    [threads/spawned], [threads/finished], [mem/events],
+    [rebalance/periods], [rebalance/moves], [rebalance/demotions] and
+    [decisions/*]. Histograms: [op/latency] plus the [op/home_hit]/
+    [op/remote]/[op/migrated] split (all request→end, in cycles) and the
+    [op/queue]/[op/migrate]/[op/exec] breakdown ({!Capture.queue} and
+    friends); [monitor/idle_pct], [monitor/dram_loads],
+    [monitor/l2_hits] sampled per core at each monitor period. Gauges:
+    per-core [coreNN/idle_frac], [coreNN/dram_loads], [coreNN/l2_hits]
+    for the most recent period. *)
 
 type t
 
-val attach :
-  ?ring_capacity:int ->
-  ?span_capacity:int ->
-  ?sample_mem:int ->
-  O2_runtime.Engine.t ->
-  t
-(** Subscribe a recorder to the engine's probe. [ring_capacity] bounds the
-    retained event window (default 65536; 0 keeps no events — metrics
-    only). [span_capacity] bounds retained spans likewise. [sample_mem]
-    keeps 1-in-N [Mem] events (default 1 = all; 0 = none); all other event
-    kinds are always captured. The subscription lasts for the engine's
-    lifetime.
-    @raise Invalid_argument if [sample_mem] is negative. *)
+val attach : ?ring_capacity:int -> ?sample:int -> O2_runtime.Engine.t -> t
+(** Subscribe a recorder to the engine's probe for the engine's
+    lifetime. [ring_capacity] is records per sink (default [2^14]; [0]
+    keeps no records — metrics only); a full sink drops new records and
+    counts them. [sample] keeps the records of 1-in-[sample] ops
+    (default 1 = all; [0] = none); monitor records are always kept.
+    @raise Invalid_argument on a negative argument. *)
 
 val metrics : t -> Metrics.t
-val machine : t -> O2_simcore.Machine.t
 
-val events : t -> O2_runtime.Probe.event list
-(** The retained window, oldest first. *)
+val capture : t -> O2_runtime.Telemetry.t
 
-val events_retained : t -> int
-val events_total : t -> int
-
-val events_dropped : t -> int
-(** Events captured but then lost to the ring bound. [Mem] events skipped
-    by sampling are not captured at all; their count is
-    [mem/events - mem/sampled] in {!metrics}. *)
-
-val spans : t -> span list
-(** Completed spans in completion order. *)
-
-val span_count : t -> int
-val spans_dropped : t -> int
+val obj_name : t -> int -> string
+(** The name of the object at a base address
+    ({!O2_simcore.Memsys.object_at}), for [Trace_export]'s [obj_name]. *)

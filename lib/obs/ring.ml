@@ -9,7 +9,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Ring.create: negative capacity";
   { buf = Array.make capacity None; head = 0; len = 0; total = 0 }
 
-let capacity t = Array.length t.buf
 let length t = t.len
 let total t = t.total
 let dropped t = t.total - t.len

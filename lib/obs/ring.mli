@@ -4,8 +4,9 @@
     were lost to the bound, so consumers can say "showing the last N of M
     events" honestly.
 
-    A zero-capacity ring retains nothing (every push is dropped); the
-    recorder uses that for metrics-only operation. *)
+    A zero-capacity ring retains nothing (every push is dropped). The
+    cache observatory bounds its occupancy timeline and its decision
+    provenance with it. *)
 
 type 'a t
 
@@ -13,7 +14,6 @@ val create : capacity:int -> 'a t
 (** @raise Invalid_argument on a negative capacity. *)
 
 val push : 'a t -> 'a -> unit
-val capacity : 'a t -> int
 
 val length : 'a t -> int
 (** Elements currently retained. *)

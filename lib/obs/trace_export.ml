@@ -1,4 +1,3 @@
-open O2_simcore
 open O2_runtime
 
 (* ------------------------------------------------------------------ *)
@@ -20,50 +19,35 @@ let escape_json s =
     s;
   Buffer.contents buf
 
-(* trace_event timestamps are microseconds; ours are cycles. *)
-let us_of_cycles ~ghz cycles = float_of_int cycles /. (ghz *. 1000.0)
+(* The monitor's (coordinator's) sink index: one past the last writer. *)
+let monitor tel = if Telemetry.enabled tel then Telemetry.domains tel else 0
 
-let object_name machine addr =
-  match Memsys.object_at (Machine.memory machine) ~addr with
-  | Some e -> e.Memsys.name
-  | None -> Printf.sprintf "op@0x%x" addr
-
-let class_name = function
-  | Recorder.Home_hit -> "home-hit"
-  | Recorder.Remote -> "remote"
-  | Recorder.Migrated -> "migrated"
-
-let decision_kind = function
-  | Probe.Promoted _ -> "promote"
-  | Probe.Promotion_replicated _ -> "replicate"
-  | Probe.Moved _ -> "move"
-  | Probe.Demoted _ -> "demote"
-  | Probe.Displaced _ -> "displace"
-  | Probe.Released _ -> "release"
-
-(* The core track a decision belongs on: where the action landed. *)
-let decision_core = function
-  | Probe.Promoted { core; _ }
-  | Probe.Demoted { core; _ }
-  | Probe.Displaced { core; _ }
-  | Probe.Released { core; _ } ->
-      core
-  | Probe.Moved { to_core; _ } -> to_core
-  | Probe.Promotion_replicated _ -> 0
-
-let decision_obj = function
-  | Probe.Promoted { name; _ }
-  | Probe.Promotion_replicated { name; _ }
-  | Probe.Moved { name; _ }
-  | Probe.Demoted { name; _ }
-  | Probe.Released { name; _ } ->
-      name
-  | Probe.Displaced { hot_name; _ } -> hot_name
-
-let to_buffer ?occupancy recorder buf =
-  let machine = Recorder.machine recorder in
-  let ghz = (Machine.cfg machine).Config.ghz in
-  let us = us_of_cycles ~ghz in
+let to_buffer ?occupancy ?obj_name tel buf =
+  let events = Capture.merged_events tel in
+  let spans, incomplete = Capture.spans_of_events events in
+  let monitor = monitor tel in
+  (* trace_event timestamps are microseconds. Simulated cycles start at
+     0; wall-clock stamps are rebased to the capture's first record. *)
+  let simulated, t0, ticks_per_us =
+    match Telemetry.clock tel with
+    | Telemetry.Cycles ghz -> (true, 0, ghz *. 1000.0)
+    | Telemetry.Wall_ns ->
+        (false, (if Array.length events > 0 then events.(0).Capture.ts else 0), 1000.0)
+  in
+  let us ts = float_of_int (ts - t0) /. ticks_per_us in
+  let dur d = float_of_int (max d 0) /. ticks_per_us in
+  let unit_sfx = if simulated then "cycles" else "ns" in
+  let name_of obj =
+    escape_json
+      (match obj_name with Some f -> f obj | None -> Printf.sprintf "obj%d" obj)
+  in
+  let track sink =
+    match (simulated, sink = monitor) with
+    | true, true -> "monitor"
+    | true, false -> Printf.sprintf "core %d" sink
+    | false, true -> "coordinator"
+    | false, false -> Printf.sprintf "domain %d" sink
+  in
   let first = ref true in
   let event fmt =
     Printf.ksprintf
@@ -74,79 +58,104 @@ let to_buffer ?occupancy recorder buf =
       fmt
   in
   Buffer.add_string buf "{\n  \"traceEvents\": [\n";
-  (* Track metadata: one named track per core (pid 0 is the machine). *)
   event
     "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 0, \"args\": \
-     {\"name\": \"o2sim simulated machine\"}}";
-  for core = 0 to Config.cores (Machine.cfg machine) - 1 do
+     {\"name\": \"%s\"}}"
+    (if simulated then "o2sim simulated machine" else "o2sim native run");
+  for sink = 0 to monitor do
     event
       "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
-       \"args\": {\"name\": \"core %d\"}}"
-      core core;
+       \"args\": {\"name\": \"%s\"}}"
+      sink (track sink);
     event
       "{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 0, \"tid\": \
        %d, \"args\": {\"sort_index\": %d}}"
-      core core
+      sink sink
   done;
-  (* Operation spans: complete events on the executing core's track. *)
+  (* Op spans on the executing sink's track. *)
   List.iter
-    (fun (s : Recorder.span) ->
+    (fun (s : Capture.span) ->
       event
         "{\"name\": \"%s\", \"cat\": \"op\", \"ph\": \"X\", \"pid\": 0, \
-         \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"tid\": %d, \
-         \"class\": \"%s\", \"queue_cycles\": %d, \"migrate_cycles\": %d, \
-         \"exec_cycles\": %d%s}}"
-        (escape_json (object_name machine s.Recorder.addr))
-        s.Recorder.exec_core
-        (us s.Recorder.start_time)
-        (us (max s.Recorder.exec 0))
-        s.Recorder.tid
-        (class_name (Recorder.classify s))
-        s.Recorder.queue s.Recorder.migrate s.Recorder.exec
-        (match s.Recorder.home with
-        | Some h -> Printf.sprintf ", \"home\": %d" h
-        | None -> ""))
-    (Recorder.spans recorder);
-  (* Flow arrows for migrations and instant markers for monitor periods,
-     from the retained event window. *)
-  let flow_id = ref 0 in
+         \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"token\": %d, \
+         \"class\": \"%s\", \"submit\": %d%s, \"queue_%s\": %d, \
+         \"migrate_%s\": %d, \"exec_%s\": %d}}"
+        (name_of s.Capture.obj) s.Capture.exec_sink (us s.Capture.start_ts)
+        (dur (Capture.exec s)) s.Capture.token
+        (Capture.class_name (Capture.classify s))
+        s.Capture.submit_sink
+        (if s.Capture.home >= 0 then Printf.sprintf ", \"home\": %d" s.Capture.home
+         else "")
+        unit_sfx (Capture.queue s) unit_sfx (Capture.migrate s) unit_sfx
+        (Capture.exec s))
+    spans;
+  (* Shipped ops as flow arrows: submitter -> executor, id = token. *)
   List.iter
-    (fun ev ->
-      match ev with
-      | Probe.Thread_moved { time; tid; from_core; to_core } ->
-          incr flow_id;
+    (fun (s : Capture.span) ->
+      if Capture.shipped s && s.Capture.ship_in_ts >= 0 then begin
+        event
+          "{\"name\": \"ship %s\", \"cat\": \"ship\", \"ph\": \"s\", \"id\": \
+           %d, \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
+          (name_of s.Capture.obj) s.Capture.token s.Capture.submit_sink
+          (us s.Capture.ship_out_ts);
+        event
+          "{\"name\": \"ship %s\", \"cat\": \"ship\", \"ph\": \"f\", \"bp\": \
+           \"e\", \"id\": %d, \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
+          (name_of s.Capture.obj) s.Capture.token s.Capture.exec_sink
+          (us s.Capture.ship_in_ts)
+      end)
+    spans;
+  (* Monitor and scheduler life, straight off the merged stream. *)
+  let park_since = Array.make (monitor + 1) (-1) in
+  Array.iter
+    (fun (e : Capture.event) ->
+      match e.Capture.kind with
+      | Telemetry.Park -> park_since.(e.Capture.sink) <- e.Capture.ts
+      | Telemetry.Wake ->
+          let p = park_since.(e.Capture.sink) in
+          if p >= 0 then begin
+            park_since.(e.Capture.sink) <- -1;
+            event
+              "{\"name\": \"parked\", \"cat\": \"idle\", \"ph\": \"X\", \
+               \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"dur\": %.3f}"
+              e.Capture.sink (us p) (dur (e.Capture.ts - p))
+          end
+      | Telemetry.Steal ->
           event
-            "{\"name\": \"migrate t%d\", \"cat\": \"migration\", \"ph\": \
-             \"s\", \"id\": %d, \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
-            tid !flow_id from_core (us time);
+            "{\"name\": \"steal from %d\", \"cat\": \"steal\", \"ph\": \
+             \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \
+             \"args\": {\"victim\": %d}}"
+            e.Capture.a e.Capture.sink (us e.Capture.ts) e.Capture.a
+      | Telemetry.Inbox_batch ->
           event
-            "{\"name\": \"migrate t%d\", \"cat\": \"migration\", \"ph\": \
-             \"f\", \"bp\": \"e\", \"id\": %d, \"pid\": 0, \"tid\": %d, \
-             \"ts\": %.3f}"
-            tid !flow_id to_core (us time)
-      | Probe.Rebalanced { time; moves; demotions } ->
+            "{\"name\": \"inbox domain %d\", \"ph\": \"C\", \"pid\": 0, \
+             \"ts\": %.3f, \"args\": {\"tasks\": %d}}"
+            e.Capture.sink (us e.Capture.ts) e.Capture.a
+      | Telemetry.Rebalance ->
           event
             "{\"name\": \"rebalance\", \"cat\": \"monitor\", \"ph\": \"i\", \
-             \"s\": \"g\", \"pid\": 0, \"tid\": 0, \"ts\": %.3f, \"args\": \
+             \"s\": \"g\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"args\": \
              {\"moves\": %d, \"demotions\": %d}}"
-            (us time) moves demotions
-      | Probe.Decision { time; decision } ->
+            e.Capture.sink (us e.Capture.ts) e.Capture.a e.Capture.b
+      | Telemetry.Quiesce ->
+          event
+            "{\"name\": \"quiesce\", \"cat\": \"monitor\", \"ph\": \"i\", \
+             \"s\": \"g\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
+            e.Capture.sink (us e.Capture.ts)
+      | Telemetry.Decision ->
           event
             "{\"name\": \"decision/%s\", \"cat\": \"decision\", \"ph\": \
              \"i\", \"s\": \"t\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \
              \"args\": {\"object\": \"%s\"}}"
-            (decision_kind decision)
-            (decision_core decision)
-            (us time)
-            (escape_json (decision_obj decision))
+            Capture.decision_kinds.(e.Capture.a)
+            e.Capture.c (us e.Capture.ts) (name_of e.Capture.b)
       | _ -> ())
-    (Recorder.events recorder);
+    events;
   (* Occupancy counter tracks: one "C" series per cache, sampled on the
      observatory's interval, so Perfetto draws resident lines and distinct
      objects over time next to the operation spans. *)
-  (match occupancy with
-  | None -> ()
-  | Some occ ->
+  Option.iter
+    (fun occ ->
       let n = Occupancy.cache_count occ in
       List.iter
         (fun (s : Occupancy.sample) ->
@@ -157,101 +166,107 @@ let to_buffer ?occupancy recorder buf =
               (escape_json (Occupancy.label occ ci))
               (us s.Occupancy.at) s.Occupancy.lines.(ci) s.Occupancy.objs.(ci)
           done)
-        (Occupancy.samples occ));
+        (Occupancy.samples occ))
+    occupancy;
   Buffer.add_string buf "\n  ],\n";
   Printf.ksprintf (Buffer.add_string buf)
     "  \"displayTimeUnit\": \"ms\",\n\
-    \  \"otherData\": {\"events_total\": %d, \"events_retained\": %d, \
-     \"dropped_events\": %d, \"spans_total\": %d, \"dropped_spans\": %d%s, \
-     \"ghz\": %.2f, \"time_unit\": \"simulated cycles\", \"clock\": \
-     \"virtual\"}\n"
-    (Recorder.events_total recorder)
-    (Recorder.events_retained recorder)
-    (Recorder.events_dropped recorder)
-    (Recorder.span_count recorder + Recorder.spans_dropped recorder)
-    (Recorder.spans_dropped recorder)
+    \  \"otherData\": {\"sinks\": %d, \"sample\": %d, \"events_retained\": \
+     %d, \"dropped_events\": %d, \"spans_complete\": %d, \
+     \"spans_incomplete\": %d%s%s, \"time_unit\": \"%s\", \"clock\": \
+     \"%s\"}\n"
+    (if Telemetry.enabled tel then monitor + 1 else 0)
+    (Telemetry.sample tel) (Array.length events)
+    (Telemetry.total_dropped tel)
+    (List.length spans) incomplete
     (match occupancy with
     | None -> ""
     | Some occ ->
         Printf.sprintf ", \"occupancy_samples\": %d, \"occupancy_dropped\": %d"
           (List.length (Occupancy.samples occ))
           (Occupancy.samples_dropped occ))
-    ghz;
+    (match Telemetry.clock tel with
+    | Telemetry.Cycles ghz -> Printf.sprintf ", \"ghz\": %.2f" ghz
+    | Telemetry.Wall_ns -> "")
+    (Capture.time_unit tel)
+    (if simulated then "virtual" else "CLOCK_MONOTONIC");
   Buffer.add_string buf "}\n"
 
-let to_string ?occupancy recorder =
+let to_string ?occupancy ?obj_name tel =
   let buf = Buffer.create 65536 in
-  to_buffer ?occupancy recorder buf;
+  to_buffer ?occupancy ?obj_name tel buf;
   Buffer.contents buf
 
-let write_file ?occupancy recorder ~path =
+let write_file ?occupancy ?obj_name tel ~path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?occupancy recorder))
+    (fun () -> output_string oc (to_string ?occupancy ?obj_name tel))
 
 (* ------------------------------------------------------------------ *)
 (* ASCII timeline: a screenshot-equivalent for docs and terminals      *)
 
-let ascii_timeline ?(width = 72) recorder =
-  let spans = Recorder.spans recorder in
-  let events = Recorder.events recorder in
-  let machine = Recorder.machine recorder in
-  let cores = Config.cores (Machine.cfg machine) in
+let ascii_timeline ?(width = 72) tel =
+  let events = Capture.merged_events tel in
+  let spans, _ = Capture.spans_of_events events in
+  let lanes_n = monitor tel in
+  let rebalances =
+    List.filter_map
+      (fun (e : Capture.event) ->
+        if e.Capture.kind = Telemetry.Rebalance then Some e.Capture.ts else None)
+      (Array.to_list events)
+  in
   let lo, hi =
     let bounds (lo, hi) t = (min lo t, max hi t) in
-    let acc =
-      List.fold_left
-        (fun acc (s : Recorder.span) ->
-          bounds (bounds acc s.Recorder.request_time) s.Recorder.end_time)
-        (max_int, min_int) spans
-    in
-    List.fold_left
-      (fun acc ev ->
-        match ev with
-        | Probe.Thread_moved { time; _ } | Probe.Rebalanced { time; _ } ->
-            bounds acc time
-        | _ -> acc)
-      acc events
+    List.fold_left bounds
+      (List.fold_left
+         (fun acc (s : Capture.span) ->
+           bounds (bounds acc s.Capture.submit_ts) s.Capture.end_ts)
+         (max_int, min_int) spans)
+      rebalances
   in
   if lo > hi then "(no events recorded)\n"
   else begin
-    let span_cycles = max 1 (hi - lo) in
-    let col t = min (width - 1) ((t - lo) * width / span_cycles) in
-    let lanes = Array.init cores (fun _ -> Bytes.make width '.') in
+    let span_ticks = max 1 (hi - lo) in
+    let col t = min (width - 1) ((t - lo) * width / span_ticks) in
+    let lanes = Array.init lanes_n (fun _ -> Bytes.make width '.') in
     let monitor = Bytes.make width '.' in
+    (* Ship marks only fill columns where the lane runs no op. *)
+    let mark lane t c =
+      if lane >= 0 && lane < lanes_n && t >= 0 && Bytes.get lanes.(lane) (col t) = '.'
+      then Bytes.set lanes.(lane) (col t) c
+    in
     List.iter
-      (fun (s : Recorder.span) ->
-        let core = s.Recorder.exec_core in
-        if core >= 0 && core < cores then
-          for c = col s.Recorder.start_time to col s.Recorder.end_time do
-            Bytes.set lanes.(core) c '#'
+      (fun (s : Capture.span) ->
+        let lane = s.Capture.exec_sink in
+        if lane >= 0 && lane < lanes_n then
+          for c = col s.Capture.start_ts to col s.Capture.end_ts do
+            Bytes.set lanes.(lane) c '#'
           done)
       spans;
     List.iter
-      (fun ev ->
-        match ev with
-        | Probe.Thread_moved { time; from_core; to_core; _ } ->
-            let c = col time in
-            if from_core >= 0 && from_core < cores then
-              Bytes.set lanes.(from_core) c '>';
-            if
-              to_core >= 0 && to_core < cores
-              && Bytes.get lanes.(to_core) c = '.'
-            then Bytes.set lanes.(to_core) c '<'
-        | Probe.Rebalanced { time; _ } -> Bytes.set monitor (col time) 'R'
-        | _ -> ())
-      events;
-    let buf = Buffer.create ((cores + 3) * (width + 16)) in
+      (fun (s : Capture.span) ->
+        if Capture.shipped s then begin
+          mark s.Capture.submit_sink s.Capture.ship_out_ts '>';
+          mark s.Capture.exec_sink s.Capture.ship_in_ts '<'
+        end)
+      spans;
+    List.iter (fun t -> Bytes.set monitor (col t) 'R') rebalances;
+    let simulated =
+      match Telemetry.clock tel with
+      | Telemetry.Cycles _ -> true
+      | Telemetry.Wall_ns -> false
+    in
+    let buf = Buffer.create ((lanes_n + 3) * (width + 16)) in
     Printf.ksprintf (Buffer.add_string buf)
-      "virtual time %d..%d cycles; one column ~ %d cycles\n\
-       (# op executing, > migration out, < migration in, R monitor period)\n"
-      lo hi
-      (span_cycles / width);
+      "time %d..%d (%s); one column ~ %d\n\
+       (# op executing, > op shipped out, < op landed, R monitor period)\n"
+      lo hi (Capture.time_unit tel) (span_ticks / width);
     Array.iteri
-      (fun core lane ->
-        Printf.ksprintf (Buffer.add_string buf) "core %2d |%s|\n" core
-          (Bytes.to_string lane))
+      (fun lane b ->
+        Printf.ksprintf (Buffer.add_string buf)
+          (if simulated then "core %2d |%s|\n" else "dom %3d |%s|\n")
+          lane (Bytes.to_string b))
       lanes;
     Printf.ksprintf (Buffer.add_string buf) "monitor |%s|\n"
       (Bytes.to_string monitor);

@@ -1,43 +1,60 @@
-(** Exporters for a {!Recorder}'s captured run.
+(** Exporters for a {!O2_runtime.Telemetry} capture, from either backend.
 
     {!to_string} / {!write_file} produce Chrome [trace_event] JSON (the
     object-with-[traceEvents] form), loadable in Perfetto
     ({:https://ui.perfetto.dev}) or [chrome://tracing]:
 
-    - one named track per simulated core ([pid] 0, [tid] = core id);
-    - each completed operation span as a complete ([ph:"X"]) event on the
-      core that executed it, with the queue/migrate/execute cycle
-      breakdown and the {!Recorder.op_class} in [args];
-    - each [Thread_moved] as a flow arrow ([ph:"s"] on the source core,
-      [ph:"f"] on the destination) so migrations draw as arcs;
-    - each [Rebalanced] monitor period as a global instant marker
-      ([ph:"i"]) carrying that period's moves/demotions;
-    - each scheduler [Decision] as a thread-scoped instant
-      ([decision/promote], [decision/move], ...) on the core the action
-      landed on;
-    - with [?occupancy], one counter track ([ph:"C"], [occ/<cache>]) per
-      cache charting resident lines and distinct objects over time.
+    - one named track per sink ([pid] 0, [tid] = sink): [core N] plus
+      [monitor] for a simulated machine, [domain N] plus [coordinator]
+      natively;
+    - each complete op span ({!Capture.span}) as a complete event
+      ([ph:"X"]) on the sink that executed it, with its {!Capture.op_class}
+      and its queue/migrate/exec breakdown in [args];
+    - each shipped op as a flow arrow ([ph:"s"]/[ph:"f"], id = the op's
+      token) from the submitter at the departure to the executor at the
+      landing;
+    - each monitor period ([Rebalance]) as a global instant carrying its
+      moves/demotions, and each scheduler [Decision] as a thread-scoped
+      instant ([decision/promote], [decision/move], ...) on the core the
+      action landed on;
+    - native park..wake windows as [parked] idle spans, steals as
+      instants naming the victim, quiesces as coordinator instants, and
+      inbox batch sizes as a per-domain counter series;
+    - with [?occupancy] (simulator), one counter track ([ph:"C"],
+      [occ/<cache>]) per cache charting resident lines and distinct
+      objects over time.
 
-    Timestamps are microseconds of virtual time (cycles divided by the
-    simulated clock rate); [otherData] carries ring-drop accounting —
-    total/retained/dropped events, spans, and occupancy samples — plus
-    [time_unit]/[clock] labels ([{"simulated cycles", "virtual"}] here;
-    the native exporter writes ["wall-clock ns"]/["CLOCK_MONOTONIC"])
-    so a trace can never be misread across the two time domains.
+    The capture's clock sets the time domain: simulated cycles are
+    divided by the machine's clock rate, wall-clock nanoseconds are
+    rebased to the capture's first record, and both become the
+    microseconds the format expects. [otherData] carries ring-drop
+    accounting (retained and dropped records, complete and incomplete
+    spans, occupancy samples) plus [time_unit]/[clock] labels
+    (["simulated cycles"]/["virtual"] or
+    ["wall-clock ns"]/["CLOCK_MONOTONIC"]), so a trace can never be
+    misread across the two time domains.
 
-    {!ascii_timeline} renders the same window as a per-core text timeline
-    for terminals and docs. *)
+    [obj_name] maps a span's or decision's object to a display name
+    (default [objN]; the simulator passes {!Recorder.obj_name}).
 
-val to_buffer : ?occupancy:Occupancy.t -> Recorder.t -> Buffer.t -> unit
-val to_string : ?occupancy:Occupancy.t -> Recorder.t -> string
-val write_file : ?occupancy:Occupancy.t -> Recorder.t -> path:string -> unit
+    {!ascii_timeline} renders the same capture as a per-sink text
+    timeline for terminals and docs. *)
 
-val ascii_timeline : ?width:int -> Recorder.t -> string
-(** One lane per core plus a monitor lane: [#] marks an executing
-    operation span, [>]/[<] a migration leaving/arriving, [R] a rebalance
-    period. [width] is the number of time columns (default 72). *)
+val to_string :
+  ?occupancy:Occupancy.t ->
+  ?obj_name:(int -> string) ->
+  O2_runtime.Telemetry.t ->
+  string
 
-(**/**)
+val write_file :
+  ?occupancy:Occupancy.t ->
+  ?obj_name:(int -> string) ->
+  O2_runtime.Telemetry.t ->
+  path:string ->
+  unit
 
-val escape_json : string -> string
-(** JSON string-body escaping, shared with the native trace exporter. *)
+val ascii_timeline : ?width:int -> O2_runtime.Telemetry.t -> string
+(** One lane per sink plus the monitor's: [#] marks an executing
+    operation span, [>]/[<] a shipped op leaving/landing in a column
+    where the lane runs no op, [R] a rebalance period. [width] is the
+    number of time columns (default 72). *)

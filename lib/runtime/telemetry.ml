@@ -1,15 +1,16 @@
-(* Wall-clock telemetry for the native backend: the flight recorder's
-   concurrent sibling. The simulator's Probe delivers events to listener
-   closures synchronously — fine on one domain, a contention machine on
-   many. Here every writer owns a sink nobody else touches: worker d
-   writes sinks.(d), the coordinator writes sinks.(domains), and readers
-   only look at quiescence (drain returned, pool idle). No atomics, no
-   locks, no cross-domain writes on the hot path.
+(* Telemetry sinks: the flight recorder's capture. On the native backend
+   every writer owns a sink nobody else touches: worker d writes
+   sinks.(d), the coordinator writes sinks.(domains), and readers only
+   look at quiescence (drain returned, pool idle). No atomics, no locks,
+   no cross-domain writes on the hot path. The simulator's recorder (a
+   Probe listener) writes one sink per simulated core and the monitor's
+   in the coordinator slot, stamped with simulated cycles.
 
    Each sink is a flat int-array ring of fixed-width records stamped with
-   CLOCK_MONOTONIC nanoseconds (a noalloc C stub). The stamp is
-   clamped per-writer to be nondecreasing, so a sink's ring is sorted by
-   construction and the k-way merge in O2_obs.Native_tel needs no sort.
+   CLOCK_MONOTONIC nanoseconds (a noalloc C stub) or, on the simulator,
+   the probe event's cycle. The stamp is clamped per-writer to be
+   nondecreasing, so a sink's ring is sorted by construction and the
+   k-way merge in O2_obs.Capture needs no sort.
    When a ring is full new records are dropped (drop-newest) and counted
    per sink — the retained window is a prefix, never a torn middle.
 
@@ -78,10 +79,11 @@ type kind =
   | Submit  (* a = token, b = obj *)
   | Ship_out  (* a = token, b = obj, c = destination domain *)
   | Ship_in  (* a = token, b = obj, c = source domain *)
-  | Start  (* a = token, b = obj *)
+  | Start  (* a = token, b = obj, c = home core, -1 if none *)
   | End  (* a = token, b = obj *)
-  | Rebalance  (* a = moves *)
+  | Rebalance  (* a = moves, b = demotions *)
   | Quiesce
+  | Decision  (* a = decision kind, b = obj, c = core *)
 
 let int_of_kind = function
   | Steal -> 0
@@ -96,6 +98,7 @@ let int_of_kind = function
   | End -> 9
   | Rebalance -> 10
   | Quiesce -> 11
+  | Decision -> 12
 
 let kind_of_int = function
   | 0 -> Steal
@@ -110,21 +113,8 @@ let kind_of_int = function
   | 9 -> End
   | 10 -> Rebalance
   | 11 -> Quiesce
+  | 12 -> Decision
   | k -> invalid_arg (Printf.sprintf "Telemetry.kind_of_int: %d" k)
-
-let kind_name = function
-  | Steal -> "steal"
-  | Park -> "park"
-  | Wake -> "wake"
-  | Inbox_batch -> "inbox_batch"
-  | Spawned -> "spawned"
-  | Submit -> "submit"
-  | Ship_out -> "ship_out"
-  | Ship_in -> "ship_in"
-  | Start -> "start"
-  | End -> "end"
-  | Rebalance -> "rebalance"
-  | Quiesce -> "quiesce"
 
 (* Record width: ts, kind, a, b, c. *)
 let width = 5
@@ -153,11 +143,13 @@ type sink = {
   lat_exec : acc;  (* start -> end, all ops *)
 }
 
+type clock = Wall_ns | Cycles of float
+
 type t = {
   enabled : bool;
+  clock : clock;
   domains : int;
   sample : int;
-  ring_capacity : int;
   sinks : sink array;  (* domains + 1; index [domains] is the coordinator *)
 }
 
@@ -193,9 +185,15 @@ let make_sink ~id ~sample ~cap =
 let disabled_sink = make_sink ~id:0 ~sample:0 ~cap:0
 
 let off =
-  { enabled = false; domains = 0; sample = 0; ring_capacity = 0; sinks = [||] }
+  {
+    enabled = false;
+    clock = Wall_ns;
+    domains = 0;
+    sample = 0;
+    sinks = [||];
+  }
 
-let create ?(ring_capacity = 1 lsl 16) ?(sample = 1) ~domains () =
+let make ~clock ~ring_capacity ~sample ~domains =
   if domains < 1 then invalid_arg "Telemetry.create: domains must be >= 1";
   if domains + 1 > max_sinks then
     invalid_arg "Telemetry.create: at most 1023 domains (token packing)";
@@ -204,14 +202,21 @@ let create ?(ring_capacity = 1 lsl 16) ?(sample = 1) ~domains () =
   if sample < 0 then invalid_arg "Telemetry.create: sample must be >= 0";
   {
     enabled = true;
+    clock;
     domains;
     sample;
-    ring_capacity;
     sinks =
       Array.init (domains + 1) (fun id ->
           make_sink ~id ~sample ~cap:ring_capacity);
   }
 
+let create ?(ring_capacity = 1 lsl 16) ?(sample = 1) ~domains () =
+  make ~clock:Wall_ns ~ring_capacity ~sample ~domains
+
+let create_simulated ~ring_capacity ~sample ~cores ~ghz =
+  make ~clock:(Cycles ghz) ~ring_capacity ~sample ~domains:cores
+
+let clock t = t.clock
 let enabled t = t.enabled
 let domains t = t.domains
 let sample t = t.sample
@@ -295,18 +300,21 @@ let[@inline never] note_spawned s ~core =
 
 (* Mint a token for one op. Returns -1 when this op's span events are
    sampled out — the latency accumulators still see it. *)
-let[@inline never] op_submit s ~obj =
+let[@inline] mint s =
   let seq = s.seq in
   s.seq <- seq + 1;
-  if s.sample > 0 && seq mod s.sample = 0 then begin
-    let token = (seq * max_sinks) + s.id in
-    record s ~kind:Submit ~a:token ~b:obj ~c:0;
-    token
-  end
+  if s.sample > 0 && seq mod s.sample = 0 then (seq * max_sinks) + s.id
   else -1
 
-let token_sink token = token mod max_sinks
-let token_seq token = token / max_sinks
+let[@inline never] op_submit s ~obj =
+  let token = mint s in
+  if token >= 0 then record s ~kind:Submit ~a:token ~b:obj ~c:0;
+  token
+
+let op_submit_at s ~ts ~obj =
+  let token = mint s in
+  if token >= 0 then record_at s ~ts ~kind:Submit ~a:token ~b:obj ~c:0;
+  token
 
 let[@inline never] note_ship_out s ~token ~obj ~dst =
   s.ships_out <- s.ships_out + 1;
@@ -317,7 +325,7 @@ let[@inline never] note_ship_in s ~token ~obj ~src =
   if token >= 0 then record s ~kind:Ship_in ~a:token ~b:obj ~c:src
 
 let[@inline never] note_start s ~token ~obj =
-  if token >= 0 then record s ~kind:Start ~a:token ~b:obj ~c:0
+  if token >= 0 then record s ~kind:Start ~a:token ~b:obj ~c:s.id
 
 let[@inline never] note_end s ~token ~obj =
   if token >= 0 then record s ~kind:End ~a:token ~b:obj ~c:0

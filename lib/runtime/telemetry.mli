@@ -1,20 +1,21 @@
-(** Wall-clock telemetry sinks for the native backend.
+(** Telemetry sinks: the flight recorder's capture, on both backends.
 
-    The native sibling of {!Probe}: where the simulator delivers events
-    synchronously to listener closures on one domain, real domains need
-    a sink per writer. Worker [d] owns sink [d]; the coordinator (the
-    thread calling [drain]/[rebalance]) owns sink [domains]. The owner
-    is the only writer — no atomics, no locks, no cross-domain writes on
-    the hot path — and readers (the merge, metrics and trace exporters
-    in [O2_obs]) may only look while the pool is quiescent.
+    Real domains need a sink per writer. Worker [d] owns sink [d]; the
+    coordinator (the thread calling [drain]/[rebalance]) owns sink
+    [domains]. The owner is the only writer — no atomics, no locks, no
+    cross-domain writes on the hot path — and readers (the merge,
+    metrics and trace exporters in [O2_obs]) may only look while the
+    pool is quiescent. The simulator's recorder writes the same records
+    from its probe listener: one sink per simulated core, the monitor in
+    the coordinator's slot, stamped with simulated cycles.
 
     Each sink holds
 
-    - a bounded ring of fixed-width records stamped with
-      [CLOCK_MONOTONIC] nanoseconds, clamped per-writer to be
-      nondecreasing (so each ring is sorted by construction and the
-      k-way merge needs no sort). A full ring drops new records
-      (drop-newest) and counts them: the retained window is a prefix;
+    - a bounded ring of fixed-width records stamped with the capture's
+      {!clock}, clamped per-writer to be nondecreasing (so each ring is
+      sorted by construction and the k-way merge needs no sort). A full
+      ring drops new records (drop-newest) and counts them: the
+      retained window is a prefix;
     - plain counters (steals, ships, parks, wakes, inbox batches);
     - log2-bucket latency accumulators ({!acc}, same bucket layout as
       [O2_obs.Hist], imported via [Hist.of_raw]) fed by [with_op] with
@@ -33,15 +34,29 @@ type sink
 
 (** {1 Lifecycle} *)
 
+(** What a record's stamp counts; fixed by the constructor. *)
+type clock =
+  | Wall_ns  (** [CLOCK_MONOTONIC] nanoseconds (the native backend). *)
+  | Cycles of float
+      (** Simulated cycles of a machine clocked at this many GHz. *)
+
 val create : ?ring_capacity:int -> ?sample:int -> domains:int -> unit -> t
-(** Telemetry for a pool of [domains] workers ([domains + 1] sinks, the
-    extra one for the coordinator). [ring_capacity] (default [2^16]) is
-    records per sink; [0] means metrics-only — no ring events at all.
-    [sample] (default 1) keeps the span events of 1-in-[sample] ops in
-    the ring ([0] = none); steals, parks, wakes, inbox batches,
+(** Wall-clock telemetry for a pool of [domains] workers ([domains + 1]
+    sinks, the extra one for the coordinator). [ring_capacity] (default
+    [2^16]) is records per sink; [0] means metrics-only — no ring events
+    at all. [sample] (default 1) keeps the span events of 1-in-[sample]
+    ops in the ring ([0] = none); steals, parks, wakes, inbox batches,
     rebalances and quiesces are always recorded. At most 1023 domains
     (token packing).
     @raise Invalid_argument on out-of-range arguments. *)
+
+val create_simulated :
+  ring_capacity:int -> sample:int -> cores:int -> ghz:float -> t
+(** A capture of a simulated machine: [cores] core sinks plus the
+    monitor's in the coordinator slot, stamped in {!Cycles}[ ghz]. The
+    arguments are checked as in {!create}. *)
+
+val clock : t -> clock
 
 val off : t
 (** The disabled instance: {!enabled} is [false], sinks are inert. *)
@@ -84,12 +99,14 @@ type kind =
   | Submit  (** [a] = token, [b] = obj *)
   | Ship_out  (** [a] = token, [b] = obj, [c] = destination domain *)
   | Ship_in  (** [a] = token, [b] = obj, [c] = source domain *)
-  | Start  (** [a] = token, [b] = obj *)
+  | Start
+      (** [a] = token, [b] = obj, [c] = home: the writing sink natively
+          (an op starts on its home), [-1] on the simulator when the
+          object has none *)
   | End  (** [a] = token, [b] = obj *)
-  | Rebalance  (** [a] = moves *)
+  | Rebalance  (** [a] = moves, [b] = demotions *)
   | Quiesce
-
-val kind_name : kind -> string
+  | Decision  (** [a] = decision kind, [b] = obj, [c] = core *)
 
 (** {1 Writers — owner domain only} *)
 
@@ -103,6 +120,10 @@ val op_submit : sink -> obj:int -> int
 (** Mint this op's token and record its [Submit] event if sampled in.
     Returns [-1] when sampled out — pass it along anyway; the ship/
     start/end writers ignore negative tokens while still counting. *)
+
+val op_submit_at : sink -> ts:int -> obj:int -> int
+(** {!op_submit} with an explicit stamp, for writers with their own
+    clock (the simulator's recorder). *)
 
 val note_ship_out : sink -> token:int -> obj:int -> dst:int -> unit
 val note_ship_in : sink -> token:int -> obj:int -> src:int -> unit
@@ -127,15 +148,8 @@ val note_quiesce : sink -> unit
 val record_at :
   sink -> ts:int -> kind:kind -> a:int -> b:int -> c:int -> unit
 (** Low-level append with an explicit timestamp (still clamped to the
-    sink's nondecreasing order). For tests and tools; the instrumented
-    paths use the typed writers above. *)
-
-(** {1 Tokens} *)
-
-val token_sink : int -> int
-(** The sink a (nonnegative) token was minted on. *)
-
-val token_seq : int -> int
+    sink's nondecreasing order): the simulator's recorder writes with
+    it, as do tests. The native paths use the typed writers above. *)
 
 (** {1 Readers — quiescence only} *)
 

@@ -123,7 +123,7 @@ let default =
           "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
           "observe_home"; "observe_shipped"; "observe_ship_delay";
           "observe_exec"; "note_rebalance"; "note_quiesce"; "enabled";
-          "token_sink"; "token_seq"; "sink_at" ] };
+          "sink_at" ] };
   ]
 
 let functions_for manifest ~module_ =

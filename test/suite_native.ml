@@ -613,15 +613,18 @@ let test_pad_row () =
    with any [lo], so most ranges start off a 4-word boundary; the rest
    draw both ends from 2 past either end of the array, and a bad range
    must raise the named error. Pad_row.find_in on a row holding the
-   same words must give the same answer, relative to [lo]. *)
+   same words must give the same answer, relative to [lo]. The same
+   property runs on [Int_scan.first_scalar], the kernel's scalar path
+   over the whole range: a host with AVX2 runs that loop only on the
+   last 0-7 words, so without it a fault in the path other hosts take
+   would go unseen here. *)
 let reference_first a ~lo ~hi key =
   let rec go i = if i >= hi then -1 else if a.(i) = key then i else go (i + 1) in
   go lo
 
-let prop_int_scan_matches_reference =
+let int_scan_matches_reference ~name first =
   let extreme = QCheck2.Gen.oneofl [ min_int; max_int; -1 ] in
-  QCheck2.Test.make ~count:2000
-    ~name:"Int_scan.first = a scalar scan; bad ranges raise"
+  QCheck2.Test.make ~count:2000 ~name
     ~print:(fun (a, (lo, hi), key) ->
       Printf.sprintf "a=[|%s|] lo=%d hi=%d key=%d"
         (String.concat "; " (Array.to_list (Array.map string_of_int a)))
@@ -654,7 +657,7 @@ let prop_int_scan_matches_reference =
     (fun (a, (lo, hi), key) ->
       let n = Array.length a in
       if lo < 0 || lo > hi || hi > n then
-        match Int_scan.first a ~lo ~hi key with
+        match first a ~lo ~hi key with
         | _ -> false
         | exception Invalid_argument msg ->
             msg = "Int_scan.first: range outside the array"
@@ -662,10 +665,19 @@ let prop_int_scan_matches_reference =
         let want = reference_first a ~lo ~hi key in
         let row = Pad_row.make n in
         Array.iteri (Pad_row.set row) a;
-        Int_scan.first a ~lo ~hi key = want
+        first a ~lo ~hi key = want
         && Pad_row.find_in row ~lo ~len:(hi - lo) key
            = if want < 0 then -1 else want - lo
       end)
+
+let prop_int_scan_matches_reference =
+  int_scan_matches_reference
+    ~name:"Int_scan.first = a scalar scan; bad ranges raise" Int_scan.first
+
+let prop_int_scan_scalar_matches_reference =
+  int_scan_matches_reference
+    ~name:"Int_scan.first_scalar = a scalar scan; bad ranges raise"
+    Int_scan.first_scalar
 
 module Kv_native = Backend_kv.Make (Native_backend)
 module Dir_native = Backend_dir.Make (Native_backend)
@@ -891,7 +903,7 @@ let test_max_bucket_load_rejects_counts () =
 (* ------------------------------------------------------------------ *)
 
 module Tel = O2_runtime.Telemetry
-module Ntel = O2_obs.Native_tel
+module Capture = O2_obs.Capture
 
 (* The k-way ring merge's contract, driven through record_at with
    arbitrary (unsorted) timestamps: each writer clamps its own stamps
@@ -918,7 +930,7 @@ let prop_merge_nondecreasing_lossless =
           Tel.record_at s ~ts ~kind:Tel.Inbox_batch ~a:appended.(d) ~b:d ~c:0;
           appended.(d) <- appended.(d) + 1)
         writes;
-      let events = Ntel.merged_events tel in
+      let events = Capture.merged_events tel in
       let ok = ref true in
       let retained = ref 0 in
       for d = 0 to domains do
@@ -942,13 +954,13 @@ let prop_merge_nondecreasing_lossless =
       done;
       if Array.length events <> !retained then ok := false;
       Array.iteri
-        (fun i (e : Ntel.event) ->
+        (fun i (e : Capture.event) ->
           if i > 0 then begin
             let p = events.(i - 1) in
-            if e.Ntel.ts < p.Ntel.ts then ok := false;
+            if e.Capture.ts < p.Capture.ts then ok := false;
             (* ties are broken toward the lower sink id, so within an
                equal-ts run sink ids never decrease *)
-            if e.Ntel.ts = p.Ntel.ts && e.Ntel.sink < p.Ntel.sink then
+            if e.Capture.ts = p.Capture.ts && e.Capture.sink < p.Capture.sink then
               ok := false
           end)
         events;
@@ -979,38 +991,38 @@ let test_span_reconstruction_across_ship () =
                 Native_backend.compute b 5)
           done);
       Native_backend.run b;
-      let spans = Ntel.spans tel in
-      checki "no spans lost to the ring bound" 0 (Ntel.incomplete_spans tel);
+      let spans, incomplete = Capture.spans tel in
+      checki "no spans lost to the ring bound" 0 incomplete;
       checki "one span per op" ops (List.length spans);
       let out, _ = Native_backend.ships b in
       checki "shipped spans = the backend's own ship count" out
-        (List.length (List.filter Ntel.shipped spans));
+        (List.length (List.filter Capture.shipped spans));
       checkb "the alternating client really shipped" true (out > 0);
       List.iter
-        (fun (s : Ntel.span) ->
+        (fun (s : Capture.span) ->
           checkb "submit <= start <= end" true
-            (s.Ntel.submit_ts <= s.Ntel.start_ts
-            && s.Ntel.start_ts <= s.Ntel.end_ts);
+            (s.Capture.submit_ts <= s.Capture.start_ts
+            && s.Capture.start_ts <= s.Capture.end_ts);
           checki "ops execute on the object's home"
-            (Native_backend.home b s.Ntel.obj)
-            s.Ntel.exec_sink;
-          if Ntel.shipped s then begin
+            (Native_backend.home b s.Capture.obj)
+            s.Capture.exec_sink;
+          if Capture.shipped s then begin
             checkb "ship handoff bracketed inside the span" true
-              (s.Ntel.submit_ts <= s.Ntel.ship_out_ts
-              && s.Ntel.ship_out_ts <= s.Ntel.ship_in_ts
-              && s.Ntel.ship_in_ts <= s.Ntel.start_ts);
+              (s.Capture.submit_ts <= s.Capture.ship_out_ts
+              && s.Capture.ship_out_ts <= s.Capture.ship_in_ts
+              && s.Capture.ship_in_ts <= s.Capture.start_ts);
             checki "flow arrow lands on the executing domain"
-              s.Ntel.exec_sink s.Ntel.ship_dst;
+              s.Capture.exec_sink s.Capture.ship_dst;
             checkb "shipped means cross-domain" true
-              (s.Ntel.submit_sink <> s.Ntel.exec_sink)
+              (s.Capture.submit_sink <> s.Capture.exec_sink)
           end
           else
-            checki "home op stays on its submitter" s.Ntel.submit_sink
-              s.Ntel.exec_sink)
+            checki "home op stays on its submitter" s.Capture.submit_sink
+              s.Capture.exec_sink)
         spans;
       (* The latency accumulators ride with_op locals, not the ring: they
          must have seen every op. *)
-      let m = Ntel.metrics tel in
+      let m = Capture.metrics tel in
       checki "every op observed by the latency accumulators" ops
         (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
 
@@ -1035,17 +1047,17 @@ let test_spans_of_local_reads () =
             done)
       done;
       Native_backend.run b;
-      let spans = Ntel.spans tel in
-      checki "no spans lost to the ring bound" 0 (Ntel.incomplete_spans tel);
+      let spans, incomplete = Capture.spans tel in
+      checki "no spans lost to the ring bound" 0 incomplete;
       checki "one span per op" (2 * per) (List.length spans);
       checki "the backend shipped nothing" 0 (fst (Native_backend.ships b));
       List.iter
-        (fun (s : Ntel.span) ->
-          checkb "local reads are not shipped" false (Ntel.shipped s);
-          checki "submitted and executed on one domain" s.Ntel.submit_sink
-            s.Ntel.exec_sink)
+        (fun (s : Capture.span) ->
+          checkb "local reads are not shipped" false (Capture.shipped s);
+          checki "submitted and executed on one domain" s.Capture.submit_sink
+            s.Capture.exec_sink)
         spans;
-      let m = Ntel.metrics tel in
+      let m = Capture.metrics tel in
       checki "every op observed by the latency accumulators" (2 * per)
         (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
 
@@ -1297,6 +1309,7 @@ let suite =
     Alcotest.test_case "deque grow + FIFO/LIFO ends" `Quick test_deque_grow;
     QCheck_alcotest.to_alcotest prop_deque_matches_model;
     QCheck_alcotest.to_alcotest prop_int_scan_matches_reference;
+    QCheck_alcotest.to_alcotest prop_int_scan_scalar_matches_reference;
     Alcotest.test_case "deque multi-domain stress" `Slow test_deque_stress;
     Alcotest.test_case "inbox MPSC per-producer FIFO" `Quick test_inbox_fifo;
     Alcotest.test_case "pool: shipping lands on target" `Quick

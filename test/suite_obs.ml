@@ -1,9 +1,11 @@
 (* The flight-recorder subsystem: ring semantics, histogram percentiles,
-   span reconstruction from the probe stream, the metrics==simulator
-   agreement on a real run, and the shape of the exported Perfetto JSON. *)
+   span reconstruction from the probe stream through the recorder's
+   telemetry capture, the metrics==simulator agreement on a real run,
+   and the shape of the exported Perfetto JSON. *)
 
 open O2_obs
 module Probe = O2_runtime.Probe
+module Telemetry = O2_runtime.Telemetry
 
 (* ------------------------------------------------------------------ *)
 (* Ring *)
@@ -130,12 +132,17 @@ let test_metrics_registry () =
 (* ------------------------------------------------------------------ *)
 (* Span reconstruction from a scripted probe stream *)
 
-let with_recorder ?ring_capacity ?span_capacity ?sample_mem f =
+let with_recorder ?ring_capacity ?sample f =
   let machine = O2_simcore.Machine.create O2_simcore.Config.amd16 in
   let engine = O2_runtime.Engine.create machine in
-  let r = Recorder.attach ?ring_capacity ?span_capacity ?sample_mem engine in
+  let r = Recorder.attach ?ring_capacity ?sample engine in
   let emit ev = Probe.emit (O2_runtime.Engine.probe engine) ev in
   f r emit
+
+let spans_of r = fst (Capture.spans (Recorder.capture r))
+let export ?occupancy r =
+  Trace_export.to_string ?occupancy ~obj_name:(Recorder.obj_name r)
+    (Recorder.capture r)
 
 let test_span_migrated () =
   with_recorder (fun r emit ->
@@ -145,16 +152,16 @@ let test_span_migrated () =
         (Probe.Op_started
            { time = 180; core = 3; tid = 5; addr = 0x40; home = Some 3 });
       emit (Probe.Op_ended { time = 400; core = 3; tid = 5 });
-      match Recorder.spans r with
+      match spans_of r with
       | [ s ] ->
-          Alcotest.(check int) "queue = request->departure" 50 s.Recorder.queue;
-          Alcotest.(check int) "migrate = departure->start" 30 s.Recorder.migrate;
-          Alcotest.(check int) "exec = start->end" 220 s.Recorder.exec;
-          Alcotest.(check int) "request core" 0 s.Recorder.request_core;
-          Alcotest.(check int) "exec core" 3 s.Recorder.exec_core;
-          Alcotest.(check bool) "migrated" true s.Recorder.migrated;
+          Alcotest.(check int) "queue = request->departure" 50 (Capture.queue s);
+          Alcotest.(check int) "migrate = departure->start" 30 (Capture.migrate s);
+          Alcotest.(check int) "exec = start->end" 220 (Capture.exec s);
+          Alcotest.(check int) "request core" 0 s.Capture.submit_sink;
+          Alcotest.(check int) "exec core" 3 s.Capture.exec_sink;
+          Alcotest.(check bool) "migrated" true (Capture.shipped s);
           Alcotest.(check bool) "classified Migrated" true
-            (Recorder.classify s = Recorder.Migrated);
+            (Capture.classify s = Capture.Migrated);
           let m = Recorder.metrics r in
           Alcotest.(check int) "ops counter" 1 (Metrics.counter_value m "ops");
           Alcotest.(check int) "latency observed" 300
@@ -177,14 +184,14 @@ let test_span_home_hit_and_remote () =
         (Probe.Op_started
            { time = 210; core = 7; tid = 2; addr = 0xc0; home = None });
       emit (Probe.Op_ended { time = 300; core = 7; tid = 2 });
-      match Recorder.spans r with
+      match spans_of r with
       | [ hit; remote ] ->
           Alcotest.(check bool) "home hit class" true
-            (Recorder.classify hit = Recorder.Home_hit);
-          Alcotest.(check int) "home hit queue" 5 hit.Recorder.queue;
-          Alcotest.(check int) "home hit migrate" 0 hit.Recorder.migrate;
+            (Capture.classify hit = Capture.Home_hit);
+          Alcotest.(check int) "home hit queue" 5 (Capture.queue hit);
+          Alcotest.(check int) "home hit migrate" 0 (Capture.migrate hit);
           Alcotest.(check bool) "remote class" true
-            (Recorder.classify remote = Recorder.Remote);
+            (Capture.classify remote = Capture.Remote);
           let m = Recorder.metrics r in
           Alcotest.(check int) "two ops" 2 (Metrics.counter_value m "ops");
           Alcotest.(check int) "home_hit split" 1
@@ -203,33 +210,102 @@ let test_span_nested () =
         (Probe.Op_started { time = 12; core = 0; tid = 9; addr = 0x80; home = None });
       emit (Probe.Op_ended { time = 20; core = 0; tid = 9 });
       emit (Probe.Op_ended { time = 50; core = 0; tid = 9 });
-      match Recorder.spans r with
+      match spans_of r with
       | [ inner; outer ] ->
-          Alcotest.(check int) "inner completes first" 0x80 inner.Recorder.addr;
-          Alcotest.(check int) "inner exec" 8 inner.Recorder.exec;
-          Alcotest.(check int) "outer addr" 0x40 outer.Recorder.addr;
-          Alcotest.(check int) "outer exec" 45 outer.Recorder.exec
+          Alcotest.(check int) "inner completes first" 0x80 inner.Capture.obj;
+          Alcotest.(check int) "inner exec" 8 (Capture.exec inner);
+          Alcotest.(check int) "outer addr" 0x40 outer.Capture.obj;
+          Alcotest.(check int) "outer exec" 45 (Capture.exec outer)
       | spans -> Alcotest.failf "expected 2 spans, got %d" (List.length spans))
 
 let mem ~time =
   Probe.Mem { time; core = 0; tid = 0; kind = Probe.Load; addr = 0; len = 8 }
 
-let test_mem_sampling () =
-  with_recorder ~sample_mem:2 (fun r emit ->
+let lock = { Probe.lock_name = "l"; lock_addr = 0x1000 }
+
+let test_mem_counted_not_recorded () =
+  with_recorder (fun r emit ->
       for i = 1 to 10 do
         emit (mem ~time:i)
       done;
+      emit
+        (Probe.Lock_acquired
+           { time = 11; core = 0; tid = 0; lock; contended = true });
+      emit (Probe.Lock_released { time = 12; core = 0; tid = 0; lock });
       let m = Recorder.metrics r in
       Alcotest.(check int) "all counted" 10 (Metrics.counter_value m "mem/events");
-      Alcotest.(check int) "half sampled" 5 (Metrics.counter_value m "mem/sampled");
-      Alcotest.(check int) "ring holds only the sampled" 5
-        (Recorder.events_retained r));
-  with_recorder ~sample_mem:0 (fun r emit ->
-      emit (mem ~time:1);
-      let m = Recorder.metrics r in
-      Alcotest.(check int) "counted" 1 (Metrics.counter_value m "mem/events");
-      Alcotest.(check int) "none sampled" 0 (Metrics.counter_value m "mem/sampled");
-      Alcotest.(check int) "nothing retained" 0 (Recorder.events_retained r))
+      Alcotest.(check int) "lock counted" 1
+        (Metrics.counter_value m "locks/handoffs");
+      Alcotest.(check int) "no record written" 0
+        (Telemetry.total_events (Recorder.capture r)))
+
+(* --trace-sample N keeps the records of 1-in-N ops per requesting core;
+   the metrics still see every op. *)
+let test_span_sampling () =
+  with_recorder ~sample:2 (fun r emit ->
+      for i = 0 to 4 do
+        let t0 = i * 100 in
+        emit (Probe.Op_requested { time = t0; core = 1; tid = 1; addr = 0x40 });
+        emit (Probe.Thread_moved { time = t0 + 5; tid = 1; from_core = 1; to_core = 2 });
+        emit
+          (Probe.Op_started
+             { time = t0 + 9; core = 2; tid = 1; addr = 0x40; home = Some 2 });
+        emit (Probe.Op_ended { time = t0 + 20; core = 2; tid = 1 })
+      done;
+      let spans, incomplete = Capture.spans (Recorder.capture r) in
+      Alcotest.(check int) "metrics see every op" 5
+        (Metrics.counter_value (Recorder.metrics r) "ops");
+      Alcotest.(check (list int)) "ops 0, 2, 4 kept"
+        [ 0; 200; 400 ]
+        (List.map (fun s -> s.Capture.submit_ts) spans);
+      Alcotest.(check int) "the rest leave no half-spans" 0 incomplete;
+      List.iter
+        (fun s ->
+          Alcotest.(check int) "shipped from the requesting core" 1
+            s.Capture.submit_sink;
+          Alcotest.(check int) "landed at the start" (s.Capture.submit_ts + 9)
+            s.Capture.ship_in_ts)
+        spans);
+  with_recorder ~sample:0 (fun r emit ->
+      emit (Probe.Op_requested { time = 0; core = 0; tid = 1; addr = 0x40 });
+      emit (Probe.Op_started { time = 1; core = 0; tid = 1; addr = 0x40; home = None });
+      emit (Probe.Op_ended { time = 2; core = 0; tid = 1 });
+      Alcotest.(check int) "sample 0 keeps no op records" 0
+        (Telemetry.total_events (Recorder.capture r));
+      Alcotest.(check int) "but counts the op" 1
+        (Metrics.counter_value (Recorder.metrics r) "ops"))
+
+(* Records of different sinks with equal stamps may merge in either
+   order: a span gathers its token's records wherever they fall, so its
+   landing on a lower-numbered core at the request's own cycle builds
+   the same span as any other order. *)
+let test_spans_ignore_tie_order () =
+  let tel =
+    Telemetry.create_simulated ~ring_capacity:16 ~sample:1 ~cores:4 ~ghz:2.0
+  in
+  let s3 = Telemetry.sink tel 3 and s1 = Telemetry.sink tel 1 in
+  let token = Telemetry.op_submit_at s3 ~ts:10 ~obj:0x40 in
+  Telemetry.record_at s3 ~ts:10 ~kind:Telemetry.Ship_out ~a:token ~b:0x40 ~c:1;
+  Telemetry.record_at s1 ~ts:10 ~kind:Telemetry.Ship_in ~a:token ~b:0x40 ~c:3;
+  Telemetry.record_at s1 ~ts:10 ~kind:Telemetry.Start ~a:token ~b:0x40 ~c:1;
+  Telemetry.record_at s1 ~ts:30 ~kind:Telemetry.End ~a:token ~b:0x40 ~c:0;
+  let events = Capture.merged_events tel in
+  Alcotest.(check bool) "the landing merges ahead of the request" true
+    (events.(0).Capture.kind = Telemetry.Ship_in);
+  let rev = Array.of_list (List.rev (Array.to_list events)) in
+  List.iter
+    (fun (label, evs) ->
+      match Capture.spans_of_events evs with
+      | [ s ], 0 ->
+          Alcotest.(check int) (label ^ ": submitted on core 3") 3
+            s.Capture.submit_sink;
+          Alcotest.(check int) (label ^ ": runs on core 1") 1 s.Capture.exec_sink;
+          Alcotest.(check bool) (label ^ ": migrated") true
+            (Capture.classify s = Capture.Migrated);
+          Alcotest.(check int) (label ^ ": exec") 20 (Capture.exec s)
+      | spans, n ->
+          Alcotest.failf "%s: %d spans, %d incomplete" label (List.length spans) n)
+    [ ("merged", events); ("reversed", rev) ]
 
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON reader — just enough to assert the exported trace is
@@ -425,7 +501,7 @@ let test_metrics_match_simulator () =
   Alcotest.(check int) "class split partitions ops"
     result.O2_experiments.Quickstart_exp.ops split;
   Alcotest.(check int) "span count == ops (no drops at this size)"
-    result.O2_experiments.Quickstart_exp.ops (Recorder.span_count r);
+    result.O2_experiments.Quickstart_exp.ops (List.length (spans_of r));
   Alcotest.(check int) "threads spawned" 16
     (Metrics.counter_value m "threads/spawned");
   Alcotest.(check bool) "some rebalance periods ran" true
@@ -435,7 +511,7 @@ let test_trace_export_shape () =
   let result = quickstart_recorded () in
   let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
   let json =
-    match parse_json (Trace_export.to_string r) with
+    match parse_json (export r) with
     | j -> j
     | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
   in
@@ -485,7 +561,8 @@ let test_trace_export_shape () =
   let thread_names =
     List.filter (fun e -> str_member "name" e = Some "thread_name") events
   in
-  Alcotest.(check int) "one thread_name per core" 16 (List.length thread_names);
+  Alcotest.(check int) "one thread_name per core, plus the monitor" 17
+    (List.length thread_names);
   (* drop accounting is surfaced *)
   match member "otherData" json with
   | Some od ->
@@ -500,17 +577,17 @@ let test_trace_escaping_and_empty_timeline () =
       emit
         (Probe.Op_started { time = 1; core = 0; tid = 1; addr = 0x40; home = None });
       emit (Probe.Op_ended { time = 10; core = 0; tid = 1 });
-      match parse_json (Trace_export.to_string r) with
+      match parse_json (export r) with
       | _ -> ()
       | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
   with_recorder (fun r _emit ->
       Alcotest.(check string) "empty timeline" "(no events recorded)\n"
-        (Trace_export.ascii_timeline r))
+        (Trace_export.ascii_timeline (Recorder.capture r)))
 
 let test_ascii_timeline () =
   let result = quickstart_recorded () in
   let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
-  let timeline = Trace_export.ascii_timeline ~width:60 r in
+  let timeline = Trace_export.ascii_timeline ~width:60 (Recorder.capture r) in
   let lines = String.split_on_char '\n' timeline in
   Alcotest.(check bool) "a lane per core plus monitor plus header" true
     (List.length lines >= 16 + 3);
@@ -595,7 +672,7 @@ let test_hist_merge_empty_identity () =
    and when the stream was rebalance instants alone. *)
 
 let parse_or_fail r ?occupancy () =
-  match parse_json (Trace_export.to_string ?occupancy r) with
+  match parse_json (export ?occupancy r) with
   | j -> j
   | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
 
@@ -603,6 +680,83 @@ let events_of json =
   match member "traceEvents" json with
   | Some (Arr evs) -> evs
   | _ -> Alcotest.fail "no traceEvents array"
+
+(* The capture and the metrics come from one span model: on quickstart
+   the spans rebuilt from the recorder's sinks split into the same
+   classes, with the same cycle sums, as the live histograms. *)
+let test_capture_matches_metrics () =
+  let result = quickstart_recorded () in
+  let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
+  let m = Recorder.metrics r in
+  let spans, incomplete = Capture.spans (Recorder.capture r) in
+  let count c = List.length (List.filter (fun s -> Capture.classify s = c) spans) in
+  let sum f = List.fold_left (fun a s -> a + f s) 0 spans in
+  let hist name = Metrics.hist m name in
+  Alcotest.(check int) "nothing incomplete" 0 incomplete;
+  Alcotest.(check int) "home-hit" (Hist.count (hist "op/home_hit"))
+    (count Capture.Home_hit);
+  Alcotest.(check int) "remote" (Hist.count (hist "op/remote")) (count Capture.Remote);
+  Alcotest.(check int) "migrated" (Hist.count (hist "op/migrated"))
+    (count Capture.Migrated);
+  Alcotest.(check int) "queue" (Hist.sum (hist "op/queue")) (sum Capture.queue);
+  Alcotest.(check int) "migrate" (Hist.sum (hist "op/migrate")) (sum Capture.migrate);
+  Alcotest.(check int) "exec" (Hist.sum (hist "op/exec")) (sum Capture.exec);
+  Alcotest.(check int) "latency"
+    (Hist.sum (hist "op/latency"))
+    (sum (fun s -> s.Capture.end_ts - s.Capture.submit_ts));
+  List.iter
+    (fun s ->
+      if Capture.shipped s then
+        Alcotest.(check bool) "a migrated op runs on its home" true
+          (s.Capture.home = s.Capture.exec_sink))
+    spans
+
+(* A wall-clock capture goes through the same exporter: its stamps are
+   rebased to the first record and labelled as nanoseconds, its last
+   track is the coordinator, and a ship draws one flow arrow. *)
+let test_wall_clock_export () =
+  let tel = Telemetry.create ~ring_capacity:16 ~domains:2 () in
+  let d0 = Telemetry.sink tel 0 and d1 = Telemetry.sink tel 1 in
+  let base = 1_000_000_000 in
+  let token = Telemetry.op_submit_at d0 ~ts:base ~obj:7 in
+  Telemetry.record_at d0 ~ts:(base + 1000) ~kind:Telemetry.Ship_out ~a:token ~b:7 ~c:1;
+  Telemetry.record_at d1 ~ts:(base + 3000) ~kind:Telemetry.Ship_in ~a:token ~b:7 ~c:0;
+  Telemetry.record_at d1 ~ts:(base + 3500) ~kind:Telemetry.Start ~a:token ~b:7 ~c:1;
+  Telemetry.record_at d1 ~ts:(base + 5500) ~kind:Telemetry.End ~a:token ~b:7 ~c:0;
+  Telemetry.note_quiesce (Telemetry.coordinator tel);
+  let json =
+    match parse_json (Trace_export.to_string tel) with
+    | j -> j
+    | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
+  in
+  let events = events_of json in
+  let with_ph p = List.filter (fun e -> str_member "ph" e = Some p) events in
+  (match List.filter (fun e -> str_member "cat" e = Some "op") events with
+  | [ op ] ->
+      Alcotest.(check (option (float 1e-9))) "rebased start" (Some 3.5)
+        (num_member "ts" op);
+      Alcotest.(check (option (float 1e-9))) "exec in us" (Some 2.0)
+        (num_member "dur" op);
+      Alcotest.(check (option string)) "class" (Some "migrated")
+        (Option.bind (member "args" op) (str_member "class"));
+      Alcotest.(check (option (float 1e-9))) "migrate_ns" (Some 2500.0)
+        (Option.bind (member "args" op) (num_member "migrate_ns"))
+  | ops -> Alcotest.failf "expected 1 op span, got %d" (List.length ops));
+  Alcotest.(check int) "one flow start" 1 (List.length (with_ph "s"));
+  Alcotest.(check int) "one flow end" 1 (List.length (with_ph "f"));
+  Alcotest.(check bool) "coordinator track" true
+    (List.exists
+       (fun e ->
+         str_member "name" e = Some "thread_name"
+         && Option.bind (member "args" e) (str_member "name") = Some "coordinator")
+       events);
+  match member "otherData" json with
+  | Some od ->
+      Alcotest.(check (option string)) "unit" (Some "wall-clock ns")
+        (str_member "time_unit" od);
+      Alcotest.(check (option string)) "clock" (Some "CLOCK_MONOTONIC")
+        (str_member "clock" od)
+  | None -> Alcotest.fail "no otherData"
 
 let test_trace_export_empty () =
   with_recorder (fun r _emit ->
@@ -617,7 +771,7 @@ let test_trace_export_empty () =
           Alcotest.(check (option (float 1e-9))) "zero events retained"
             (Some 0.0) (num_member "events_retained" od);
           Alcotest.(check (option (float 1e-9))) "zero spans" (Some 0.0)
-            (num_member "spans_total" od)
+            (num_member "spans_complete" od)
       | None -> Alcotest.fail "no otherData")
 
 let test_trace_export_no_completed_ops () =
@@ -635,7 +789,7 @@ let test_trace_export_no_completed_ops () =
         (List.for_all
            (fun e -> str_member "ph" e <> Some "X")
            (events_of json));
-      Alcotest.(check int) "span count zero" 0 (Recorder.span_count r))
+      Alcotest.(check int) "span count zero" 0 (List.length (spans_of r)))
 
 let test_trace_export_rebalance_only () =
   with_recorder (fun r emit ->
@@ -788,7 +942,7 @@ let test_trace_occupancy_tracks () =
 let test_o2top_recorder_footer () =
   let result = quickstart_recorded () in
   let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
-  let out = O2top.render ~recorder:r (Recorder.metrics r) in
+  let out = O2top.render ~capture:(Recorder.capture r) (Recorder.metrics r) in
   let contains sub =
     let n = String.length out and m = String.length sub in
     let rec go i = i + m <= n && (String.sub out i m = sub || go (i + 1)) in
@@ -806,11 +960,13 @@ let test_o2top_recorder_footer () =
     in
     go 0
   in
-  Alcotest.(check bool) "footer only with a recorder" false
+  Alcotest.(check bool) "footer only with a capture" false
     (contains_w "-- recorder --")
 
+(* Three ops of three records each on one core's sink of 4: the sink
+   keeps the first op whole and the second's request (drop-newest). *)
 let test_ring_bound_drops_spans () =
-  with_recorder ~ring_capacity:4 ~span_capacity:1 (fun r emit ->
+  with_recorder ~ring_capacity:4 (fun r emit ->
       for i = 0 to 2 do
         let t0 = i * 100 in
         emit (Probe.Op_requested { time = t0; core = 0; tid = 1; addr = 0x40 });
@@ -819,12 +975,17 @@ let test_ring_bound_drops_spans () =
              { time = t0 + 1; core = 0; tid = 1; addr = 0x40; home = None });
         emit (Probe.Op_ended { time = t0 + 10; core = 0; tid = 1 })
       done;
+      let tel = Recorder.capture r in
+      let spans, incomplete = Capture.spans tel in
       Alcotest.(check int) "metrics still exact" 3
         (Metrics.counter_value (Recorder.metrics r) "ops");
-      Alcotest.(check int) "span storage bounded" 1 (Recorder.span_count r);
-      Alcotest.(check int) "span drops accounted" 2 (Recorder.spans_dropped r);
-      Alcotest.(check int) "event window bounded" 4 (Recorder.events_retained r);
-      Alcotest.(check int) "event drops accounted" 5 (Recorder.events_dropped r))
+      Alcotest.(check (list int)) "the first span is kept" [ 0 ]
+        (List.map (fun s -> s.Capture.submit_ts) spans);
+      Alcotest.(check int) "a half-kept span is withheld" 1 incomplete;
+      Alcotest.(check int) "record window bounded" 4
+        (Telemetry.total_events tel - Telemetry.total_dropped tel);
+      Alcotest.(check int) "record drops accounted" 5
+        (Telemetry.total_dropped tel))
 
 let suite =
   [
@@ -848,11 +1009,20 @@ let suite =
     Alcotest.test_case "span reconstruction: home hit and remote" `Quick
       test_span_home_hit_and_remote;
     Alcotest.test_case "span reconstruction: nested ops" `Quick test_span_nested;
-    Alcotest.test_case "memory-event sampling" `Quick test_mem_sampling;
+    Alcotest.test_case "memory and lock events only feed counters" `Quick
+      test_mem_counted_not_recorded;
+    Alcotest.test_case "span sampling keeps 1-in-N ops" `Quick
+      test_span_sampling;
+    Alcotest.test_case "spans ignore the merge's tie order" `Quick
+      test_spans_ignore_tie_order;
     Alcotest.test_case "metrics agree with the simulator exactly" `Quick
       test_metrics_match_simulator;
     Alcotest.test_case "trace export is valid trace_event JSON" `Quick
       test_trace_export_shape;
+    Alcotest.test_case "capture spans agree with the metrics" `Quick
+      test_capture_matches_metrics;
+    Alcotest.test_case "wall-clock capture through the same exporter" `Quick
+      test_wall_clock_export;
     Alcotest.test_case "trace JSON stays valid; empty timeline message" `Quick
       test_trace_escaping_and_empty_timeline;
     Alcotest.test_case "ascii timeline draws ops, migrations, monitor" `Quick
