@@ -35,7 +35,9 @@ let merged_events tel =
   let total =
     Array.fold_left (fun acc s -> acc + Telemetry.length s) 0 sinks
   in
-  let out = Array.make total { ts = 0; sink = 0; kind = Quiesce; a = 0; b = 0; c = 0 } in
+  let out =
+    Array.make total { ts = 0; sink = 0; kind = Quiesce; a = 0; b = 0; c = 0 }
+  in
   for slot = 0 to total - 1 do
     let best = ref (-1) in
     let best_ts = ref max_int in
@@ -122,12 +124,14 @@ let spans_of_events events =
       in
       match e.kind with
       | Telemetry.Submit ->
-          fill (fun s -> { s with obj = e.b; submit_sink = e.sink; submit_ts = e.ts })
+          fill (fun s ->
+              { s with obj = e.b; submit_sink = e.sink; submit_ts = e.ts })
       | Telemetry.Ship_out ->
           fill (fun s -> { s with ship_out_ts = e.ts; ship_dst = e.c })
       | Telemetry.Ship_in -> fill (fun s -> { s with ship_in_ts = e.ts })
       | Telemetry.Start ->
-          fill (fun s -> { s with home = e.c; exec_sink = e.sink; start_ts = e.ts })
+          fill (fun s ->
+              { s with home = e.c; exec_sink = e.sink; start_ts = e.ts })
       | Telemetry.End ->
           ended := e.a :: !ended;
           fill (fun s -> { s with end_ts = e.ts })

@@ -75,9 +75,10 @@ val spans_of_events : event array -> span list * int
 (** Replay a merged stream into completed spans (in the order their
     [End] records appear) plus the count of incomplete ones — spans
     that lost records to the ring bound, or were still running when the
-    capture was read, withheld rather than emitted half-built. A span is built from all of its token's records
-    wherever they sit in the stream, so it does not depend on how the
-    merge orders records of different sinks with equal stamps. *)
+    capture was read, withheld rather than emitted half-built. A span
+    is built from all of its token's records wherever they sit in the
+    stream, so it does not depend on how the merge orders records of
+    different sinks with equal stamps. *)
 
 val spans : O2_runtime.Telemetry.t -> span list * int
 (** [spans_of_events (merged_events tel)]. *)

@@ -36,7 +36,9 @@ let render ?(gauges = true) ?capture metrics =
     [ "histogram"; "count"; "mean"; "p50"; "p90"; "p99"; "p999"; "max" ]
     (List.map hist_row (Metrics.hists metrics));
   table_section "counters" [ "counter"; "value" ]
-    (List.map (fun (n, v) -> [ n; string_of_int v ]) (Metrics.counters metrics));
+    (List.map
+       (fun (n, v) -> [ n; string_of_int v ])
+       (Metrics.counters metrics));
   if gauges then
     table_section "gauges (last monitor period)" [ "gauge"; "value" ]
       (List.map

@@ -32,7 +32,8 @@ let to_buffer ?occupancy ?obj_name tel buf =
     match Telemetry.clock tel with
     | Telemetry.Cycles ghz -> (true, 0, ghz *. 1000.0)
     | Telemetry.Wall_ns ->
-        (false, (if Array.length events > 0 then events.(0).Capture.ts else 0), 1000.0)
+        let t0 = if Array.length events > 0 then events.(0).Capture.ts else 0 in
+        (false, t0, 1000.0)
   in
   let us ts = float_of_int (ts - t0) /. ticks_per_us in
   let dur d = float_of_int (max d 0) /. ticks_per_us in
@@ -84,8 +85,8 @@ let to_buffer ?occupancy ?obj_name tel buf =
         (dur (Capture.exec s)) s.Capture.token
         (Capture.class_name (Capture.classify s))
         s.Capture.submit_sink
-        (if s.Capture.home >= 0 then Printf.sprintf ", \"home\": %d" s.Capture.home
-         else "")
+        (if s.Capture.home < 0 then ""
+         else Printf.sprintf ", \"home\": %d" s.Capture.home)
         unit_sfx (Capture.queue s) unit_sfx (Capture.migrate s) unit_sfx
         (Capture.exec s))
     spans;
@@ -213,7 +214,8 @@ let ascii_timeline ?(width = 72) tel =
   let rebalances =
     List.filter_map
       (fun (e : Capture.event) ->
-        if e.Capture.kind = Telemetry.Rebalance then Some e.Capture.ts else None)
+        if e.Capture.kind = Telemetry.Rebalance then Some e.Capture.ts
+        else None)
       (Array.to_list events)
   in
   let lo, hi =
@@ -233,7 +235,8 @@ let ascii_timeline ?(width = 72) tel =
     let monitor = Bytes.make width '.' in
     (* Ship marks only fill columns where the lane runs no op. *)
     let mark lane t c =
-      if lane >= 0 && lane < lanes_n && t >= 0 && Bytes.get lanes.(lane) (col t) = '.'
+      if lane >= 0 && lane < lanes_n && t >= 0
+         && Bytes.get lanes.(lane) (col t) = '.'
       then Bytes.set lanes.(lane) (col t) c
     in
     List.iter
