@@ -45,8 +45,8 @@ let run ?(record = false) ~label ~policy ~kb () =
       let tel = O2_obs.Recorder.capture r in
       Printf.printf "\n-- o2top (%s) --\n%s%!" label
         (O2_obs.O2top.render ~capture:tel (O2_obs.Recorder.metrics r));
-      O2_obs.Trace_export.write_file ~obj_name:(O2_obs.Recorder.obj_name r)
-        tel ~path:trace_path;
+      O2_obs.Trace_export.write_file (O2_obs.Trace_export.Recorded r)
+        ~path:trace_path;
       Printf.printf
         "trace: %s -> %s (open in https://ui.perfetto.dev)\n\n%!"
         (O2_obs.Capture.accounting tel)

@@ -221,13 +221,13 @@ let write_trace ~quick ~oscillation ~sample ~occupancy_interval ~path ppf =
   match !recorder with
   | None -> ()
   | Some r ->
-      let tel = O2_obs.Recorder.capture r in
       O2_obs.Trace_export.write_file ?occupancy:!occ
-        ~obj_name:(O2_obs.Recorder.obj_name r) tel ~path;
+        (O2_obs.Trace_export.Recorded r) ~path;
       Format.fprintf ppf
         "trace: one %d KB CoreTime cell written to %s (%s; occupancy counter \
          tracks attached) — load in https://ui.perfetto.dev@."
-        kb path (O2_obs.Capture.accounting tel)
+        kb path
+        (O2_obs.Capture.accounting (O2_obs.Recorder.capture r))
 
 let figure ~title ~oscillation ?(quick = false) ?(jobs = 1)
     ?(obs = Harness.no_obs) ppf =

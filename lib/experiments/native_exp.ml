@@ -96,12 +96,12 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
         Format.pp_print_string ppf
           (O2_obs.O2top.render ~capture:tel (O2_obs.Capture.metrics tel));
         Format.fprintf ppf "@.-- per-domain breakdown --@.";
-        Format.pp_print_string ppf (O2_obs.Capture.domain_table tel);
+        Format.pp_print_string ppf (O2_obs.O2top.domain_table tel);
         Format.fprintf ppf "@."
       end;
       Option.iter
         (fun path ->
-          O2_obs.Trace_export.write_file tel ~path;
+          O2_obs.Trace_export.write_file (O2_obs.Trace_export.Raw tel) ~path;
           Format.fprintf ppf
             "  wrote native Perfetto trace to %s (wall-clock ns, one track \
              per domain + coordinator)@."

@@ -139,12 +139,11 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
   | None -> ());
   match (r.recorder, obs.Harness.trace) with
   | Some rec_, Some path ->
-      let tel = O2_obs.Recorder.capture rec_ in
       O2_obs.Trace_export.write_file ?occupancy:observatory.occupancy
-        ~obj_name:(O2_obs.Recorder.obj_name rec_) tel ~path;
+        (O2_obs.Trace_export.Recorded rec_) ~path;
       Format.fprintf ppf
         "trace written to %s (%s) — load in https://ui.perfetto.dev@." path
-        (O2_obs.Capture.accounting tel)
+        (O2_obs.Capture.accounting (O2_obs.Recorder.capture rec_))
   | _ -> ()
 
 (* The o2explain report: the full observatory on the quickstart run —

@@ -6,10 +6,11 @@
    total and deterministic for a fixed capture.
 
    Span reconstruction gathers each token's records: Submit, Ship_out,
-   Ship_in, Start and End each fill in their part of the span, in any
-   order, so records of different sinks with equal stamps (common on
-   the simulator, where a departure and a landing can share a cycle)
-   build the same span whichever the merge puts first. A span with a
+   Ship_in (native only), Start and End each fill in their part of the
+   span, in any order, so records of different sinks with equal stamps
+   (common on the simulator, where a departure and the start on the
+   destination can share a cycle) build the same span whichever the
+   merge puts first. A span with a
    record lost to the ring bound is counted incomplete instead of being
    emitted half-built — drops are accounted, never papered over. *)
 
@@ -130,8 +131,11 @@ let spans_of_events events =
           fill (fun s -> { s with ship_out_ts = e.ts; ship_dst = e.c })
       | Telemetry.Ship_in -> fill (fun s -> { s with ship_in_ts = e.ts })
       | Telemetry.Start ->
+          (* with no Ship_in (the simulator's ops), it lands at start *)
           fill (fun s ->
-              { s with home = e.c; exec_sink = e.sink; start_ts = e.ts })
+              let landed = if s.ship_in_ts < 0 then e.ts else s.ship_in_ts in
+              { s with home = e.c; exec_sink = e.sink; start_ts = e.ts;
+                       ship_in_ts = landed })
       | Telemetry.End ->
           ended := e.a :: !ended;
           fill (fun s -> { s with end_ts = e.ts })
@@ -202,45 +206,3 @@ let metrics tel =
       Metrics.incr m "events_retained" ~by:(Telemetry.length s);
       Metrics.incr m "events_dropped" ~by:(Telemetry.dropped s));
   m
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain table                                                    *)
-
-let domain_table tel =
-  let open O2_stats in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("domain", Table.Left);
-          ("ops", Table.Right);
-          ("steals", Table.Right);
-          ("ships out", Table.Right);
-          ("ships in", Table.Right);
-          ("parks", Table.Right);
-          ("inbox batches", Table.Right);
-          ("inbox tasks", Table.Right);
-          ("max batch", Table.Right);
-          ("events", Table.Right);
-          ("dropped", Table.Right);
-        ]
-  in
-  let n = if Telemetry.enabled tel then Telemetry.domains tel else 0 in
-  Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
-      let id = Telemetry.sink_id s in
-      let label = if id = n then "coordinator" else string_of_int id in
-      Table.add_row t
-        [
-          label;
-          string_of_int (Telemetry.ops_submitted s);
-          string_of_int (Telemetry.steals s);
-          string_of_int (Telemetry.ships_out s);
-          string_of_int (Telemetry.ships_in s);
-          string_of_int (Telemetry.parks s);
-          string_of_int (Telemetry.inbox_batches s);
-          string_of_int (Telemetry.inbox_tasks s);
-          string_of_int (Telemetry.max_batch s);
-          string_of_int (Telemetry.length s);
-          string_of_int (Telemetry.dropped s);
-        ]);
-  Table.render t

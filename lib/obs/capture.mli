@@ -42,6 +42,9 @@ type span = {
   submit_ts : int;
   ship_out_ts : int;  (** [-1] when the op ran where it was submitted. *)
   ship_in_ts : int;
+      (** The landing: the [Ship_in] record, or the start when the
+          capture has none (the simulator writes none — its ops land as
+          they start). *)
   ship_dst : int;
   exec_sink : int;
   start_ts : int;
@@ -101,9 +104,3 @@ val metrics : O2_runtime.Telemetry.t -> Metrics.t
     and the counters (steals, ships, parks, wakes, spawns, inbox
     batches/tasks, ops submitted, events retained/dropped) sum across
     sinks. Render with [O2top.render ~capture]. *)
-
-val domain_table : O2_runtime.Telemetry.t -> string
-(** A per-domain breakdown (one row per worker plus the coordinator):
-    ops submitted, steals, ships, parks, inbox batching, and each
-    sink's ring accounting — retained events and drops, so lossy
-    captures are visible right in the readout. *)

@@ -51,3 +51,31 @@ let render ?(gauges = true) ?capture metrics =
            (O2_runtime.Telemetry.sample tel)))
     capture;
   Buffer.contents buf
+
+(* Column header and per-sink count, after the domain label. *)
+let domain_columns =
+  O2_runtime.Telemetry.
+    [
+      ("ops", ops_submitted);
+      ("steals", steals);
+      ("ships out", ships_out);
+      ("ships in", ships_in);
+      ("parks", parks);
+      ("inbox batches", inbox_batches);
+      ("inbox tasks", inbox_tasks);
+      ("max batch", max_batch);
+      ("events", length);
+      ("dropped", dropped);
+    ]
+
+let domain_table tel =
+  let open O2_runtime in
+  let n = if Telemetry.enabled tel then Telemetry.domains tel else 0 in
+  table
+    ("domain" :: List.map fst domain_columns)
+    (Telemetry.fold_sinks tel ~init:[] ~f:(fun rows s ->
+         let id = Telemetry.sink_id s in
+         ((if id = n then "coordinator" else string_of_int id)
+         :: List.map (fun (_, count) -> string_of_int (count s)) domain_columns)
+         :: rows)
+    |> List.rev)

@@ -14,3 +14,9 @@
 
 val render :
   ?gauges:bool -> ?capture:O2_runtime.Telemetry.t -> Metrics.t -> string
+
+val domain_table : O2_runtime.Telemetry.t -> string
+(** A native capture's per-domain breakdown (one row per worker plus
+    the coordinator): ops submitted, steals, ships, parks, inbox
+    batching, and each sink's ring accounting — retained events and
+    drops, so lossy captures are visible right in the readout. *)

@@ -5,6 +5,8 @@ type t = {
   tel : Telemetry.t;
   metrics_ : Metrics.t;
   machine : Machine.t;
+  names : (int, string) Hashtbl.t;
+      (* object base -> the name the scheduler's decisions gave it *)
   open_ : (int, Capture.span list) Hashtbl.t;
       (* per thread, innermost first; the head may still be waiting for
          its start (a nested request only follows its parent's start) *)
@@ -15,10 +17,15 @@ type t = {
 let metrics t = t.metrics_
 let capture t = t.tel
 
+(* A decided object keeps the scheduler's name for it (a directory
+   inside one Memsys extent, say); any other by its Memsys extent. *)
 let obj_name t addr =
-  match Memsys.object_at (Machine.memory t.machine) ~addr with
-  | Some e -> e.Memsys.name
-  | None -> Printf.sprintf "op@0x%x" addr
+  match Hashtbl.find_opt t.names addr with
+  | Some name -> name
+  | None -> (
+      match Memsys.object_at (Machine.memory t.machine) ~addr with
+      | Some e -> e.Memsys.name
+      | None -> Printf.sprintf "op@0x%x" addr)
 
 let m_ops = "ops"
 let m_migrations = "migrations"
@@ -52,15 +59,16 @@ let m_decisions =
     "decisions/released";
   |]
 
-(* A decision's kind (its Capture.decision_kinds index), its object and
-   the core the action landed on. *)
+(* A decision's kind (its Capture.decision_kinds index), its object, the
+   object's name and the core the action landed on. *)
 let decision_record = function
-  | Probe.Promoted { obj_base; core; _ } -> (0, obj_base, core)
-  | Probe.Promotion_replicated { obj_base; _ } -> (1, obj_base, 0)
-  | Probe.Moved { obj_base; to_core; _ } -> (2, obj_base, to_core)
-  | Probe.Demoted { obj_base; core; _ } -> (3, obj_base, core)
-  | Probe.Displaced { hot_base; core; _ } -> (4, hot_base, core)
-  | Probe.Released { obj_base; core; _ } -> (5, obj_base, core)
+  | Probe.Promoted { obj_base; name; core; _ } -> (0, obj_base, name, core)
+  | Probe.Promotion_replicated { obj_base; name; _ } -> (1, obj_base, name, 0)
+  | Probe.Moved { obj_base; name; to_core; _ } -> (2, obj_base, name, to_core)
+  | Probe.Demoted { obj_base; name; core; _ } -> (3, obj_base, name, core)
+  | Probe.Displaced { hot_base; hot_name; core; _ } ->
+      (4, hot_base, hot_name, core)
+  | Probe.Released { obj_base; name; core; _ } -> (5, obj_base, name, core)
 
 let record_span t (s : Capture.span) =
   let m = t.metrics_ in
@@ -161,20 +169,10 @@ let on_event t ev =
             (open_span t ~core ~ts:time ~obj:addr, st)
       in
       let home = Option.value ~default:(-1) home in
-      let shipped = Capture.shipped s in
-      if shipped then
-        write t s ~core ~ts:time ~kind:Telemetry.Ship_in
-          ~c:s.Capture.submit_sink;
+      (* The op lands as it starts: no Ship_in record (see Capture). *)
       write t s ~core ~ts:time ~kind:Telemetry.Start ~c:home;
       Hashtbl.replace t.open_ tid
-        ({
-           s with
-           Capture.home;
-           exec_sink = core;
-           start_ts = time;
-           ship_in_ts = (if shipped then time else -1);
-         }
-        :: rest)
+        ({ s with Capture.home; exec_sink = core; start_ts = time } :: rest)
   | Probe.Op_ended { time; core; tid } -> (
       match stack t tid with
       | s :: rest when s.Capture.start_ts >= 0 ->
@@ -190,12 +188,13 @@ let on_event t ev =
         ~kind:Telemetry.Rebalance ~a:moves ~b:demotions ~c:0;
       snapshot_cores t ~now:time
   | Probe.Decision { time; decision } ->
-      let kind, obj, core = decision_record decision in
+      let kind, obj, name, core = decision_record decision in
       Metrics.incr m m_decisions.(kind);
+      Hashtbl.replace t.names obj name;
       Telemetry.record_at (Telemetry.coordinator t.tel) ~ts:time
         ~kind:Telemetry.Decision ~a:kind ~b:obj ~c:core
 
-let attach ?(ring_capacity = 1 lsl 14) ?(sample = 1) engine =
+let attach ?(ring_capacity = 1 lsl 16) ?(sample = 1) engine =
   let machine = Engine.machine engine in
   let cfg = Machine.cfg machine in
   let t =
@@ -205,6 +204,7 @@ let attach ?(ring_capacity = 1 lsl 14) ?(sample = 1) engine =
           ~cores:(Config.cores cfg) ~ghz:cfg.Config.ghz;
       metrics_ = Metrics.create ();
       machine;
+      names = Hashtbl.create 64;
       open_ = Hashtbl.create 64;
       last_counters = Array.map Counters.copy (Machine.all_counters machine);
       last_snap_time = 0;

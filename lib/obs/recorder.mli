@@ -18,7 +18,7 @@
       core's sink (1-in-[sample] ops keep their records; every op counts
       in the metrics);
     - the op's migration writes [Ship_out] on the core it leaves, at the
-      departure, and [Ship_in] on the core it runs on, at its start;
+      departure (it lands as it starts, so no [Ship_in] is written);
     - [Op_started] writes [Start] ([c] = the object's home, [-1] when
       unassigned) and [Op_ended] writes [End].
 
@@ -46,9 +46,9 @@ type t
 
 val attach : ?ring_capacity:int -> ?sample:int -> O2_runtime.Engine.t -> t
 (** Subscribe a recorder to the engine's probe for the engine's
-    lifetime. [ring_capacity] is records per sink (default [2^14]; [0]
-    keeps no records — metrics only); a full sink drops new records and
-    counts them. [sample] keeps the records of 1-in-[sample] ops
+    lifetime. [ring_capacity] is records per sink (default [2^16], as
+    {!O2_runtime.Telemetry.create}: 2.5 MB a sink; [0] keeps no records —
+    metrics only); a full sink drops new records and counts them. [sample] keeps the records of 1-in-[sample] ops
     (default 1 = all; [0] = none); monitor records are always kept.
     @raise Invalid_argument on a negative argument. *)
 
@@ -57,5 +57,5 @@ val metrics : t -> Metrics.t
 val capture : t -> O2_runtime.Telemetry.t
 
 val obj_name : t -> int -> string
-(** The name of the object at a base address
-    ({!O2_simcore.Memsys.object_at}), for [Trace_export]'s [obj_name]. *)
+(** An object's display name: the name the scheduler's decisions gave
+    it, else its {!O2_simcore.Memsys} extent's. *)

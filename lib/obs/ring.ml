@@ -36,3 +36,9 @@ let to_list t =
   let acc = ref [] in
   iter t (fun x -> acc := x :: !acc);
   List.rev !acc
+
+let clear t =
+  Array.fill t.buf 0 (Array.length t.buf) None;
+  t.head <- 0;
+  t.len <- 0;
+  t.total <- 0

@@ -29,3 +29,6 @@ val iter : 'a t -> ('a -> unit) -> unit
 
 val to_list : 'a t -> 'a list
 (** Oldest retained element first. *)
+
+val clear : 'a t -> unit
+(** Also resets the {!total} / {!dropped} accounting. *)

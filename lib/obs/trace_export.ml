@@ -22,7 +22,23 @@ let escape_json s =
 (* The monitor's (coordinator's) sink index: one past the last writer. *)
 let monitor tel = if Telemetry.enabled tel then Telemetry.domains tel else 0
 
-let to_buffer ?occupancy ?obj_name tel buf =
+(* A sink's name, the same in both writers. *)
+let track tel sink =
+  match (Telemetry.clock tel, sink = monitor tel) with
+  | Telemetry.Cycles _, true -> "monitor"
+  | Telemetry.Cycles _, false -> Printf.sprintf "core %d" sink
+  | Telemetry.Wall_ns, true -> "coordinator"
+  | Telemetry.Wall_ns, false -> Printf.sprintf "domain %d" sink
+
+type source = Raw of Telemetry.t | Recorded of Recorder.t
+
+let to_string ?occupancy source =
+  let tel, obj_name =
+    match source with
+    | Raw tel -> (tel, Printf.sprintf "obj%d")
+    | Recorded r -> (Recorder.capture r, Recorder.obj_name r)
+  in
+  let buf = Buffer.create 65536 in
   let events = Capture.merged_events tel in
   let spans, incomplete = Capture.spans_of_events events in
   let monitor = monitor tel in
@@ -38,17 +54,7 @@ let to_buffer ?occupancy ?obj_name tel buf =
   let us ts = float_of_int (ts - t0) /. ticks_per_us in
   let dur d = float_of_int (max d 0) /. ticks_per_us in
   let unit_sfx = if simulated then "cycles" else "ns" in
-  let name_of obj =
-    escape_json
-      (match obj_name with Some f -> f obj | None -> Printf.sprintf "obj%d" obj)
-  in
-  let track sink =
-    match (simulated, sink = monitor) with
-    | true, true -> "monitor"
-    | true, false -> Printf.sprintf "core %d" sink
-    | false, true -> "coordinator"
-    | false, false -> Printf.sprintf "domain %d" sink
-  in
+  let name_of obj = escape_json (obj_name obj) in
   let first = ref true in
   let event fmt =
     Printf.ksprintf
@@ -67,7 +73,7 @@ let to_buffer ?occupancy ?obj_name tel buf =
     event
       "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 0, \"tid\": %d, \
        \"args\": {\"name\": \"%s\"}}"
-      sink (track sink);
+      sink (track tel sink);
     event
       "{\"name\": \"thread_sort_index\", \"ph\": \"M\", \"pid\": 0, \"tid\": \
        %d, \"args\": {\"sort_index\": %d}}"
@@ -93,7 +99,7 @@ let to_buffer ?occupancy ?obj_name tel buf =
   (* Shipped ops as flow arrows: submitter -> executor, id = token. *)
   List.iter
     (fun (s : Capture.span) ->
-      if Capture.shipped s && s.Capture.ship_in_ts >= 0 then begin
+      if Capture.shipped s then begin
         event
           "{\"name\": \"ship %s\", \"cat\": \"ship\", \"ph\": \"s\", \"id\": \
            %d, \"pid\": 0, \"tid\": %d, \"ts\": %.3f}"
@@ -191,18 +197,12 @@ let to_buffer ?occupancy ?obj_name tel buf =
     | Telemetry.Wall_ns -> "")
     (Capture.time_unit tel)
     (if simulated then "virtual" else "CLOCK_MONOTONIC");
-  Buffer.add_string buf "}\n"
-
-let to_string ?occupancy ?obj_name tel =
-  let buf = Buffer.create 65536 in
-  to_buffer ?occupancy ?obj_name tel buf;
+  Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let write_file ?occupancy ?obj_name tel ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string ?occupancy ?obj_name tel))
+let write_file ?occupancy source ~path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (to_string ?occupancy source))
 
 (* ------------------------------------------------------------------ *)
 (* ASCII timeline: a screenshot-equivalent for docs and terminals      *)
@@ -210,7 +210,7 @@ let write_file ?occupancy ?obj_name tel ~path =
 let ascii_timeline ?(width = 72) tel =
   let events = Capture.merged_events tel in
   let spans, _ = Capture.spans_of_events events in
-  let lanes_n = monitor tel in
+  let monitor = monitor tel in
   let rebalances =
     List.filter_map
       (fun (e : Capture.event) ->
@@ -231,18 +231,18 @@ let ascii_timeline ?(width = 72) tel =
   else begin
     let span_ticks = max 1 (hi - lo) in
     let col t = min (width - 1) ((t - lo) * width / span_ticks) in
-    let lanes = Array.init lanes_n (fun _ -> Bytes.make width '.') in
-    let monitor = Bytes.make width '.' in
+    (* One lane per writer sink, then the monitor's. *)
+    let lanes = Array.init (monitor + 1) (fun _ -> Bytes.make width '.') in
     (* Ship marks only fill columns where the lane runs no op. *)
     let mark lane t c =
-      if lane >= 0 && lane < lanes_n && t >= 0
+      if lane >= 0 && lane < monitor && t >= 0
          && Bytes.get lanes.(lane) (col t) = '.'
       then Bytes.set lanes.(lane) (col t) c
     in
     List.iter
       (fun (s : Capture.span) ->
         let lane = s.Capture.exec_sink in
-        if lane >= 0 && lane < lanes_n then
+        if lane >= 0 && lane < monitor then
           for c = col s.Capture.start_ts to col s.Capture.end_ts do
             Bytes.set lanes.(lane) c '#'
           done)
@@ -254,24 +254,18 @@ let ascii_timeline ?(width = 72) tel =
           mark s.Capture.exec_sink s.Capture.ship_in_ts '<'
         end)
       spans;
-    List.iter (fun t -> Bytes.set monitor (col t) 'R') rebalances;
-    let simulated =
-      match Telemetry.clock tel with
-      | Telemetry.Cycles _ -> true
-      | Telemetry.Wall_ns -> false
-    in
-    let buf = Buffer.create ((lanes_n + 3) * (width + 16)) in
+    List.iter (fun t -> Bytes.set lanes.(monitor) (col t) 'R') rebalances;
+    let buf = Buffer.create ((monitor + 3) * (width + 16)) in
     Printf.ksprintf (Buffer.add_string buf)
       "time %d..%d (%s); one column ~ %d\n\
        (# op executing, > op shipped out, < op landed, R monitor period)\n"
       lo hi (Capture.time_unit tel) (span_ticks / width);
+    let names = Array.init (monitor + 1) (track tel) in
+    let pad = Array.fold_left (fun w n -> max w (String.length n)) 0 names in
     Array.iteri
       (fun lane b ->
-        Printf.ksprintf (Buffer.add_string buf)
-          (if simulated then "core %2d |%s|\n" else "dom %3d |%s|\n")
-          lane (Bytes.to_string b))
+        Printf.ksprintf (Buffer.add_string buf) "%-*s |%s|\n" pad names.(lane)
+          (Bytes.to_string b))
       lanes;
-    Printf.ksprintf (Buffer.add_string buf) "monitor |%s|\n"
-      (Bytes.to_string monitor);
     Buffer.contents buf
   end

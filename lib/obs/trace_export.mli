@@ -34,27 +34,22 @@
     ["wall-clock ns"]/["CLOCK_MONOTONIC"]), so a trace can never be
     misread across the two time domains.
 
-    [obj_name] maps a span's or decision's object to a display name
-    (default [objN]; the simulator passes {!Recorder.obj_name}).
+    A {!source} names each span's and decision's object: a recorder by
+    {!Recorder.obj_name}, a raw capture as [objN].
 
     {!ascii_timeline} renders the same capture as a per-sink text
     timeline for terminals and docs. *)
 
-val to_string :
-  ?occupancy:Occupancy.t ->
-  ?obj_name:(int -> string) ->
-  O2_runtime.Telemetry.t ->
-  string
+type source =
+  | Raw of O2_runtime.Telemetry.t  (** A native capture, or any other. *)
+  | Recorded of Recorder.t  (** The simulator recorder's capture. *)
 
-val write_file :
-  ?occupancy:Occupancy.t ->
-  ?obj_name:(int -> string) ->
-  O2_runtime.Telemetry.t ->
-  path:string ->
-  unit
+val to_string : ?occupancy:Occupancy.t -> source -> string
+
+val write_file : ?occupancy:Occupancy.t -> source -> path:string -> unit
 
 val ascii_timeline : ?width:int -> O2_runtime.Telemetry.t -> string
-(** One lane per sink plus the monitor's: [#] marks an executing
+(** One lane per sink, named as its trace track: [#] marks an executing
     operation span, [>]/[<] a shipped op leaving/landing in a column
     where the lane runs no op, [R] a rebalance period. [width] is the
     number of time columns (default 72). *)

@@ -21,7 +21,10 @@ let test_ring () =
   Ring.push r 5;
   Alcotest.(check (list int)) "keeps most recent" [ 3; 4; 5 ] (Ring.to_list r);
   Alcotest.(check int) "total" 5 (Ring.total r);
-  Alcotest.(check int) "dropped = total - retained" 2 (Ring.dropped r)
+  Alcotest.(check int) "dropped = total - retained" 2 (Ring.dropped r);
+  Ring.clear r;
+  Alcotest.(check int) "clear resets length" 0 (Ring.length r);
+  Alcotest.(check int) "clear resets total" 0 (Ring.total r)
 
 let test_ring_zero_capacity () =
   let r = Ring.create ~capacity:0 in
@@ -137,9 +140,6 @@ let with_recorder ?ring_capacity ?sample f =
   f r emit
 
 let spans_of r = fst (Capture.spans (Recorder.capture r))
-let export ?occupancy r =
-  Trace_export.to_string ?occupancy ~obj_name:(Recorder.obj_name r)
-    (Recorder.capture r)
 
 let test_span_migrated () =
   with_recorder (fun r emit ->
@@ -274,8 +274,9 @@ let test_span_sampling () =
 
 (* Records of different sinks with equal stamps may merge in either
    order: a span gathers its token's records wherever they fall, so its
-   landing on a lower-numbered core at the request's own cycle builds
-   the same span as any other order. *)
+   start on a lower-numbered core at the request's own cycle builds the
+   same span as any other order. As the recorder writes it, the op has
+   no Ship_in: it lands as it starts. *)
 let test_spans_ignore_tie_order () =
   let tel =
     Telemetry.create_simulated ~ring_capacity:16 ~sample:1 ~cores:4 ~ghz:2.0
@@ -283,12 +284,11 @@ let test_spans_ignore_tie_order () =
   let s3 = Telemetry.sink tel 3 and s1 = Telemetry.sink tel 1 in
   let token = Telemetry.op_submit_at s3 ~ts:10 ~obj:0x40 in
   Telemetry.record_at s3 ~ts:10 ~kind:Telemetry.Ship_out ~a:token ~b:0x40 ~c:1;
-  Telemetry.record_at s1 ~ts:10 ~kind:Telemetry.Ship_in ~a:token ~b:0x40 ~c:3;
   Telemetry.record_at s1 ~ts:10 ~kind:Telemetry.Start ~a:token ~b:0x40 ~c:1;
   Telemetry.record_at s1 ~ts:30 ~kind:Telemetry.End ~a:token ~b:0x40 ~c:0;
   let events = Capture.merged_events tel in
-  Alcotest.(check bool) "the landing merges ahead of the request" true
-    (events.(0).Capture.kind = Telemetry.Ship_in);
+  Alcotest.(check bool) "the start merges ahead of the request" true
+    (events.(0).Capture.kind = Telemetry.Start);
   let rev = Array.of_list (List.rev (Array.to_list events)) in
   List.iter
     (fun (label, evs) ->
@@ -299,7 +299,9 @@ let test_spans_ignore_tie_order () =
           Alcotest.(check int) (label ^ ": runs on core 1") 1 s.Capture.exec_sink;
           Alcotest.(check bool) (label ^ ": migrated") true
             (Capture.classify s = Capture.Migrated);
-          Alcotest.(check int) (label ^ ": exec") 20 (Capture.exec s)
+          Alcotest.(check int) (label ^ ": exec") 20 (Capture.exec s);
+          Alcotest.(check int) (label ^ ": lands at the start") 10
+            s.Capture.ship_in_ts
       | spans, n ->
           Alcotest.failf "%s: %d spans, %d incomplete" label (List.length spans) n)
     [ ("merged", events); ("reversed", rev) ]
@@ -508,7 +510,7 @@ let test_trace_export_shape () =
   let result = quickstart_recorded () in
   let r = Option.get result.O2_experiments.Quickstart_exp.recorder in
   let json =
-    match parse_json (export r) with
+    match parse_json (Trace_export.to_string (Recorded r)) with
     | j -> j
     | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
   in
@@ -574,12 +576,48 @@ let test_trace_escaping_and_empty_timeline () =
       emit
         (Probe.Op_started { time = 1; core = 0; tid = 1; addr = 0x40; home = None });
       emit (Probe.Op_ended { time = 10; core = 0; tid = 1 });
-      match parse_json (export r) with
+      match parse_json (Trace_export.to_string (Recorded r)) with
       | _ -> ()
       | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
   with_recorder (fun r _emit ->
       Alcotest.(check string) "empty timeline" "(no events recorded)\n"
         (Trace_export.ascii_timeline (Recorder.capture r)))
+
+(* Dir_workload's directories all sit inside one Memsys extent (the FAT
+   image): a decision instant names the directory it was about, as the
+   scheduler named it, not the image. *)
+let test_decision_names_directory () =
+  let machine = O2_simcore.Machine.create O2_simcore.Config.amd16 in
+  let engine = O2_runtime.Engine.create machine in
+  let r = Recorder.attach engine in
+  let ct = Coretime.create ~policy:Coretime.Policy.default engine () in
+  let w =
+    O2_workload.Dir_workload.build ct
+      (O2_workload.Dir_workload.spec_for_data_kb ~kb:4096 ())
+  in
+  O2_workload.Dir_workload.spawn_threads w;
+  O2_runtime.Engine.run ~until:2_000_000 engine;
+  let events =
+    match
+      member "traceEvents" (parse_json (Trace_export.to_string (Recorded r)))
+    with
+    | Some (Arr evs) -> evs
+    | _ -> Alcotest.fail "no traceEvents array"
+  in
+  let objects =
+    List.filter_map
+      (fun e ->
+        if str_member "cat" e = Some "decision" then
+          Option.bind (member "args" e) (str_member "object")
+        else None)
+      events
+  in
+  Alcotest.(check bool) "some decisions" true (objects <> []);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " is a directory") true
+        (String.length name > 0 && name.[0] = '/'))
+    objects
 
 let test_ascii_timeline () =
   let result = quickstart_recorded () in
@@ -669,7 +707,7 @@ let test_hist_merge_empty_identity () =
    and when the stream was rebalance instants alone. *)
 
 let parse_or_fail r ?occupancy () =
-  match parse_json (export ?occupancy r) with
+  match parse_json (Trace_export.to_string ?occupancy (Recorded r)) with
   | j -> j
   | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
 
@@ -722,7 +760,7 @@ let test_wall_clock_export () =
   Telemetry.record_at d1 ~ts:(base + 5500) ~kind:Telemetry.End ~a:token ~b:7 ~c:0;
   Telemetry.note_quiesce (Telemetry.coordinator tel);
   let json =
-    match parse_json (Trace_export.to_string tel) with
+    match parse_json (Trace_export.to_string (Raw tel)) with
     | j -> j
     | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg
   in
@@ -1022,6 +1060,8 @@ let suite =
       test_wall_clock_export;
     Alcotest.test_case "trace JSON stays valid; empty timeline message" `Quick
       test_trace_escaping_and_empty_timeline;
+    Alcotest.test_case "decision instants name the directory" `Quick
+      test_decision_names_directory;
     Alcotest.test_case "ascii timeline draws ops, migrations, monitor" `Quick
       test_ascii_timeline;
     Alcotest.test_case "o2top renders the three sections" `Quick
