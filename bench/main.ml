@@ -68,7 +68,7 @@ let run_fig4_json ~jobs path =
          "{";
          "  \"benchmark\": \"fig4a quick sweep wall-clock\",";
          Printf.sprintf "  \"available_cores\": %d,"
-           (O2_runtime.Domain_pool.default_jobs ());
+           (O2_native.Native_pool.default_jobs ());
          Printf.sprintf "  \"trials\": %d," fig4_trials;
          seconds_json "seconds_jobs1" (med_seq, min_seq, max_seq);
          Printf.sprintf "  \"jobs\": %d," jobs;
@@ -102,7 +102,7 @@ let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let quick = ref false in
   let fig4_json = ref None in
-  let jobs = ref (O2_runtime.Domain_pool.default_jobs ()) in
+  let jobs = ref (O2_native.Native_pool.default_jobs ()) in
   let ids = ref [] in
   let bad = ref false in
   let rec parse = function
@@ -134,10 +134,11 @@ let () =
   in
   parse args;
   if !bad then exit (usage ());
+  let jobs = O2_native.Native_pool.clamped ~what:"--jobs" !jobs in
   exit
     (match !fig4_json with
     | Some path ->
         (* at least 2 so the parallel leg exercises real domains even on
            a single-core machine *)
-        run_fig4_json ~jobs:(max 2 !jobs) path
-    | None -> experiments ~quick:!quick ~jobs:!jobs !ids)
+        run_fig4_json ~jobs:(max 2 jobs) path
+    | None -> experiments ~quick:!quick ~jobs !ids)

@@ -36,13 +36,14 @@ let all_arg =
 let jobs_arg =
   let doc =
     "Worker domains for experiments that sweep independent simulation \
-     cells (default: the detected core count). $(b,--jobs 1) runs \
+     cells, clamped to the detected core count (the default). \
+     $(b,--jobs 1) runs \
      everything sequentially; results are bit-identical whatever the \
      value."
   in
   Arg.(
     value
-    & opt int (O2_runtime.Domain_pool.default_jobs ())
+    & opt int (O2_native.Native_pool.default_jobs ())
     & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let out_arg =
@@ -159,6 +160,7 @@ let run_cmd =
       prerr_endline "o2sim: --jobs must be at least 1";
       exit 1
     end;
+    let jobs = O2_native.Native_pool.clamped ~what:"--jobs" jobs in
     (match backend with
     | `Sim -> ()
     | `Native ->

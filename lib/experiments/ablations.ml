@@ -17,11 +17,11 @@ let lat_cells (obs : Harness.obs) p =
     match p.Harness.metrics with
     | Some m ->
         let h = O2_obs.Metrics.hist m "op/latency" in
-        if O2_obs.Hist.count h = 0 then [ "-"; "-" ]
+        if O2_runtime.Hist.count h = 0 then [ "-"; "-" ]
         else
           [
-            Printf.sprintf "%.0f" (O2_obs.Hist.p50 h);
-            Printf.sprintf "%.0f" (O2_obs.Hist.p99 h);
+            Printf.sprintf "%.0f" (O2_runtime.Hist.p50 h);
+            Printf.sprintf "%.0f" (O2_runtime.Hist.p99 h);
           ]
     | None -> [ "-"; "-" ]
 
@@ -226,7 +226,7 @@ let overflow ~quick ~jobs ppf =
         ])
       sizes
   in
-  let points = O2_runtime.Domain_pool.map ~jobs run_one cells in
+  let points = O2_native.Native_pool.map ~jobs run_one cells in
   let t =
     Table.create
       ~columns:
@@ -329,7 +329,7 @@ let clustering ~quick ~jobs ppf =
       Coretime.Clustering.pairs_tracked (Coretime.clustering ct) )
   in
   let (off_kres, off_migs, _), (on_kres, on_migs, pairs) =
-    match O2_runtime.Domain_pool.map ~jobs run_one [ false; true ] with
+    match O2_native.Native_pool.map ~jobs run_one [ false; true ] with
     | [ off; on ] -> (off, on)
     | _ -> assert false
   in

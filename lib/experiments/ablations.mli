@@ -3,8 +3,8 @@
     beyond on-chip memory, object clustering, packing pathologies repaired
     by the rebalancer, and the thread-clustering comparator.
 
-    Each ablation's independent simulation cells run through
-    {!O2_runtime.Domain_pool} with [jobs] workers; [jobs = 1] is plain
+    Each ablation's independent simulation cells run as tasks on
+    {!O2_native.Native_pool.map} with [jobs] workers; [jobs = 1] is plain
     sequential execution and results are identical whatever [jobs] is. *)
 
 val migration_cost :

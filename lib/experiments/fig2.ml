@@ -114,7 +114,7 @@ let fig2 ?quick:_ ?(jobs = 1) ppf =
      1KB directories)@.@.";
   (* the two snapshots are independent cells: run them through the pool *)
   let snaps =
-    O2_runtime.Domain_pool.map ~jobs
+    O2_native.Native_pool.map ~jobs
       (fun (policy, scheduler) -> run_one ~policy ~scheduler)
       [
         (Coretime.Policy.baseline, "(a) Thread scheduler");

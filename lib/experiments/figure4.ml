@@ -29,7 +29,7 @@ let sweep ?(progress = fun _ -> ()) ?(jobs = 1) ?(metrics = false) ?occupancy
   progress
     (Printf.sprintf "  sweeping %d sizes x 2 policies (jobs=%d)..."
        (List.length ladder) jobs);
-  (* Independent (kb, policy) cells, dispatched through the domain pool;
+  (* Independent (kb, policy) cells, run as tasks by Native_pool.map;
      points come back in input order, so re-zipping by ladder position
      reconstructs exactly the rows a sequential sweep would build. *)
   let cells =
@@ -131,11 +131,11 @@ let print_rows ppf rows =
           match r.with_ct.Harness.metrics with
           | Some m ->
               let h = O2_obs.Metrics.hist m "op/latency" in
-              if O2_obs.Hist.count h = 0 then [ "-"; "-" ]
+              if O2_runtime.Hist.count h = 0 then [ "-"; "-" ]
               else
                 [
-                  Printf.sprintf "%.0f" (O2_obs.Hist.p50 h);
-                  Printf.sprintf "%.0f" (O2_obs.Hist.p99 h);
+                  Printf.sprintf "%.0f" (O2_runtime.Hist.p50 h);
+                  Printf.sprintf "%.0f" (O2_runtime.Hist.p99 h);
                 ]
           | None -> [ "-"; "-" ]
       in

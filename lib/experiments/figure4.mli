@@ -53,8 +53,8 @@ val fig4b :
   ?obs:Harness.obs ->
   Format.formatter ->
   unit
-(** [jobs] (default 1) dispatches the sweep's independent cells through a
-    {!O2_runtime.Domain_pool} of that many workers; the rows are
+(** [jobs] (default 1) runs the sweep's independent cells as tasks on
+    {!O2_native.Native_pool.map} with that many workers; the rows are
     bit-identical whatever [jobs] is. [obs.metrics] adds per-cell latency
     columns; [obs.trace] re-runs one representative 8 MB cell with a
     flight recorder and writes its Perfetto JSON there. *)

@@ -159,23 +159,16 @@ let run ?attach s =
    separate domains; results come back in input order and are bit-identical
    to a sequential run (each cell's RNG seeding depends only on its own
    spec). *)
-(* More worker domains than hardware cores never helps an embarrassingly
-   parallel sweep, so requests clamp to the detected core count through
-   the shared [Domain_pool.clamped] (which owns the noisy diagnostic). *)
-let effective_jobs ~jobs = O2_runtime.Domain_pool.clamped ~what:"harness" jobs
-
 let run_cells ?attach ~jobs setups =
   match attach with
-  | None ->
-      O2_runtime.Domain_pool.map ~jobs:(effective_jobs ~jobs) (fun s -> run s)
-        setups
+  | None -> O2_native.Native_pool.map ~jobs (fun s -> run s) setups
   | Some attach ->
       (* Pair each cell with its index so the per-cell hook can file what it
          attached (e.g. an occupancy tracker) in a caller-side slot. Each
          worker writes only its own slots, and the pool joins before the
          caller reads them. *)
       let indexed = List.mapi (fun i s -> (i, s)) setups in
-      O2_runtime.Domain_pool.map ~jobs:(effective_jobs ~jobs)
+      O2_native.Native_pool.map ~jobs
         (fun (i, s) -> run ~attach:(attach i) s)
         indexed
 

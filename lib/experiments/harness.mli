@@ -87,18 +87,13 @@ val run : ?attach:(O2_runtime.Engine.t -> unit) -> setup -> point
     whole run (traces). Listeners must observe only; they run inline with
     the simulation. *)
 
-val effective_jobs : jobs:int -> int
-(** [jobs] clamped to [Domain.recommended_domain_count ()] — oversubscribing
-    domains only slows an embarrassingly parallel sweep down. Logs to
-    stderr (once per process) when it clamps. *)
-
 val run_cells :
   ?attach:(int -> O2_runtime.Engine.t -> unit) ->
   jobs:int ->
   setup list ->
   point list
-(** Run independent cells through a domain pool of
-    [effective_jobs ~jobs] workers ({!O2_runtime.Domain_pool});
+(** Run independent cells as tasks on {!O2_native.Native_pool.map} with
+    [jobs] workers, taken literally (the CLI clamps [--jobs]);
     [jobs = 1] is plain sequential [run]. Results are in input order and
     bit-identical whatever [jobs] is.
 

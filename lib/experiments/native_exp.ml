@@ -5,7 +5,7 @@
    ladder is taken literally (no clamp): on a host with fewer cores the
    extra domains time-share, which changes schedules but never results —
    the CLI's --domains flag is what clamps
-   (O2_runtime.Domain_pool.clamped). Native wall-clock ops/sec are
+   (O2_native.Native_pool.clamped). Native wall-clock ops/sec are
    measured by perfbench/run.py, not here. *)
 
 module NB = O2_native.Native_backend
@@ -109,7 +109,7 @@ let observed_cell ~quick ~domains ~sample ~metrics ~trace ppf =
         trace)
 
 let run_cli ~quick ~domains ~metrics ~trace ~trace_sample ppf =
-  let domains = O2_runtime.Domain_pool.clamped ~what:"--domains" domains in
+  let domains = O2_native.Native_pool.clamped ~what:"--domains" domains in
   let ok = run ~domains ppf in
   if metrics || trace <> None then
     observed_cell ~quick ~domains ~sample:trace_sample ~metrics ~trace ppf;

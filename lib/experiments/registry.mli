@@ -36,8 +36,9 @@ val run_ids :
     is an [Error] joining their messages, so callers exit nonzero on a
     failed check. [catalogue] (default {!all}) is the list ids are looked
     up in.
-    [jobs] is the domain-pool width for experiments that parallelise
-    their independent cells; [jobs = 1] runs everything sequentially with
+    [jobs] is the {!O2_native.Native_pool.map} width (taken literally)
+    for experiments that parallelise their independent cells;
+    [jobs = 1] runs everything sequentially with
     bit-identical output. [obs] (default {!Harness.no_obs}) carries the
     [--metrics] / [--trace] / [--trace-sample] flags to the experiments
     that support them (quickstart, the figures, and some ablations);

@@ -35,7 +35,7 @@ type t
 val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
 (** Spawns the worker pool (see {!Native_pool.create} — the count is
     taken literally; clamp at the CLI with
-    {!O2_runtime.Domain_pool.clamped}). Freshly registered objects are
+    {!Native_pool.clamped}). Freshly registered objects are
     unhomed; their nominal homes are assigned round-robin across domains,
     and the first write to an object homes it on its nominal home until
     the monitor moves it.

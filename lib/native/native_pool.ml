@@ -1,8 +1,8 @@
-(* The raw-primitive shim of lib/native: every Domain / Mutex /
-   Condition use in the native backend lives here, beside the effect
-   handler that interprets Api shipping on real domains — the same
-   confinement discipline as Domain_pool (o2staticcheck's raw-primitive
-   allowlist names exactly these two files).
+(* The tree's one raw-primitive shim: every Domain / Mutex / Condition
+   use lives here, beside the effect handler that interprets Api
+   shipping on real domains (o2staticcheck's raw-primitive allowlist
+   names exactly this file). Simulation sweeps run their independent
+   cells on it too, through [map].
 
    Park/wake protocol: posts increment [epoch] (then broadcast iff a
    sleeper is advertised); a worker records the epoch BEFORE its final
@@ -336,6 +336,72 @@ let shutdown t =
     Condition.broadcast t.wake;
     Mutex.unlock t.lock;
     Array.iter Domain.join t.handles
+  end
+
+let default_jobs () = Domain.recommended_domain_count ()
+
+(* More domains than hardware cores never helps — parallel sweeps just
+   pick up scheduling churn (BENCH_fig4.json once recorded jobs=2 running
+   0.81x as fast as jobs=1 on a 1-core host) and the native backend adds
+   stealing traffic between workers that time-share a core — so the CLI
+   entry points clamp their counts here. One warning per [what] label
+   per process. *)
+let clamp_warned : (string, unit) Hashtbl.t = Hashtbl.create 4
+
+let clamped ~what requested =
+  let avail = default_jobs () in
+  if requested <= avail then requested
+  else begin
+    if not (Hashtbl.mem clamp_warned what) then begin
+      Hashtbl.add clamp_warned what ();
+      Printf.eprintf
+        "%s: clamping %d to the %d core(s) Domain.recommended_domain_count \
+         reports — extra domains only slow things down\n%!"
+        what requested avail
+    end;
+    avail
+  end
+
+(* One client body per worker, each claiming the next unclaimed index
+   until none is left: elements start in input order, as from one FIFO
+   queue, and a worker that finishes a short element takes the next one.
+   Sweeps have a handful of uneven cells, and a worker runs its own deque
+   before it steals, so dealing the elements out to the deques could
+   queue two long cells behind each other. The caller claims too, as the
+   [jobs]th worker: with the caller parked in [drain] instead, [jobs]
+   busy domains plus a blocked one ran the quick fig2 and ablation
+   sweeps ~9% slower at --jobs 2 on a 2-core host (a likely cause: every
+   stop-the-world minor collection also waits on the blocked domain).
+
+   Each element's exception is caught into its slot, so the pool's
+   first-recorded-exception path is never taken, and the error of the
+   smallest index (the one [List.map] would raise) is re-raised only
+   after every element has run. The mutex handshake in [drain] orders
+   the workers' slot writes before the caller's reads. *)
+let map ~jobs f xs =
+  let n = List.length xs in
+  if jobs <= 1 || n <= 1 then List.map f xs
+  else begin
+    let inputs = Array.of_list xs in
+    let results = Array.make n (Error Exit) in
+    let next = Atomic.make 0 in
+    let rec claim () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        results.(i) <- (try Ok (f inputs.(i)) with e -> Error e);
+        claim ()
+      end
+    in
+    let t = create ~domains:(min jobs n - 1) () in
+    Fun.protect
+      ~finally:(fun () -> shutdown t)
+      (fun () ->
+        for core = 0 to t.n - 1 do
+          spawn t ~core ~name:"map" claim
+        done;
+        claim ();
+        drain t);
+    Array.to_list (Array.map (function Ok v -> v | Error e -> raise e) results)
   end
 
 let tasks_executed t =

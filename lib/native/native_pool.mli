@@ -18,9 +18,12 @@
     handler consults the executing thread's worker word, never a
     captured id.
 
-    The pool is the only [lib/native] module touching raw [Domain] /
-    [Mutex] / [Condition]; it is allowlisted in o2staticcheck's
-    raw-primitive rule the same way [Domain_pool] is. *)
+    Simulation sweeps run their independent cells on it as well, through
+    {!map}.
+
+    The pool is the only module in the tree touching raw [Domain] /
+    [Mutex] / [Condition]; it is the one file allowlisted in
+    o2staticcheck's raw-primitive rule. *)
 
 type t
 
@@ -28,7 +31,7 @@ val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
 (** Spawn [domains] worker domains, idle until work arrives. The pool
     takes the count literally — oversubscribing the host is legal (the
     correctness tests do it); CLI entry points clamp first via
-    {!O2_runtime.Domain_pool.clamped}.
+    {!clamped}.
 
     [telemetry] (default {!O2_runtime.Telemetry.off}) attaches the
     wall-clock flight recorder: each worker stamps steal / park / wake /
@@ -80,6 +83,38 @@ val await_grace : t -> int -> unit
     new generation. It returns once each of them starts an op, returns
     to its loop or parks, so a client spinning between ops holds it up.
     After it, no local read begun before the bump is running. *)
+
+(** {1 Batches of independent work} *)
+
+val default_jobs : unit -> int
+(** [Domain.recommended_domain_count ()]: the detected core count. *)
+
+val clamped : what:string -> int -> int
+(** [clamped ~what n] is [min n (default_jobs ())], warning on stderr
+    (once per process per [what] label) when it actually clamps.
+    Oversubscribing real domains never speeds anything up, so the CLI
+    entry points ([o2sim run --jobs] / [--domains], the bench harness's
+    [--jobs]) clamp here once; everything below them takes counts
+    literally. *)
+
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] applies [f] to every element of [xs] on
+    [min jobs (List.length xs)] workers, the caller and a fresh pool of
+    one domain fewer, and returns the results {e in input order}. Each
+    worker claims the next unclaimed element until none is left, so
+    elements start in input order. The pool is shut down before [map]
+    returns, normally or not. [jobs <= 1] or a list of at most one
+    element is [List.map f xs] on the caller, with no domains.
+
+    If applications raise, every element still runs to completion and
+    the exception of the smallest input index is re-raised in the
+    caller, as a sequential [List.map] would raise it.
+
+    [f] runs on the caller or as a client body under the pool's effect
+    handler, so it must handle its own effects. A simulated cell runs
+    its own {!O2_runtime.Engine}, whose handler catches every
+    {!O2_runtime.Api} effect the cell performs, so none reaches the
+    pool's. *)
 
 val tasks_executed : t -> int
 (** Tasks run across all workers (client bodies plus resumed shipped /

@@ -176,24 +176,18 @@ let decision_kinds =
 (* ------------------------------------------------------------------ *)
 (* Metrics import                                                      *)
 
-let import_acc m name acc =
-  if Telemetry.acc_total acc > 0 then
-    Hist.merge_into ~into:(Metrics.hist m name)
-      (Hist.of_raw
-         ~counts:(Telemetry.acc_counts acc)
-         ~total:(Telemetry.acc_total acc)
-         ~sum:(Telemetry.acc_sum acc) ~min_v:(Telemetry.acc_min acc)
-         ~max_v:(Telemetry.acc_max acc))
+let import_hist m name h =
+  if Hist.count h > 0 then Hist.merge_into ~into:(Metrics.hist m name) h
 
 let metrics tel =
   let m = Metrics.create () in
   Telemetry.fold_sinks tel ~init:() ~f:(fun () s ->
       (* All hist names carry the unit: these are wall-clock
          nanoseconds, never simulator cycles. *)
-      import_acc m "op_ns/home" (Telemetry.lat_home s);
-      import_acc m "op_ns/shipped" (Telemetry.lat_shipped s);
-      import_acc m "op_ns/ship_delay" (Telemetry.lat_ship_delay s);
-      import_acc m "op_ns/exec" (Telemetry.lat_exec s);
+      import_hist m "op_ns/home" (Telemetry.lat_home s);
+      import_hist m "op_ns/shipped" (Telemetry.lat_shipped s);
+      import_hist m "op_ns/ship_delay" (Telemetry.lat_ship_delay s);
+      import_hist m "op_ns/exec" (Telemetry.lat_exec s);
       Metrics.incr m "steals" ~by:(Telemetry.steals s);
       Metrics.incr m "ships_out" ~by:(Telemetry.ships_out s);
       Metrics.incr m "ships_in" ~by:(Telemetry.ships_in s);

@@ -99,8 +99,7 @@ val decision_kinds : string array
 
 val metrics : O2_runtime.Telemetry.t -> Metrics.t
 (** Import a native capture into a {!Metrics} registry: the per-sink
-    latency accumulators merge into [op_ns/home], [op_ns/shipped],
-    [op_ns/ship_delay] and [op_ns/exec] histograms (via {!Hist.of_raw}),
-    and the counters (steals, ships, parks, wakes, spawns, inbox
-    batches/tasks, ops submitted, events retained/dropped) sum across
-    sinks. Render with [O2top.render ~capture]. *)
+    latency histograms merge into [op_ns/home], [op_ns/shipped],
+    [op_ns/ship_delay] and [op_ns/exec], and the counters (steals,
+    ships, parks, wakes, spawns, inbox batches/tasks, ops submitted,
+    events retained/dropped) sum across sinks. Render with [O2top.render ~capture]. *)

@@ -1,3 +1,5 @@
+open O2_runtime
+
 type t = {
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, float ref) Hashtbl.t;

@@ -26,7 +26,7 @@ val gauge_value : t -> string -> float option
 
 (** {2 Histograms} *)
 
-val hist : t -> string -> Hist.t
+val hist : t -> string -> O2_runtime.Hist.t
 (** Find-or-create. *)
 
 val observe : t -> string -> int -> unit
@@ -38,6 +38,6 @@ val counters : t -> (string * int) list
 (** Sorted by name. *)
 
 val gauges : t -> (string * float) list
-val hists : t -> (string * Hist.t) list
+val hists : t -> (string * O2_runtime.Hist.t) list
 
 val merge_into : into:t -> t -> unit

@@ -1,3 +1,4 @@
+open O2_runtime
 open O2_stats
 
 (* The metric name left-aligned, every value column right-aligned. *)

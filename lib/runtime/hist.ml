@@ -13,25 +13,22 @@ type t = {
 let create () =
   { counts = Array.make buckets 0; total = 0; sum = 0; min_v = max_int; max_v = 0 }
 
-(* Import raw accumulator state (e.g. O2_runtime.Telemetry's per-sink
-   latency accs, which share this bucket layout but cannot depend on
-   lib/obs). The counts array is copied; mismatched lengths are padded /
-   truncated rather than rejected so layouts can evolve independently. *)
-let of_raw ~counts ~total ~sum ~min_v ~max_v =
-  let c = Array.make buckets 0 in
-  Array.blit counts 0 c 0 (min buckets (Array.length counts));
-  { counts = c; total; sum; min_v; max_v }
+(* The number of significant bits: 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3
+   ... Top-level, so bucket_of allocates no closure (it is
+   manifest-pinned). *)
+let rec significant_bits acc v =
+  if v = 0 then acc else significant_bits (acc + 1) (v lsr 1)
 
-let bucket_of v =
-  (* number of significant bits: 0 -> 0, 1 -> 1, 2..3 -> 2, 4..7 -> 3 ... *)
-  let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
-  bits 0 v
+let bucket_of v = significant_bits 0 v
 
 let bucket_lo b = if b = 0 then 0 else 1 lsl (b - 1)
 let bucket_hi b = if b = 0 then 0 else (1 lsl b) - 1
 
-let add t v =
-  let v = max v 0 in
+(* The native backend's telemetry-on op path ends here, behind
+   Telemetry.observe_*; out of line, so this library's [-inline 200]
+   does not copy it into every op bracket. *)
+let[@inline never] add t v =
+  let v = if v < 0 then 0 else v in
   t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
   t.total <- t.total + 1;
   t.sum <- t.sum + v;

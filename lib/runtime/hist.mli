@@ -1,5 +1,6 @@
 (** Log₂-bucketed histograms over non-negative integer samples (cycle
-    latencies, counts per period).
+    latencies, counts per period, the native backend's per-sink op
+    latencies in {!Telemetry}).
 
     Adding a sample is O(1) and allocation-free; the 63 power-of-two
     buckets cover every non-negative OCaml int. Exact minimum, maximum,
@@ -10,14 +11,6 @@
 type t
 
 val create : unit -> t
-
-val of_raw :
-  counts:int array -> total:int -> sum:int -> min_v:int -> max_v:int -> t
-(** Import an externally maintained accumulator with the same 63-bucket
-    log₂ layout (bucket 0 holds 0, bucket [k ≥ 1] holds [2^(k-1), 2^k))
-    — e.g. [O2_runtime.Telemetry]'s per-sink latency accumulators,
-    which cannot depend on this library. [counts] is copied; [min_v] is
-    [max_int] when empty, as in a fresh {!create}. *)
 
 val add : t -> int -> unit
 (** Record one sample; negative values are clamped to 0. *)
@@ -49,4 +42,5 @@ val p999 : t -> float
 (**/**)
 
 val bucket_of : int -> int
-(** Exposed for tests: index of the bucket holding a value. *)
+(** Exposed for tests: index of the bucket holding a value (bucket 0
+    holds 0, bucket [k >= 1] holds [2^(k-1), 2^k)). *)

@@ -16,7 +16,7 @@
 
    Latency aggregation does not ride the ring: with_op carries its own
    timestamps in locals across domain handoffs (they live in the shipped
-   continuation) and feeds log2-bucket accumulators on the sink where
+   continuation) and feeds log2 histograms (Hist) on the sink where
    the op ended. That is what makes metrics-only telemetry cheap enough
    to leave attached during throughput measurement: two clock reads and
    a few int-array writes per op, no ring traffic at all.
@@ -34,41 +34,6 @@
    3.7 KB and native_dir lost ~8% of its ops/s), so the writers the
    native backend calls that the default [-inline] would not inline are
    marked [@inline never]. *)
-
-let buckets = 63
-(* Same log2 layout as O2_obs.Hist: bucket 0 holds 0, bucket k >= 1
-   holds [2^(k-1), 2^k). Hist.of_raw imports these verbatim. *)
-
-type acc = {
-  counts : int array;
-  mutable total : int;
-  mutable sum : int;
-  mutable min_v : int;
-  mutable max_v : int;
-}
-
-let make_acc () =
-  { counts = Array.make buckets 0; total = 0; sum = 0; min_v = max_int; max_v = 0 }
-
-(* Top-level so bucket_of allocates no closure (it is manifest-pinned). *)
-let rec significant_bits acc v =
-  if v = 0 then acc else significant_bits (acc + 1) (v lsr 1)
-
-let bucket_of v = significant_bits 0 v
-
-let[@inline never] observe a v =
-  let v = if v < 0 then 0 else v in
-  a.counts.(bucket_of v) <- a.counts.(bucket_of v) + 1;
-  a.total <- a.total + 1;
-  a.sum <- a.sum + v;
-  if v < a.min_v then a.min_v <- v;
-  if v > a.max_v then a.max_v <- v
-
-let acc_counts a = a.counts
-let acc_total a = a.total
-let acc_sum a = a.sum
-let acc_min a = a.min_v
-let acc_max a = a.max_v
 
 type kind =
   | Steal  (* a = victim domain *)
@@ -137,10 +102,10 @@ type sink = {
   mutable inbox_batches : int;
   mutable inbox_tasks : int;
   mutable max_batch : int;
-  lat_home : acc;
-  lat_shipped : acc;
-  lat_ship_delay : acc;  (* submit -> start, shipped ops only *)
-  lat_exec : acc;  (* start -> end, all ops *)
+  lat_home : Hist.t;
+  lat_shipped : Hist.t;
+  lat_ship_delay : Hist.t;  (* submit -> start, shipped ops only *)
+  lat_exec : Hist.t;  (* start -> end, all ops *)
 }
 
 type clock = Wall_ns | Cycles of float
@@ -176,10 +141,10 @@ let make_sink ~id ~sample ~cap =
     inbox_batches = 0;
     inbox_tasks = 0;
     max_batch = 0;
-    lat_home = make_acc ();
-    lat_shipped = make_acc ();
-    lat_ship_delay = make_acc ();
-    lat_exec = make_acc ();
+    lat_home = Hist.create ();
+    lat_shipped = Hist.create ();
+    lat_ship_delay = Hist.create ();
+    lat_exec = Hist.create ();
   }
 
 let disabled_sink = make_sink ~id:0 ~sample:0 ~cap:0
@@ -330,10 +295,10 @@ let[@inline never] note_start s ~token ~obj =
 let[@inline never] note_end s ~token ~obj =
   if token >= 0 then record s ~kind:End ~a:token ~b:obj ~c:0
 
-let observe_home s ns = observe s.lat_home ns
-let observe_shipped s ns = observe s.lat_shipped ns
-let observe_ship_delay s ns = observe s.lat_ship_delay ns
-let observe_exec s ns = observe s.lat_exec ns
+let observe_home s ns = Hist.add s.lat_home ns
+let observe_shipped s ns = Hist.add s.lat_shipped ns
+let observe_ship_delay s ns = Hist.add s.lat_ship_delay ns
+let observe_exec s ns = Hist.add s.lat_exec ns
 
 let[@inline never] note_rebalance s ~moves =
   record s ~kind:Rebalance ~a:moves ~b:0 ~c:0

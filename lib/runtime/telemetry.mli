@@ -17,8 +17,7 @@
       ring drops new records (drop-newest) and counts them: the
       retained window is a prefix;
     - plain counters (steals, ships, parks, wakes, inbox batches);
-    - log2-bucket latency accumulators ({!acc}, same bucket layout as
-      [O2_obs.Hist], imported via [Hist.of_raw]) fed by [with_op] with
+    - log2 latency histograms ({!Hist}) fed by [with_op] with
       timestamps carried in locals across domain handoffs — latency
       percentiles need no ring traffic, which is what makes
       metrics-only telemetry ([ring_capacity = 0]) cheap enough to
@@ -177,27 +176,15 @@ val inbox_tasks : sink -> int
 val max_batch : sink -> int
 val ops_submitted : sink -> int
 
-(** {1 Latency accumulators} *)
+(** {1 Latency histograms}
 
-type acc
-(** Log2-bucket accumulator, same 63-bucket layout as [O2_obs.Hist]
-    (bucket 0 holds 0, bucket [k >= 1] holds [2^(k-1), 2^k)); import
-    with [Hist.of_raw]. *)
+    The live histograms: read them at quiescence, and do not add to
+    them. *)
 
-val acc_counts : acc -> int array
-(** The live bucket array — read-only by contract, do not mutate. *)
-
-val acc_total : acc -> int
-val acc_sum : acc -> int
-val acc_min : acc -> int
-(** [max_int] when empty, like [Hist]. *)
-
-val acc_max : acc -> int
-
-val lat_home : sink -> acc
-val lat_shipped : sink -> acc
-val lat_ship_delay : sink -> acc
-val lat_exec : sink -> acc
+val lat_home : sink -> Hist.t
+val lat_shipped : sink -> Hist.t
+val lat_ship_delay : sink -> Hist.t
+val lat_exec : sink -> Hist.t
 
 (** {1 Aggregates} *)
 

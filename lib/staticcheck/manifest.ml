@@ -114,16 +114,19 @@ let default =
           "delta" ] };
     (* native telemetry writers: every call site in the pool/backend is
        guarded by a cached bool, and when the recorder IS on the writers
-       must still be flat int stores — ring append, counter bumps,
-       bucket increments, and a clock read through an untagged C stub. *)
+       must still be flat int stores — ring append, counter bumps, and a
+       clock read through an untagged C stub. *)
     { module_ = "Telemetry";
       functions =
-        [ "now_ns"; "record_at"; "observe"; "bucket_of"; "note_steal"; "note_park";
+        [ "now_ns"; "record_at"; "note_steal"; "note_park";
           "note_wake"; "note_inbox_batch"; "note_spawned"; "op_submit";
           "note_ship_out"; "note_ship_in"; "note_start"; "note_end";
           "observe_home"; "observe_shipped"; "observe_ship_delay";
           "observe_exec"; "note_rebalance"; "note_quiesce"; "enabled";
           "sink_at" ] };
+    (* the one log2 histogram add path: the native telemetry writers'
+       latency observations end here *)
+    { module_ = "Hist"; functions = [ "add"; "bucket_of"; "significant_bits" ] };
   ]
 
 let functions_for manifest ~module_ =

@@ -1,19 +1,15 @@
 (* Raw-primitive pass: the typedtree port of the old textual lint rules.
-   Everything outside the domain-pool shim must go through the runtime's
-   own abstractions — no direct [Mutex]/[Domain] use — and [Obj.magic]
+   Everything outside the pool shim must go through its abstractions —
+   no direct [Mutex]/[Domain]/[Condition] use — and [Obj.magic]
    is banned everywhere. Matching on resolved paths instead of source
    text means aliases, [open]s, and comments cannot fool the rule. *)
 
 open Typedtree
 
-(* The two concurrency shims: domain_pool.ml parallelises whole
-   independent cells; native_pool.ml holds the native backend's worker
-   domains and park/wake protocol. Raw primitives live nowhere else. *)
-let default_allowlist =
-  [
-    "lib/runtime/domain_pool.ml";
-    "lib/native/native_pool.ml";
-  ]
+(* The one concurrency shim: native_pool.ml holds the worker domains
+   and park/wake protocol that both the native backend and the
+   simulation sweeps run on. Raw primitives live nowhere else. *)
+let default_allowlist = [ "lib/native/native_pool.ml" ]
 
 (* A use of [Mod.fn] where some non-final path component is one of the
    raw modules. Matching on components (not the head) catches both
@@ -54,8 +50,8 @@ let check_module ?(allowlist = default_allowlist) (m : Cmt_load.module_info) =
           | Some (code, what) ->
               add ~code ~line:(Expr_scan.loc_line e)
                 (Printf.sprintf
-                   "raw %s use (%s) outside the domain-pool shim; go through \
-                    O2_runtime"
+                   "raw %s use (%s) outside the pool shim; go through \
+                    Native_pool"
                    what (Cmt_load.path_name p))
           | None -> ()
         end

@@ -11,6 +11,7 @@
    clamping. *)
 
 open O2_obs
+module Hist = O2_runtime.Hist
 module Probe = O2_runtime.Probe
 
 let event_time = function

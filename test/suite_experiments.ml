@@ -119,7 +119,7 @@ let test_paper_claim_fits_in_l3 () =
     (ct > 0.8 *. base)
 
 (* The tentpole guarantee of the parallel harness: dispatching cells
-   through the domain pool changes wall-clock only, never results. Every
+   through Native_pool.map changes wall-clock only, never results. Every
    point field is an int or a float computed from per-cell state, so
    structural equality is bit-identity. *)
 let test_parallel_sweep_bit_identical () =
@@ -145,7 +145,7 @@ let test_parallel_sweep_bit_identical () =
    the full-scan monitor (commit a3b9012); every point field — floats
    included — is marshalled, so any drift in promotion, demotion,
    displacement, or move decisions shows up here. Checked at several
-   --jobs widths (widths above the core count clamp, by design). *)
+   --jobs widths, taken literally (4 oversubscribes a 2-core host). *)
 let digest_points (points : Harness.point list) =
   Digest.to_hex (Digest.string (Marshal.to_string points []))
 
@@ -265,11 +265,11 @@ let test_validate_obs () =
   check_rejected "heat_top 0" { Harness.no_obs with Harness.heat_top = 0 }
 
 let test_jobs_clamped () =
-  let avail = O2_runtime.Domain_pool.default_jobs () in
+  let avail = O2_native.Native_pool.default_jobs () in
   Alcotest.(check int) "within the core count is untouched" 1
-    (Harness.effective_jobs ~jobs:1);
+    (O2_native.Native_pool.clamped ~what:"--jobs" 1);
   Alcotest.(check int) "oversubscription clamps to the core count" avail
-    (Harness.effective_jobs ~jobs:(avail + 7))
+    (O2_native.Native_pool.clamped ~what:"--jobs" (avail + 7))
 
 let test_fig2_partitioning () =
   let o2 = Fig2.run_one ~policy:Fig2.o2_policy ~scheduler:"o2" in
@@ -337,7 +337,7 @@ let suite =
     Alcotest.test_case "golden rows: ablations with the observatory" `Slow
       test_golden_ablations_observed;
     Alcotest.test_case "observability knob validation" `Quick test_validate_obs;
-    Alcotest.test_case "run_cells clamps jobs to the core count" `Quick
+    Alcotest.test_case "--jobs clamps to the core count" `Quick
       test_jobs_clamped;
     Alcotest.test_case "paper claim: CoreTime wins beyond L3" `Slow test_paper_claim_beyond_l3;
     Alcotest.test_case "paper claim: parity when data fits" `Slow test_paper_claim_fits_in_l3;

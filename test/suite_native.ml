@@ -191,13 +191,18 @@ let test_pool_ship_lands_on_target () =
    ship within [a], reads -1 for [b], and a worker of [b] reads -1 for
    [a]. The first ship pins the body to worker 0, as a peer may have
    stolen it. An index must fit below the tag, so a pool of 65536
-   workers is refused before any is spawned. *)
+   workers is refused before any is spawned, as is a pool of none. *)
 let test_pool_worker_is_off_other_pool () =
-  (match Native_pool.create ~domains:65536 () with
-  | _ -> Alcotest.fail "a pool of 65536 domains was created"
-  | exception Invalid_argument msg ->
-      Alcotest.(check string)
-        "named error" "Native_pool.create: too many domains" msg);
+  List.iter
+    (fun (domains, err) ->
+      match Native_pool.create ~domains () with
+      | _ -> Alcotest.failf "a pool of %d domains was created" domains
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "named error" err msg)
+    [
+      (65536, "Native_pool.create: too many domains");
+      (0, "Native_pool.create: domains must be >= 1");
+    ];
   let a = Native_pool.create ~domains:2 () in
   let b = Native_pool.create ~domains:2 () in
   Fun.protect
@@ -242,6 +247,79 @@ let test_pool_exception_propagates () =
       Native_pool.spawn t ~core:1 ~name:"again" (fun () -> Atomic.incr fine);
       Native_pool.drain t;
       checki "pool survives an error batch" 11 (Atomic.get fine))
+
+(* [map] is what simulation sweeps run on: their goldens are
+   bit-identical at every --jobs width only because results come back in
+   input order and the exception raised does not depend on which worker
+   finished first. *)
+let test_map_input_order () =
+  let xs = List.init 40 Fun.id in
+  (* uneven cells: every third one spins far longer, so workers finish
+     out of order *)
+  let cell x =
+    let spin = if x mod 3 = 0 then 200_000 else 10 in
+    let acc = ref x in
+    for i = 1 to spin do
+      acc := (!acc * 31 + i) land 0xffff
+    done;
+    (x, !acc)
+  in
+  let expected = List.map cell xs in
+  List.iter
+    (fun jobs ->
+      check
+        Alcotest.(list (pair int int))
+        (Printf.sprintf "input order at jobs=%d" jobs)
+        expected
+        (Native_pool.map ~jobs cell xs))
+    [ 2; 3; 7 ]
+
+let test_map_smallest_error_wins () =
+  List.iter
+    (fun jobs ->
+      let ran = Array.make 11 false in
+      let raised =
+        match
+          Native_pool.map ~jobs
+            (fun x ->
+              ran.(x) <- true;
+              if x = 3 || x = 8 then failwith (string_of_int x) else x)
+            (List.init 11 Fun.id)
+        with
+        | _ -> None
+        | exception Failure msg -> Some msg
+      in
+      check
+        Alcotest.(option string)
+        (Printf.sprintf "smallest failing index wins at jobs=%d" jobs)
+        (Some "3") raised;
+      checkb
+        (Printf.sprintf "every element ran at jobs=%d" jobs)
+        true
+        (Array.for_all Fun.id ran))
+    [ 2; 4 ];
+  (* the raise left no pool behind: the next batch runs *)
+  check
+    Alcotest.(list int)
+    "a map after a raise" [ 10; 20; 30 ]
+    (Native_pool.map ~jobs:2 (fun x -> 10 * x) [ 1; 2; 3 ])
+
+let test_map_inline () =
+  let caller = (Domain.self () :> int) in
+  let on_caller x = ((Domain.self () :> int) = caller, x) in
+  check
+    Alcotest.(list (pair bool int))
+    "empty" []
+    (Native_pool.map ~jobs:4 on_caller []);
+  check
+    Alcotest.(list (pair bool int))
+    "singleton on the caller" [ (true, 3) ]
+    (Native_pool.map ~jobs:4 on_caller [ 3 ]);
+  check
+    Alcotest.(list (pair bool int))
+    "jobs=1 on the caller"
+    [ (true, 1); (true, 2); (true, 3) ]
+    (Native_pool.map ~jobs:1 on_caller [ 1; 2; 3 ])
 
 let test_pool_yield_and_scale () =
   let t = Native_pool.create ~domains:1 () in
@@ -1024,7 +1102,7 @@ let test_span_reconstruction_across_ship () =
          must have seen every op. *)
       let m = Capture.metrics tel in
       checki "every op observed by the latency accumulators" ops
-        (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
+        (O2_runtime.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
 
 (* Reads of a never-written object run where they were submitted: with
    telemetry attached each span starts and ends on one sink, nothing is
@@ -1059,7 +1137,7 @@ let test_spans_of_local_reads () =
         spans;
       let m = Capture.metrics tel in
       checki "every op observed by the latency accumulators" (2 * per)
-        (O2_obs.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
+        (O2_runtime.Hist.count (O2_obs.Metrics.hist m "op_ns/exec")))
 
 (* The flight recorder must be an observer, not a participant: the
    oracle's bit-identical cross-check still holds with telemetry
@@ -1320,6 +1398,12 @@ let suite =
       test_pool_exception_propagates;
     Alcotest.test_case "pool: yield keeps all work" `Quick
       test_pool_yield_and_scale;
+    Alcotest.test_case "pool: map returns results in input order" `Quick
+      test_map_input_order;
+    Alcotest.test_case "pool: map runs every element, smallest error wins"
+      `Quick test_map_smallest_error_wins;
+    Alcotest.test_case "pool: map runs small batches inline" `Quick
+      test_map_inline;
     Alcotest.test_case "backend: counters and ship balance" `Quick
       test_backend_counters;
     Alcotest.test_case "oracle: kv at 1 domain" `Slow (test_oracle_kv 1);

@@ -4,6 +4,7 @@
    and the shape of the exported Perfetto JSON. *)
 
 open O2_obs
+module Hist = O2_runtime.Hist
 module Probe = O2_runtime.Probe
 module Telemetry = O2_runtime.Telemetry
 

@@ -109,14 +109,14 @@ let test_smoke () =
 (* An oversubscribed domain request clamps to the host's cores, and the
    clamped pool still runs every engine to the same counters. *)
 let test_shards_clamped () =
-  let clamped = Domain_pool.clamped ~what:"engines" 1024 in
+  let clamped = O2_native.Native_pool.clamped ~what:"engines" 1024 in
   Alcotest.(check int) "oversubscribed request clamps"
-    (Domain_pool.default_jobs ()) clamped;
+    (O2_native.Native_pool.default_jobs ()) clamped;
   Alcotest.(check int) "a request within the core count is untouched" 1
-    (Domain_pool.clamped ~what:"engines" 1);
+    (O2_native.Native_pool.clamped ~what:"engines" 1);
   List.iter
     (Alcotest.(check string) "clamped pool runs each engine" mixed_digest)
-    (Domain_pool.map ~jobs:clamped mixed_run [ (); (); () ])
+    (O2_native.Native_pool.map ~jobs:clamped mixed_run [ (); (); () ])
 
 let test_serial_engine_unchanged () =
   let e = serial () in
@@ -134,7 +134,8 @@ let test_shard_count_invariance () =
         (Alcotest.(check string)
            (Printf.sprintf "identical on %d domains" jobs)
            mixed_digest)
-        (Domain_pool.map ~jobs mixed_run (List.init jobs (fun _ -> ()))))
+        (O2_native.Native_pool.map ~jobs mixed_run
+           (List.init jobs (fun _ -> ()))))
     [ 1; 2; 4 ]
 
 (* A cross-chip migration lands at depart + the 2000-cycle transfer. *)
@@ -221,7 +222,8 @@ let test_wide_config_shards () =
         (Alcotest.(check string)
            (Printf.sprintf "64-core counters on %d domains" jobs)
            wide_digest)
-        (Domain_pool.map ~jobs wide_run (List.init jobs (fun _ -> ()))))
+        (O2_native.Native_pool.map ~jobs wide_run
+           (List.init jobs (fun _ -> ()))))
     [ 1; 2 ]
 
 let lock_on_chip ~chip_of_lock ~hold =
@@ -431,7 +433,7 @@ let prop_random_invariance =
       in
       let ((_, loads, stores) as inline) = run () in
       let writes = List.length (List.filter (fun (_, _, w) -> w) plan) in
-      let on_workers = Domain_pool.map ~jobs:2 run [ (); () ] in
+      let on_workers = O2_native.Native_pool.map ~jobs:2 run [ (); () ] in
       (* a write loads its line before storing to it *)
       loads = 10 * List.length plan
       && stores = 10 * writes

@@ -118,7 +118,7 @@ let test_raw_fixture () =
 
 (* The lib/native diagnostic surface: an allocating steal loop and a
    closure-per-task dispatch must fire the alloc pass, a raw
-   Domain.spawn outside the shims must fire the raw pass, and the
+   Domain.spawn outside the shim must fire the raw pass, and the
    dummy-sentinel steal must come back clean. *)
 let test_native_fixture () =
   let m = load_fixture "Fx_native" in
@@ -144,7 +144,7 @@ let test_native_fixture () =
     "closure blamed on dispatch" [ "dispatch_capturing" ]
     (funcs_with ~code:"alloc-closure" fs);
   Alcotest.(check (list string))
-    "raw Domain.spawn flagged outside the shims" [ "raw-domain" ]
+    "raw Domain.spawn flagged outside the shim" [ "raw-domain" ]
     (codes (SC.Raw_use.check_module m))
 
 (* The repo's own tree must be clean: every hot path either allocation-

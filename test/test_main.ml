@@ -3,7 +3,6 @@ let () =
     [
       ("lru", Suite_lru.suite);
       ("event-queue", Suite_event_queue.suite);
-      ("domain-pool", Suite_domain_pool.suite);
       ("hotpath-alloc", Suite_hotpath.suite);
       ("config-topology", Suite_config.suite);
       ("counters", Suite_counters.suite);
