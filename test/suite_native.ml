@@ -297,14 +297,64 @@ let test_map_smallest_error_wins () =
         (Printf.sprintf "every element ran at jobs=%d" jobs)
         true
         (Array.for_all Fun.id ran))
-    [ 2; 4 ];
-  (* the raise left no pool behind: the next batch runs *)
-  check
-    Alcotest.(list int)
-    "a map after a raise" [ 10; 20; 30 ]
-    (Native_pool.map ~jobs:2 (fun x -> 10 * x) [ 1; 2; 3 ])
+    [ 2; 4 ]
 
-let test_map_inline () =
+(* At jobs=1 [map] is [List.map]: the first failing element raises and
+   the elements after it never run. *)
+let test_map_jobs_one_raises_first () =
+  let ran = Array.make 11 false in
+  let raised =
+    match
+      Native_pool.map ~jobs:1
+        (fun x ->
+          ran.(x) <- true;
+          if x >= 3 then failwith (string_of_int x) else x)
+        (List.init 11 Fun.id)
+    with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  check Alcotest.(option string) "first failing element" (Some "3") raised;
+  check
+    Alcotest.(list bool)
+    "elements up to the failure ran, none after"
+    (List.init 11 (fun i -> i <= 3))
+    (Array.to_list ran)
+
+(* Each map owns its pool and shuts it down on the way out, so a batch
+   in which every element raised leaves nothing behind for the next. *)
+let test_map_after_raise () =
+  List.iter
+    (fun jobs ->
+      (match Native_pool.map ~jobs (fun _ -> failwith "boom") [ 0; 1; 2 ] with
+      | _ -> Alcotest.failf "an all-failing batch returned at jobs=%d" jobs
+      | exception Failure _ -> ());
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "a map after a raise at jobs=%d" jobs)
+        [ 10; 20; 30 ]
+        (Native_pool.map ~jobs (fun x -> 10 * x) [ 1; 2; 3 ]))
+    [ 2; 4 ]
+
+(* Workers claim indices from one counter: no element is skipped and
+   none runs twice, however the claims interleave. *)
+let test_map_runs_each_once () =
+  let n = 300 in
+  List.iter
+    (fun jobs ->
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      ignore
+        (Native_pool.map ~jobs
+           (fun i -> Atomic.incr runs.(i))
+           (List.init n Fun.id));
+      check
+        Alcotest.(list int)
+        (Printf.sprintf "each element once at jobs=%d" jobs)
+        (List.init n (fun _ -> 1))
+        (Array.to_list (Array.map Atomic.get runs)))
+    [ 2; 4; 7 ]
+
+let test_map_small_batches_inline () =
   let caller = (Domain.self () :> int) in
   let on_caller x = ((Domain.self () :> int) = caller, x) in
   check
@@ -314,12 +364,26 @@ let test_map_inline () =
   check
     Alcotest.(list (pair bool int))
     "singleton on the caller" [ (true, 3) ]
-    (Native_pool.map ~jobs:4 on_caller [ 3 ]);
+    (Native_pool.map ~jobs:4 on_caller [ 3 ])
+
+(* jobs=1 spawns nothing: the elements run on the caller, one after
+   another in input order, as under [List.map]. *)
+let test_map_jobs_one_inline () =
+  let caller = (Domain.self () :> int) in
+  let order = ref [] in
+  let out =
+    Native_pool.map ~jobs:1
+      (fun x ->
+        order := x :: !order;
+        ((Domain.self () :> int) = caller, x + 1))
+      [ 1; 2; 3 ]
+  in
   check
     Alcotest.(list (pair bool int))
     "jobs=1 on the caller"
-    [ (true, 1); (true, 2); (true, 3) ]
-    (Native_pool.map ~jobs:1 on_caller [ 1; 2; 3 ])
+    [ (true, 2); (true, 3); (true, 4) ]
+    out;
+  check Alcotest.(list int) "inline evaluation order" [ 3; 2; 1 ] !order
 
 let test_pool_yield_and_scale () =
   let t = Native_pool.create ~domains:1 () in
@@ -1402,8 +1466,16 @@ let suite =
       test_map_input_order;
     Alcotest.test_case "pool: map runs every element, smallest error wins"
       `Quick test_map_smallest_error_wins;
+    Alcotest.test_case "pool: map at jobs=1 raises as List.map does" `Quick
+      test_map_jobs_one_raises_first;
+    Alcotest.test_case "pool: map works after a raise" `Quick
+      test_map_after_raise;
+    Alcotest.test_case "pool: map runs each element once" `Quick
+      test_map_runs_each_once;
     Alcotest.test_case "pool: map runs small batches inline" `Quick
-      test_map_inline;
+      test_map_small_batches_inline;
+    Alcotest.test_case "pool: map at jobs=1 runs inline in order" `Quick
+      test_map_jobs_one_inline;
     Alcotest.test_case "backend: counters and ship balance" `Quick
       test_backend_counters;
     Alcotest.test_case "oracle: kv at 1 domain" `Slow (test_oracle_kv 1);
