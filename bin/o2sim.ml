@@ -197,12 +197,6 @@ let run_cmd =
              provenance and only applies to --backend sim (the native \
              monitor's rebalances appear in --trace instead)";
           exit 1
-        end;
-        if trace_sample < 1 then begin
-          prerr_endline
-            "o2sim: --trace-sample must be >= 1 (1 keeps every op span, N \
-             keeps 1-in-N; steals/parks/rebalances are always kept)";
-          exit 1
         end);
     let obs =
       {

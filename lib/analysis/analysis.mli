@@ -22,6 +22,17 @@ val attach : ?granularity:int -> ?limit:int -> Coretime.t -> t
     table audits and the policy's [migrate_back] semantics. Attach before
     spawning threads so no event is missed. *)
 
+val finish : t -> unit
+(** Run the end-of-run audits. Idempotent; call after the last
+    {!O2_runtime.Engine.run}. *)
+
+val report : t -> Report.t
+val is_clean : t -> bool
+
+val pp : Format.formatter -> t -> unit
+
+(**/**)
+
 val attach_engine :
   ?granularity:int ->
   ?limit:int ->
@@ -29,16 +40,14 @@ val attach_engine :
   ?migrate_back:bool ->
   O2_runtime.Engine.t ->
   t
-(** Like {!attach} for runs without a [Coretime.t] (raw engine
+(** For tests: the race and lock-order fixtures run raw engine workloads
+    without a CoreTime instance.
+    Like {!attach} for runs without a [Coretime.t] (raw engine
     workloads); table audits run only if [table] is given. *)
 
-val finish : t -> unit
-(** Run the end-of-run audits. Idempotent; call after the last
-    {!O2_runtime.Engine.run}. *)
-
-val report : t -> Report.t
 val diagnostics : t -> Diagnostic.t list
-val is_clean : t -> bool
+(** For tests: the fixtures assert on individual diagnostics, not the
+    rendered report. *)
 
 val races : t -> int
-val pp : Format.formatter -> t -> unit
+(** For tests: the race-detector fixtures count races directly. *)

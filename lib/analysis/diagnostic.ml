@@ -34,5 +34,3 @@ let pp ppf t =
   | cores ->
       Format.fprintf ppf " [cores %s]"
         (String.concat "," (List.map string_of_int cores))
-
-let to_string t = Format.asprintf "%a" pp t

@@ -42,4 +42,3 @@ val key : t -> string
     whose times and counters vary between otherwise-identical reports). *)
 
 val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -167,5 +167,3 @@ let on_event t ev =
       ()
 
 let finish t = audit t ()
-
-let audits_run t = t.audits

@@ -35,5 +35,3 @@ val on_event : t -> O2_runtime.Probe.event -> unit
 
 val finish : t -> unit
 (** Final table audit. *)
-
-val audits_run : t -> int

@@ -137,4 +137,3 @@ let on_event t ev =
       ()
 
 let finish _t = ()
-let edges t = t.edge_count

@@ -19,6 +19,3 @@ val finish : t -> unit
     legitimately holds its locks when a bounded-horizon run stops
     mid-operation), but callers should still invoke it for symmetry with
     the other checkers. *)
-
-val edges : t -> int
-(** Distinct ordered lock pairs observed (for tests). *)

@@ -200,5 +200,4 @@ let on_event t ev =
   | Probe.Op_requested _ | Probe.Rebalanced _ | Probe.Decision _ ->
       ()
 
-let cells_tracked t = Hashtbl.length t.cells
 let races_found t = t.races

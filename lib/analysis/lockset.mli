@@ -37,7 +37,4 @@ val create :
 
 val on_event : t -> O2_runtime.Probe.event -> unit
 
-val cells_tracked : t -> int
-(** Shadow cells allocated so far (for tests and capacity reporting). *)
-
 val races_found : t -> int

@@ -31,7 +31,6 @@ let add t d =
 
 let diagnostics t = List.rev t.diags
 let count t = t.count
-let errors t = t.errors
 let dropped t = t.dropped
 let is_clean t = t.count = 0 && t.dropped = 0
 

@@ -16,9 +16,6 @@ val diagnostics : t -> Diagnostic.t list
 val count : t -> int
 (** Distinct diagnostics retained. *)
 
-val errors : t -> int
-(** Retained diagnostics with severity [Error]. *)
-
 val dropped : t -> int
 (** Diagnostics discarded after [limit] was reached. *)
 

@@ -61,9 +61,6 @@ let place_one ?(nonce = 0) ~placement ~budget ~used ~bytes () =
       if Array.length cands = 0 then None
       else Some cands.(next_random seed nonce (Array.length cands))
 
-let is_feasible ~budget ~used ~bytes =
-  Array.exists (fun u -> u + bytes <= budget) used
-
 (* Size of the candidate set a placement chose from — recorded in the
    promotion's provenance. Allocation-free: runs on every promotion when a
    decision subscriber is attached. *)

@@ -10,16 +10,6 @@ type item = { key : int; bytes : int; heat : float }
 (** [key] is caller-chosen (an object base address); [heat] orders packing
     (e.g. miss EWMA x popularity). *)
 
-val pack :
-  budget:int ->
-  used:int array ->
-  items:item list ->
-  (item * int) list * item list
-(** [pack ~budget ~used ~items] greedily first-fits items in decreasing
-    heat order into cores whose [used.(c)] leaves room under [budget].
-    Returns (placed as [(item, core)] pairs, unplaced). [used] is not
-    mutated. Deterministic: ties in heat keep input order. *)
-
 val place_one :
   ?nonce:int ->
   placement:Policy.placement ->
@@ -36,9 +26,22 @@ val place_one :
     promotion counter) to spread placements. Stateless by design: cells of
     a parallel experiment sweep must not share a PRNG. *)
 
-val is_feasible : budget:int -> used:int array -> bytes:int -> bool
-
 val count_fits : budget:int -> used:int array -> bytes:int -> int
 (** How many cores could take [bytes] under [budget] — the size of the
     candidate set {!place_one} chose from, reported in promotion
     provenance records. Allocation-free. *)
+
+(**/**)
+
+val pack :
+  budget:int ->
+  used:int array ->
+  items:item list ->
+  (item * int) list * item list
+(** The paper's full Θ(n log n) pack, kept as the algorithm EXPERIMENTS.md
+    E5 measures; its only caller is that test (CoreTime promotes with
+        {!place_one}).
+    [pack ~budget ~used ~items] greedily first-fits items in decreasing
+    heat order into cores whose [used.(c)] leaves room under [budget].
+    Returns (placed as [(item, core)] pairs, unplaced). [used] is not
+    mutated. Deterministic: ties in heat keep input order. *)

@@ -14,11 +14,6 @@ val note_coaccess : t -> int -> int -> unit
 (** Record that the objects identified by these two base addresses were
     used by one operation (order-insensitive). *)
 
-val coaccess_count : t -> int -> int -> int
-
-val partners : t -> int -> (int * int) list
-(** [(partner_base, count)] pairs for an object, most frequent first. *)
-
 val preferred_core :
   t -> Object_table.t -> min_coaccess:int -> Object_table.obj -> int option
 (** The home core of the most frequently co-accessed partner that is
@@ -26,3 +21,12 @@ val preferred_core :
     [min_coaccess]. *)
 
 val pairs_tracked : t -> int
+
+(**/**)
+
+val coaccess_count : t -> int -> int -> int
+(** For tests: checks the co-access counts the clustering is built from. *)
+
+val partners : t -> int -> (int * int) list
+(** For tests: checks the partner ranking behind {!preferred_core}.
+    [(partner_base, count)] pairs for an object, most frequent first. *)

@@ -320,6 +320,7 @@ let with_op t ?write addr f =
   ct_end t;
   result
 
+(* Current table contents per core (cores with none omitted). *)
 let assignments t =
   let cores = Engine.cores t.engine_ in
   List.filter_map

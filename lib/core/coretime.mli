@@ -72,7 +72,4 @@ val with_op : t -> ?write:bool -> int -> (unit -> 'a) -> 'a
 (** [with_op t addr f] = [ct_start]; [f ()]; [ct_end] — exceptions from
     [f] are not handled (simulation code is not expected to raise). *)
 
-val assignments : t -> (int * Object_table.obj list) list
-(** Current table contents per core (cores with none omitted). *)
-
 val pp_assignments : Format.formatter -> t -> unit

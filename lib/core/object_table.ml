@@ -106,12 +106,6 @@ let register t ?(pid = 0) ~base ~size ~name () =
 
 let find t base = By_base.find_opt t.by_base base
 
-let find_exn t base =
-  match find t base with
-  | Some o -> o
-  | None ->
-      invalid_arg (Printf.sprintf "Object_table.find_exn: no object at %#x" base)
-
 let iter t f =
   for i = 0 to t.n_objs - 1 do
     f t.all.(i)

@@ -54,13 +54,8 @@ val find : t -> int -> obj option
 (** Lookup by identifying address (exact base match, O(1) — the table
     lookup [ct_start] performs). *)
 
-val find_exn : t -> int -> obj
-
 val iter : t -> (obj -> unit) -> unit
 (** Every registered object, in registration order, without allocating. *)
-
-val fold : t -> ('a -> obj -> 'a) -> 'a -> 'a
-(** [fold t f init]: {!iter} with an accumulator, registration order. *)
 
 val size : t -> int
 
@@ -77,18 +72,12 @@ val used : t -> int -> int
 (** Bytes currently assigned to a core. *)
 
 val total_used : t -> int
-val occupancy : t -> float
-(** [total_used / (budget * cores)]: how full the table's cache budget is. *)
-
-val free_space : t -> int -> int
 
 val iter_assigned : t -> core:int -> (obj -> unit) -> unit
 (** The objects homed on [core], O(assigned-on-core), zero allocation.
     The callback may {!unassign} or re-{!assign} the object it was handed
     (the successor is read first); removing {e other} objects of the same
     core's list mid-iteration is not supported. *)
-
-val fold_assigned : t -> core:int -> ('a -> obj -> 'a) -> 'a -> 'a
 
 val assigned : t -> core:int -> obj list
 (** Objects homed on [core], in registration order. Allocates; prefer
@@ -125,3 +114,19 @@ val check_accounting : t -> (unit, string) result
     match the [home] fields, every per-core list holds exactly the
     objects homed there with consistent back-links, and the active list
     covers exactly the objects with pending period ops. *)
+
+(**/**)
+
+val fold : t -> ('a -> obj -> 'a) -> 'a -> 'a
+(** For tests: the model-based table tests fold over every object.
+    [fold t f init]: {!iter} with an accumulator, registration order. *)
+
+val occupancy : t -> float
+(** For tests: checks the budget accounting as one ratio.
+    [total_used / (budget * cores)]: how full the table's cache budget is. *)
+
+val free_space : t -> int -> int
+(** For tests: checks per-core free space against the model. *)
+
+val fold_assigned : t -> core:int -> ('a -> obj -> 'a) -> 'a -> 'a
+(** For tests: cross-checks the per-core assignment index. *)

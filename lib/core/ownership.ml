@@ -30,11 +30,3 @@ let share t ~pid =
 
 let pids t =
   Hashtbl.fold (fun pid _ acc -> pid :: acc) t.table [] |> List.sort compare
-
-let pp ppf t =
-  List.iter
-    (fun pid ->
-      Format.fprintf ppf "pid %d: %d ops, %d cycles (%.1f%%)@." pid
-        (ops t ~pid) (cycles t ~pid)
-        (100.0 *. share t ~pid))
-    (pids t)

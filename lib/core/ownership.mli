@@ -10,10 +10,15 @@ type t
 val create : unit -> t
 val charge : t -> pid:int -> cycles:int -> unit
 val ops : t -> pid:int -> int
-val cycles : t -> pid:int -> int
-val total_cycles : t -> int
 val share : t -> pid:int -> float
 (** Fraction of all charged cycles consumed by [pid] (0 if none charged). *)
 
 val pids : t -> int list
-val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+val cycles : t -> pid:int -> int
+(** For tests: checks the per-process charge behind {!share}. *)
+
+val total_cycles : t -> int
+(** For tests: checks the total behind {!share}. *)

@@ -48,7 +48,6 @@ let default =
   }
 
 let baseline = { default with enabled = false }
-let with_enabled t enabled = { t with enabled }
 
 let validate t =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
@@ -61,19 +60,3 @@ let validate t =
   else if t.ct_overhead < 0 then fail "ct_overhead < 0"
   else if t.promote_min_ops < 1 then fail "promote_min_ops < 1"
   else Ok ()
-
-let placement_to_string = function
-  | First_fit -> "first-fit"
-  | Least_loaded -> "least-loaded"
-  | Random_fit seed -> Printf.sprintf "random(seed=%d)" seed
-
-let pp ppf t =
-  Format.fprintf ppf
-    "coretime %s: promote>%.1f misses/op after %d ops, placement %s, \
-     rebalance %s every %d cycles, migrate_back %b, replicate_ro %b, \
-     clustering %b"
-    (if t.enabled then "on" else "off")
-    t.promote_threshold t.promote_min_ops
-    (placement_to_string t.placement)
-    (if t.rebalance then "on" else "off")
-    t.rebalance_period t.migrate_back t.replicate_read_only t.clustering

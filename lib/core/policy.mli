@@ -63,6 +63,4 @@ type t = {
 val default : t
 val baseline : t
 
-val with_enabled : t -> bool -> t
 val validate : t -> (unit, string) result
-val pp : Format.formatter -> t -> unit

@@ -16,10 +16,15 @@ type snapshot = {
   throughput : float;  (** kres/s over the run, for reference. *)
 }
 
+val fig2 : ?quick:bool -> ?jobs:int -> Format.formatter -> unit
+
+(**/**)
+
 val o2_policy : Coretime.Policy.t
-(** {!Coretime.Policy.default} rescaled to the toy machine's 16-line
+(** For tests: the Figure 2 test runs one cell under this policy.
+    {!Coretime.Policy.default} rescaled to the toy machine's 16-line
     directories (lower promote threshold, stable placement). *)
 
 val run_one : policy:Coretime.Policy.t -> scheduler:string -> snapshot
-val print_snapshot : Format.formatter -> snapshot -> unit
-val fig2 : ?quick:bool -> ?jobs:int -> Format.formatter -> unit
+(** For tests: the Figure 2 test compares one O2 cell with one thread-
+    scheduler cell. *)

@@ -170,6 +170,7 @@ let print_rows ppf rows =
     rows;
   Format.pp_print_string ppf (Table.render t)
 
+(* Table + ASCII rendering of the figure + the Section 5 shape claims. *)
 let print_figure ppf ~title rows =
   Format.fprintf ppf "@.=== %s ===@.@." title;
   print_rows ppf rows;

@@ -33,13 +33,6 @@ val sweep :
     [occ_*] row fields; the tracker observes only, so the points are
     bit-identical either way. *)
 
-val to_series : row list -> O2_stats.Series.t * O2_stats.Series.t
-(** (with CoreTime, without CoreTime). *)
-
-val print_rows : Format.formatter -> row list -> unit
-val print_figure : Format.formatter -> title:string -> row list -> unit
-(** Table + ASCII rendering of the figure + the Section 5 shape claims. *)
-
 val fig4a :
   ?quick:bool ->
   ?jobs:int ->

@@ -30,8 +30,9 @@ let validate_obs o =
   if o.trace_sample <= 0 then
     Error
       (Printf.sprintf
-         "--trace-sample must be >= 1 (got %d): 1 keeps every memory event, \
-          N keeps 1-in-N"
+         "--trace-sample must be >= 1 (got %d): 1 keeps every op span, N \
+          keeps 1-in-N; monitor, decision, steal and park records are \
+          always kept"
          o.trace_sample)
   else if o.occupancy_interval <= 0 then
     Error

@@ -12,11 +12,14 @@ type probe = {
   measured_cycles : int;
 }
 
-val probes : unit -> probe list
-val migration_probe : unit -> probe
-val all : unit -> probe list
 val print : Format.formatter -> unit
 
+(**/**)
+
+val all : unit -> probe list
+(** For tests: the latency-table test checks every probe. *)
+
 val max_deviation : unit -> float
-(** Largest relative |measured - paper| / paper over probes with a paper
+(** For tests: the latency-table test asserts this stays small.
+    Largest relative |measured - paper| / paper over probes with a paper
     value; the test suite asserts this is small. *)

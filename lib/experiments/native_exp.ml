@@ -22,6 +22,8 @@ let ladder ~extra =
   let base = [ 1; 2; 4 ] in
   if extra > 0 && not (List.mem extra base) then base @ [ extra ] else base
 
+(* Simulator-vs-native cross-checks for both workloads at domains
+   [1; 2; 4] plus [domains] when distinct. *)
 let oracle_reports ~domains =
   List.concat_map
     (fun d ->

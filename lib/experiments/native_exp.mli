@@ -10,27 +10,8 @@
     [perfbench/run.py] (workloads [native_kv] and [native_dir]), the
     repository's one measurement protocol. *)
 
-val oracle_reports :
-  domains:int -> (string * O2_native.Oracle.report) list
-(** Simulator-vs-native cross-checks for both workloads at domains
-    [1; 2; 4] plus [domains] when distinct. *)
-
 val run : domains:int -> Format.formatter -> bool
 (** Print the oracle table and return the conjunction of its [ok]s. *)
-
-val observed_cell :
-  quick:bool ->
-  domains:int ->
-  sample:int ->
-  metrics:bool ->
-  trace:string option ->
-  Format.formatter ->
-  unit
-(** One kv run with the full flight recorder attached (ring capacity
-    2^18, op spans sampled 1-in-[sample]); with [metrics] prints the
-    o2top latency/counter readout (unit-labeled wall-clock ns) and the
-    per-domain breakdown, with [trace] writes the Perfetto export.
-    [quick] quarters the per-client op count. *)
 
 val run_cli :
   quick:bool ->

@@ -18,21 +18,6 @@ type result = {
   recorder : O2_obs.Recorder.t option;
 }
 
-val iterations : quick:bool -> int
-(** Scans per core: 60, or 30 under [quick]. *)
-
-val execute :
-  ?recorder_of:(O2_runtime.Engine.t -> O2_obs.Recorder.t) ->
-  ?attach:(O2_runtime.Engine.t -> unit) ->
-  quick:bool ->
-  unit ->
-  result
-(** Build and run the workload to completion. [recorder_of] (called on
-    the fresh engine, before any thread is spawned) attaches the flight
-    recorder whose handle comes back in [result.recorder] — used by the
-    CLI and by the trace-shape tests. [attach] runs right after, for
-    observatory subscriptions whose handles the caller keeps. *)
-
 val run : quick:bool -> obs:Harness.obs -> Format.formatter -> unit
 (** Catalogue entry point: run, print the summary, and honour
     [obs.metrics] / [obs.trace] / [obs.occupancy] / [obs.heat] /
@@ -42,3 +27,19 @@ val explain : ?top:int -> quick:bool -> Format.formatter -> unit
 (** The [o2explain] report: run quickstart with the full observatory
     attached and print the heat table (top [top], default 10), the
     occupancy summary, and every scheduler decision fully explained. *)
+
+(**/**)
+
+val execute :
+  ?recorder_of:(O2_runtime.Engine.t -> O2_obs.Recorder.t) ->
+  ?attach:(O2_runtime.Engine.t -> unit) ->
+  quick:bool ->
+  unit ->
+  result
+(** For tests: the trace-shape and observatory tests run quickstart and keep
+    its result.
+    Build and run the workload to completion. [recorder_of] (called on
+    the fresh engine, before any thread is spawned) attaches the flight
+    recorder whose handle comes back in [result.recorder] — used by the
+    CLI and by the trace-shape tests. [attach] runs right after, for
+    observatory subscriptions whose handles the caller keeps. *)

@@ -19,7 +19,6 @@ type exp = {
 }
 
 val all : exp list
-val find : string -> exp option
 val ids : unit -> string list
 
 val run_ids :
@@ -43,3 +42,8 @@ val run_ids :
     [--metrics] / [--trace] / [--trace-sample] flags to the experiments
     that support them (quickstart, the figures, and some ablations);
     the others ignore it. *)
+
+(**/**)
+
+val find : string -> exp option
+(** For tests: the catalogue test looks each id up. *)

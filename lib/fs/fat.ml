@@ -131,43 +131,6 @@ let resolve t path =
           | None -> None
           | Some entry -> classify t dir entry name))
 
-let resolve_sim t ?(locked = true) path =
-  (* like {!resolve} but every component scan runs through the simulated
-     memory system; intermediate components cost a locked scan too *)
-  let scan_dir dir name83 =
-    if locked then begin
-      O2_runtime.Api.lock dir.lock;
-      let r =
-        Fat_dir.lookup_sim t.img ~head:dir.head ~name83
-          ~compare_cycles:t.compare_cycles_
-      in
-      O2_runtime.Api.unlock dir.lock;
-      r
-    end
-    else
-      Fat_dir.lookup_sim t.img ~head:dir.head ~name83
-        ~compare_cycles:t.compare_cycles_
-  in
-  let parts =
-    List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path)
-  in
-  let rec go dir = function
-    | [] -> Some (`Dir dir)
-    | ".." :: rest -> go (Option.value ~default:t.root_ (parent t dir)) rest
-    | comp :: rest -> (
-        match Fat_name.to_83 comp with
-        | Error _ -> None
-        | Ok name83 -> (
-            match scan_dir dir name83 with
-            | None -> None
-            | Some entry -> (
-                match classify t dir entry comp with
-                | Some (`Dir sub) -> if rest = [] then Some (`Dir sub) else go sub rest
-                | Some (`File _) as file -> if rest = [] then file else None
-                | None -> None)))
-  in
-  go t.root_ parts
-
 let mkdir_path t path =
   let parts =
     List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path)
@@ -186,7 +149,6 @@ let mkdir_path t path =
     in
     go t.root_ parts
   end
-let dirs t = List.rev t.created
 
 let add_file t d ~name ~size =
   match Fat_name.to_83 name with
@@ -234,12 +196,6 @@ let lookup t d name =
   | Ok name83 ->
       Fat_dir.lookup_sim t.img ~head:d.head ~name83
         ~compare_cycles:t.compare_cycles_
-
-let lookup_locked t d name =
-  O2_runtime.Api.lock d.lock;
-  let result = lookup t d name in
-  O2_runtime.Api.unlock d.lock;
-  result
 
 let lookup_83 t d name83 =
   Fat_dir.lookup_sim t.img ~head:d.head ~name83

@@ -31,38 +31,6 @@ val root : t -> dir
 val mkdir : t -> string -> (dir, string) result
 (** Create a directory under the root and return its handle. *)
 
-val mkdir_in : t -> dir -> string -> (dir, string) result
-(** Create a subdirectory of an existing directory; its handle is
-    registered under its full path (e.g. ["/www/static"]). *)
-
-val mkdir_path : t -> string -> (dir, string) result
-(** Create every missing component of an absolute path
-    (["/a/b/c"]) and return the final directory. *)
-
-val find_dir : t -> string -> dir option
-(** Handle of a directory previously created with {!mkdir} /
-    {!mkdir_in}: accepts a root-level name (["www"]) or a full path
-    (["/www/static"]). *)
-
-val parent : t -> dir -> dir option
-(** The directory containing [dir]; [None] for the root. *)
-
-val resolve : t -> string -> [ `Dir of dir | `File of Fat_types.entry ] option
-(** Host-side path resolution from the root; ["."] and [".."] components
-    are supported. Cost-free. *)
-
-val resolve_sim :
-  t -> ?locked:bool -> string -> [ `Dir of dir | `File of Fat_types.entry ] option
-(** Simulated path resolution: scans each component's directory from
-    inside a thread, optionally taking each directory's lock. *)
-
-val dirs : t -> dir list
-(** All directories created with {!mkdir}, in creation order. *)
-
-val add_file : t -> dir -> name:string -> size:int -> (unit, string) result
-(** Create a file entry (no data clusters are allocated: the benchmark
-    only resolves names). *)
-
 val populate : t -> dir array -> names83:string array -> (unit, string) result
 (** Add one empty archive file per 11-byte 8.3 name (see {!Fat_name.to_83})
     to every directory: the benchmark's 1000 entries per directory. The
@@ -82,21 +50,13 @@ val lookup : t -> dir -> string -> Fat_types.entry option
 (** Simulated name resolution (call inside a thread; caller holds the
     directory lock if racing with other threads). *)
 
-val lookup_locked : t -> dir -> string -> Fat_types.entry option
-(** {!lookup} bracketed by the directory's spin lock — the paper's
-    benchmark operation. *)
-
-val lookup_host : t -> dir -> string -> Fat_types.entry option
-(** Cost-free host-side resolution, for tests and setup. *)
-
 val lookup_83 : t -> dir -> string -> Fat_types.entry option
 (** {!lookup} taking an already-encoded 11-byte 8.3 name (hot loops
     precompute these). *)
 
 val lookup_locked_83 : t -> dir -> string -> Fat_types.entry option
-
-val readdir : t -> dir -> Fat_types.entry list
-val remove : t -> dir -> string -> bool
+(** {!lookup_83} bracketed by the directory's spin lock — the paper's
+    benchmark operation. *)
 
 val dir_base_addr : t -> dir -> int
 (** Simulated address of the directory's first cluster: the object
@@ -107,7 +67,51 @@ val dir_bytes : t -> dir -> int
 
 val dir_clusters : t -> dir -> int list
 
-val compare_cycles : t -> int
-(** Per-entry name-compare cost charged by {!lookup} (default 2). *)
-
 val set_compare_cycles : t -> int -> unit
+
+(**/**)
+
+val mkdir_in : t -> dir -> string -> (dir, string) result
+(** For tests: the FAT suite builds nested trees.
+    Create a subdirectory of an existing directory; its handle is
+    registered under its full path (e.g. ["/www/static"]). *)
+
+val mkdir_path : t -> string -> (dir, string) result
+(** For tests: the FAT suite builds nested trees.
+    Create every missing component of an absolute path
+    (["/a/b/c"]) and return the final directory. *)
+
+val find_dir : t -> string -> dir option
+(** For tests: checks that nested directories are registered.
+    Handle of a directory previously created with {!mkdir} /
+    {!mkdir_in}: accepts a root-level name (["www"]) or a full path
+    (["/www/static"]). *)
+
+val parent : t -> dir -> dir option
+(** For tests: checks [..] handling of nested trees.
+    The directory containing [dir]; [None] for the root. *)
+
+val resolve : t -> string -> [ `Dir of dir | `File of Fat_types.entry ] option
+(** For tests: the FAT suite's host-side path oracle.
+    Host-side path resolution from the root; ["."] and [".."] components
+    are supported. Cost-free. *)
+
+val add_file : t -> dir -> name:string -> size:int -> (unit, string) result
+(** For tests: the model-based directory tests add entries.
+    Create a file entry (no data clusters are allocated: the benchmark
+    only resolves names). *)
+
+val lookup_host : t -> dir -> string -> Fat_types.entry option
+(** For tests: the cost-free oracle the simulated lookups are checked
+    against.
+    Cost-free host-side resolution. *)
+
+val readdir : t -> dir -> Fat_types.entry list
+(** For tests: the model-based directory tests list entries. *)
+
+val remove : t -> dir -> string -> bool
+(** For tests: the model-based directory tests remove entries. *)
+
+val compare_cycles : t -> int
+(** For tests: checks the compare cost setting.
+    Per-entry name-compare cost charged by {!lookup} (default 2). *)

@@ -98,9 +98,3 @@ let check fs =
     clusters_used = !used;
     problems = List.rev !problems;
   }
-
-let pp ppf r =
-  Format.fprintf ppf "dirs=%d files=%d clusters=%d %s" r.directories r.files
-    r.clusters_used
-    (if ok r then "OK"
-     else String.concat "; " r.problems)

@@ -8,12 +8,15 @@ type report = {
   problems : string list;
 }
 
+(**/**)
+
 val check : Fat.t -> report
-(** Walks the tree from the root verifying: boot-record magic and
+(** For tests: the fsck every FAT test ends with.
+    Walks the tree from the root verifying: boot-record magic and
     geometry; every FAT cell is free / end-of-chain / bad / a valid link;
     no cluster belongs to two chains; chains are acyclic; directory
     entries decode to valid 8.3 names with sane attributes; the image's
     free count matches the FAT. *)
 
 val ok : report -> bool
-val pp : Format.formatter -> report -> unit
+(** For tests: the fsck every FAT test ends with. *)

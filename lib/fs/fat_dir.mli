@@ -7,18 +7,6 @@
     link followed and every entry examined plus a per-entry compare cost —
     the "higher-performance inner loop for file name lookup" of Section 5. *)
 
-val entries_per_cluster : Fat_image.t -> int
-
-val scan_cluster : Fat_image.t -> int -> name83:string -> int
-(** [scan_cluster img cluster ~name83] scans one cluster's slots in
-    order: the index of the first live slot named [name83] (>= 0); [-1]
-    when the cluster ends with no match; [-(2 + slot)] when the
-    end-of-directory marker sits at [slot]. Deleted slots never match,
-    and neither does a [name83] that is not exactly 11 bytes. The name is
-    compared a 32-bit word at a time, in place, in the cluster's block
-    ({!Fat_image.cluster_block}); allocation-free (the kernel under
-    {!find}, {!remove} and {!lookup_sim}). *)
-
 val find : Fat_image.t -> head:int -> name83:string -> Fat_types.entry option
 (** Host-side linear scan; stops at the end-of-directory marker. *)
 
@@ -61,8 +49,6 @@ val remove : Fat_image.t -> head:int -> name83:string -> bool
 val list : Fat_image.t -> head:int -> Fat_types.entry list
 (** Live entries, in directory order. *)
 
-val count : Fat_image.t -> head:int -> int
-
 val lookup_sim :
   Fat_image.t ->
   head:int ->
@@ -74,3 +60,22 @@ val lookup_sim :
     matching (or before hitting the end marker) and charges
     [compare_cycles] of compute per entry examined. Besides the effects
     it performs, it allocates only the entry it returns. *)
+
+(**/**)
+
+val entries_per_cluster : Fat_image.t -> int
+(** For tests: sizes the scan-kernel property's clusters. *)
+
+val scan_cluster : Fat_image.t -> int -> name83:string -> int
+(** For tests: the word-wise scan kernel, checked against a byte-wise scan.
+    [scan_cluster img cluster ~name83] scans one cluster's slots in
+    order: the index of the first live slot named [name83] (>= 0); [-1]
+    when the cluster ends with no match; [-(2 + slot)] when the
+    end-of-directory marker sits at [slot]. Deleted slots never match,
+    and neither does a [name83] that is not exactly 11 bytes. The name is
+    compared a 32-bit word at a time, in place, in the cluster's block
+    ({!Fat_image.cluster_block}); allocation-free (the kernel under
+    {!find}, {!remove} and {!lookup_sim}). *)
+
+val count : Fat_image.t -> head:int -> int
+(** For tests: counts live entries to check the directory model. *)

@@ -32,14 +32,10 @@ val create :
 val cluster_bytes : t -> int
 val total_clusters : t -> int
 val free_clusters : t -> int
-val image_bytes : t -> int
 
 val header : t -> Bytes.t
 (** Image bytes [0, cluster 2): the boot record and the FAT. Read it
     only; {!fat_set} writes the FAT. *)
-
-val to_bytes : t -> Bytes.t
-(** The whole image as one fresh flat buffer, [image_bytes] long. *)
 
 (** Clusters are numbered from [first_cluster_no] = 2. *)
 val first_cluster_no : int
@@ -72,18 +68,11 @@ val fat_entry_addr : t -> int -> int
 (** Simulated address of a cluster's FAT cell (2 bytes). *)
 
 val fat_get : t -> int -> int
-val fat_set : t -> int -> int -> unit
 
 val alloc_cluster : t -> prev:int option -> int option
 (** Allocate one free cluster (marked end-of-chain) whose data reads as
     zero; if [prev] is given, link it in after that cluster. [None] when
     the volume is full. *)
-
-val alloc_chain : t -> int -> int option
-(** Allocate a linked chain of [n] clusters; returns its head. Allocations
-    are first-fit from a rotating hint, so fresh volumes get contiguous
-    chains. [None] (and no allocation) if fewer than [n] clusters are
-    free. *)
 
 val free_chain : t -> int -> unit
 (** Release a whole chain starting at its head. The clusters keep their
@@ -101,3 +90,19 @@ val next_cluster : t -> int -> int
 
 val valid_cluster : t -> int -> bool
 val magic : string
+
+(**/**)
+
+val to_bytes : t -> Bytes.t
+(** For tests: the flat image the independent FAT parser reads.
+    The whole image as one fresh flat buffer, [image_bytes] long. *)
+
+val fat_set : t -> int -> int -> unit
+(** For tests: corrupts a FAT cell so fsck has something to find. *)
+
+val alloc_chain : t -> int -> int option
+(** For tests: checks first-fit chain allocation.
+    Allocate a linked chain of [n] clusters; returns its head. Allocations
+    are first-fit from a rotating hint, so fresh volumes get contiguous
+    chains. [None] (and no allocation) if fewer than [n] clusters are
+    free. *)

@@ -41,5 +41,3 @@ let of_83 s =
 
 let equal a b =
   match (to_83 a, to_83 b) with Ok x, Ok y -> x = y | _ -> false
-
-let valid name = Result.is_ok (to_83 name)

@@ -41,7 +41,3 @@ let decode_entry b ~off =
 
 let is_end b ~off = Bytes.get b off = end_marker
 let is_deleted b ~off = Bytes.get b off = deleted_marker
-
-let pp_entry ppf e =
-  Format.fprintf ppf "%S attr=%#x cluster=%d size=%d" e.name e.attr
-    e.first_cluster e.size

@@ -46,5 +46,3 @@ val encode_entry : entry -> bytes -> off:int -> unit
 val decode_entry : bytes -> off:int -> entry
 val is_end : bytes -> off:int -> bool
 val is_deleted : bytes -> off:int -> bool
-
-val pp_entry : Format.formatter -> entry -> unit

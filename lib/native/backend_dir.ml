@@ -21,7 +21,6 @@ module Make (B : O2_runtime.Backend_intf.S) = struct
     in
     { b; dir_arr = Array.init dirs make_dir; compare_cycles }
 
-  let dirs t = Array.length t.dir_arr
   let dir_obj t i = t.dir_arr.(i).obj
 
   (* The op body, defined once per instance so that a lookup builds no

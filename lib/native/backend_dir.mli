@@ -30,12 +30,11 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
       simulated cycles per probed entry; the native backend ignores it.
       @raise Invalid_argument unless both counts are positive. *)
 
-  val dirs : t -> int
   val dir_obj : t -> int -> int
 
   val lookup : t -> dir:int -> key:int -> int
   (** The entry index for [key] in [dir], or [-1]. One backend op, which
       allocates nothing on native.
       @raise Invalid_argument ["Backend_dir.lookup: dir out of range"]
-      unless [0 <= dir < dirs t], before the op is bracketed. *)
+      unless [0 <= dir < dirs] (the [create] count), before the op is bracketed. *)
 end

@@ -36,7 +36,6 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
       order, so per-object counters line up across backends).
       @raise Invalid_argument unless both sizes are positive. *)
 
-  val buckets : t -> int
   val bucket_of_key : t -> int -> int
   val bucket_obj : t -> int -> int
   (** The backend object handle of bucket [i]. *)
@@ -52,7 +51,9 @@ module Make (B : O2_runtime.Backend_intf.S) : sig
   val size : t -> int
   (** Total keys stored; meaningful at quiescence only. *)
 
+  (**/**)
+
   val guards_clear : t -> bool
-  (** Every bucket row's guard words are still 0
-      ({!Pad_row.guards_clear}); a test hook, at quiescence only. *)
+  (** For tests: every bucket row's guard words are still 0
+      ({!Pad_row.guards_clear}), at quiescence only. *)
 end

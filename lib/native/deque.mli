@@ -34,9 +34,13 @@ val steal : 'a t -> 'a
     is empty {e or} when it lost a race with the owner or another thief
     — callers treat both as a miss and move to the next victim. *)
 
+(**/**)
+
 val length : 'a t -> int
-(** Racy snapshot ([bottom - top], clamped to 0). Exact only for the
-    owner while no thief is active; useful for tests and telemetry. *)
+(** For tests: the deque model checks size after each step.
+    Racy snapshot ([bottom - top], clamped to 0). Exact only for the
+    owner while no thief is active. *)
 
 val is_empty : 'a t -> bool
-(** [length t = 0]; the same caveat applies. *)
+(** For tests: the deque model checks emptiness.
+    [length t = 0]; the same caveat applies. *)

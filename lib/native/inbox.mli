@@ -25,5 +25,8 @@ val drain_into : 'a t -> ('a -> unit) -> int
     [f] may push into {e other} inboxes but must not touch this one's
     drain side — [drain_into] is not reentrant. *)
 
+(**/**)
+
 val is_empty : 'a t -> bool
-(** Snapshot; a racing push can invalidate it immediately. *)
+(** For tests: the inbox tests check it drains.
+    Snapshot; a racing push can invalidate it immediately. *)

@@ -90,8 +90,6 @@ external set_worker_word : int -> unit = "o2_native_set_worker_word"
 let index_bits = 16
 let serials = Atomic.make 0
 
-let domains t = t.n
-
 let current_domain t =
   let d = worker_word () lxor t.tag in
   if d < t.n then d else -1
@@ -373,39 +371,50 @@ let clamped ~what requested =
    sweeps ~9% slower at --jobs 2 on a 2-core host (a likely cause: every
    stop-the-world minor collection also waits on the blocked domain).
 
-   Each element's exception is caught into its slot, so the pool's
-   first-recorded-exception path is never taken, and the error of the
-   smallest index (the one [List.map] would raise) is re-raised only
-   after every element has run. The mutex handshake in [drain] orders
-   the workers' slot writes before the caller's reads. *)
+   Each element's exception is caught into its slot with its backtrace,
+   so the pool's first-recorded-exception path is never taken, and the
+   error of the smallest index (the one [List.map] would raise) is
+   re-raised with the frames of the element that raised it, only after
+   every element has run. A new domain does not record backtraces, so
+   each worker task first takes the caller's setting. The mutex
+   handshake in [drain] orders the workers' slot writes before the
+   caller's reads. *)
 let map ~jobs f xs =
   let n = List.length xs in
   if jobs <= 1 || n <= 1 then List.map f xs
   else begin
     let inputs = Array.of_list xs in
-    let results = Array.make n (Error Exit) in
+    let results = Array.make n (Error (Exit, Printexc.get_callstack 0)) in
     let next = Atomic.make 0 in
     let rec claim () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        results.(i) <- (try Ok (f inputs.(i)) with e -> Error e);
+        results.(i) <-
+          (try Ok (f inputs.(i))
+           with e -> Error (e, Printexc.get_raw_backtrace ()));
         claim ()
       end
     in
+    let record = Printexc.backtrace_status () in
     let t = create ~domains:(min jobs n - 1) () in
     Fun.protect
       ~finally:(fun () -> shutdown t)
       (fun () ->
         for core = 0 to t.n - 1 do
-          spawn t ~core ~name:"map" claim
+          spawn t ~core ~name:"map" (fun () ->
+              Printexc.record_backtrace record;
+              claim ())
         done;
         claim ();
         drain t);
-    Array.to_list (Array.map (function Ok v -> v | Error e -> raise e) results)
+    Array.to_list
+      (Array.map
+         (function
+           | Ok v -> v | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
+         results)
   end
 
 let tasks_executed t =
   Array.fold_left (fun acc w -> acc + w.executed) 0 t.workers
 
 let steals t = Array.fold_left (fun acc w -> acc + w.stolen) 0 t.workers
-let telemetry t = t.tel

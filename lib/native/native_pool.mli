@@ -42,8 +42,6 @@ val create : ?telemetry:O2_runtime.Telemetry.t -> domains:int -> unit -> t
     @raise Invalid_argument if [domains < 1] or [domains >= 65536], or
     if [telemetry] was created for a different domain count. *)
 
-val domains : t -> int
-
 val current_domain : t -> int
 (** The worker index executing the caller, or [-1] off-pool (the
     coordinator, or a worker of another pool). Valid inside client
@@ -122,6 +120,3 @@ val tasks_executed : t -> int
 
 val steals : t -> int
 (** Successful deque steals across all workers; stable at quiescence. *)
-
-val telemetry : t -> O2_runtime.Telemetry.t
-(** The telemetry handed to {!create} ([Telemetry.off] if none). *)

@@ -20,9 +20,6 @@ type t = private int array
 val make : int -> t
 (** [make n]: a row of [n] live words, all 0. *)
 
-val length : t -> int
-(** Live words. *)
-
 val get : t -> int -> int
 val set : t -> int -> int -> unit
 
@@ -43,3 +40,9 @@ val grow : t -> int -> t
 
 val guards_clear : t -> bool
 (** Every guard word is still 0. *)
+
+(**/**)
+
+val length : t -> int
+(** For tests: checks the live-word count of a row.
+    Live words. *)

@@ -83,9 +83,6 @@ val spans_of_events : event array -> span list * int
     stream, so it does not depend on how the merge orders records of
     different sinks with equal stamps. *)
 
-val spans : O2_runtime.Telemetry.t -> span list * int
-(** [spans_of_events (merged_events tel)]. *)
-
 val accounting : O2_runtime.Telemetry.t -> string
 (** One line of ring accounting: complete and incomplete spans, records
     retained and dropped by the bound. *)
@@ -103,3 +100,9 @@ val metrics : O2_runtime.Telemetry.t -> Metrics.t
     [op_ns/ship_delay] and [op_ns/exec], and the counters (steals,
     ships, parks, wakes, spawns, inbox batches/tasks, ops submitted,
     events retained/dropped) sum across sinks. Render with [O2top.render ~capture]. *)
+
+(**/**)
+
+val spans : O2_runtime.Telemetry.t -> span list * int
+(** For tests: span reconstruction straight from a telemetry capture.
+    [spans_of_events (merged_events tel)]. *)

@@ -4,9 +4,10 @@
     registered object (dense {!O2_simcore.Memsys.obj_id}): operations
     started on it, where its lines were served from (L1 / L2 / local L3 /
     remote cache / DRAM), fill and eviction churn, and current resident
-    lines. The ranking {!top_k} orders by off-core traffic — remote plus
-    DRAM line sources, the costs the paper's scheduler exists to avoid —
-    with operation count and object id as deterministic tie-breaks.
+    lines. The ranking that {!render} prints orders by off-core traffic —
+    remote plus DRAM line sources, the costs the paper's scheduler exists
+    to avoid — with operation count and object id as deterministic
+    tie-breaks.
 
     Like the rest of the observatory this costs nothing detached; attached,
     each observed line access does an allocation-free address-to-object
@@ -32,15 +33,15 @@ type row = {
   resident : int;  (** Lines currently in some cache. *)
 }
 
-val top_k : t -> int -> row list
-(** Hottest [k] objects: off-core traffic desc, then ops desc, then object
-    id asc. Objects with no recorded activity are omitted. *)
-
-val tracked : t -> row list
-(** Every object with recorded activity, in object-id order. *)
-
-val unattributed : t -> int
-(** Observed line accesses that fell outside every registered object. *)
-
 val render : ?top:int -> t -> string
 (** The top-[top] (default 10) heat table. *)
+
+(**/**)
+
+val tracked : t -> row list
+(** For tests: checks that per-object ops add up to the completed ops.
+    Every object with recorded activity, in object-id order. *)
+
+val unattributed : t -> int
+(** For tests: checks that quickstart leaves nothing unattributed.
+    Observed line accesses that fell outside every registered object. *)

@@ -33,9 +33,6 @@ let set_gauge t name v =
   | Some r -> r := v
   | None -> Hashtbl.add t.gauges name (ref v)
 
-let gauge_value t name =
-  match Hashtbl.find_opt t.gauges name with Some r -> Some !r | None -> None
-
 let hist t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
@@ -53,11 +50,3 @@ let sorted tbl value =
 let counters t = sorted t.counters ( ! )
 let gauges t = sorted t.gauges ( ! )
 let hists t = sorted t.hists Fun.id
-
-let merge_into ~into t =
-  List.iter (fun (name, v) -> incr ~by:v into name) (counters t);
-  (* gauges are point-in-time readings: the merged-in sample wins *)
-  List.iter (fun (name, v) -> set_gauge into name v) (gauges t);
-  List.iter
-    (fun (name, h) -> Hist.merge_into ~into:(hist into name) h)
-    (hists t)

@@ -5,9 +5,8 @@
     are created on first use, so producers never pre-declare. Listings are
     sorted by name, making every rendering deterministic.
 
-    Registries are plain data and merge with {!merge_into} — per-domain or
-    per-cell registries combine into one (counters add, histograms merge
-    bucket-wise, gauges keep the merged-in sample). *)
+    Registries are plain data; histograms merge bucket-wise
+    ({!O2_runtime.Hist.merge_into}). *)
 
 type t
 
@@ -16,13 +15,10 @@ val create : unit -> t
 (** {2 Counters} *)
 
 val incr : ?by:int -> t -> string -> unit
-val counter_value : t -> string -> int
-(** 0 for a counter never incremented. *)
 
 (** {2 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
-val gauge_value : t -> string -> float option
 
 (** {2 Histograms} *)
 
@@ -40,4 +36,8 @@ val counters : t -> (string * int) list
 val gauges : t -> (string * float) list
 val hists : t -> (string * O2_runtime.Hist.t) list
 
-val merge_into : into:t -> t -> unit
+(**/**)
+
+val counter_value : t -> string -> int
+(** For tests: reads one counter back.
+    0 for a counter never incremented. *)

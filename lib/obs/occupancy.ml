@@ -22,7 +22,6 @@ type t = {
 
 let cache_count t = Array.length t.caches
 let label t i = t.labels.(i)
-let lines t i = t.lines_.(i)
 let samples t = Ring.to_list t.timeline
 let samples_dropped t = Ring.dropped t.timeline
 
@@ -184,33 +183,4 @@ let render t =
     (Machine.distinct_cached_lines t.machine)
     (Presence.replicated_lines (Machine.presence t.machine))
     (Ring.length t.timeline) t.interval (Ring.dropped t.timeline);
-  Buffer.contents buf
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "cache,object,name,lines\n";
-  Array.iteri
-    (fun ci row ->
-      Array.iteri
-        (fun obj k ->
-          if k > 0 then
-            Printf.ksprintf (Buffer.add_string buf) "%s,%d,%s,%d\n"
-              t.labels.(ci) obj
-              (match Memsys.find t.mem obj with
-              | Some e -> e.Memsys.name
-              | None -> "?")
-              k)
-        row)
-    t.occ;
-  Buffer.contents buf
-
-let timeline_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "at,cache,lines,objects\n";
-  Ring.iter t.timeline (fun s ->
-      Array.iteri
-        (fun ci l ->
-          Printf.ksprintf (Buffer.add_string buf) "%d,%s,%d,%d\n" s.at
-            t.labels.(ci) l s.objs.(ci))
-        s.lines);
   Buffer.contents buf

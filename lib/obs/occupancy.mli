@@ -36,7 +36,6 @@ val cache_count : t -> int
     then L2s, then L3s); the index space of the accessors below. *)
 
 val label : t -> int -> string
-val lines : t -> int -> int
 
 val distinct_lines : t -> int
 (** {!O2_simcore.Machine.distinct_cached_lines} of the tracked machine —
@@ -60,14 +59,10 @@ val render : t -> string
     evictions, removals) plus the chip-level distinct/replicated line
     counts the paper's argument turns on. *)
 
-val to_csv : t -> string
-(** The cache x object heatmap: [cache,object,name,lines] rows for every
-    attribution with at least one resident line. *)
-
-val timeline_csv : t -> string
-(** The sample timeline in long form: [at,cache,lines,objects]. *)
+(**/**)
 
 val check : t -> (unit, string) result
-(** Audit the mirror against the actual caches: tracked line counts must
+(** For tests: the mirror's audit against the real caches.
+    Audit the mirror against the actual caches: tracked line counts must
     equal {!O2_simcore.Cache.resident_lines}, attributions must not exceed
-    them, object counts must recount. Test-suite invariant. *)
+    them, object counts must recount. *)

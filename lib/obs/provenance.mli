@@ -13,14 +13,22 @@ val attach : ?capacity:int -> O2_runtime.Engine.t -> t
 (** Subscribe for the engine's lifetime; keep the most recent [capacity]
     (default 4096) decisions. *)
 
-val records : t -> record list
-(** Retained decisions, oldest first. *)
-
-val count : t -> int
-val total : t -> int
-val dropped : t -> int
-
 val render : t -> string
 (** Every retained decision as a multi-line [inputs / score-or-choice /
     action] explanation, with a showing-N-of-M header that accounts for
     ring drops honestly. *)
+
+(**/**)
+
+val records : t -> record list
+(** For tests: checks one record per simulator promotion.
+    Retained decisions, oldest first. *)
+
+val count : t -> int
+(** For tests: ring accounting. *)
+
+val total : t -> int
+(** For tests: ring accounting. *)
+
+val dropped : t -> int
+(** For tests: ring accounting. *)

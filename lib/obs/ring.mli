@@ -30,5 +30,8 @@ val iter : 'a t -> ('a -> unit) -> unit
 val to_list : 'a t -> 'a list
 (** Oldest retained element first. *)
 
+(**/**)
+
 val clear : 'a t -> unit
-(** Also resets the {!total} / {!dropped} accounting. *)
+(** For tests: checks that clearing resets the drop accounting.
+    Also resets the {!total} / {!dropped} accounting. *)

@@ -44,12 +44,17 @@ type source =
   | Raw of O2_runtime.Telemetry.t  (** A native capture, or any other. *)
   | Recorded of Recorder.t  (** The simulator recorder's capture. *)
 
-val to_string : ?occupancy:Occupancy.t -> source -> string
-
 val write_file : ?occupancy:Occupancy.t -> source -> path:string -> unit
 
+(**/**)
+
+val to_string : ?occupancy:Occupancy.t -> source -> string
+(** For tests: the trace JSON without a file, for the shape tests to parse. *)
+
 val ascii_timeline : ?width:int -> O2_runtime.Telemetry.t -> string
-(** One lane per sink, named as its trace track: [#] marks an executing
+(** Renders EXPERIMENTS.md E4's timeline; the test that prints it is its
+    caller.
+    One lane per sink, named as its trace track: [#] marks an executing
     operation span, [>]/[<] a shipped op leaving/landing in a column
     where the lane runs no op, [R] a rebalance period. [width] is the
     number of time columns (default 72). *)

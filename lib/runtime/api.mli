@@ -49,10 +49,15 @@ val ship_to : int -> unit
     machine's [amsg_*] cycles (≈240 on {!O2_simcore.Config.amd16}) instead
     of ≈2000. Semantically identical to {!migrate_to}. *)
 
-val yield : unit -> unit
-(** Let the next runnable thread on this core run. *)
-
 val self : unit -> Thread.t
-val current_core : unit -> int
 val now : unit -> int
 (** The calling core's virtual clock. *)
+
+(**/**)
+
+val yield : unit -> unit
+(** For tests: the engine's round-robin test.
+    Let the next runnable thread on this core run. *)
+
+val current_core : unit -> int
+(** For tests: checks where an op body ran. *)

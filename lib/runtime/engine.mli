@@ -35,11 +35,6 @@ val spawn : t -> core:int -> name:string -> (unit -> unit) -> Thread.t
     time. The body runs when the engine next dispatches that core.
     @raise Invalid_argument if [core] is out of range. *)
 
-val at : t -> time:int -> (now:int -> unit) -> unit
-(** Run a zero-cost control callback at a virtual time (used by monitors
-    and workload phase changes).
-    @raise Invalid_argument if [time] is in the past. *)
-
 val every : t -> period:int -> ?start:int -> (now:int -> unit) -> unit
 (** Recurring {!at}. [start] defaults to [period] from now. Recurring
     callbacks are daemons: they run as long as the simulation has other
@@ -53,12 +48,23 @@ val run : ?until:int -> ?stop_when:(unit -> bool) -> t -> unit
 val now : t -> int
 (** Virtual time of the most recently processed event. *)
 
-val core_clock : t -> int -> int
 val events_processed : t -> int
 
 val finalize_idle : t -> unit
 (** Charge idle cycles up to {!now} for cores currently idle; call before
     reading idle-cycle counters at the end of a measurement interval. *)
 
+(**/**)
+
+val at : t -> time:int -> (now:int -> unit) -> unit
+(** For tests: one-shot control callbacks; {!every} is the production form.
+    Run a zero-cost control callback at a virtual time (used by monitors
+    and workload phase changes).
+    @raise Invalid_argument if [time] is in the past. *)
+
+val core_clock : t -> int -> int
+(** For tests: checks that an op charged its core. *)
+
 val live_threads : t -> int
-(** Threads spawned and not yet finished. *)
+(** For tests: checks that a run finished or paused.
+    Threads spawned and not yet finished. *)

@@ -12,7 +12,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 
 val push : 'a t -> time:int -> 'a -> unit
@@ -26,12 +25,21 @@ val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's payload, without allocating.
     @raise Invalid_argument on an empty queue. *)
 
+(**/**)
+
+val length : 'a t -> int
+(** For tests: the heap model checks size. *)
+
 val pop : 'a t -> (int * 'a) option
-(** Remove and return the earliest event as [(time, payload)]. Allocating
+(** For tests: the heap model pops with a tuple; the engine uses {!pop_min}.
+    Remove and return the earliest event as [(time, payload)]. Allocating
     convenience wrapper over {!min_time} + {!pop_min}. *)
 
 val peek_time : 'a t -> int option
+(** For tests: the heap model checks the minimum. *)
+
 val clear : 'a t -> unit
+(** For tests: checks that a cleared heap is reusable. *)
 
 val check_heap_property : 'a t -> bool
-(** For the property tests. *)
+(** For tests: the heap invariant the property tests check. *)

@@ -21,13 +21,6 @@ let create mem ~name =
   }
 
 let held t = t.owner <> None
-let waiting t = Queue.length t.waiters
 let owner t = t.owner
 let acquisitions t = t.acquisitions
 let contended t = t.contended
-
-let pp ppf t =
-  Format.fprintf ppf "lock %s @@%#x owner=%s waiters=%d acq=%d contended=%d"
-    t.name t.addr
-    (match t.owner with None -> "-" | Some id -> string_of_int id)
-    (waiting t) t.acquisitions t.contended

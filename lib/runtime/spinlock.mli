@@ -26,12 +26,6 @@ type t = {
 val create : O2_simcore.Memsys.t -> name:string -> t
 (** Allocates an isolated line for the lock word. *)
 
-val held : t -> bool
-val waiting : t -> int
-
-val owner : t -> int option
-(** The owning thread id, when held. *)
-
 val acquisitions : t -> int
 (** Successful acquisitions so far (the stats layer reads these through
     accessors rather than reaching into the record). *)
@@ -39,4 +33,11 @@ val acquisitions : t -> int
 val contended : t -> int
 (** Acquisitions that found the lock held and had to wait. *)
 
-val pp : Format.formatter -> t -> unit
+(**/**)
+
+val held : t -> bool
+(** For tests: checks lock state after a run. *)
+
+val owner : t -> int option
+(** For tests: checks lock ownership after a run.
+    The owning thread id, when held. *)

@@ -25,13 +25,3 @@ let make ~id ~name ~core =
     migrations = 0;
     ctx = No_ctx;
   }
-
-let state_to_string = function
-  | Runnable -> "runnable"
-  | Spinning -> "spinning"
-  | Migrating -> "migrating"
-  | Finished -> "finished"
-
-let pp ppf t =
-  Format.fprintf ppf "thread %d (%s) on core %d [%s, %d migrations]" t.id
-    t.name t.core (state_to_string t.state) t.migrations

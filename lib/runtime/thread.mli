@@ -29,5 +29,3 @@ type t = {
 }
 
 val make : id:int -> name:string -> core:int -> t
-val state_to_string : state -> string
-val pp : Format.formatter -> t -> unit

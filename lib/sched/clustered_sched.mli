@@ -10,11 +10,14 @@
 
 include Sched_intf.PLACEMENT
 
+(**/**)
+
 val clusters :
   threads:int ->
   groups:int ->
   similarity:(int -> int -> float) ->
   int array
-(** The grouping step alone: greedy agglomerative assignment of [threads]
+(** For tests: the grouping step alone.
+    The grouping step alone: greedy agglomerative assignment of [threads]
     into [groups] balanced clusters, highest-similarity pairs first.
-    Returns each thread's cluster id. Exposed for tests. *)
+    Returns each thread's cluster id. *)

@@ -23,7 +23,6 @@ let create level ~owner ~cap_bytes ~line_bytes =
   { level; owner; lru = Lru.create ~cap:(cap_bytes / line_bytes); watcher = None }
 
 let set_watcher t w = t.watcher <- w
-let watched t = t.watcher <> None
 
 let level t = t.level
 let owner t = t.owner
@@ -56,12 +55,6 @@ let drop t line =
   present
 
 let iter_lines f t = Lru.iter f t.lru
-
-let clear t =
-  (match t.watcher with
-  | None -> ()
-  | Some w -> Lru.iter (fun line -> w.on_remove t ~line) t.lru);
-  Lru.clear t.lru
 
 let level_to_string = function L1 -> "L1" | L2 -> "L2" | L3 -> "L3"
 

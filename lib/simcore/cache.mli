@@ -27,16 +27,11 @@ val create : level -> owner:int -> cap_bytes:int -> line_bytes:int -> t
 (** [owner] is a core id for L1/L2 and a chip id for L3. *)
 
 val set_watcher : t -> watcher option -> unit
-val watched : t -> bool
 
 val level : t -> level
 val owner : t -> int
 val capacity_lines : t -> int
 val resident_lines : t -> int
-
-val probe : t -> int -> bool
-(** [probe t line] is a lookup for the access path: touches the line's
-    recency and reports whether it was present. *)
 
 val probe_run : t -> int -> int -> int
 (** [probe_run t first last] probes [first], [first + 1], ... up to
@@ -60,7 +55,12 @@ val drop : t -> int -> bool
     flush); returns whether the line was present. *)
 
 val iter_lines : (int -> unit) -> t -> unit
-val clear : t -> unit
-val level_to_string : level -> string
 val name : t -> string
 (** e.g. ["L2[core3]"] or ["L3[chip1]"]. *)
+
+(**/**)
+
+val probe : t -> int -> bool
+(** For tests: a lookup that touches recency, checked against the LRU.
+    [probe t line] is a lookup for the access path: touches the line's
+    recency and reports whether it was present. *)

@@ -54,10 +54,6 @@ val cores : t -> int
 val chip_of_core : t -> int -> int
 (** [chip_of_core cfg core] is the chip that [core] belongs to. *)
 
-val migration_cycles : t -> int
-(** Sum of the save / transfer / restore components plus the mean polling
-    delay: the end-to-end cost of one thread migration (paper: 2000). *)
-
 val amsg_cycles : t -> int
 (** End-to-end cost of shipping one operation by active message. *)
 
@@ -89,3 +85,10 @@ val validate : t -> (unit, string) result
     at least one core...). All built-in configurations validate. *)
 
 val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+val migration_cycles : t -> int
+(** For tests: pins the migration cost to the paper's 2000 cycles.
+    Sum of the save / transfer / restore components plus the mean polling
+    delay: the end-to-end cost of one thread migration (paper: 2000). *)

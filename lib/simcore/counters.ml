@@ -104,15 +104,3 @@ let add_into acc x =
   acc.ops_completed <- acc.ops_completed + x.ops_completed
 
 let misses t = t.remote_hits + t.dram_loads
-let total_cache_misses t = t.remote_hits + t.dram_loads
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<h>loads %d (L1 %d, L2 %d, L3 %d, remote %d, dram %d) stores %d \
-     inval %d busy %d spin %d idle %d mig %d/%d ops %d@]"
-    t.loads t.l1_hits t.l2_hits t.l3_hits t.remote_hits t.dram_loads t.stores
-    t.invalidations_sent t.busy_cycles t.spin_cycles t.idle_cycles
-    t.migrations_in t.migrations_out t.ops_completed
-
-let pp_array ppf a =
-  Array.iteri (fun i t -> Format.fprintf ppf "core %2d: %a@." i pp t) a

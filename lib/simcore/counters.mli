@@ -40,12 +40,9 @@ val diff_into : t -> t -> since:t -> unit
 val add_into : t -> t -> unit
 (** [add_into acc x] accumulates [x] into [acc]. *)
 
+(**/**)
+
 val misses : t -> int
-(** Loads not served by the core's own L1/L2 or its chip's L3 — the
+(** For tests: checks the miss count CoreTime reads per op.
+    Loads not served by the core's own L1/L2 or its chip's L3 — the
     "cache misses" CoreTime counts between a pair of annotations. *)
-
-val total_cache_misses : t -> int
-(** Loads that left the core entirely (remote or DRAM). *)
-
-val pp : Format.formatter -> t -> unit
-val pp_array : Format.formatter -> t array -> unit

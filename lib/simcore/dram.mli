@@ -25,14 +25,8 @@ val fetch :
     number of cycles after [now] at which the data has arrived at
     [from_chip]. [lines = 0] returns 0. *)
 
+(**/**)
+
 val controller_free_at : t -> chip:int -> int
-(** When the chip's controller next becomes free (for tests and metrics). *)
-
-val lines_served : t -> chip:int -> int
-val total_lines_served : t -> int
-
-val utilization : t -> now:int -> float
-(** Fraction of elapsed time the controllers spent busy, averaged over
-    controllers (0 when [now = 0]). *)
-
-val reset : t -> unit
+(** For tests: checks controller queueing.
+    When the chip's controller next becomes free. *)

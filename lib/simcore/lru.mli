@@ -42,12 +42,6 @@ val touch_run : t -> int -> int -> int
     run that is already in that order moves to the head with one splice.
     Allocation-free. *)
 
-val add : t -> int -> int option
-(** [add t k] inserts [k] as most-recently-used. Returns [Some victim] if a
-    least-recently-used key had to be evicted, [None] otherwise. Adding a
-    present key just touches it (returns [None]). Allocating wrapper over
-    {!add_evict}. *)
-
 val add_evict : t -> int -> int
 (** [add_evict t k] is {!add} without the option: returns the evicted key,
     or [-1] when nothing was evicted. Allocation-free except when the
@@ -66,23 +60,34 @@ val insert_absent : t -> int -> int
 val remove : t -> int -> bool
 (** [remove t k] deletes [k]; returns whether it was present. *)
 
-val lru_key : t -> int option
-(** The key that would be evicted next, if any. *)
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate keys from most to least recently used. *)
 
-val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
-(** Fold keys from most to least recently used. *)
+(**/**)
+
+val add : t -> int -> int option
+(** For tests: the LRU model's insert; the cache uses the allocation-free
+    path.
+    [add t k] inserts [k] as most-recently-used. Returns [Some victim] if a
+    least-recently-used key had to be evicted, [None] otherwise. Adding a
+    present key just touches it (returns [None]). Allocating wrapper over
+    {!add_evict}. *)
+
+val lru_key : t -> int option
+(** For tests: checks the next victim.
+    The key that would be evicted next, if any. *)
 
 val to_list : t -> int list
-(** Keys from most to least recently used. *)
+(** For tests: checks recency order against the model.
+    Keys from most to least recently used. *)
 
 val clear : t -> unit
-(** Empties the set in O(resident keys), keeping its pages for reuse. *)
+(** For tests: checks that a cleared set reuses its pages.
+    Empties the set in O(resident keys), keeping its pages for reuse. *)
 
 val check_invariants : t -> (unit, string) result
-(** Used by the property tests: every listed node is present and maps
+(** For tests: the structural invariant the property tests check.
+    Every listed node is present and maps
     back to its key, the forward and backward chains agree, no
     duplicates, length within capacity, each mapped page's live count
     equals its present nodes and its directory index points back at it,

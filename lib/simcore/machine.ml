@@ -431,39 +431,6 @@ let line_resident t ~core ~addr =
   let line = line_of t addr in
   core_still_holds t core line
 
-(* Per-line attribution into a dense per-object tally: object ids are
-   allocation indices, so a flat int array replaces the old per-call
-   Hashtbl + sort; ids come out ascending by construction. *)
-let residency t cache =
-  let n = Memsys.size t.mem in
-  if Array.length t.res_scratch < n then t.res_scratch <- Array.make (max 64 n) 0
-  else Array.fill t.res_scratch 0 n 0;
-  let tally = t.res_scratch in
-  Cache.iter_lines
-    (fun line ->
-      let id = Memsys.object_id_at t.mem ~addr:(line * t.cfg.Config.line_bytes) in
-      if id >= 0 then tally.(id) <- tally.(id) + 1)
-    cache;
-  let acc = ref [] in
-  for id = n - 1 downto 0 do
-    if tally.(id) > 0 then acc := (Memsys.find_exn t.mem id, tally.(id)) :: !acc
-  done;
-  !acc
-
-let object_residency t ext =
-  List.filter_map
-    (fun cache ->
-      let n = ref 0 in
-      let first = ext.Memsys.base / t.cfg.Config.line_bytes in
-      let last =
-        (ext.Memsys.base + ext.Memsys.size - 1) / t.cfg.Config.line_bytes
-      in
-      for line = first to last do
-        if Cache.contains cache line then incr n
-      done;
-      if !n > 0 then Some (cache, !n) else None)
-    (all_caches t)
-
 let distinct_cached_lines t = Presence.tracked_lines t.presence
 
 let check_presence_consistency t =
@@ -521,34 +488,6 @@ let place t ~core ~addr ~l1 ~l2 ~l3 =
   if l2 then l2_evicted t core (Cache.fill_evict t.l2.(core) line);
   if l1 || l2 then Presence.set_core t.presence ~line ~core;
   if l3 then fill_l3 t chip line
-
-let flush_line t ~addr =
-  let line = line_of t addr in
-  Array.iteri
-    (fun c cache ->
-      ignore (Cache.drop cache line);
-      ignore (Cache.drop t.l2.(c) line);
-      Presence.clear_core t.presence ~line ~core:c)
-    t.l1;
-  Array.iteri
-    (fun p cache ->
-      ignore (Cache.drop cache line);
-      Presence.clear_chip t.presence ~line ~chip:p)
-    t.l3
-
-let flush_all t =
-  List.iter Cache.clear (all_caches t);
-  let lines = ref [] in
-  Presence.iter_lines (fun line -> lines := line :: !lines) t.presence;
-  List.iter
-    (fun line ->
-      for c = 0 to Config.cores t.cfg - 1 do
-        Presence.clear_core t.presence ~line ~core:c
-      done;
-      for p = 0 to t.cfg.Config.chips - 1 do
-        Presence.clear_chip t.presence ~line ~chip:p
-      done)
-    !lines
 
 let seconds_of_cycles t cycles =
   float_of_int cycles /. (t.cfg.Config.ghz *. 1e9)

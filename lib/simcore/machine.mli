@@ -21,7 +21,6 @@ val topology : t -> Topology.t
 val memory : t -> Memsys.t
 val counters : t -> int -> Counters.t
 val all_counters : t -> Counters.t array
-val dram : t -> Dram.t
 
 val read : t -> core:int -> now:int -> addr:int -> len:int -> int
 (** [read t ~core ~now ~addr ~len] performs a load of [len] bytes starting
@@ -36,17 +35,11 @@ val write : t -> core:int -> now:int -> addr:int -> len:int -> int
 
 (** {2 Inspection} *)
 
-val l1 : t -> core:int -> Cache.t
-val l2 : t -> core:int -> Cache.t
-val l3 : t -> chip:int -> Cache.t
 val all_caches : t -> Cache.t list
 
 val presence : t -> Presence.t
 (** The coherence directory (read-only for observers: the occupancy
     report counts hardware-replicated lines through it). *)
-
-val line_resident : t -> core:int -> addr:int -> bool
-(** Whether the line containing [addr] is in [core]'s L1 or L2. *)
 
 (** {2 Cache observatory hooks}
 
@@ -80,22 +73,9 @@ val observe : t -> observer -> unit
     observer every notification site is a single branch and allocates
     nothing (pinned by suite_hotpath). *)
 
-val observed : t -> bool
-
-val residency : t -> Cache.t -> (Memsys.extent * int) list
-(** For one cache, how many lines of each registered object are resident
-    (objects with zero lines omitted); drives the Figure 2 snapshot. *)
-
-val object_residency : t -> Memsys.extent -> (Cache.t * int) list
-(** Where one object's lines currently live. *)
-
 val distinct_cached_lines : t -> int
 (** Lines present in at least one cache — the "distinct data stored on
     chip" the paper argues O2 scheduling maximises. *)
-
-val check_presence_consistency : t -> (unit, string) result
-(** Verify the presence directory agrees exactly with cache contents
-    (test-suite invariant). *)
 
 (** {2 Test and experiment hooks}
 
@@ -104,7 +84,30 @@ val check_presence_consistency : t -> (unit, string) result
     the unit tests can place lines at a precise level before probing. *)
 
 val place : t -> core:int -> addr:int -> l1:bool -> l2:bool -> l3:bool -> unit
-val flush_line : t -> addr:int -> unit
-val flush_all : t -> unit
 
 val seconds_of_cycles : t -> int -> float
+
+(**/**)
+
+val dram : t -> Dram.t
+(** For tests: reaches the DRAM model's accounting. *)
+
+val l1 : t -> core:int -> Cache.t
+(** For tests: inspects one core's L1. *)
+
+val l2 : t -> core:int -> Cache.t
+(** For tests: inspects one core's L2. *)
+
+val l3 : t -> chip:int -> Cache.t
+(** For tests: inspects one chip's L3. *)
+
+val line_resident : t -> core:int -> addr:int -> bool
+(** For tests: checks where a line lives.
+    Whether the line containing [addr] is in [core]'s L1 or L2. *)
+
+val observed : t -> bool
+(** For tests: checks that an observer is installed or not. *)
+
+val check_presence_consistency : t -> (unit, string) result
+(** For tests: the presence-directory invariant the property tests check.
+    Verify the presence directory agrees exactly with cache contents. *)

@@ -106,12 +106,9 @@ let object_at t ~addr =
    per observed cache fill, so it must not box an option. *)
 let object_id_at t ~addr = index_at t ~addr
 
-let extents t = Array.to_list (Array.sub t.exts 0 t.count)
-
 let lines_of t ext =
   let first = ext.base / t.line_bytes in
   let last = (ext.base + ext.size - 1) / t.line_bytes in
   last - first + 1
 
-let brk t = t.next_addr
 let size t = t.count

@@ -31,7 +31,6 @@ val alloc_isolated : t -> name:string -> size:int -> extent
 val find : t -> obj_id -> extent option
 (** O(1): ids are dense allocation indices, so this is an array read. *)
 
-val find_exn : t -> obj_id -> extent
 val object_at : t -> addr:int -> extent option
 (** The extent containing [addr], if any. Binary search over flat
     base/size int arrays. *)
@@ -41,14 +40,15 @@ val object_id_at : t -> addr:int -> obj_id
     unmapped. Allocation-free — the cache observatory attributes every
     observed fill and eviction through this. *)
 
-val extents : t -> extent list
-(** All extents in allocation (= address) order. *)
+(**/**)
+
+val find_exn : t -> obj_id -> extent
+(** For tests: checks the registry lookup. *)
 
 val lines_of : t -> extent -> int
-(** Number of cache lines the extent spans. *)
-
-val brk : t -> int
-(** First unallocated address. *)
+(** For tests: checks line rounding.
+    Number of cache lines the extent spans. *)
 
 val size : t -> int
-(** Number of extents allocated. *)
+(** For tests: checks how much was allocated.
+    Number of extents allocated. *)

@@ -81,18 +81,6 @@ let clear_chip t ~line ~chip =
 let core_word t ~line ~w = if line < t.cap then t.cores_.((line * t.words) + w) else 0
 let chip_holders t ~line = if line < t.cap then t.chips_.(line) else 0
 
-(* Single-int core mask, for configs narrow enough that every core bit
-   fits one OCaml int (all test/consistency callers run amd16). *)
-let core_holders t ~line =
-  if t.ncores > 62 then
-    invalid_arg "Presence.core_holders: more than 62 cores; use core_word"
-  else if line >= t.cap then 0
-  else begin
-    let base = line * t.words in
-    if t.words = 1 then t.cores_.(base)
-    else t.cores_.(base) lor (t.cores_.(base + 1) lsl bits_per_word)
-  end
-
 let cached_anywhere t ~line = line < t.cap && not (line_empty t line)
 
 (* [bit_index] is a de Bruijn multiply: [b = 1 lsl k] times the
@@ -192,6 +180,7 @@ let tracked_lines t =
   done;
   !n
 
+(* Bits set in a holder mask. *)
 let popcount mask =
   let rec go m acc = if m = 0 then acc else go (m land (m - 1)) (acc + 1) in
   go mask 0

@@ -38,15 +38,8 @@ val core_word : t -> line:int -> w:int -> int
 (** [core_word t ~line ~w] is the [w]th 32-bit word of [line]'s core
     mask: core [c] is bit [c land 31] of word [c lsr 5]. *)
 
-val core_holders : t -> line:int -> int
-(** Bitmask of cores whose private caches hold [line]. Only valid for
-    configs of at most 62 cores (every bit fits one OCaml int); raises
-    [Invalid_argument] on wider ones — use {!core_word} there. *)
-
 val chip_holders : t -> line:int -> int
 (** Bitmask of chips whose L3 holds [line]. *)
-
-val cached_anywhere : t -> line:int -> bool
 
 type classes
 (** Per source chip, the core masks grouped by hop distance, nearest
@@ -77,16 +70,10 @@ val tracked_lines : t -> int
     Counted on demand over every line the arrays cover, so updates keep
     no count. *)
 
-val popcount : int -> int
-(** Bits set in a holder mask. *)
-
 val bit_index : int -> int -> int
 (** [bit_index b i] is the index of the single set bit in [b], plus [i]
     ([b] must be a power of two — typically [m land -m]). Constant
     time: one multiply and one table load. *)
-
-val core_popcount : t -> line:int -> int
-(** Cores privately holding [line] (popcount across all mask words). *)
 
 val replicated_lines : t -> int
 (** Lines held in the private hierarchy of two or more cores — data the
@@ -95,3 +82,8 @@ val replicated_lines : t -> int
 
 val iter_lines : (int -> unit) -> t -> unit
 (** Iterate over lines with at least one holder, in ascending line order. *)
+
+(**/**)
+
+val cached_anywhere : t -> line:int -> bool
+(** For tests: checks the directory against the caches. *)

@@ -17,9 +17,6 @@ val hop_table : t -> int array
     is element [a * chips + b]. Shared, not copied: callers must not
     write to it. *)
 
-val max_hops : t -> int
-(** Largest hop count between any two chips (the "most distant" bank). *)
-
 val remote_cache_latency : t -> from_chip:int -> to_chip:int -> int
 (** Cycles to fetch a line from a cache on [to_chip] as seen from
     [from_chip]: [remote_same_chip] plus [remote_hop] per hop. *)
@@ -33,3 +30,9 @@ val home_chip : t -> addr:int -> int
     across chips. *)
 
 val pp : Format.formatter -> t -> unit
+
+(**/**)
+
+val max_hops : t -> int
+(** For tests: pins the topology's diameter.
+    Largest hop count between any two chips (the "most distant" bank). *)

@@ -14,8 +14,11 @@
     int-typed comparison operators are not flagged, and [@alloc_ok] does
     not suppress the finding. *)
 
-val check_module :
-  ?manifest:Manifest.entry list -> Cmt_load.module_info -> Finding.t list
-
 val check :
   ?manifest:Manifest.entry list -> Cmt_load.module_info list -> Finding.t list
+
+(**/**)
+
+val check_module :
+  ?manifest:Manifest.entry list -> Cmt_load.module_info -> Finding.t list
+(** For tests: the fixtures run one pass on one module. *)

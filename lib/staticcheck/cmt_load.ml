@@ -26,30 +26,46 @@ let short_of_modname m =
   | Some j -> String.sub m j (n - j)
   | None -> m
 
-let load cmt_path =
+type interface_info = {
+  intf_modname : string;
+  intf_source : string;  (* e.g. "lib/runtime/hist.mli" *)
+  signature : Typedtree.signature;
+}
+
+type tree = {
+  modules : module_info list;
+  interfaces : interface_info list;
+}
+
+let read cmt_path =
   match Cmt_format.read_cmt cmt_path with
   | exception _ -> None
-  | infos -> (
-      match infos.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation structure ->
-          let source =
-            match infos.Cmt_format.cmt_sourcefile with
-            | Some s -> s
-            | None -> cmt_path
-          in
-          Some
-            {
-              cmt_path;
-              modname = infos.Cmt_format.cmt_modname;
-              short = short_of_modname infos.Cmt_format.cmt_modname;
-              source;
-              structure;
-            }
-      | _ -> None)
+  | infos ->
+      Some
+        ( infos,
+          Option.value infos.Cmt_format.cmt_sourcefile ~default:cmt_path )
 
-(* Walk [root] for .cmt files, skipping the duplicate copies dune places
-   under _build/install and any VCS directories. *)
-let discover ~root =
+let load cmt_path =
+  match read cmt_path with
+  | Some (({ Cmt_format.cmt_annots = Implementation structure; _ } as infos), source) ->
+      Some
+        {
+          cmt_path;
+          modname = infos.Cmt_format.cmt_modname;
+          short = short_of_modname infos.Cmt_format.cmt_modname;
+          source;
+          structure;
+        }
+  | _ -> None
+
+let load_interface cmti_path =
+  match read cmti_path with
+  | Some (({ Cmt_format.cmt_annots = Interface signature; _ } as infos), source) ->
+      Some { intf_modname = infos.Cmt_format.cmt_modname; intf_source = source; signature }
+  | _ -> None
+
+(* Walk [dir] for .cmt and .cmti files, skipping VCS directories. *)
+let discover dir =
   let acc = ref [] in
   let rec walk dir =
     match Sys.readdir dir with
@@ -60,13 +76,15 @@ let discover ~root =
           (fun entry ->
             let path = Filename.concat dir entry in
             if Sys.is_directory path then begin
-              if entry <> "install" && entry <> ".git" then walk path
+              if entry <> ".git" then walk path
             end
-            else if Filename.check_suffix entry ".cmt" then
-              acc := path :: !acc)
+            else if
+              Filename.check_suffix entry ".cmt"
+              || Filename.check_suffix entry ".cmti"
+            then acc := path :: !acc)
           entries
   in
-  if Sys.file_exists root && Sys.is_directory root then walk root;
+  if Sys.file_exists dir && Sys.is_directory dir then walk dir;
   List.rev !acc
 
 (* Candidate build roots for cmt discovery, in preference order: an
@@ -94,34 +112,56 @@ let find_build_root ?build_dir ~root () =
   in
   List.find_opt has_objs candidates
 
+(* The directories whose code counts as a user of a library export. The
+   staticcheck fixtures are deliberately wrong code, not users. *)
+let user_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+
 let load_tree ?build_dir ~root () =
   match find_build_root ?build_dir ~root () with
   | None -> Error "no build tree with .cmt files found (run `dune build @check`)"
   | Some broot ->
-      let seen = Hashtbl.create 64 in
-      let mods =
-        List.filter_map
-          (fun p ->
-            match load p with
-            | Some m
-              when (not (Hashtbl.mem seen m.modname))
-                   && String.length m.source >= 4
-                   && String.sub m.source 0 4 = "lib/" ->
-                Hashtbl.add seen m.modname ();
-                Some m
-            | _ -> None)
-          (discover ~root:(Filename.concat broot "lib"))
+      let seen = Hashtbl.create 256 in
+      let fresh source =
+        (not (Hashtbl.mem seen source))
+        && (Hashtbl.add seen source ();
+            true)
       in
-      if mods = [] then Error ("no library .cmt files under " ^ broot)
-      else Ok mods
+      let modules = ref [] and interfaces = ref [] in
+      List.iter
+        (fun dir ->
+          List.iter
+            (fun p ->
+              if Filename.check_suffix p ".cmti" then begin
+                match load_interface p with
+                | Some i when dir = "lib" && fresh i.intf_source ->
+                    interfaces := i :: !interfaces
+                | _ -> ()
+              end
+              else
+                match load p with
+                | Some m
+                  when String.starts_with ~prefix:(dir ^ "/") m.source
+                       && (not (String.starts_with ~prefix:"test/fixtures/" m.source))
+                       && fresh m.source ->
+                    modules := m :: !modules
+                | _ -> ())
+            (discover (Filename.concat broot dir)))
+        user_dirs;
+      if not (List.exists (fun m -> String.starts_with ~prefix:"lib/" m.source) !modules)
+      then Error ("no library .cmt files under " ^ broot)
+      else Ok { modules = List.rev !modules; interfaces = List.rev !interfaces }
 
 (* ------------------------------------------------------------------ *)
 (* Path normalization                                                  *)
 
-(* "O2_runtime__Api.read" -> ["O2_runtime"; "Api"; "read"]. *)
+(* "O2_runtime__Api.read" -> ["O2_runtime"; "Api"; "read"]. A trailing
+   "__" is dropped: "Coretime__" is dune's alias module for a library
+   whose main module is Coretime, so "Coretime__.Policy" is
+   ["Coretime"; "Policy"] as "Coretime.Policy" is. *)
 let split_component s =
   let parts = ref [] in
   let n = String.length s in
+  let n = if n > 2 && String.ends_with ~suffix:"__" s then n - 2 else n in
   let start = ref 0 in
   let i = ref 0 in
   while !i < n - 1 do
@@ -158,15 +198,6 @@ let path_tail ~k p =
 
 (* Does the path denote [Mod.fn] (possibly nested under wrappers)? *)
 let path_is ~modname ~fn p = path_tail ~k:2 p = modname ^ "." ^ fn
-
-let path_in_module ~modname p =
-  let comps = path_components p in
-  let rec go = function
-    | [ m; _ ] -> m = modname
-    | _ :: tl -> go tl
-    | [] -> false
-  in
-  go comps
 
 (* ------------------------------------------------------------------ *)
 (* Attributes                                                          *)

@@ -10,18 +10,22 @@ type module_info = {
   structure : Typedtree.structure;
 }
 
-val short_of_modname : string -> string
-val load : string -> module_info option
-(** Read one .cmt; [None] for interfaces, packs, or unreadable files. *)
+type interface_info = {
+  intf_modname : string;
+  intf_source : string;  (** e.g. ["lib/runtime/hist.mli"] *)
+  signature : Typedtree.signature;
+}
 
-val discover : root:string -> string list
-(** All .cmt paths under [root], skipping [_build/install] duplicates. *)
+type tree = {
+  modules : module_info list;
+      (** implementations under [lib/], [bin/], [bench/], [perfbench/],
+          [examples/] and [test/] (not [test/fixtures/]) *)
+  interfaces : interface_info list;  (** interfaces under [lib/] *)
+}
 
-val find_build_root : ?build_dir:string -> root:string -> unit -> string option
-val load_tree :
-  ?build_dir:string -> root:string -> unit -> (module_info list, string) result
-(** Load every library implementation .cmt (sources under [lib/]),
-    deduplicated by module name. *)
+val load_tree : ?build_dir:string -> root:string -> unit -> (tree, string) result
+(** Load every .cmt and [lib/] .cmti of the build tree, deduplicated by
+    source file. [Error] when the tree holds no library module. *)
 
 val split_component : string -> string list
 val path_components : Path.t -> string list
@@ -30,10 +34,6 @@ val path_components : Path.t -> string list
 val path_name : Path.t -> string
 val path_tail : k:int -> Path.t -> string
 val path_is : modname:string -> fn:string -> Path.t -> bool
-val path_in_module : modname:string -> Path.t -> bool
-
-val find_attr :
-  string -> Parsetree.attributes -> Parsetree.attribute option
 
 val has_attr : string -> Parsetree.attributes -> bool
 val attr_reason : string -> Parsetree.attributes -> string option
@@ -48,3 +48,13 @@ val top_ident_stamps : Typedtree.structure -> (string, unit) Hashtbl.t
     the set against which
     closure free variables are judged constant and mutation roots judged
     module-level. *)
+
+(**/**)
+
+val load : string -> module_info option
+(** For tests: the fixtures load one .cmt.
+    Read one .cmt; [None] for interfaces, packs, or unreadable files. *)
+
+val load_interface : string -> interface_info option
+(** For tests: the export fixture loads one .cmti.
+    Read one .cmti; [None] for anything else. *)

@@ -10,8 +10,11 @@ val listeners : Cmt_load.module_info -> (string * Typedtree.expression) list
 (** Registered listeners found in a module, with a human-readable origin
     label per registration site. *)
 
-val check_module : Cmt_load.module_info -> Finding.t list
-(** Check every listener registered anywhere in one module. *)
-
 val check : Cmt_load.module_info list -> Finding.t list
 (** Check all [lib/obs/] modules in the tree. *)
+
+(**/**)
+
+val check_module : Cmt_load.module_info -> Finding.t list
+(** For tests: the fixtures run one pass on one module.
+    Check every listener registered anywhere in one module. *)

@@ -148,8 +148,6 @@ let free_variables ~top_idents (e : expression) =
          else name :: acc)
        used [])
 
-let nonconstant_closure ~top_idents e = free_variables ~top_idents e <> []
-
 (* --------------------------------------------------------------- *)
 (* Allocation judgement for a single node                           *)
 

@@ -7,20 +7,7 @@ val loc_file : Typedtree.expression -> string
 val callee_path : Typedtree.expression -> Path.t option
 val is_raising_path : Path.t -> bool
 val prim_name : Types.value_description -> string option
-val is_allocating_fn : Path.t -> bool
-val is_allocating_op : Path.t -> bool
 val is_blocking_call : Path.t -> bool
-val allocating_prims : string list
-
-val free_variables :
-  top_idents:(string, unit) Hashtbl.t -> Typedtree.expression -> string list
-(** Names used below this expression that are neither bound below it nor
-    at the module's top level. *)
-
-val nonconstant_closure :
-  top_idents:(string, unit) Hashtbl.t -> Typedtree.expression -> bool
-(** Does this [fun] capture anything beyond the module's own top level?
-    Constant closures are statically allocated and free per call. *)
 
 val alloc_of_node :
   top_idents:(string, unit) Hashtbl.t ->

@@ -3,7 +3,7 @@
 type t = {
   pass : string;
       (** which pass: ["alloc"], ["effect"], ["lock"], ["raw"], ["ignore"],
-          or ["file"] for the missing-mli check *)
+          ["export"], or ["file"] for the missing-mli check *)
   code : string;  (** stable short code, e.g. ["alloc-tuple"] *)
   file : string;  (** source path as recorded in the cmt, e.g. [lib/simcore/cache.ml] *)
   line : int;

@@ -9,5 +9,9 @@
     is allowed by design. [@alloc_ok] silences only the
     allocation-under-lock judgement, never depth tracking. *)
 
-val check_module : Cmt_load.module_info -> Finding.t list
 val check : Cmt_load.module_info list -> Finding.t list
+
+(**/**)
+
+val check_module : Cmt_load.module_info -> Finding.t list
+(** For tests: the fixtures run one pass on one module. *)

@@ -1,12 +1,14 @@
-(* Driver: load every library .cmt dune produced, run the typedtree
-   passes plus the missing-interface file check, and render the combined
-   report as text or JSON. *)
+(* Driver: load every .cmt and library .cmti dune produced, run the
+   typedtree passes over the library modules, the unused-export pass
+   over all of them, plus the missing-interface file check, and render
+   the combined report as text or JSON. *)
 
 type report = {
   findings : Finding.t list;
   modules_scanned : int;
   manifest_functions : int;
   listeners_checked : int;
+  exports : Export_check.counts;
 }
 
 let listener_count mods =
@@ -19,12 +21,14 @@ let listener_count mods =
     0 mods
 
 let run_on_modules ?manifest ?allowlist mods =
+  let exports, export_findings = Export_check.check [] mods in
   let findings =
     Alloc_check.check ?manifest mods
     @ Effect_check.check mods
     @ Lock_check.check mods
     @ Raw_use.check ?allowlist mods
     @ Ignore_check.check mods
+    @ export_findings
   in
   {
     findings = List.sort_uniq Finding.compare findings;
@@ -33,6 +37,7 @@ let run_on_modules ?manifest ?allowlist mods =
       Manifest.total_functions
         (match manifest with Some m -> m | None -> Manifest.default);
     listeners_checked = listener_count mods;
+    exports;
   }
 
 (* Every library module under [root/lib] has an interface file;
@@ -69,23 +74,35 @@ let missing_mli ~root =
 let run ?build_dir ?manifest ?allowlist ~root () =
   match Cmt_load.load_tree ?build_dir ~root () with
   | Error e -> Error e
-  | Ok mods ->
-      let r = run_on_modules ?manifest ?allowlist mods in
+  | Ok { Cmt_load.modules; interfaces } ->
+      let r =
+        run_on_modules ?manifest ?allowlist
+          (List.filter
+             (fun m -> String.starts_with ~prefix:"lib/" m.Cmt_load.source)
+             modules)
+      in
+      let exports, export_findings = Export_check.check interfaces modules in
       Ok
         {
           r with
           findings =
-            List.sort_uniq Finding.compare (r.findings @ missing_mli ~root);
+            List.sort_uniq Finding.compare
+              (r.findings @ export_findings @ missing_mli ~root);
+          exports;
         }
 
 let pp_report ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) r.findings;
+  let e = r.exports in
   Format.fprintf ppf
     "o2staticcheck: %d finding%s (%d modules, %d manifest functions, %d \
-     listeners)@."
+     listeners; %d exported values: %d no user, %d own module only, %d \
+     test only, %d real users; %d unresolved paths)@."
     (List.length r.findings)
     (if List.length r.findings = 1 then "" else "s")
     r.modules_scanned r.manifest_functions r.listeners_checked
+    e.Export_check.values e.no_user e.own_module e.test_only e.real_users
+    e.unresolved
 
 let report_to_json r =
   let buf = Buffer.create 1024 in
@@ -98,10 +115,14 @@ let report_to_json r =
     r.findings;
   if r.findings <> [] then Buffer.add_string buf "\n  ";
   Buffer.add_string buf "],\n";
+  let e = r.exports in
   Buffer.add_string buf
     (Printf.sprintf
        "  \"modules_scanned\": %d,\n  \"manifest_functions\": %d,\n  \
-        \"listeners_checked\": %d,\n  \"total\": %d\n}\n"
+        \"listeners_checked\": %d,\n  \"exports\": {\"values\": %d, \
+        \"no_user\": %d, \"own_module_only\": %d, \"test_only\": %d, \
+        \"real_users\": %d, \"unresolved_paths\": %d},\n  \"total\": %d\n}\n"
        r.modules_scanned r.manifest_functions r.listeners_checked
-       (List.length r.findings));
+       e.Export_check.values e.no_user e.own_module e.test_only e.real_users
+       e.unresolved (List.length r.findings));
   Buffer.contents buf

@@ -68,6 +68,3 @@ let render ?(width = 72) ?(height = 20) ?(x_label = "") ?(y_label = "")
       series;
     Buffer.contents buf
   end
-
-let print ?width ?height ?x_label ?y_label series =
-  print_string (render ?width ?height ?x_label ?y_label series)

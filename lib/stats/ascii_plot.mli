@@ -11,7 +11,3 @@ val render :
   string
 (** Plot the series on one canvas; each series gets a distinct glyph
     (shown in the legend). Empty input renders an empty string. *)
-
-val print :
-  ?width:int -> ?height:int -> ?x_label:string -> ?y_label:string ->
-  Series.t list -> unit

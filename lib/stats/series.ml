@@ -10,28 +10,9 @@ let make ~label pts =
   }
 
 let xs t = List.map (fun p -> p.x) t.points
-let ys t = List.map (fun p -> p.y) t.points
-let length t = List.length t.points
 
 let y_at t x =
   List.find_map (fun p -> if p.x = x then Some p.y else None) t.points
-
-let interpolate t x =
-  let rec go = function
-    | [] | [ _ ] -> None
-    | a :: (b :: _ as rest) ->
-        if x < a.x then None
-        else if x <= b.x then begin
-          let frac = if b.x = a.x then 0.0 else (x -. a.x) /. (b.x -. a.x) in
-          Some (a.y +. (frac *. (b.y -. a.y)))
-        end
-        else go rest
-  in
-  match t.points with
-  | [] -> None
-  | [ p ] -> if p.x = x then Some p.y else None
-  | p :: _ when x = p.x -> Some p.y
-  | points -> go points
 
 let shared_points a b =
   List.filter_map
@@ -58,13 +39,3 @@ let crossover ~a ~b =
         else go (if s = 0 then prev else s) rest
   in
   go 0 shared
-
-let max_y t =
-  List.fold_left
-    (fun acc p ->
-      match acc with Some m when m.y >= p.y -> acc | _ -> Some p)
-    None t.points
-
-let pp ppf t =
-  Format.fprintf ppf "%s:" t.label;
-  List.iter (fun p -> Format.fprintf ppf " (%g, %g)" p.x p.y) t.points

@@ -4,17 +4,6 @@ type point = { x : float; y : float }
 type t = { label : string; points : point list }
 
 val make : label:string -> (float * float) list -> t
-val xs : t -> float list
-val ys : t -> float list
-val length : t -> int
-
-val y_at : t -> float -> float option
-(** Exact-x lookup. *)
-
-val interpolate : t -> float -> float option
-(** Linear interpolation between surrounding points; [None] outside the
-    domain or on an empty series. Requires points sorted by x (as {!make}
-    guarantees). *)
 
 val ratio : num:t -> den:t -> t
 (** Pointwise [num/den] at shared x values (label "num/den"); skips points
@@ -24,5 +13,11 @@ val crossover : a:t -> b:t -> float option
 (** Smallest shared x at which the sign of (a - b) differs from the
     previous shared x — where the curves cross. *)
 
-val max_y : t -> point option
-val pp : Format.formatter -> t -> unit
+(**/**)
+
+val xs : t -> float list
+(** For tests: checks that {!make} sorts by x. *)
+
+val y_at : t -> float -> float option
+(** For tests: reads one point back.
+    Exact-x lookup. *)

@@ -50,9 +50,3 @@ let of_array a =
   end
 
 let of_list l = of_array (Array.of_list l)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f p999=%.2f \
-     max=%.2f"
-    t.n t.mean t.stddev t.min t.p50 t.p90 t.p99 t.p999 t.max

@@ -15,9 +15,9 @@ type t = {
 val of_list : float list -> t option
 (** [None] on an empty list. *)
 
-val of_array : float array -> t option
-val percentile : float array -> float -> float
-(** [percentile sorted q] with [q] in [0,1]; linear interpolation.
-    @raise Invalid_argument on empty input or q outside [0,1]. *)
+(**/**)
 
-val pp : Format.formatter -> t -> unit
+val percentile : float array -> float -> float
+(** For tests: the interpolation rule behind the summary's quantiles.
+    [percentile sorted q] with [q] in [0,1]; linear interpolation.
+    @raise Invalid_argument on empty input or q outside [0,1]. *)

@@ -1,10 +1,9 @@
 type align = Left | Right
-type row = Cells of string list | Rule
 
 type t = {
   headers : string list;
   aligns : align list;
-  mutable rows_rev : row list;
+  mutable rows_rev : string list list;
 }
 
 let create ~columns =
@@ -14,13 +13,9 @@ let create ~columns =
 let add_row t cells =
   if List.length cells <> List.length t.headers then
     invalid_arg "Table.add_row: wrong number of cells";
-  t.rows_rev <- Cells cells :: t.rows_rev
+  t.rows_rev <- cells :: t.rows_rev
 
-let add_rule t = t.rows_rev <- Rule :: t.rows_rev
-
-let rows t =
-  List.length
-    (List.filter (function Cells _ -> true | Rule -> false) t.rows_rev)
+let rows t = List.length t.rows_rev
 
 let render t =
   let rows = List.rev t.rows_rev in
@@ -28,10 +23,7 @@ let render t =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun w row ->
-            match row with
-            | Rule -> w
-            | Cells cells -> max w (String.length (List.nth cells i)))
+          (fun w cells -> max w (String.length (List.nth cells i)))
           (String.length h) rows)
       t.headers
   in
@@ -62,7 +54,5 @@ let render t =
   in
   emit_cells t.headers;
   rule ();
-  List.iter (function Cells c -> emit_cells c | Rule -> rule ()) rows;
+  List.iter emit_cells rows;
   Buffer.contents buf
-
-let print t = print_string (render t)

@@ -8,9 +8,9 @@ val create : columns:(string * align) list -> t
 val add_row : t -> string list -> unit
 (** @raise Invalid_argument if the row width differs from the header. *)
 
-val add_rule : t -> unit
-(** A horizontal separator. *)
-
 val render : t -> string
-val print : t -> unit
+
+(**/**)
+
 val rows : t -> int
+(** For tests: counts rows without parsing the rendering. *)

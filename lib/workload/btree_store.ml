@@ -202,54 +202,11 @@ let lookup t key =
           Api.unlock lock;
           r)
 
-let insert t ~key ~value =
-  let leaf = descend t (root_exn t) key in
-  Coretime.with_op t.ct ~write:true leaf.addr (fun () ->
-      match leaf.kind with
-      | Internal _ -> assert false
-      | Leaf { values; lock } ->
-          Api.lock lock;
-          charge_search leaf (log2_ceil (max leaf.nkeys 2));
-          let ok =
-            match leaf_slot leaf key with
-            | Some i ->
-                values.(i) <- value;
-                ignore
-                  (Api.write ~addr:(leaf.addr + (i * slot_bytes)) ~len:slot_bytes);
-                true
-            | None ->
-                if leaf.nkeys >= t.fanout then false
-                else begin
-                  (* shift the tail up one slot to keep keys sorted *)
-                  let pos =
-                    ((ref leaf.nkeys)
-                    [@alloc_ok "loop cursor under the leaf lock"])
-                  in
-                  while !pos > 0 && leaf.keys.(!pos - 1) > key do
-                    leaf.keys.(!pos) <- leaf.keys.(!pos - 1);
-                    values.(!pos) <- values.(!pos - 1);
-                    decr pos
-                  done;
-                  leaf.keys.(!pos) <- key;
-                  values.(!pos) <- value;
-                  leaf.nkeys <- leaf.nkeys + 1;
-                  t.keys_ <- t.keys_ + 1;
-                  ignore
-                    (Api.write
-                       ~addr:(leaf.addr + (!pos * slot_bytes))
-                       ~len:((leaf.nkeys - !pos) * slot_bytes));
-                  true
-                end
-          in
-          Api.unlock lock;
-          ok)
-
 let height t = t.height_
 let node_count t = t.nodes
 let leaf_count t = t.leaves
 let key_count t = t.keys_
 let mem_bytes t = t.nodes * node_bytes t
-let root_addr t = (root_exn t).addr
 
 let check t =
   match t.root with

@@ -27,18 +27,15 @@ val lookup : t -> int -> int option
 (** Simulated point lookup (call inside a thread): reads each internal
     node's binary-search path, then performs an annotated leaf search. *)
 
-val insert : t -> key:int -> value:int -> bool
-(** Simulated upsert: annotated write on the leaf. Returns false when the
-    leaf is full (this store does not split at run time; size the tree
-    with bulk-load slack instead). *)
-
 val height : t -> int
 val node_count : t -> int
 val leaf_count : t -> int
 val key_count : t -> int
 val mem_bytes : t -> int
-val root_addr : t -> int
+
+(**/**)
 
 val check : t -> (unit, string) result
-(** Structural invariants: keys sorted within nodes, separators bound the
+(** For tests: the B-tree's structural invariant.
+    Structural invariants: keys sorted within nodes, separators bound the
     subtrees, all leaves at the same depth, counts consistent. *)

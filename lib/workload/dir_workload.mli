@@ -34,12 +34,6 @@ val spec_for_data_kb :
 (** The spec whose directory count best approximates [kb] of directory
     content (at least 1 directory). *)
 
-val file_name83 : int -> string
-(** [file_name83 k] is the 8.3 name of file [f<k>.dat] (["F<k>"] padded
-    to 8 bytes, then ["DAT"]), as {!O2_fs.Fat_name.to_83_exn} gives it.
-    @raise Invalid_argument when [k] is negative or has more than 7
-    digits. *)
-
 type t
 
 val build : Coretime.t -> spec -> t
@@ -58,7 +52,6 @@ val build : Coretime.t -> spec -> t
 val fs : t -> O2_fs.Fat.t
 val spec : t -> spec
 val directory : t -> int -> O2_fs.Fat.dir
-val dir_object : t -> int -> Coretime.Object_table.obj
 
 val rotate_popularity : t -> by:int -> unit
 (** Shift the popularity-rank-to-directory mapping by [by] positions:
@@ -73,9 +66,6 @@ val set_active : t -> int -> unit
 val spawn_threads : t -> unit
 (** One looping lookup thread per core, as in Figure 1's [main]. *)
 
-val spawn_thread : t -> core:int -> O2_runtime.Thread.t
-(** A single worker (used by examples and tests). *)
-
 val spawn_threads_placed : t -> int array -> unit
 (** One worker per entry, placed on the given cores (a thread-placement
     scheduler's output). *)
@@ -83,6 +73,19 @@ val spawn_threads_placed : t -> int array -> unit
 val lookups_done : t -> int
 (** Successful resolutions completed so far (sums per-core op counters). *)
 
+(**/**)
+
+val file_name83 : int -> string
+(** For tests: checks the 8.3 names the workload looks up.
+    [file_name83 k] is the 8.3 name of file [f<k>.dat] (["F<k>"] padded
+    to 8 bytes, then ["DAT"]), as {!O2_fs.Fat_name.to_83_exn} gives it.
+    @raise Invalid_argument when [k] is negative or has more than 7
+    digits. *)
+
+val dir_object : t -> int -> Coretime.Object_table.obj
+(** For tests: checks each directory's CoreTime object. *)
+
 val one_lookup : t -> Rng.t -> bool
-(** Perform a single annotated lookup from inside an existing simulated
+(** For tests: runs one lookup of the workload's loop.
+    Perform a single annotated lookup from inside an existing simulated
     thread; returns whether the name resolved (it always should). *)

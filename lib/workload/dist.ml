@@ -1,13 +1,4 @@
-type kind =
-  | Uniform
-  | Zipf of { s : float; cdf : float array }
-  | Fixed of int
-
-type t = { n_ : int; kind : kind }
-
-let uniform n =
-  if n <= 0 then invalid_arg "Dist.uniform: n must be positive";
-  { n_ = n; kind = Uniform }
+type t = { n_ : int; cdf : float array }
 
 let zipf ~n ~s =
   if n <= 0 then invalid_arg "Dist.zipf: n must be positive";
@@ -22,38 +13,20 @@ let zipf ~n ~s =
       cdf.(i) <- !acc)
     weights;
   cdf.(n - 1) <- 1.0;
-  { n_ = n; kind = Zipf { s; cdf } }
-
-let fixed v =
-  if v < 0 then invalid_arg "Dist.fixed: negative value";
-  { n_ = v + 1; kind = Fixed v }
-
-let n t = t.n_
+  { n_ = n; cdf }
 
 let sample t rng =
-  match t.kind with
-  | Uniform -> Rng.int rng ~bound:t.n_
-  | Fixed v -> v
-  | Zipf { cdf; _ } ->
-      let u = Rng.float rng in
-      (* first index with cdf.(i) >= u *)
-      let lo = ref 0 and hi = ref (Array.length cdf - 1) in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if cdf.(mid) >= u then hi := mid else lo := mid + 1
-      done;
-      !lo
+  let cdf = t.cdf in
+  let u = Rng.float rng in
+  (* first index with cdf.(i) >= u *)
+  let lo = ref 0 and hi = ref (Array.length cdf - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if cdf.(mid) >= u then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let pmf t i =
   if i < 0 || i >= t.n_ then 0.0
-  else
-    match t.kind with
-    | Uniform -> 1.0 /. float_of_int t.n_
-    | Fixed v -> if i = v then 1.0 else 0.0
-    | Zipf { cdf; _ } -> if i = 0 then cdf.(0) else cdf.(i) -. cdf.(i - 1)
-
-let describe t =
-  match t.kind with
-  | Uniform -> Printf.sprintf "uniform(%d)" t.n_
-  | Fixed v -> Printf.sprintf "fixed(%d)" v
-  | Zipf { s; _ } -> Printf.sprintf "zipf(n=%d, s=%.2f)" t.n_ s
+  else if i = 0 then t.cdf.(0)
+  else t.cdf.(i) -. t.cdf.(i - 1)

@@ -2,19 +2,14 @@
 
 type t
 
-val uniform : int -> t
-(** @raise Invalid_argument if [n <= 0]. *)
-
 val zipf : n:int -> s:float -> t
 (** Zipf with exponent [s] over ranks 1..n (rank 0 is most popular).
     @raise Invalid_argument if [n <= 0] or [s < 0]. *)
 
-val fixed : int -> t
-(** Always the same value (for tests). *)
-
-val n : t -> int
 val sample : t -> Rng.t -> int
-val pmf : t -> int -> float
-(** Probability of value [i]. *)
 
-val describe : t -> string
+(**/**)
+
+val pmf : t -> int -> float
+(** For tests: checks the Zipf distribution's shape.
+    Probability of value [i]. *)

@@ -54,8 +54,6 @@ let bucket_of_key t key =
   let h = key * 0x2545F491 land max_int in
   h mod buckets t
 
-let bucket_addr t i = t.bucket_arr.(i).addr
-
 (* Scan the bucket's slots for a key, charging the bytes a linear probe
    would touch. Returns the slot index. *)
 let scan_sim b ~key =

@@ -20,8 +20,6 @@ val create :
     object owned by [pid]. *)
 
 val buckets : t -> int
-val bucket_of_key : t -> int -> int
-val bucket_addr : t -> int -> int
 
 val put : t -> key:int -> value:int -> bool
 (** Insert or update from inside a simulated thread (annotated write
@@ -30,9 +28,17 @@ val put : t -> key:int -> value:int -> bool
 val get : t -> key:int -> int option
 (** Annotated read operation. *)
 
-val delete : t -> key:int -> bool
-val size : t -> int
-(** Live keys (host-side). *)
-
 val mem_bytes : t -> int
 (** Total simulated bytes across buckets. *)
+
+(**/**)
+
+val bucket_of_key : t -> int -> int
+(** For tests: checks the hash against {!O2_native.Backend_kv}. *)
+
+val delete : t -> key:int -> bool
+(** For tests: the kv model's delete. *)
+
+val size : t -> int
+(** For tests: the kv model's size.
+    Live keys (host-side). *)

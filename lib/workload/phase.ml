@@ -1,3 +1,5 @@
+(* Starting in [`High], flip the phase every [period] cycles (calls
+   [on_phase] at each flip, not at time 0). *)
 let square_wave engine ~period ~on_phase =
   if period <= 0 then invalid_arg "Phase.square_wave: period must be positive";
   let phase = ref `High in

@@ -1,14 +1,6 @@
 (** Workload phase control: time-varying popularity, driving Figure 4(b)'s
     oscillation and the rebalancer tests. *)
 
-val square_wave :
-  O2_runtime.Engine.t ->
-  period:int ->
-  on_phase:([ `High | `Low ] -> unit) ->
-  unit
-(** Starting in [`High], flip the phase every [period] cycles (calls
-    [on_phase] at each flip, not at time 0). *)
-
 val oscillate_active :
   O2_runtime.Engine.t -> Dir_workload.t -> period:int -> divisor:int -> unit
 (** Figure 4(b): every [period] cycles, the number of directories accessed

@@ -61,40 +61,6 @@ let test_lookup_charges_cycles () =
   Alcotest.(check bool) "descent cost charged" true
     (O2_runtime.Engine.core_clock engine 0 > 0)
 
-let test_insert_update_and_new () =
-  let engine, ct = make () in
-  let t = load ct 100 in
-  let r =
-    in_thread engine (fun () ->
-        let updated = Btree_store.insert t ~key:4 ~value:999 in
-        let v = Btree_store.lookup t 4 in
-        (* 5 is absent (not 1 mod 3): lands in some leaf with slack *)
-        let added = Btree_store.insert t ~key:5 ~value:55 in
-        let v5 = Btree_store.lookup t 5 in
-        (updated, v, added, v5))
-  in
-  Alcotest.(check bool) "update + insert behaviour" true
-    (r = (true, Some 999, true, Some 55));
-  Alcotest.(check bool) "still well-formed" true (Btree_store.check t = Ok ());
-  Alcotest.(check int) "key count grew" 101 (Btree_store.key_count t)
-
-let test_insert_full_leaf_rejected () =
-  let engine, ct = make () in
-  let t = Btree_store.create ct ~name:"t" ~fanout:4 () in
-  (* fanout 4, 70% fill = 2 per leaf; stuffing one leaf's key range *)
-  Btree_store.bulk_load t ~keys:[| 10; 20; 30; 40 |] ~value_of:Fun.id;
-  let outcome =
-    in_thread engine (fun () ->
-        let a = Btree_store.insert t ~key:11 ~value:1 in
-        let b = Btree_store.insert t ~key:12 ~value:2 in
-        let c = Btree_store.insert t ~key:13 ~value:3 in
-        (a, b, c))
-  in
-  (match outcome with
-  | true, true, false -> ()
-  | a, b, c -> Alcotest.failf "expected fill then reject, got %b %b %b" a b c);
-  Alcotest.(check bool) "tree intact" true (Btree_store.check t = Ok ())
-
 let test_bulk_load_validation () =
   let _, ct = make () in
   let t = Btree_store.create ct ~name:"t" ~fanout:8 () in
@@ -143,8 +109,6 @@ let suite =
     Alcotest.test_case "bulk load builds a valid tree" `Quick test_bulk_load_structure;
     Alcotest.test_case "lookups hit and miss correctly" `Quick test_lookup_hits_and_misses;
     Alcotest.test_case "lookups cost cycles" `Quick test_lookup_charges_cycles;
-    Alcotest.test_case "insert updates and adds" `Quick test_insert_update_and_new;
-    Alcotest.test_case "full leaves reject inserts" `Quick test_insert_full_leaf_rejected;
     Alcotest.test_case "bulk load validation" `Quick test_bulk_load_validation;
     Alcotest.test_case "nodes are CoreTime objects" `Quick test_nodes_registered_as_objects;
     prop_lookup_matches_membership;

@@ -248,6 +248,11 @@ let test_golden_future () =
   check_golden "future64-small (E10)" (golden_future_cells ())
     ~digest:"c5e4320e1e11b908f02b491149a2b94d" ~total_ops:535
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 let test_validate_obs () =
   Alcotest.(check bool) "defaults validate" true
     (Result.is_ok (Harness.validate_obs Harness.no_obs));
@@ -258,6 +263,14 @@ let test_validate_obs () =
   in
   check_rejected "trace_sample 0"
     { Harness.no_obs with Harness.trace_sample = 0 };
+  (match
+     Harness.validate_obs { Harness.no_obs with Harness.trace_sample = 0 }
+   with
+  | Error msg ->
+      Alcotest.(check bool)
+        "the --trace-sample refusal says it samples op spans" true
+        (contains ~sub:"op span" msg)
+  | Ok () -> ());
   check_rejected "trace_sample negative"
     { Harness.no_obs with Harness.trace_sample = -3 };
   check_rejected "occupancy_interval 0"
@@ -292,11 +305,6 @@ let test_native_exp_oracle_only () =
   Format.pp_print_flush ppf ();
   let out = Buffer.contents buf in
   let lines = String.split_on_char '\n' out |> List.map String.trim in
-  let contains ~sub s =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   Alcotest.(check bool) "oracle verdict" true ok;
   List.iter
     (fun w ->

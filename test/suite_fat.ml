@@ -316,7 +316,8 @@ let test_fat_lookup_locked_serializes () =
       (O2_runtime.Engine.spawn engine ~core ~name:(Printf.sprintf "w%d" core)
          (fun () ->
            for i = 0 to 9 do
-             if Fat.lookup_locked fs d (Printf.sprintf "f%d.dat" (i * 17)) <> None
+             let name83 = Fat_name.to_83_exn (Printf.sprintf "f%d.dat" (i * 17)) in
+             if Fat.lookup_locked_83 fs d name83 <> None
              then incr hits
            done))
   done;
@@ -390,30 +391,6 @@ let test_mkdir_path () =
   Alcotest.(check bool) "same handle" true (c == c2);
   Alcotest.(check bool) "intermediates registered" true
     (Fat.find_dir fs "/a/b" <> None)
-
-let test_resolve_sim_agrees () =
-  let machine = Machine.create Config.amd16 in
-  let fs =
-    Fat.format (Machine.memory machine) ~label:"t" ~cluster_bytes:512
-      ~clusters:256 ()
-  in
-  let sub = Result.get_ok (Fat.mkdir_path fs "/srv/data") in
-  Result.get_ok (Fat.populate fs [| sub |] ~names83:(names83 "f" 20));
-  let engine = O2_runtime.Engine.create machine in
-  let hit = ref None and miss = ref (Some (`Dir (Fat.root fs))) in
-  ignore
-    (O2_runtime.Engine.spawn engine ~core:0 ~name:"t" (fun () ->
-         hit := Fat.resolve_sim fs "/srv/data/f7.dat";
-         miss := Fat.resolve_sim fs "/srv/data/f99.dat"));
-  O2_runtime.Engine.run engine;
-  (match !hit with
-  | Some (`File e) ->
-      Alcotest.(check bool) "same entry as host resolve" true
-        (Fat.resolve fs "/srv/data/f7.dat" = Some (`File e))
-  | _ -> Alcotest.fail "sim resolve should find the file");
-  Alcotest.(check bool) "sim resolve miss" true (!miss = None);
-  Alcotest.(check bool) "component scans cost cycles" true
-    (O2_runtime.Engine.core_clock engine 0 > 0)
 
 (* Model-based property: a directory behaves like a name -> entry map
    under random add/remove/lookup sequences, and the volume stays
@@ -745,7 +722,6 @@ let suite =
     Alcotest.test_case "directory object identity" `Quick test_dir_object_identity;
     Alcotest.test_case "nested directories and path resolution" `Quick test_nested_dirs_and_paths;
     Alcotest.test_case "mkdir_path" `Quick test_mkdir_path;
-    Alcotest.test_case "simulated path resolution" `Quick test_resolve_sim_agrees;
     QCheck_alcotest.to_alcotest prop_dir_matches_map;
     QCheck_alcotest.to_alcotest prop_scan_matches_byte_wise;
     Alcotest.test_case "mkdir on a freed cluster starts empty" `Quick

@@ -76,15 +76,6 @@ let test_dram_drains () =
     (cfg.Config.dram_latency + cfg.Config.dram_service)
     cost
 
-let test_dram_accounting () =
-  let _, d = dram () in
-  ignore (Dram.fetch d ~now:0 ~from_chip:0 ~home_chip:2 ~lines:7);
-  Alcotest.(check int) "lines served on home chip" 7 (Dram.lines_served d ~chip:2);
-  Alcotest.(check int) "total" 7 (Dram.total_lines_served d);
-  Alcotest.(check bool) "utilization positive" true (Dram.utilization d ~now:10000 > 0.0);
-  Dram.reset d;
-  Alcotest.(check int) "reset" 0 (Dram.total_lines_served d)
-
 let test_dram_zero_lines () =
   let _, d = dram () in
   Alcotest.(check int) "zero lines free" 0
@@ -99,6 +90,5 @@ let suite =
     Alcotest.test_case "dram idle fetch cost" `Quick test_dram_idle_fetch;
     Alcotest.test_case "dram bandwidth queueing" `Quick test_dram_queueing;
     Alcotest.test_case "dram queue drains" `Quick test_dram_drains;
-    Alcotest.test_case "dram accounting" `Quick test_dram_accounting;
     Alcotest.test_case "dram zero-line fetch" `Quick test_dram_zero_lines;
   ]

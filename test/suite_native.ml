@@ -274,7 +274,25 @@ let test_map_input_order () =
         (Native_pool.map ~jobs cell xs))
     [ 2; 3; 7 ]
 
+(* The file of a backtrace's first frame. *)
+let first_frame_file bt =
+  match Printexc.backtrace_slots bt with
+  | Some slots when Array.length slots > 0 -> (
+      match Printexc.Slot.location slots.(0) with
+      | Some loc -> Filename.basename loc.Printexc.filename
+      | None -> "?")
+  | _ -> "no backtrace"
+
+(* The re-raised exception keeps the failing element's own backtrace:
+   its first frame is the [raise] in this file, not the re-raise inside
+   [map], so a failed sweep cell can be located. That holds too when the
+   element ran on a worker domain, which does not record backtraces
+   unless told to. *)
 let test_map_smallest_error_wins () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
   List.iter
     (fun jobs ->
       let ran = Array.make 11 false in
@@ -283,21 +301,48 @@ let test_map_smallest_error_wins () =
           Native_pool.map ~jobs
             (fun x ->
               ran.(x) <- true;
-              if x = 3 || x = 8 then failwith (string_of_int x) else x)
+              if x = 3 || x = 8 then raise (Failure (string_of_int x)) else x)
             (List.init 11 Fun.id)
         with
         | _ -> None
-        | exception Failure msg -> Some msg
+        | exception Failure msg ->
+            Some (msg, first_frame_file (Printexc.get_raw_backtrace ()))
       in
       check
-        Alcotest.(option string)
-        (Printf.sprintf "smallest failing index wins at jobs=%d" jobs)
-        (Some "3") raised;
+        Alcotest.(option (pair string string))
+        (Printf.sprintf
+           "smallest failing index wins, raised from its own frame, at jobs=%d"
+           jobs)
+        (Some ("3", "suite_native.ml"))
+        raised;
       checkb
         (Printf.sprintf "every element ran at jobs=%d" jobs)
         true
         (Array.for_all Fun.id ran))
-    [ 2; 4 ]
+    [ 2; 4 ];
+  (* Only elements on the worker raise; each spins long enough that the
+     worker claims some of the 40. *)
+  let caller = Domain.self () in
+  let on_worker =
+    match
+      Native_pool.map ~jobs:2
+        (fun x ->
+          let acc = ref x in
+          for i = 1 to 500_000 do
+            acc := (!acc * 31 + i) land 0xffff
+          done;
+          if Domain.self () <> caller then raise (Failure "worker") else !acc)
+        (List.init 40 Fun.id)
+    with
+    | _ -> None
+    | exception Failure msg ->
+        Some (msg, first_frame_file (Printexc.get_raw_backtrace ()))
+  in
+  check
+    Alcotest.(option (pair string string))
+    "an element that failed on the worker is raised from its own frame"
+    (Some ("worker", "suite_native.ml"))
+    on_worker
 
 (* At jobs=1 [map] is [List.map]: the first failing element raises and
    the elements after it never run. *)

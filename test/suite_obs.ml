@@ -120,15 +120,7 @@ let test_metrics_registry () =
     "sorted counters"
     [ ("a", 5); ("b", 1) ]
     (Metrics.counters m);
-  let m2 = Metrics.create () in
-  Metrics.incr ~by:10 m2 "a";
-  Metrics.set_gauge m2 "g" 9.0;
-  Metrics.observe m2 "h" 30;
-  Metrics.merge_into ~into:m m2;
-  Alcotest.(check int) "counters add on merge" 15 (Metrics.counter_value m "a");
-  Alcotest.(check (option (float 1e-9)))
-    "gauge keeps merged-in sample" (Some 9.0) (Metrics.gauge_value m "g");
-  Alcotest.(check int) "hists merge" 2 (Hist.count (Metrics.hist m "h"))
+  Alcotest.(check int) "one sample observed" 1 (Hist.count (Metrics.hist m "h"))
 
 (* ------------------------------------------------------------------ *)
 (* Span reconstruction from a scripted probe stream *)
@@ -873,13 +865,7 @@ let test_occupancy_tracker () =
       Alcotest.(check int) "sample width = cache count"
         (Occupancy.cache_count occ)
         (Array.length s.Occupancy.lines))
-    (Occupancy.samples occ);
-  let csv = Occupancy.to_csv occ in
-  Alcotest.(check bool) "heatmap csv header" true
-    (String.length csv >= 24 && String.sub csv 0 24 = "cache,object,name,lines\n");
-  let tl = Occupancy.timeline_csv occ in
-  Alcotest.(check bool) "timeline csv header" true
-    (String.length tl >= 23 && String.sub tl 0 23 = "at,cache,lines,objects\n")
+    (Occupancy.samples occ)
 
 let test_heat_tracker () =
   let result, _occ, heat, _prov = quickstart_observed () in
@@ -888,14 +874,6 @@ let test_heat_tracker () =
   Alcotest.(check int) "heat ops sum = completed ops"
     result.O2_experiments.Quickstart_exp.ops
     (List.fold_left (fun a r -> a + r.Heat.ops) 0 rows);
-  let churn (r : Heat.row) = r.Heat.remote + r.Heat.dram in
-  let top = Heat.top_k heat 3 in
-  Alcotest.(check bool) "top_k bounded" true (List.length top <= 3);
-  let rec sorted = function
-    | a :: (b :: _ as tl) -> churn a >= churn b && sorted tl
-    | _ -> true
-  in
-  Alcotest.(check bool) "top_k ordered by off-core traffic" true (sorted top);
   Alcotest.(check int) "nothing unattributed in quickstart" 0
     (Heat.unattributed heat)
 

@@ -26,6 +26,17 @@ let load_fixture short =
       | Some m -> m
       | None -> Alcotest.fail ("cannot load fixture cmt " ^ path))
 
+let load_fixture_interface short =
+  match fixture_dir () with
+  | None -> Alcotest.fail "fixture cmtis not built (dune build test)"
+  | Some dir -> (
+      let path =
+        Filename.concat dir ("staticcheck_fixtures__" ^ short ^ ".cmti")
+      in
+      match SC.Cmt_load.load_interface path with
+      | Some i -> i
+      | None -> Alcotest.fail ("cannot load fixture cmti " ^ path))
+
 let codes findings =
   List.sort compare (List.map (fun f -> f.SC.Finding.code) findings)
 
@@ -223,6 +234,45 @@ let test_compare_fixture () =
           (fun f -> f.SC.Finding.code = "poly-compare")
           r.SC.Staticcheck.findings))
 
+(* Each export class is found once, the value after (**/**) with its
+   reason is not, and the values reached only through [open], a local
+   alias, [K.v] on a functor application or a functor argument count as
+   used. The fixture library sits under test/, so its real user is
+   relabelled as bin/ code. The two unresolved paths are the functor
+   parameters' values, [X.seed] and [M.via_argument]. *)
+let test_export_fixture () =
+  let user = load_fixture "Fx_export_user" in
+  let counts, fs =
+    SC.Export_check.check
+      [ load_fixture_interface "Fx_export"; load_fixture_interface "Fx_export_arg" ]
+      [
+        load_fixture "Fx_export";
+        load_fixture "Fx_export_arg";
+        { user with SC.Cmt_load.source = "bin/fx_export_user.ml" };
+        load_fixture "Fx_export_test";
+      ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "one finding per class"
+    [
+      ("unused-export", "unused");
+      ("private-export", "private_");
+      ("test-only-export", "tested");
+    ]
+    (List.map (fun f -> (f.SC.Finding.code, f.SC.Finding.func)) fs);
+  Alcotest.(check (list int))
+    "values, no user, own module, test only, real users, unresolved"
+    [ 9; 1; 1; 2; 5; 2 ]
+    SC.Export_check.
+      [
+        counts.values;
+        counts.no_user;
+        counts.own_module;
+        counts.test_only;
+        counts.real_users;
+        counts.unresolved;
+      ]
+
 let suite =
   [
     Alcotest.test_case "allocating hot path fixture" `Quick test_alloc_fixture;
@@ -234,4 +284,5 @@ let suite =
     Alcotest.test_case "ignored unit result fixture" `Quick test_ignore_fixture;
     Alcotest.test_case "polymorphic compare fixture" `Quick
       test_compare_fixture;
+    Alcotest.test_case "unused export fixture" `Quick test_export_fixture;
   ]

@@ -1,10 +1,5 @@
 open O2_stats
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 let test_summary () =
   match Summary.of_list [ 1.0; 2.0; 3.0; 4.0; 5.0 ] with
   | None -> Alcotest.fail "summary"
@@ -15,10 +10,7 @@ let test_summary () =
       Alcotest.(check (float 1e-9)) "max" 5.0 s.Summary.max;
       Alcotest.(check (float 1e-9)) "p50" 3.0 s.Summary.p50;
       Alcotest.(check (float 1e-9)) "p999" (1.0 +. (4.0 *. 0.999)) s.Summary.p999;
-      Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.0) s.Summary.stddev;
-      let rendered = Format.asprintf "%a" Summary.pp s in
-      Alcotest.(check bool) "pp mentions p999" true
-        (contains ~sub:"p999=" rendered)
+      Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.0) s.Summary.stddev
 
 let test_summary_empty_and_percentile () =
   Alcotest.(check bool) "empty" true (Summary.of_list [] = None);
@@ -51,14 +43,6 @@ let test_series_sorted_and_lookup () =
   Alcotest.(check (option (float 1e-9))) "y_at hit" (Some 20.0) (Series.y_at s 2.0);
   Alcotest.(check (option (float 1e-9))) "y_at miss" None (Series.y_at s 2.5)
 
-let test_series_interpolate () =
-  let s = series [ (0.0, 0.0); (10.0, 100.0) ] in
-  Alcotest.(check (option (float 1e-9))) "midpoint" (Some 50.0)
-    (Series.interpolate s 5.0);
-  Alcotest.(check (option (float 1e-9))) "endpoint" (Some 100.0)
-    (Series.interpolate s 10.0);
-  Alcotest.(check (option (float 1e-9))) "outside" None (Series.interpolate s 11.0)
-
 let test_series_ratio_and_crossover () =
   let a = series [ (1.0, 10.0); (2.0, 10.0); (3.0, 40.0) ] in
   let b = Series.make ~label:"b" [ (1.0, 20.0); (2.0, 10.0); (3.0, 10.0) ] in
@@ -70,16 +54,9 @@ let test_series_ratio_and_crossover () =
   Alcotest.(check (option (float 1e-9))) "no crossover" None
     (Series.crossover ~a:b2 ~b:b2)
 
-let test_series_max_y () =
-  let s = series [ (1.0, 5.0); (2.0, 9.0); (3.0, 2.0) ] in
-  match Series.max_y s with
-  | Some p -> Alcotest.(check (float 1e-9)) "peak" 9.0 p.Series.y
-  | None -> Alcotest.fail "max_y"
-
 let test_table_render () =
   let t = Table.create ~columns:[ ("name", Table.Left); ("value", Table.Right) ] in
   Table.add_row t [ "alpha"; "1" ];
-  Table.add_rule t;
   Table.add_row t [ "b"; "22222" ];
   let out = Table.render t in
   Alcotest.(check bool) "header present" true
@@ -95,17 +72,6 @@ let test_table_render () =
     (Invalid_argument "Table.add_row: wrong number of cells") (fun () ->
       Table.add_row t [ "only-one" ])
 
-let test_csv () =
-  Alcotest.(check string) "plain" "a" (Csv.escape "a");
-  Alcotest.(check string) "comma quoted" "\"a,b\"" (Csv.escape "a,b");
-  Alcotest.(check string) "quote doubled" "\"a\"\"b\"" (Csv.escape "a\"b");
-  let out = Csv.to_string ~header:[ "x"; "y" ] [ [ "1"; "2" ]; [ "3"; "4" ] ] in
-  Alcotest.(check string) "rows" "x,y\n1,2\n3,4\n" out;
-  let s1 = Series.make ~label:"a" [ (1.0, 2.0) ] in
-  let s2 = Series.make ~label:"b" [ (1.0, 3.0); (2.0, 4.0) ] in
-  Alcotest.(check string) "wide series format" "x,a,b\n1,2,3\n2,,4\n"
-    (Csv.of_series [ s1; s2 ])
-
 let test_ascii_plot () =
   let s = series [ (0.0, 0.0); (5.0, 50.0); (10.0, 100.0) ] in
   let out = Ascii_plot.render ~width:40 ~height:10 [ s ] in
@@ -118,10 +84,7 @@ let suite =
     Alcotest.test_case "summary statistics" `Quick test_summary;
     Alcotest.test_case "summary edge cases" `Quick test_summary_empty_and_percentile;
     Alcotest.test_case "series sorting and lookup" `Quick test_series_sorted_and_lookup;
-    Alcotest.test_case "series interpolation" `Quick test_series_interpolate;
     Alcotest.test_case "series ratio and crossover" `Quick test_series_ratio_and_crossover;
-    Alcotest.test_case "series max" `Quick test_series_max_y;
     Alcotest.test_case "table rendering" `Quick test_table_render;
-    Alcotest.test_case "csv escaping and series export" `Quick test_csv;
     Alcotest.test_case "ascii plot" `Quick test_ascii_plot;
   ]

@@ -37,19 +37,6 @@ let test_rng_shuffle_is_permutation () =
 
 (* ---------- dist ---------- *)
 
-let test_uniform_support () =
-  let d = Dist.uniform 10 in
-  let r = Rng.create ~seed:2 in
-  let seen = Array.make 10 0 in
-  for _ = 1 to 2000 do
-    let v = Dist.sample d r in
-    seen.(v) <- seen.(v) + 1
-  done;
-  Array.iteri
-    (fun i n -> if n = 0 then Alcotest.failf "value %d never drawn" i)
-    seen;
-  Alcotest.(check (float 1e-9)) "pmf" 0.1 (Dist.pmf d 3)
-
 let test_zipf_skew () =
   let d = Dist.zipf ~n:100 ~s:1.2 in
   Alcotest.(check bool) "rank 0 most popular" true (Dist.pmf d 0 > Dist.pmf d 1);
@@ -66,12 +53,6 @@ let test_zipf_skew () =
 let test_zipf_zero_exponent_is_uniform () =
   let d = Dist.zipf ~n:10 ~s:0.0 in
   Alcotest.(check (float 1e-9)) "flat" (Dist.pmf d 0) (Dist.pmf d 9)
-
-let test_fixed () =
-  let d = Dist.fixed 3 in
-  let r = Rng.create ~seed:9 in
-  Alcotest.(check int) "always the same" 3 (Dist.sample d r);
-  Alcotest.(check (float 1e-9)) "pmf one" 1.0 (Dist.pmf d 3)
 
 (* ---------- dir workload ---------- *)
 
@@ -314,10 +295,8 @@ let suite =
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng split" `Quick test_rng_split_independent;
     Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle_is_permutation;
-    Alcotest.test_case "uniform covers its support" `Quick test_uniform_support;
     Alcotest.test_case "zipf is skewed and normalised" `Quick test_zipf_skew;
     Alcotest.test_case "zipf s=0 is uniform" `Quick test_zipf_zero_exponent_is_uniform;
-    Alcotest.test_case "fixed distribution" `Quick test_fixed;
     Alcotest.test_case "workload geometry (paper sizes)" `Quick test_workload_geometry;
     Alcotest.test_case "workload builds a valid volume" `Quick test_workload_builds_valid_volume;
     Alcotest.test_case "file names written as 8.3" `Quick test_file_names83;
