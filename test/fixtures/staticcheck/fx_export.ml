@@ -13,3 +13,4 @@ struct
 end
 
 let hidden_tested x = x + 5
+let hidden_no_reason x = x + 6

@@ -1,7 +1,8 @@
 (* Unused-export fixture: one value per class of the export pass, and
    one real-user value per way the pass must follow a use. The users are
    fx_export_user.ml (counted as real code) and fx_export_test.ml (test
-   code). *)
+   code). After (**/**), one test value has the doc comment that makes it
+   deliberate and one lacks it. *)
 
 val unused : int -> int
 val private_ : int -> int
@@ -19,4 +20,6 @@ end
 (**/**)
 
 val hidden_tested : int -> int
-(** For tests: the one value the test user reaches on purpose. *)
+(** For tests: a value the test user reaches on purpose. *)
+
+val hidden_no_reason : int -> int

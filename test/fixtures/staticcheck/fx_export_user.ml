@@ -1,6 +1,7 @@
 (* The real user of the export fixture: a direct use, a use through
    [open], through a local alias, through [K.v] on a functor
-   application, and a module passed as a functor argument. *)
+   application, a module passed as a functor argument and a module packed
+   as a first-class module. *)
 
 let direct = Fx_export.used 1
 
@@ -26,3 +27,9 @@ struct
 end
 
 module Taken = Takes (Fx_export_arg)
+
+module type PACKED = sig
+  val via_packed : int -> int
+end
+
+let packed = (module Fx_export_pack : PACKED)

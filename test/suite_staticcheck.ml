@@ -234,35 +234,52 @@ let test_compare_fixture () =
           (fun f -> f.SC.Finding.code = "poly-compare")
           r.SC.Staticcheck.findings))
 
-(* Each export class is found once, the value after (**/**) with its
-   reason is not, and the values reached only through [open], a local
-   alias, [K.v] on a functor application or a functor argument count as
-   used. The fixture library sits under test/, so its real user is
-   relabelled as bin/ code. The two unresolved paths are the functor
-   parameters' values, [X.seed] and [M.via_argument]. *)
+(* The export pass over its fixture, run once: the interface with one
+   value per class, the modules its user passes to a functor and packs as
+   a first-class module, and the two users. The fixture library sits
+   under test/, so its real user is relabelled as bin/ code. *)
+let export_fixture =
+  lazy
+    (let user = load_fixture "Fx_export_user" in
+     SC.Export_check.check
+       [
+         load_fixture_interface "Fx_export";
+         load_fixture_interface "Fx_export_arg";
+         load_fixture_interface "Fx_export_pack";
+       ]
+       [
+         load_fixture "Fx_export";
+         load_fixture "Fx_export_arg";
+         load_fixture "Fx_export_pack";
+         { user with SC.Cmt_load.source = "bin/fx_export_user.ml" };
+         load_fixture "Fx_export_test";
+       ])
+
+(* The codes reported against one exported value of the fixture. *)
+let export_codes name =
+  let _, fs = Lazy.force export_fixture in
+  codes (List.filter (fun f -> f.SC.Finding.func = name) fs)
+
+let export_case name ~expect ~value () =
+  Alcotest.(check (list string)) name expect (export_codes value)
+
+(* Every finding of the fixture, and the class counts. The two
+   unresolved paths are the functor parameters' values, [X.seed] and
+   [M.via_argument]. *)
 let test_export_fixture () =
-  let user = load_fixture "Fx_export_user" in
-  let counts, fs =
-    SC.Export_check.check
-      [ load_fixture_interface "Fx_export"; load_fixture_interface "Fx_export_arg" ]
-      [
-        load_fixture "Fx_export";
-        load_fixture "Fx_export_arg";
-        { user with SC.Cmt_load.source = "bin/fx_export_user.ml" };
-        load_fixture "Fx_export_test";
-      ]
-  in
+  let counts, fs = Lazy.force export_fixture in
   Alcotest.(check (list (pair string string)))
-    "one finding per class"
+    "one finding per class, and the unexplained hidden value"
     [
       ("unused-export", "unused");
       ("private-export", "private_");
       ("test-only-export", "tested");
+      ("test-only-export", "hidden_no_reason");
     ]
     (List.map (fun f -> (f.SC.Finding.code, f.SC.Finding.func)) fs);
   Alcotest.(check (list int))
     "values, no user, own module, test only, real users, unresolved"
-    [ 9; 1; 1; 2; 5; 2 ]
+    [ 11; 1; 1; 3; 6; 2 ]
     SC.Export_check.
       [
         counts.values;
@@ -272,6 +289,44 @@ let test_export_fixture () =
         counts.real_users;
         counts.unresolved;
       ]
+
+(* The class counts and the unresolved paths reach both the text summary
+   and the JSON report. *)
+let test_export_report () =
+  let exports, findings = Lazy.force export_fixture in
+  let r =
+    {
+      SC.Staticcheck.findings;
+      modules_scanned = 5;
+      manifest_functions = 0;
+      listeners_checked = 0;
+      exports;
+    }
+  in
+  let contains ~sub s =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let text = Format.asprintf "%a" SC.Staticcheck.pp_report r in
+  Alcotest.(check bool)
+    "text summary gives each class and the unresolved paths" true
+    (contains
+       ~sub:
+         "11 exported values: 1 no user, 1 own module only, 3 test only, 6 \
+          real users; 2 unresolved paths"
+       text);
+  Alcotest.(check bool)
+    "text summary counts the findings" true
+    (contains ~sub:"o2staticcheck: 4 findings" text);
+  Alcotest.(check bool)
+    "JSON gives each class and the unresolved paths" true
+    (contains
+       ~sub:
+         "\"exports\": {\"values\": 11, \"no_user\": 1, \
+          \"own_module_only\": 1, \"test_only\": 3, \"real_users\": 6, \
+          \"unresolved_paths\": 2}"
+       (SC.Staticcheck.report_to_json r))
 
 let suite =
   [
@@ -285,4 +340,32 @@ let suite =
     Alcotest.test_case "polymorphic compare fixture" `Quick
       test_compare_fixture;
     Alcotest.test_case "unused export fixture" `Quick test_export_fixture;
+    Alcotest.test_case "export: a value with no user" `Quick
+      (export_case "unused-export" ~expect:[ "unused-export" ] ~value:"unused");
+    Alcotest.test_case "export: a value used only in its own module" `Quick
+      (export_case "private-export" ~expect:[ "private-export" ]
+         ~value:"private_");
+    Alcotest.test_case "export: a value used only by tests" `Quick
+      (export_case "test-only-export" ~expect:[ "test-only-export" ]
+         ~value:"tested");
+    Alcotest.test_case "export: a test value after (**/**) with its reason"
+      `Quick
+      (export_case "deliberate test API is not reported" ~expect:[]
+         ~value:"hidden_tested");
+    Alcotest.test_case "export: a test value after (**/**) without a reason"
+      `Quick
+      (export_case "test-only-export" ~expect:[ "test-only-export" ]
+         ~value:"hidden_no_reason");
+    Alcotest.test_case "export: a use through open" `Quick
+      (export_case "used" ~expect:[] ~value:"via_open");
+    Alcotest.test_case "export: a use through a local module alias" `Quick
+      (export_case "used" ~expect:[] ~value:"via_alias");
+    Alcotest.test_case "export: K.v on a functor application" `Quick
+      (export_case "used" ~expect:[] ~value:"via_apply");
+    Alcotest.test_case "export: a functor argument uses its exports" `Quick
+      (export_case "used" ~expect:[] ~value:"via_argument");
+    Alcotest.test_case "export: a packed module uses its exports" `Quick
+      (export_case "used" ~expect:[] ~value:"via_packed");
+    Alcotest.test_case "export counts in the text and JSON reports" `Quick
+      test_export_report;
   ]
