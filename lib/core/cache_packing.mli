@@ -38,9 +38,9 @@ val pack :
   used:int array ->
   items:item list ->
   (item * int) list * item list
-(** The paper's full Θ(n log n) pack, kept as the algorithm EXPERIMENTS.md
-    E5 measures; its only caller is that test (CoreTime promotes with
-        {!place_one}).
+(** For tests: the paper's full Θ(n log n) pack, kept as the algorithm
+    EXPERIMENTS.md E5 measures; its only caller is that test (CoreTime
+    promotes with {!place_one}).
     [pack ~budget ~used ~items] greedily first-fits items in decreasing
     heat order into cores whose [used.(c)] leaves room under [budget].
     Returns (placed as [(item, core)] pairs, unplaced). [used] is not

@@ -19,5 +19,5 @@ val first : int array -> lo:int -> hi:int -> int -> int
 (**/**)
 
 val first_scalar : int array -> lo:int -> hi:int -> int -> int
-(** {!first} through the kernel's scalar loop over the whole range, the
-    path a host without AVX2 runs, whatever this host has. For tests. *)
+(** For tests: {!first} through the kernel's scalar loop over the whole
+    range, the path a host without AVX2 runs, whatever this host has. *)

@@ -38,6 +38,11 @@ val render : ?top:int -> t -> string
 
 (**/**)
 
+val top_k : t -> int -> row list
+(** For tests: checks the ranking {!render} prints.
+    Hottest [k] objects: off-core traffic desc, then ops desc, then object
+    id asc. Objects with no recorded activity are omitted. *)
+
 val tracked : t -> row list
 (** For tests: checks that per-object ops add up to the completed ops.
     Every object with recorded activity, in object-id order. *)

@@ -52,8 +52,8 @@ val to_string : ?occupancy:Occupancy.t -> source -> string
 (** For tests: the trace JSON without a file, for the shape tests to parse. *)
 
 val ascii_timeline : ?width:int -> O2_runtime.Telemetry.t -> string
-(** Renders EXPERIMENTS.md E4's timeline; the test that prints it is its
-    caller.
+(** For tests: renders EXPERIMENTS.md E4's timeline; the test that
+    prints it is its caller.
     One lane per sink, named as its trace track: [#] marks an executing
     operation span, [>]/[<] a shipped op leaving/landing in a column
     where the lane runs no op, [R] a rebalance period. [width] is the

@@ -32,7 +32,7 @@ val p999 : t -> float
 (**/**)
 
 val bucket_of : int -> int
-(** Exposed for tests: index of the bucket holding a value (bucket 0
+(** For tests: index of the bucket holding a value (bucket 0
     holds 0, bucket [k >= 1] holds [2^(k-1), 2^k)). *)
 
 

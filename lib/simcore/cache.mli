@@ -14,7 +14,7 @@ type watcher = {
           [-1]. The cache already contains [line] and no longer contains the
           victim when the watcher runs. *)
   on_remove : t -> line:int -> unit;
-      (** Called after a present line leaves by {!drop} or {!clear}
+      (** Called after a present line leaves by {!drop}
           (evictions are reported as the [victim] of [on_fill]). *)
 }
 (** Observation hook for the cache observatory. At most one watcher per

@@ -299,19 +299,6 @@ let fold f acc t =
 
 let to_list t = List.rev (fold (fun acc k -> k :: acc) [] t)
 
-(* Unmap every node, visiting resident keys only, so a clear costs
-   O(size) rather than O(directory). *)
-let clear t =
-  let o = ref t.head in
-  while !o <> 0 do
-    let n = next_of t.arena.(!o) in
-    unmap_node t !o;
-    o := n
-  done;
-  t.head <- 0;
-  t.tail <- 0;
-  t.size <- 0
-
 (* Node offsets from [o] along [step], at most [cap + 1] of them, so a
    cycle cannot hang the check. *)
 let walk t o step =

@@ -81,10 +81,6 @@ val to_list : t -> int list
 (** For tests: checks recency order against the model.
     Keys from most to least recently used. *)
 
-val clear : t -> unit
-(** For tests: checks that a cleared set reuses its pages.
-    Empties the set in O(resident keys), keeping its pages for reuse. *)
-
 val check_invariants : t -> (unit, string) result
 (** For tests: the structural invariant the property tests check.
     Every listed node is present and maps

@@ -45,8 +45,6 @@ type t = {
      notification site is a single [match] on it, so the unobserved access
      path allocates nothing and pays one branch (pinned by suite_hotpath). *)
   mutable observers : observer list;
-  (* Per-object line tally reused by [residency]; grown on demand. *)
-  mutable res_scratch : int array;
 }
 
 let rec log2 v k = if v <= 1 then k else log2 (v lsr 1) (k + 1)
@@ -94,7 +92,6 @@ let create cfg =
     nchips;
     line_shift = log2 line 0;
     observers = [];
-    res_scratch = [||];
   }
 
 let cfg t = t.cfg

@@ -63,7 +63,8 @@ type observer = {
   on_fill : cache:Cache.t -> line:int -> victim:int -> unit;
       (** A line entered [cache] ([victim] evicted, or [-1]). *)
   on_remove : cache:Cache.t -> line:int -> unit;
-      (** A present line left [cache] by invalidation, drop or clear. *)
+      (** A present line left [cache] by invalidation, or moved from an
+          exclusive L3 into a core's private caches. *)
 }
 
 val observe : t -> observer -> unit

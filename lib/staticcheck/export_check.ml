@@ -1,6 +1,7 @@
 (* Unused-export pass: every value a library interface exports must have a
    user outside its own module and outside test/, unless it sits after an
-   odoc [(**/**)] marker with a doc comment saying why a test needs it.
+   odoc [(**/**)] marker with a doc comment that starts "For tests" and
+   says why a test needs it.
    Uses are the resolved [Texp_ident] paths of every implementation, read
    through local module aliases and functor applications; a module
    passed to a functor or packed as a first-class module uses everything
@@ -24,7 +25,7 @@ type export = {
   file : string;
   line : int;
   hidden : bool;  (* after a [(**/**)] marker *)
-  doc : bool;
+  reason : bool;  (* its doc comment starts "For tests" *)
   mutable users : int;  (* own lor test lor real *)
 }
 
@@ -57,9 +58,9 @@ let exports_of (i : Cmt_load.interface_info) =
                 file = i.Cmt_load.intf_source;
                 line = vd.val_loc.Location.loc_start.Lexing.pos_lnum;
                 hidden;
-                doc =
+                reason =
                   (match Cmt_load.attr_reason "ocaml.doc" vd.val_attributes with
-                  | Some s -> String.trim s <> ""
+                  | Some s -> String.starts_with ~prefix:"For tests" (String.trim s)
                   | None -> false);
                 users = 0;
               }
@@ -228,13 +229,13 @@ let check interfaces modules =
             Some
               (finding e ~code:"test-only-export"
                  "%s is used only by test/; move it after (**/**) with a doc \
-                  comment saying why, or delete it"
+                  comment \"For tests: ...\" saying why, or delete it"
                  e.key)
-        | `Test_only when not e.doc ->
+        | `Test_only when not e.reason ->
             Some
               (finding e ~code:"test-only-export"
                  "%s is used only by test/ and sits after (**/**) without a \
-                  doc comment saying why"
+                  doc comment \"For tests: ...\" saying why"
                  e.key)
         | `Test_only | `Real -> None)
       exports

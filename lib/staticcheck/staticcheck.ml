@@ -20,15 +20,16 @@ let listener_count mods =
       else acc)
     0 mods
 
-let run_on_modules ?manifest ?allowlist mods =
-  let exports, export_findings = Export_check.check [] mods in
+(* The typedtree passes over [mods], merged with the export pass's
+   counts and findings and any file findings. *)
+let report ?manifest ?allowlist mods (exports, export_findings) extra =
   let findings =
     Alloc_check.check ?manifest mods
     @ Effect_check.check mods
     @ Lock_check.check mods
     @ Raw_use.check ?allowlist mods
     @ Ignore_check.check mods
-    @ export_findings
+    @ export_findings @ extra
   in
   {
     findings = List.sort_uniq Finding.compare findings;
@@ -39,6 +40,19 @@ let run_on_modules ?manifest ?allowlist mods =
     listeners_checked = listener_count mods;
     exports;
   }
+
+let no_exports =
+  {
+    Export_check.values = 0;
+    no_user = 0;
+    own_module = 0;
+    test_only = 0;
+    real_users = 0;
+    unresolved = 0;
+  }
+
+let run_on_modules ?manifest ?allowlist mods =
+  report ?manifest ?allowlist mods (no_exports, []) []
 
 (* Every library module under [root/lib] has an interface file;
    [*_intf.ml] module-type-only files are exempt. Build and hidden
@@ -75,21 +89,13 @@ let run ?build_dir ?manifest ?allowlist ~root () =
   match Cmt_load.load_tree ?build_dir ~root () with
   | Error e -> Error e
   | Ok { Cmt_load.modules; interfaces } ->
-      let r =
-        run_on_modules ?manifest ?allowlist
-          (List.filter
-             (fun m -> String.starts_with ~prefix:"lib/" m.Cmt_load.source)
-             modules)
-      in
-      let exports, export_findings = Export_check.check interfaces modules in
       Ok
-        {
-          r with
-          findings =
-            List.sort_uniq Finding.compare
-              (r.findings @ export_findings @ missing_mli ~root);
-          exports;
-        }
+        (report ?manifest ?allowlist
+           (List.filter
+              (fun m -> String.starts_with ~prefix:"lib/" m.Cmt_load.source)
+              modules)
+           (Export_check.check interfaces modules)
+           (missing_mli ~root))
 
 let pp_report ppf r =
   List.iter (fun f -> Format.fprintf ppf "%a@." Finding.pp f) r.findings;

@@ -41,5 +41,4 @@ val run_on_modules :
   report
 (** For tests: every typedtree pass over fixture modules.
     Run every typedtree pass over an explicit module list (used by the
-    test fixtures). No interface is given, so the export pass counts no
-    exported value. *)
+    test fixtures). The export pass does not run: its counts are zero. *)

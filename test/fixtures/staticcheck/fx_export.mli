@@ -1,8 +1,8 @@
 (* Unused-export fixture: one value per class of the export pass, and
    one real-user value per way the pass must follow a use. The users are
    fx_export_user.ml (counted as real code) and fx_export_test.ml (test
-   code). After (**/**), one test value has the doc comment that makes it
-   deliberate and one lacks it. *)
+   code). After (**/**), one test value has the "For tests" doc comment
+   that makes it deliberate and one has an ordinary doc comment. *)
 
 val unused : int -> int
 val private_ : int -> int
@@ -23,3 +23,4 @@ val hidden_tested : int -> int
 (** For tests: a value the test user reaches on purpose. *)
 
 val hidden_no_reason : int -> int
+(** Adds six to its argument: API documentation, not a reason a test needs it. *)

@@ -58,15 +58,6 @@ let test_order () =
   check Alcotest.(list int) "touched to front" [ 2; 4; 3; 1 ] (Lru.to_list t);
   check intopt "lru key" (Some 1) (Lru.lru_key t)
 
-let test_clear () =
-  let t = Lru.create ~cap:4 in
-  List.iter (fun k -> ignore (Lru.add t k)) [ 1; 2; 3 ];
-  Lru.clear t;
-  check Alcotest.int "empty" 0 (Lru.length t);
-  check Alcotest.bool "gone" false (Lru.mem t 1);
-  ignore (Lru.add t 9);
-  check Alcotest.bool "usable after clear" true (Lru.mem t 9)
-
 let test_capacity_one () =
   let t = Lru.create ~cap:1 in
   check intopt "fill" None (Lru.add t 1);
@@ -91,10 +82,7 @@ let test_capacity_one_full_cycle () =
   check_ok t;
   check Alcotest.int "empty after remove" 0 (Lru.length t);
   check Alcotest.int "room again after remove" (-1) (Lru.add_evict t 7);
-  Lru.clear t;
-  check_ok t;
-  check Alcotest.int "re-add after clear" (-1) (Lru.add_evict t 8);
-  check Alcotest.bool "holds the new key" true (Lru.mem t 8);
+  check Alcotest.bool "holds the new key" true (Lru.mem t 7);
   check_ok t
 
 (* One node is head and tail at once: touching it takes the MRU fast
@@ -242,8 +230,7 @@ let prop_matches_model_wide_keys =
 (* Keys on both sides of page boundaries (pages cover 64 keys): offsets
    0, 1, 62 and 63 of pages 0-3. Small capacities and removes empty
    pages, so they go to the spare stack and come back for other page
-   ranges; [clear] returns every live page at once. *)
-type paged_op = Op of op | Clear
+   ranges. *)
 
 let paged_key_gen =
   QCheck2.Gen.(
@@ -256,15 +243,14 @@ let paged_op_gen =
   QCheck2.Gen.(
     frequency
       [
-        (4, map (fun k -> Op (Add k)) paged_key_gen);
-        (2, map (fun k -> Op (Touch k)) paged_key_gen);
-        (3, map (fun k -> Op (Remove k)) paged_key_gen);
-        (1, pure Clear);
+        (4, map (fun k -> Add k) paged_key_gen);
+        (2, map (fun k -> Touch k) paged_key_gen);
+        (3, map (fun k -> Remove k) paged_key_gen);
       ])
 
 let prop_matches_model_paged =
   QCheck2.Test.make
-    ~name:"lru matches reference model (keys straddling pages, clear)"
+    ~name:"lru matches reference model (keys straddling pages)"
     ~count:300
     QCheck2.Gen.(pair (int_range 1 12) (list_size (int_bound 200) paged_op_gen))
     (fun (cap, ops) ->
@@ -274,13 +260,9 @@ let prop_matches_model_paged =
         (fun op ->
           let same =
             match op with
-            | Op (Add k) -> Lru.add t k = Model.add m k
-            | Op (Touch k) -> Lru.touch t k = Model.touch m k
-            | Op (Remove k) -> Lru.remove t k = Model.remove m k
-            | Clear ->
-                Lru.clear t;
-                m.Model.l <- [];
-                true
+            | Add k -> Lru.add t k = Model.add m k
+            | Touch k -> Lru.touch t k = Model.touch m k
+            | Remove k -> Lru.remove t k = Model.remove m k
           in
           same
           && Lru.to_list t = m.Model.l
@@ -422,7 +404,6 @@ let suite =
     Alcotest.test_case "adding a present key touches" `Quick test_add_present_is_touch;
     Alcotest.test_case "remove frees a slot" `Quick test_remove;
     Alcotest.test_case "recency order" `Quick test_order;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "capacity one" `Quick test_capacity_one;
     Alcotest.test_case "capacity one: full operation cycle" `Quick
       test_capacity_one_full_cycle;

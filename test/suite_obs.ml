@@ -874,6 +874,14 @@ let test_heat_tracker () =
   Alcotest.(check int) "heat ops sum = completed ops"
     result.O2_experiments.Quickstart_exp.ops
     (List.fold_left (fun a r -> a + r.Heat.ops) 0 rows);
+  let churn (r : Heat.row) = r.Heat.remote + r.Heat.dram in
+  let top = Heat.top_k heat 3 in
+  Alcotest.(check bool) "top_k bounded" true (List.length top <= 3);
+  let rec sorted = function
+    | a :: (b :: _ as tl) -> churn a >= churn b && sorted tl
+    | _ -> true
+  in
+  Alcotest.(check bool) "top_k ordered by off-core traffic" true (sorted top);
   Alcotest.(check int) "nothing unattributed in quickstart" 0
     (Heat.unattributed heat)
 
