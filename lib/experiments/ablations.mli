@@ -24,9 +24,12 @@ val replication : quick:bool -> jobs:int -> Format.formatter -> unit
     on its home cores; replication lets every core read its own copy. *)
 
 val overflow : quick:bool -> jobs:int -> Format.formatter -> unit
-(** E8 — Section 6.2: working sets larger than total on-chip memory, with
-    and without the frequency-aware replacement policy
-    ([evict_for_hotter]). *)
+(** E8 — Section 6.2: working sets larger than total on-chip memory
+    (zipf(1.0) data of 18, 24 and 32 MB, 24 MB alone in quick mode,
+    against 16 MB on chip, with a drifting hot set). Each size runs the
+    hardware-managed baseline, CoreTime with a frozen object table (it
+    never demotes), and CoreTime with its default demotion, which frees
+    idle assignments so the new hot objects are promoted. *)
 
 val clustering : quick:bool -> jobs:int -> Format.formatter -> unit
 (** E9 — Section 6.2: operations that use two objects; clustering

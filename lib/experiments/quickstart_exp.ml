@@ -20,13 +20,15 @@ let iterations ~quick = if quick then 30 else 60
 
 (* Same shape as examples/quickstart.ml, but bounded: [iterations] scans
    per core over four 64 KB tables, plus a lock-protected shared counter
-   so the trace shows hand-offs too. *)
+   so the trace shows hand-offs too. `o2sim lint` runs the dynamic
+   checkers over this same workload, so every thread finishes and the
+   end-of-life checks (open ops, locks held at exit) run too. *)
 let execute ?recorder_of ?attach ~quick () =
   let machine = Machine.create Config.amd16 in
   let engine = Engine.create machine in
   let ct = Coretime.create ~policy:Coretime.Policy.default engine () in
   let recorder = Option.map (fun f -> f engine) recorder_of in
-  (match attach with Some f -> f engine | None -> ());
+  (match attach with Some f -> f ct | None -> ());
   let mem = Machine.memory machine in
   let table_size = 64 * 1024 in
   let tables =
@@ -107,7 +109,9 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
     else None
   in
   let observatory = ref None in
-  let attach engine = observatory := Some (attach_observatory ~obs engine) in
+  let attach ct =
+    observatory := Some (attach_observatory ~obs (Coretime.engine ct))
+  in
   let r = execute ?recorder_of ~attach ~quick () in
   let observatory =
     match !observatory with Some o -> o | None -> assert false
@@ -145,38 +149,3 @@ let run ~quick ~obs:(obs : Harness.obs) ppf =
         "trace written to %s (%s) — load in https://ui.perfetto.dev@." path
         (O2_obs.Capture.accounting (O2_obs.Recorder.capture rec_))
   | _ -> ()
-
-(* The o2explain report: the full observatory on the quickstart run —
-   heat, occupancy, and every scheduler decision fully explained. *)
-let explain ?(top = 10) ~quick ppf =
-  let obs =
-    {
-      Harness.no_obs with
-      Harness.occupancy = true;
-      heat = true;
-      heat_top = top;
-      explain = true;
-    }
-  in
-  Format.fprintf ppf
-    "=== o2explain: cache observatory + decision provenance (quickstart, \
-     %d cores x %d ops) ===@.@."
-    (Config.cores Config.amd16) (iterations ~quick);
-  let observatory = ref None in
-  let attach engine = observatory := Some (attach_observatory ~obs engine) in
-  let r = execute ~attach ~quick () in
-  let { occupancy; heat; provenance } =
-    match !observatory with Some o -> o | None -> assert false
-  in
-  Format.fprintf ppf
-    "operations %d; promotions %d; op migrations %d; horizon %d cycles@."
-    r.ops r.promotions r.op_migrations r.horizon;
-  (match heat with
-  | Some h -> Format.fprintf ppf "@.%s" (O2_obs.Heat.render ~top h)
-  | None -> ());
-  (match occupancy with
-  | Some o -> Format.fprintf ppf "@.%s" (O2_obs.Occupancy.render o)
-  | None -> ());
-  match provenance with
-  | Some p -> Format.fprintf ppf "@.%s" (O2_obs.Provenance.render p)
-  | None -> ()

@@ -65,7 +65,8 @@ type t = {
   epoch : int Atomic.t;  (* wake ticket: bumped by every post *)
   sleepers : int Atomic.t;
   stop : bool Atomic.t;
-  error : exn option Atomic.t;  (* first client exception, kept for drain *)
+  error : (exn * Printexc.raw_backtrace) option Atomic.t;
+      (* first client exception and its backtrace, kept for drain *)
   lock : Mutex.t;
   wake : Condition.t;  (* workers park here *)
   idle : Condition.t;  (* drain waits here *)
@@ -131,7 +132,8 @@ let[@inline never] await_grace t me =
     end
   done
 
-let record_error t e = ignore (Atomic.compare_and_set t.error None (Some e))
+let record_error t e bt =
+  ignore (Atomic.compare_and_set t.error None (Some (e, bt)))
 
 let finish t =
   if Atomic.fetch_and_add t.inflight (-1) = 1 then begin
@@ -145,7 +147,7 @@ let make_handler t =
     Effect.Deep.retc = (fun () -> finish t);
     exnc =
       (fun e ->
-        record_error t e;
+        record_error t e (Printexc.get_raw_backtrace ());
         finish t);
     effc =
       (fun (type a) (eff : a Effect.t) ->
@@ -239,7 +241,11 @@ let rec loop t w me handler on_task =
     end
   end
 
-let worker_main t me () =
+(* A new domain does not record backtraces, so each worker takes its
+   creator's setting: a client's exception then reaches [drain] with the
+   client's own frames. *)
+let worker_main t ~backtraces me () =
+  Printexc.record_backtrace backtraces;
   set_worker_word (t.tag + me);
   let w = t.workers.(me) in
   let handler = make_handler t in
@@ -293,7 +299,9 @@ let create ?(telemetry = Telemetry.off) ~domains () =
       down = false;
     }
   in
-  t.handles <- Array.init domains (fun i -> Domain.spawn (worker_main t i));
+  let backtraces = Printexc.backtrace_status () in
+  t.handles <-
+    Array.init domains (fun i -> Domain.spawn (worker_main t ~backtraces i));
   t
 
 let spawn t ~core ~name body =
@@ -321,9 +329,9 @@ let drain t =
   Mutex.unlock t.lock;
   match Atomic.get t.error with
   | None -> ()
-  | Some e ->
+  | Some (e, bt) ->
       Atomic.set t.error None;
-      raise e
+      Printexc.raise_with_backtrace e bt
 
 let shutdown t =
   if not t.down then begin
@@ -375,8 +383,8 @@ let clamped ~what requested =
    so the pool's first-recorded-exception path is never taken, and the
    error of the smallest index (the one [List.map] would raise) is
    re-raised with the frames of the element that raised it, only after
-   every element has run. A new domain does not record backtraces, so
-   each worker task first takes the caller's setting. The mutex
+   every element has run; the workers record backtraces when the caller
+   does, as every pool's workers take their creator's setting. The mutex
    handshake in [drain] orders the workers' slot writes before the
    caller's reads. *)
 let map ~jobs f xs =
@@ -395,15 +403,12 @@ let map ~jobs f xs =
         claim ()
       end
     in
-    let record = Printexc.backtrace_status () in
     let t = create ~domains:(min jobs n - 1) () in
     Fun.protect
       ~finally:(fun () -> shutdown t)
       (fun () ->
         for core = 0 to t.n - 1 do
-          spawn t ~core ~name:"map" (fun () ->
-              Printexc.record_backtrace record;
-              claim ())
+          spawn t ~core ~name:"map" claim
         done;
         claim ();
         drain t);

@@ -56,7 +56,9 @@ val spawn : t -> core:int -> name:string -> (unit -> unit) -> unit
 val drain : t -> unit
 (** Block the coordinator until every spawned client has finished. If
     any client raised, the first exception recorded is re-raised here
-    (after quiescence). Workers stay alive, parked, for the next batch. *)
+    (after quiescence) with the client's own backtrace when the pool's
+    creator records backtraces. Workers stay alive, parked, for the next
+    batch. *)
 
 val shutdown : t -> unit
 (** Stop and join every worker. The pool must be quiescent ({!drain}

@@ -21,7 +21,7 @@ let dropped t = Ring.dropped t.ring
 
 (* One decision, fully explained: inputs the monitor saw, the score that
    won, the tie-break, and the action taken — each on its own line so the
-   o2explain report reads as an argument, not a log line. *)
+   --explain report reads as an argument, not a log line. *)
 let pp_record ppf { time; decision } =
   match decision with
   | Probe.Promoted

@@ -2,8 +2,7 @@
     {!O2_runtime.Probe.decision} records CoreTime's promotion path and the
     rebalancer emit, rendered as fully-explained decisions — the inputs
     the monitor saw, the score that won, the tie-break, and the action
-    taken. This is the data behind the [o2explain] report and
-    [o2sim --explain]. *)
+    taken. This is the data behind [o2sim run --explain]. *)
 
 type record = { time : int; decision : O2_runtime.Probe.decision }
 

@@ -22,5 +22,3 @@ let create mem ~name =
 
 let held t = t.owner <> None
 let owner t = t.owner
-let acquisitions t = t.acquisitions
-let contended t = t.contended

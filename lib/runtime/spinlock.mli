@@ -26,13 +26,6 @@ type t = {
 val create : O2_simcore.Memsys.t -> name:string -> t
 (** Allocates an isolated line for the lock word. *)
 
-val acquisitions : t -> int
-(** Successful acquisitions so far (the stats layer reads these through
-    accessors rather than reaching into the record). *)
-
-val contended : t -> int
-(** Acquisitions that found the lock held and had to wait. *)
-
 (**/**)
 
 val held : t -> bool

@@ -114,7 +114,7 @@ let find_build_root ?build_dir ~root () =
 
 (* The directories whose code counts as a user of a library export. The
    staticcheck fixtures are deliberately wrong code, not users. *)
-let user_dirs = [ "lib"; "bin"; "bench"; "perfbench"; "examples"; "test" ]
+let user_dirs = [ "lib"; "bin"; "perfbench"; "examples"; "test" ]
 
 let load_tree ?build_dir ~root () =
   match find_build_root ?build_dir ~root () with

@@ -18,7 +18,7 @@ type interface_info = {
 
 type tree = {
   modules : module_info list;
-      (** implementations under [lib/], [bin/], [bench/], [perfbench/],
+      (** implementations under [lib/], [bin/], [perfbench/],
           [examples/] and [test/] (not [test/fixtures/]) *)
   interfaces : interface_info list;  (** interfaces under [lib/] *)
 }

@@ -1,4 +1,4 @@
-(** Terminal line plots, so [bench/main.exe] can render each figure the
+(** Terminal line plots, so [o2sim run] can render each figure the
     way the paper prints it (y = throughput, x = total data size) without
     any plotting dependency. *)
 

@@ -253,7 +253,7 @@ let test_lint_rules () =
          (* the fixture's [ignore @@ Api.lock l] is also a lock leak *)
          if f.SC.Finding.pass = "ignore" then Some f.SC.Finding.code else None)
        r.SC.Staticcheck.findings);
-  let root = Filename.temp_dir "o2lint" "" in
+  let root = Filename.temp_dir "o2staticcheck" "" in
   Fun.protect
     ~finally:(fun () -> remove_tree root)
     (fun () ->

@@ -33,8 +33,8 @@ let test_quickstart_capture_pinned () =
   let result =
     O2_experiments.Quickstart_exp.execute
       ~recorder_of:(fun engine -> Recorder.attach engine)
-      ~attach:(fun engine ->
-        Probe.subscribe (O2_runtime.Engine.probe engine) (fun ev ->
+      ~attach:(fun ct ->
+        Probe.subscribe (O2_runtime.Engine.probe (Coretime.engine ct)) (fun ev ->
             let t = event_time ev in
             incr seen;
             if t < !last then incr backwards;

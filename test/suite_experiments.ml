@@ -35,8 +35,8 @@ let test_registry_sound () =
     (List.exists (fun e -> e.Registry.default_set) Registry.all)
 
 (* A failed check inside an experiment (the native oracle's verdict) comes
-   back from run_ids as an [Error], which bench and o2sim turn into a
-   nonzero exit, and the other selected experiments still run. *)
+   back from run_ids as an [Error], which o2sim turns into a nonzero
+   exit, and the other selected experiments still run. *)
 let test_registry_carries_failure () =
   let ran = ref [] in
   let exp id verdict =
@@ -253,6 +253,63 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* The quickstart observatory report, as `o2sim run --occupancy --heat
+   --explain quickstart` prints it: heat, occupancy and provenance
+   sections, the heat table cut to [heat_top] rows, and the promotions
+   explained. *)
+let test_quickstart_observatory_report () =
+  let buf = Buffer.create 8192 in
+  let ppf = Format.formatter_of_buffer buf in
+  let obs =
+    {
+      Harness.no_obs with
+      Harness.occupancy = true;
+      heat = true;
+      heat_top = 3;
+      explain = true;
+    }
+  in
+  (match Registry.run_ids ~obs ~quick:true ~jobs:1 ppf [ "quickstart" ] with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  Format.pp_print_flush ppf ();
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let has prefix = List.exists (String.starts_with ~prefix) lines in
+  List.iter
+    (fun header ->
+      Alcotest.(check bool) (header ^ " section present") true (has header))
+    [
+      "-- cache observatory: heat --";
+      "-- cache observatory: occupancy --";
+      "-- decision provenance:";
+    ];
+  (* the heat rows run from the rule under the table's column header to
+     the next blank line *)
+  let rec after p = function
+    | [] -> []
+    | l :: rest -> if p l then rest else after p rest
+  in
+  let rec count_rows n = function
+    | "" :: _ | [] -> n
+    | _ :: rest -> count_rows (n + 1) rest
+  in
+  let heat_rows =
+    lines
+    |> after (String.equal "-- cache observatory: heat --")
+    |> after (String.starts_with ~prefix:"---")
+    |> count_rows 0
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "heat table has 1..3 rows (got %d)" heat_rows)
+    true
+    (heat_rows >= 1 && heat_rows <= 3);
+  (* a decision line reads "[t=<cycles>] promote <object> ..." *)
+  Alcotest.(check bool) "at least one promote decision" true
+    (List.exists
+       (fun l ->
+         String.starts_with ~prefix:"[t=" l && contains ~sub:"] promote " l)
+       lines)
+
 let test_validate_obs () =
   Alcotest.(check bool) "defaults validate" true
     (Result.is_ok (Harness.validate_obs Harness.no_obs));
@@ -344,6 +401,8 @@ let suite =
       test_golden_fig4b_observed;
     Alcotest.test_case "golden rows: ablations with the observatory" `Slow
       test_golden_ablations_observed;
+    Alcotest.test_case "quickstart observatory report" `Quick
+      test_quickstart_observatory_report;
     Alcotest.test_case "observability knob validation" `Quick test_validate_obs;
     Alcotest.test_case "--jobs clamps to the core count" `Quick
       test_jobs_clamped;

@@ -248,6 +248,43 @@ let test_pool_exception_propagates () =
       Native_pool.drain t;
       checki "pool survives an error batch" 11 (Atomic.get fine))
 
+(* The file of a backtrace's first frame. *)
+let first_frame_file bt =
+  match Printexc.backtrace_slots bt with
+  | Some slots when Array.length slots > 0 -> (
+      match Printexc.Slot.location slots.(0) with
+      | Some loc -> Filename.basename loc.Printexc.filename
+      | None -> "?")
+  | _ -> "no backtrace"
+
+exception Client_failed
+
+let[@inline never] failing_client () = raise Client_failed
+
+(* [drain] re-raises a client's exception with the client's backtrace:
+   its first frame is the [raise] in this file, not the re-raise inside
+   [drain], although the client ran on a worker domain. *)
+let test_pool_drain_keeps_backtrace () =
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
+  Fun.protect ~finally:(fun () -> Printexc.record_backtrace recording)
+  @@ fun () ->
+  let t = Native_pool.create ~domains:1 () in
+  Fun.protect
+    ~finally:(fun () -> Native_pool.shutdown t)
+    (fun () ->
+      Native_pool.spawn t ~core:0 ~name:"bad" failing_client;
+      let frame =
+        match Native_pool.drain t with
+        | () -> None
+        | exception Client_failed ->
+            Some (first_frame_file (Printexc.get_raw_backtrace ()))
+      in
+      check
+        Alcotest.(option string)
+        "drain re-raises from the client's own frame" (Some "suite_native.ml")
+        frame)
+
 (* [map] is what simulation sweeps run on: their goldens are
    bit-identical at every --jobs width only because results come back in
    input order and the exception raised does not depend on which worker
@@ -273,15 +310,6 @@ let test_map_input_order () =
         expected
         (Native_pool.map ~jobs cell xs))
     [ 2; 3; 7 ]
-
-(* The file of a backtrace's first frame. *)
-let first_frame_file bt =
-  match Printexc.backtrace_slots bt with
-  | Some slots when Array.length slots > 0 -> (
-      match Printexc.Slot.location slots.(0) with
-      | Some loc -> Filename.basename loc.Printexc.filename
-      | None -> "?")
-  | _ -> "no backtrace"
 
 (* The re-raised exception keeps the failing element's own backtrace:
    its first frame is the [raise] in this file, not the re-raise inside
@@ -1505,6 +1533,8 @@ let suite =
       test_pool_worker_is_off_other_pool;
     Alcotest.test_case "pool: client exception propagates" `Quick
       test_pool_exception_propagates;
+    Alcotest.test_case "pool: drain keeps the client's backtrace" `Quick
+      test_pool_drain_keeps_backtrace;
     Alcotest.test_case "pool: yield keeps all work" `Quick
       test_pool_yield_and_scale;
     Alcotest.test_case "pool: map returns results in input order" `Quick

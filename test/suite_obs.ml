@@ -842,7 +842,8 @@ let quickstart_observed () =
   let result =
     O2_experiments.Quickstart_exp.execute
       ~recorder_of:(fun engine -> Recorder.attach engine)
-      ~attach:(fun engine ->
+      ~attach:(fun ct ->
+        let engine = Coretime.engine ct in
         occ :=
           Some
             (Occupancy.attach ~interval:200_000

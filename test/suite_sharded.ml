@@ -244,8 +244,8 @@ let lock_on_chip ~chip_of_lock ~hold =
    spinning. *)
 let test_same_chip_lock_is_serial () =
   let e, l, core = lock_on_chip ~chip_of_lock:Fun.id ~hold:50 in
-  Alcotest.(check int) "one acquisition" 1 (Spinlock.acquisitions l);
-  Alcotest.(check int) "uncontended" 0 (Spinlock.contended l);
+  Alcotest.(check int) "one acquisition" 1 l.Spinlock.acquisitions;
+  Alcotest.(check int) "uncontended" 0 l.Spinlock.contended;
   Alcotest.(check int) "no spin cycles" 0
     (Machine.counters (Engine.machine e) core).Counters.spin_cycles
 
@@ -257,7 +257,7 @@ let test_remote_lock_round_trip () =
   let e, l, core =
     lock_on_chip ~chip_of_lock:(fun h -> (h + 1) mod cfg.Config.chips) ~hold:50
   in
-  Alcotest.(check int) "one acquisition" 1 (Spinlock.acquisitions l);
+  Alcotest.(check int) "one acquisition" 1 l.Spinlock.acquisitions;
   Alcotest.(check int) "home-chip acquire ends at" 269
     (Engine.core_clock home_e home_core);
   Alcotest.(check int) "remote acquire ends at" 389
@@ -283,8 +283,8 @@ let test_remote_lock_contention () =
   spawn_locker home 5000;
   spawn_locker other 100;
   Engine.run e;
-  Alcotest.(check int) "both acquired" 2 (Spinlock.acquisitions l);
-  Alcotest.(check bool) "someone waited" true (Spinlock.contended l >= 1);
+  Alcotest.(check int) "both acquired" 2 l.Spinlock.acquisitions;
+  Alcotest.(check bool) "someone waited" true (l.Spinlock.contended >= 1);
   Alcotest.(check bool) "the waiter spun" true
     ((Machine.counters m (core_on other)).Counters.spin_cycles > 0);
   Alcotest.(check bool) "released at the end" false (Spinlock.held l)
